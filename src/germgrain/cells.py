@@ -121,6 +121,17 @@ def _norm_angle(a):
 # ---------------------------------------------------------------------------
 
 
+def _probes(piece):
+    """Two interior points of a piece.  A piece that is not cut by a boundary
+    can touch it at one point only, so one of them lies strictly on its side."""
+    return piece.point_at(1.0 / 3.0), piece.point_at(2.0 / 3.0)
+
+
+def _inside_circle(piece, center, radius):
+    """Strict side test of an uncut piece: a piece touching the circle is outside."""
+    return min(math.hypot(x - center[0], y - center[1]) for x, y in _probes(piece)) < radius
+
+
 def _split_seg_halfplane(seg: Seg, nrm, off, tol):
     """Split a segment at the halfplane boundary; yield (piece, inside)."""
     fp = nrm[0] * seg.p[0] + nrm[1] * seg.p[1] - off
@@ -155,11 +166,8 @@ def _split_arc_halfplane(arc: Arc, nrm, off, tol):
     if -1.0 < h < 1.0:
         da = math.acos(h)
         crossings = [phi + da, phi - da]
-    pieces = []
-    for piece in _split_arc_at(arc, crossings):
-        mx, my = piece.point_at(0.5)
-        pieces.append((piece, nrm[0] * mx + nrm[1] * my - off <= tol))
-    return pieces
+    return [(piece, min(nrm[0] * x + nrm[1] * y for x, y in _probes(piece)) - off <= tol)
+            for piece in _split_arc_at(arc, crossings)]
 
 
 def _split_seg_circle(seg: Seg, center, radius):
@@ -183,9 +191,7 @@ def _split_seg_circle(seg: Seg, center, radius):
         if cuts[i + 1] - cuts[i] <= 0.0:
             continue
         sub = Seg(seg.point_at(cuts[i]), seg.point_at(cuts[i + 1]))
-        mx, my = sub.point_at(0.5)
-        inside = math.hypot(mx - center[0], my - center[1]) <= radius
-        pieces.append((sub, inside))
+        pieces.append((sub, _inside_circle(sub, center, radius)))
     return pieces
 
 
@@ -209,9 +215,7 @@ def _split_arc_circle(arc: Arc, center, radius):
     angles = circle_circle_angles(arc.center, arc.radius, center, radius)
     pieces = []
     for piece in _split_arc_at(arc, angles):
-        mx, my = piece.point_at(0.5)
-        inside = math.hypot(mx - center[0], my - center[1]) <= radius
-        pieces.append((piece, inside))
+        pieces.append((piece, _inside_circle(piece, center, radius)))
     return pieces
 
 

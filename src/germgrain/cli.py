@@ -15,6 +15,8 @@ import os
 import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -22,12 +24,14 @@ from . import __version__
 from .cltstats import clt_experiment
 from .covariance import sigma_matrix
 from .geometry import shape_from_record
-from .moments import (estimate_densities, invert_intensity,
+from .moments import (DensityVector, EstimationError, invert_intensity,
                       invert_intensity_se, miles_densities_2d)
 from .process import (GrainDistribution, ModelConfig, empirical_capacity,
-                      read_sample, sample, theory_capacity, write_sample)
-from .union import (arrangement_measure, inclusion_exclusion_measure,
-                    pixel_measure, rasterize, write_pgm)
+                      read_sample, replicate_failure, sample, theory_capacity,
+                      write_sample)
+from .union import (arrangement_measure, edge_corrected_measure,
+                    inclusion_exclusion_measure, pixel_measure, rasterize,
+                    write_pgm)
 
 FORMAT_VERSION = "germgrain-csv-1"
 
@@ -36,12 +40,14 @@ class CliError(Exception):
     pass
 
 
-def _atomic_write(path, data: bytes):
+def _atomic_write(path, write):
+    """Create path atomically: write(tmp) fills a temporary file in the same
+    directory, which then replaces path."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-germgrain-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -65,7 +71,8 @@ def _write_csv(path, config, columns, rows, extra=None):
     for row in rows:
         lines.append(",".join(repr(float(x)) if isinstance(x, (int, float, np.floating))
                               else str(x) for x in row))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    data = ("\n".join(lines) + "\n").encode()
+    _atomic_write(path, lambda tmp: Path(tmp).write_bytes(data))
 
 
 def _load_config(args) -> ModelConfig:
@@ -102,16 +109,7 @@ def _add_model_flags(p):
 def _cmd_simulate(args):
     cfg = _load_config(args)
     s = sample(cfg, args.replicate)
-    d = os.path.dirname(os.path.abspath(args.out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-germgrain-")
-    os.close(fd)
-    try:
-        write_sample(tmp, s)
-        os.replace(tmp, args.out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(args.out, lambda tmp: write_sample(tmp, s))
     print(f"wrote {len(s.placed)} grains to {args.out}")
     return 0
 
@@ -158,34 +156,35 @@ def _cmd_predict(args):
 
 
 def _estimate_rows(config_rec, lo, hi):
-    from .union import edge_corrected_measure
+    """Edge-corrected density rows of replicates lo..hi-1, one sample at a time."""
     cfg = ModelConfig.from_record(config_rec)
     area = cfg.window.area()
-    out = []
+    rows = np.empty((hi - lo, 3))
     for k in range(lo, hi):
         s = sample(cfg, k)
-        out.append(edge_corrected_measure(s.placed, cfg.window).as_array() / area)
-    return out
+        try:
+            rows[k - lo] = edge_corrected_measure(s.placed, cfg.window).as_array() / area
+        except RuntimeError as exc:
+            raise replicate_failure(cfg, k, exc) from exc
+    return rows
 
 
 def _cmd_estimate(args):
-    from concurrent.futures import ProcessPoolExecutor
-
-    from .moments import DensityVector
     cfg = _load_config(args)
+    if args.reps < 2:
+        raise EstimationError("estimate needs at least 2 replicates")
     t0 = time.time()
+    rec = cfg.to_record()
     if args.threads > 1:
         chunk = (args.reps + args.threads - 1) // args.threads
         bounds = [(lo, min(lo + chunk, args.reps)) for lo in range(0, args.reps, chunk)]
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            parts = list(pool.map(_estimate_rows, [cfg.to_record()] * len(bounds),
-                                  [b[0] for b in bounds], [b[1] for b in bounds]))
-        rows = np.array([r for part in parts for r in part])
-        dv = DensityVector(*rows.mean(axis=0))
-        se = rows.std(axis=0, ddof=1) / np.sqrt(len(rows))
+            rows = np.vstack(list(pool.map(_estimate_rows, [rec] * len(bounds),
+                                           [b[0] for b in bounds], [b[1] for b in bounds])))
     else:
-        samples = [sample(cfg, k) for k in range(args.reps)]
-        dv, se, rows = estimate_densities(samples)
+        rows = _estimate_rows(rec, 0, args.reps)
+    dv = DensityVector(*rows.mean(axis=0))
+    se = rows.std(axis=0, ddof=1) / np.sqrt(len(rows))
     gamma_hat, ev1_hat, ev2_hat = invert_intensity(dv)
     g_se = invert_intensity_se(dv, np.cov(rows.T), len(rows))
     _write_csv(args.out, cfg,
@@ -225,7 +224,8 @@ def _cmd_clt(args):
                "wallclock_s": round(time.time() - t0, 3),
                "config": cfg.to_record(), "version": __version__}
     if args.json_out:
-        _atomic_write(args.json_out, json.dumps(summary, indent=2).encode())
+        data = json.dumps(summary, indent=2).encode()
+        _atomic_write(args.json_out, lambda tmp: Path(tmp).write_bytes(data))
     print(f"slope={slope:.3f} spearman={rho:.3f} w1={[round(r.w1, 4) for r in reports]}")
     return 0
 
@@ -247,16 +247,7 @@ def _cmd_render(args):
     cfg = _load_config(args)
     s = sample(cfg, args.replicate)
     img = rasterize(s.placed, cfg.window, args.resolution)
-    d = os.path.dirname(os.path.abspath(args.out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-germgrain-")
-    os.close(fd)
-    try:
-        write_pgm(tmp, img)
-        os.replace(tmp, args.out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(args.out, lambda tmp: write_pgm(tmp, img))
     print(f"wrote {img.shape[1]}x{img.shape[0]} PGM to {args.out}")
     return 0
 

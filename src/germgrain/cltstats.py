@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 from scipy.stats import spearmanr
 
-from .process import ModelConfig, sample
+from .process import ModelConfig, replicate_failure, sample
 from .union import arrangement_measure
 
 __all__ = [
@@ -56,7 +56,10 @@ def _measure_range(config_rec, scale, lo, hi):
     out = np.empty((hi - lo, 3))
     for k in range(lo, hi):
         s = sample(cfg_scaled, k)
-        out[k - lo] = arrangement_measure(s.placed, win).as_array()
+        try:
+            out[k - lo] = arrangement_measure(s.placed, win).as_array()
+        except RuntimeError as exc:
+            raise replicate_failure(cfg_scaled, k, exc) from exc
     return out
 
 

@@ -254,12 +254,13 @@ def _interior_nodes(shape, n):
 
 
 def _rho12_one_disk(radius, c2fun, gamma, kinks=()):
+    """(value, achieved quadrature error) for one disk radius."""
     def integrand(s):
         return math.exp(float(c2fun(s))) * 2.0 * math.acos(min(s / (2.0 * radius), 1.0)) * s
     scale = math.exp(float(c2fun(0.0))) * math.pi * radius ** 2
-    val, _ = adaptive_quad(integrand, 0.0, 2.0 * radius, epsabs=1e-11 * scale,
-                           points=list(kinks))
-    return gamma * math.pi * radius * val
+    val, err = adaptive_quad(integrand, 0.0, 2.0 * radius, epsabs=1e-11 * scale,
+                             points=list(kinks))
+    return gamma * math.pi * radius * np.array([val, err])
 
 
 def _rho12_one_body(shape, c2vec, gamma, n=48):
@@ -276,31 +277,38 @@ def _rho12_one_body(shape, c2vec, gamma, n=48):
     return gamma * 0.5 * total
 
 
-def rho_12(gamma: float, dist: GrainDistribution) -> float:
-    """integral of exp(C2(y-z)) against the boundary x body measure M_{1,2}."""
+def rho_12(gamma: float, dist: GrainDistribution):
+    """integral of exp(C2(y-z)) against the boundary x body measure M_{1,2}.
+
+    Returns (value, error): the adaptive quadrature's achieved error, weighted
+    like the value over the radius law, or None for the fixed tensor rule of
+    polygonal grains, which gives no error estimate.
+    """
     if gamma == 0.0:
-        return 0.0
+        return 0.0, 0.0
     if dist.family == "disk":
         prof = covariogram_functions(dist)
         c2 = prof.c2(gamma)
-        return dist.radius.expect(lambda r: _rho12_one_disk(r, c2, gamma, prof.kinks))
+        val, err = dist.radius.expect(lambda r: _rho12_one_disk(r, c2, gamma, prof.kinks))
+        return float(val), float(err)
     c2vec = _c2_vector(dist, gamma)
-    return dist.expect_shape(lambda k: _rho12_one_body(k, c2vec, gamma))
+    return dist.expect_shape(lambda k: _rho12_one_body(k, c2vec, gamma)), None
 
 
 def _rho11_one_disk(radius, c2fun, c1fun, gamma, kinks=()):
+    """(value, achieved adaptive quadrature error of term A) for one disk radius."""
     def integrand_a(s):
         return (math.exp(float(c2fun(s))) * float(c1fun(s))
                 * 2.0 * math.acos(min(s / (2.0 * radius), 1.0)) * s)
     scale = math.exp(float(c2fun(0.0))) * math.pi * radius ** 2
-    term_a, _ = adaptive_quad(integrand_a, 0.0, 2.0 * radius,
-                              epsabs=1e-11 * max(scale, 1e-9), points=list(kinks))
+    term_a, err_a = adaptive_quad(integrand_a, 0.0, 2.0 * radius,
+                                  epsabs=1e-11 * max(scale, 1e-9), points=list(kinks))
     term_a *= gamma * math.pi * radius
 
     def integrand_b(psi):
         return np.exp(c2fun(2.0 * radius * np.sin(0.5 * psi)))
     term_b = gamma * 0.5 * math.pi * radius ** 2 * tanh_sinh(integrand_b, 0.0, 2.0 * math.pi, level=8)
-    return term_a + term_b
+    return np.array([term_a + term_b, gamma * math.pi * radius * err_a])
 
 
 def _rho11_one_body(shape, c2vec, c1vec, gamma, n=48):
@@ -342,16 +350,21 @@ def _rho11_one_body(shape, c2vec, c1vec, gamma, n=48):
     return term_a + term_b
 
 
-def rho_11(gamma: float, dist: GrainDistribution) -> float:
-    """Both boundary-measure integrals of rho(V1, V1)."""
+def rho_11(gamma: float, dist: GrainDistribution):
+    """Both boundary-measure integrals of rho(V1, V1).
+
+    Returns (value, error) like rho_12; the tanh-sinh boundary-boundary term
+    has no error estimate and contributes none.
+    """
     if gamma == 0.0:
-        return 0.0
+        return 0.0, 0.0
     if not dist.has_interior:
         raise ValueError("rho_11 requires grains with nonempty interior")
     if dist.family == "disk":
         prof = covariogram_functions(dist)
         c2, c1 = prof.c2(gamma), prof.c1(gamma)
-        return dist.radius.expect(lambda r: _rho11_one_disk(r, c2, c1, gamma, prof.kinks))
+        val, err = dist.radius.expect(lambda r: _rho11_one_disk(r, c2, c1, gamma, prof.kinks))
+        return float(val), float(err)
     c2vec = _c2_vector(dist, gamma)
     if dist.isotropic:
         prof = covariogram_functions(dist)
@@ -365,7 +378,7 @@ def rho_11(gamma: float, dist: GrainDistribution) -> float:
             return gamma * np.vectorize(
                 lambda ax, ay: dist.expect_shape(
                     lambda k: boundary_covariogram(k, (ax, ay))))(dx, dy)
-    return dist.expect_shape(lambda k: _rho11_one_body(k, c2vec, c1vec, gamma))
+    return dist.expect_shape(lambda k: _rho11_one_body(k, c2vec, c1vec, gamma)), None
 
 
 def rho_0i(gamma: float, dist: GrainDistribution, i: int) -> float:
@@ -468,13 +481,14 @@ def rho_table(gamma: float, dist: GrainDistribution) -> RhoTable:
     if not dist.isotropic:
         raise AnisotropyError("the full rho table requires an isotropic grain law")
     r22, e22 = rho_22(gamma, dist)
-    r12 = rho_12(gamma, dist)
-    r11 = rho_11(gamma, dist)
+    r12, e12 = rho_12(gamma, dist)
+    r11, e11 = rho_11(gamma, dist)
     r02 = rho_0i(gamma, dist, 2)
     r01 = rho_0i(gamma, dist, 1)
     r00 = rho_0i(gamma, dist, 0)
     vals = np.array([[r00, r01, r02], [r01, r11, r12], [r02, r12, r22]])
-    return RhoTable(vals, {"rho22_quadrature": e22})
+    return RhoTable(vals, {"rho22_quadrature": e22, "rho12_quadrature": e12,
+                           "rho11_quadrature": e11})
 
 
 def sigma_matrix(gamma: float, dist: GrainDistribution, check_tol: float = 1e-6) -> CovMatrix:

@@ -101,13 +101,14 @@ class ParamLaw:
         """E[f(X)]: point mass, mixture sum or piecewise Gauss-Legendre(24).
 
         breaks lists abscissae where f is non-smooth; the uniform-law
-        integral is split there so the rule converges at full order.
+        integral is split there so the rule converges at full order.  f may
+        return an array, which is averaged elementwise with the same weights.
         """
         if self.kind == "constant":
             return f(self.args[0])
         if self.kind == "discrete":
             values, probs = self.args
-            return float(sum(p * f(v) for v, p in zip(values, probs)))
+            return sum(p * f(v) for v, p in zip(values, probs))
         a, b = self.args
         cuts = sorted({a, b} | {x for x in breaks if a < x < b})
         x, w = np.polynomial.legendre.leggauss(24)
@@ -115,7 +116,7 @@ class ParamLaw:
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             xs = 0.5 * (hi - lo) * x + 0.5 * (lo + hi)
             total += sum(wi * f(xi) for xi, wi in zip(xs, w)) * 0.5 * (hi - lo)
-        return float(total / (b - a))
+        return total / (b - a)
 
     def to_record(self):
         if self.kind == "constant":
@@ -427,6 +428,15 @@ def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int
             misses += 1
     p = misses / reps
     return p, math.sqrt(max(p * (1.0 - p), 1.0 / reps) / reps)
+
+
+def replicate_failure(config: ModelConfig, replicate: int, exc: Exception) -> RuntimeError:
+    """An engine error on one replicate, named so that the replicate can be
+    dumped again with `germgrain simulate`."""
+    (x0, y0), (x1, y1) = config.window.lo, config.window.hi
+    where = f"--seed {config.seed} --window {x0!r} {y0!r} {x1!r} {y1!r} --replicate {replicate}"
+    return RuntimeError(f"replicate {replicate} failed ({exc}); reproduce its grains with "
+                        f"germgrain simulate --config <config> {where}")
 
 
 # ---------------------------------------------------------------------------

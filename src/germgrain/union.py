@@ -7,14 +7,19 @@ Three engines compute the same quantity:
     depth-first pruning (supersets of an empty intersection stay empty).
     Exponential; capped at 18 grains hitting the window.
 
-  * arrangement_measure -- exact polynomial-time engine.  The union boundary
-    is assembled from pieces of cell boundaries that are not interior to any
-    other cell (plus the covered pieces of the window boundary); the area
-    follows from Green's theorem, v1 is half the retained length, and the
-    Euler characteristic comes from total boundary turning (Gauss-Bonnet:
-    swept arc angle plus exterior angles at junctions, divided by 2*pi).
-    All-disk inputs take a vectorized angular-interval fast path; mixed
-    inputs walk the generic split-and-retain path.
+  * arrangement_measure -- exact polynomial-time engine over boundary
+    intervals, one path for every grain type.  Each boundary primitive (a
+    disk's circle, a polygon edge, an edge of the window or of the optional
+    convex mask) gets the parameter intervals that other bodies cover: a
+    grain covers with its open interior, the observation region covers what
+    lies outside it.  One vectorized merge segmented by primitive yields the
+    kept pieces, the uncovered gaps of grain primitives and the covered runs
+    of region primitives.  The area follows from Green's theorem, v1 is half
+    the kept length, and the Euler characteristic comes from total boundary
+    turning (Gauss-Bonnet: swept arc angle plus the turn at each piece's
+    start, divided by 2*pi).  Each turn is read from the primitive bounding
+    the covering interval that ends there, or from the body's own vertex, so
+    no endpoints are matched.  All geometry is window-centred.
 
   * pixel_measure -- approximate raster engine from 2x2 pixel-configuration
     counts.  Area error is O(1/resolution); the perimeter estimator uses the
@@ -25,8 +30,13 @@ Three engines compute the same quantity:
 
 Measure-zero contacts (tangent circles, shared edges, vertex-on-edge) count
 as empty intersections in every engine: flush grains behave as if pulled
-apart by an infinitesimal perturbation.  Junction pairing resolves the
-corresponding degenerate vertices with the minimum-CCW-turn rule.
+apart by an infinitesimal perturbation.  In the arrangement engine,
+coincident boundary pieces running in opposite directions are a flush
+contact and both stay; pieces running the same way stay once, on the grain
+listed first; a grain edge on the window boundary stays and the window piece
+beneath it is dropped.  A point contact on exactly representable
+coordinates (a vertex touching another boundary) can still leave the turning
+sum off an integer, which the engine reports as an error.
 """
 
 from __future__ import annotations
@@ -36,8 +46,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cells import (COORD_EPS, TWO_PI, Arc, PlacedGrain, Seg,
-                    TooManyGrainsError, Window, circle_circle_angles,
+from .cells import (TWO_PI, PlacedGrain, TooManyGrainsError, Window,
                     clip_cell, grain_constraints, window_cell)
 from .geometry import AlignedRect, Disk, _as_polygon_vertices
 
@@ -98,290 +107,8 @@ def inclusion_exclusion_measure(grains, window: Window, cap: int = 18) -> Functi
 
 
 # ---------------------------------------------------------------------------
-# Generic arrangement engine
+# Interval merges
 # ---------------------------------------------------------------------------
-
-
-def _prim_pair_intersections(p, q):
-    """Interior intersection parameters [(s_p, s_q)] of two boundary primitives."""
-    out = []
-    if isinstance(p, Seg) and isinstance(q, Seg):
-        d1 = (p.q[0] - p.p[0], p.q[1] - p.p[1])
-        d2 = (q.q[0] - q.p[0], q.q[1] - q.p[1])
-        den = d1[0] * d2[1] - d1[1] * d2[0]
-        if abs(den) < 1e-14 * (abs(d1[0]) + abs(d1[1])) * (abs(d2[0]) + abs(d2[1]) + 1e-300):
-            return out
-        rx, ry = q.p[0] - p.p[0], q.p[1] - p.p[1]
-        t = (rx * d2[1] - ry * d2[0]) / den
-        u = (rx * d1[1] - ry * d1[0]) / den
-        if 1e-12 < t < 1.0 - 1e-12 and 1e-12 < u < 1.0 - 1e-12:
-            out.append((t, u))
-        return out
-    if isinstance(p, Seg) or isinstance(q, Seg):
-        seg, arc, flip = (p, q, False) if isinstance(p, Seg) else (q, p, True)
-        cx, cy = arc.center
-        r = arc.radius
-        dx, dy = seg.q[0] - seg.p[0], seg.q[1] - seg.p[1]
-        fx, fy = seg.p[0] - cx, seg.p[1] - cy
-        a = dx * dx + dy * dy
-        b = 2.0 * (fx * dx + fy * dy)
-        c = fx * fx + fy * fy - r * r
-        disc = b * b - 4.0 * a * c
-        if disc <= 0.0 or a <= 0.0:
-            return out
-        sq = math.sqrt(disc)
-        for t in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
-            if not (1e-12 < t < 1.0 - 1e-12):
-                continue
-            x, y = seg.point_at(t)
-            ang = math.atan2(y - cy, x - cx)
-            rel = math.fmod(ang - arc.a0, TWO_PI)
-            if rel < 0.0:
-                rel += TWO_PI
-            if 1e-12 < rel < arc.sweep - 1e-12:
-                s_arc = rel / arc.sweep
-                out.append((s_arc, t) if flip else (t, s_arc))
-        return out
-    # arc-arc
-    for ang in circle_circle_angles(p.center, p.radius, q.center, q.radius):
-        rel_p = math.fmod(ang - p.a0, TWO_PI)
-        if rel_p < 0.0:
-            rel_p += TWO_PI
-        if not (1e-12 < rel_p < p.sweep - 1e-12):
-            continue
-        x = p.center[0] + p.radius * math.cos(ang)
-        y = p.center[1] + p.radius * math.sin(ang)
-        ang_q = math.atan2(y - q.center[1], x - q.center[0])
-        rel_q = math.fmod(ang_q - q.a0, TWO_PI)
-        if rel_q < 0.0:
-            rel_q += TWO_PI
-        if 1e-12 < rel_q < q.sweep - 1e-12:
-            out.append((rel_p / p.sweep, rel_q / q.sweep))
-    return out
-
-
-def _split_prim(prim, params):
-    if not params:
-        return [prim]
-    ss = sorted(set(min(max(s, 0.0), 1.0) for s in params))
-    ss = [s for s in ss if 1e-12 < s < 1.0 - 1e-12]
-    if not ss:
-        return [prim]
-    cuts = [0.0] + ss + [1.0]
-    out = []
-    if isinstance(prim, Seg):
-        for i in range(len(cuts) - 1):
-            a, b = prim.point_at(cuts[i]), prim.point_at(cuts[i + 1])
-            seg = Seg(a, b)
-            if seg.length() > 1e-13:
-                out.append(seg)
-    else:
-        for i in range(len(cuts) - 1):
-            sw = (cuts[i + 1] - cuts[i]) * prim.sweep
-            if sw > 1e-13:
-                out.append(Arc(prim.center, prim.radius, prim.a0 + cuts[i] * prim.sweep, sw))
-    return out
-
-
-def _signed_turn(t_in, t_out):
-    cross = t_in[0] * t_out[1] - t_in[1] * t_out[0]
-    dot = t_in[0] * t_out[0] + t_in[1] * t_out[1]
-    ang = math.atan2(cross, dot)
-    if ang <= -math.pi + 1e-12:
-        ang = math.pi  # reversal counts as +pi (pulled-apart policy)
-    return ang
-
-
-def _point_in_constraints(cons, x, y, tol):
-    """Strict-interior test against a raw constraint list."""
-    for c in cons:
-        if c[0] == "h":
-            (nx_, ny_), off = c[1], c[2]
-            if nx_ * x + ny_ * y - off > -tol:
-                return False
-        else:
-            (cx, cy), r = c[1], c[2]
-            if math.hypot(x - cx, y - cy) > r - tol:
-                return False
-    return True
-
-
-def _point_on_constraint_boundary(cons, x, y, tol):
-    for c in cons:
-        if c[0] == "h":
-            (nx_, ny_), off = c[1], c[2]
-            if abs(nx_ * x + ny_ * y - off) <= tol:
-                return True
-        else:
-            (cx, cy), r = c[1], c[2]
-            if abs(math.hypot(x - cx, y - cy) - r) <= tol:
-                return True
-    return False
-
-
-def _param_on_prim(prim, pt, tol):
-    """Parameter of a point lying on a primitive, or None."""
-    if isinstance(prim, Seg):
-        dx, dy = prim.q[0] - prim.p[0], prim.q[1] - prim.p[1]
-        ln2 = dx * dx + dy * dy
-        if ln2 == 0.0:
-            return None
-        t = ((pt[0] - prim.p[0]) * dx + (pt[1] - prim.p[1]) * dy) / ln2
-        if not (1e-9 < t < 1.0 - 1e-9):
-            return None
-        x, y = prim.point_at(t)
-        return t if math.hypot(x - pt[0], y - pt[1]) <= tol else None
-    r = math.hypot(pt[0] - prim.center[0], pt[1] - prim.center[1])
-    if abs(r - prim.radius) > tol:
-        return None
-    ang = math.atan2(pt[1] - prim.center[1], pt[0] - prim.center[0])
-    rel = math.fmod(ang - prim.a0, TWO_PI)
-    if rel < 0.0:
-        rel += TWO_PI
-    s = rel / prim.sweep
-    return s if 1e-9 < s < 1.0 - 1e-9 else None
-
-
-def _arrangement_generic(grains, window: Window, mask: PlacedGrain | None) -> FunctionalVector:
-    base = window_cell(window)
-    base_cons = list(base.constraints)
-    if mask is not None:
-        base = clip_cell(base, grain_constraints(mask))
-        if base is None:
-            return FunctionalVector(0.0, 0.0, 0.0)
-        base_cons = list(base.constraints)
-
-    cells = []
-    for g in grains:
-        gc = grain_constraints(g)
-        c = clip_cell(base, gc)
-        if c is not None:
-            cells.append((g, c, gc))
-    if not cells:
-        return FunctionalVector(0.0, 0.0, 0.0)
-
-    n = len(cells)
-    centers = np.array([g.center for g, _, _ in cells])
-    radii = np.array([g.circumradius() for g, _, _ in cells])
-    # Neighbor pairs among grain cells.
-    if n > 1:
-        tree = cKDTree(centers)
-        pairs = tree.query_pairs(2.0 * float(np.max(radii)) + 1e-9, output_type="ndarray")
-        pairs = [(i, j) for i, j in pairs
-                 if np.hypot(*(centers[i] - centers[j])) < radii[i] + radii[j] + 1e-9]
-    else:
-        pairs = []
-
-    # chains[k] = list of primitives of cell k; index n is the base boundary.
-    chains = [list(c.chain) for _, c, _ in cells] + [list(base.chain)]
-    splits = [[[] for _ in ch] for ch in chains]
-    neighbors = [[] for _ in range(n)]
-    for i, j in pairs:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-
-    def cross_split(a, b):
-        for ia, pa in enumerate(chains[a]):
-            for ib, pb in enumerate(chains[b]):
-                for sa, sb in _prim_pair_intersections(pa, pb):
-                    splits[a][ia].append(sa)
-                    splits[b][ib].append(sb)
-
-    for i, j in pairs:
-        cross_split(i, j)
-    # The base boundary is additionally split wherever a grain-cell vertex
-    # lands on it: grain chains were clipped against the base, so their
-    # transitions onto the base boundary are chain endpoints, not transversal
-    # interior crossings.
-    base_pts = []
-    for k in range(n):
-        for prim in chains[k]:
-            base_pts.append(prim.start())
-    for ib, pb in enumerate(chains[n]):
-        for pt in base_pts:
-            s = _param_on_prim(pb, pt, COORD_EPS)
-            if s is not None:
-                splits[n][ib].append(s)
-
-    # Retained pieces.  Grain pieces survive when interior to no other grain
-    # body; pieces riding on the base boundary are excluded (the base pass
-    # owns them).  Base pieces survive exactly where covered by a grain body.
-    retained = []
-    for k in range(n):
-        body_list = [cells[m][2] for m in neighbors[k]]
-        for ip, prim in enumerate(chains[k]):
-            for piece in _split_prim(prim, splits[k][ip]):
-                mx, my = piece.point_at(0.5)
-                if _point_on_constraint_boundary(base_cons, mx, my, COORD_EPS):
-                    continue
-                if not any(_point_in_constraints(b, mx, my, COORD_EPS) for b in body_list):
-                    retained.append(piece)
-    for ip, prim in enumerate(chains[n]):
-        for piece in _split_prim(prim, splits[n][ip]):
-            mx, my = piece.point_at(0.5)
-            if any(_point_in_constraints(gc, mx, my, COORD_EPS) for _, _, gc in cells):
-                retained.append(piece)
-
-    if not retained:
-        return FunctionalVector(0.0, 0.0, 0.0)
-
-    area = sum(p.green() for p in retained)
-    length = sum(p.length() for p in retained)
-    turning = sum(p.turning for p in retained)
-
-    # Junctions: cluster piece endpoints, then match ends to starts.
-    def key(pt):
-        return (round(pt[0] / COORD_EPS), round(pt[1] / COORD_EPS))
-
-    clusters = {}
-    for idx, piece in enumerate(retained):
-        for role, pt in (("end", piece.end()), ("start", piece.start())):
-            ks = [key(pt)]
-            found = None
-            # Check the 3x3 key neighborhood so near-boundary rounding cannot
-            # split one geometric junction into two clusters.
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    kk = (ks[0][0] + dx, ks[0][1] + dy)
-                    if kk in clusters:
-                        found = kk
-                        break
-                if found:
-                    break
-            kk = found or ks[0]
-            clusters.setdefault(kk, {"end": [], "start": []})[role].append(idx)
-
-    for cl in clusters.values():
-        ends, starts = cl["end"], cl["start"]
-        if not ends and not starts:
-            continue
-        if len(ends) != len(starts):
-            raise RuntimeError(
-                "arrangement junction mismatch: degenerate configuration beyond "
-                "the measure-zero perturbation policy")
-        start_pool = list(starts)
-        for e in ends:
-            t_in = retained[e].tangent(1.0)
-            best, best_turn = None, None
-            for s in start_pool:
-                turn = _signed_turn(t_in, retained[s].tangent(0.0))
-                if best is None or turn < best_turn:
-                    best, best_turn = s, turn
-            start_pool.remove(best)
-            turning += best_turn
-
-    v0 = turning / TWO_PI
-    v0i = round(v0)
-    if abs(v0 - v0i) > 1e-3:
-        raise RuntimeError(f"non-integer Euler characteristic {v0}: arrangement inconsistency")
-    return FunctionalVector(float(v0i), 0.5 * length, area)
-
-
-# ---------------------------------------------------------------------------
-# Disk fast path
-# ---------------------------------------------------------------------------
-
-_EDGE_DIR = {-1: (1.0, 0.0), -2: (0.0, 1.0), -3: (-1.0, 0.0), -4: (0.0, -1.0)}
 
 
 def _merge_circular(intervals):
@@ -444,29 +171,6 @@ def _merge_circular(intervals):
             out.append((theta0 + g0, theta0 + g1, o))
             covered -= (g1 - g0)
     return out, covered
-
-
-def _merge_linear(intervals, lo, hi):
-    """Union of intervals on [lo, hi]: pieces (u0, u1, owner_at_u0, owner_at_u1)."""
-    ivs = []
-    for a, b, o in intervals:
-        a, b = max(a, lo), min(b, hi)
-        if b - a > 1e-12:
-            ivs.append((a, b, o))
-    if not ivs:
-        return []
-    ivs.sort(key=lambda t: t[0])
-    out = []
-    cur_a, cur_b, o_lo, o_hi = ivs[0][0], ivs[0][1], ivs[0][2], ivs[0][2]
-    for a, b, o in ivs[1:]:
-        if a <= cur_b + 1e-12:
-            if b > cur_b:
-                cur_b, o_hi = b, o
-        else:
-            out.append((cur_a, cur_b, o_lo, o_hi))
-            cur_a, cur_b, o_lo, o_hi = a, b, o, o
-    out.append((cur_a, cur_b, o_lo, o_hi))
-    return out
 
 
 def _merge_circular_vec(disk_ids, starts, widths, owners, eps=1e-12):
@@ -546,199 +250,392 @@ def _merge_circular_vec(disk_ids, starts, widths, owners, eps=1e-12):
     return gd[keep], (t0 + g0)[keep], (t0 + g1)[keep], go[keep]
 
 
-def _arrangement_disks(centers, radii, window: Window) -> FunctionalVector:
-    (x0, y0), (x1, y1) = window.lo, window.hi
-    # Distance from each center to the window; keep disks that reach it.
-    dx = np.maximum(np.maximum(x0 - centers[:, 0], centers[:, 0] - x1), 0.0)
-    dy = np.maximum(np.maximum(y0 - centers[:, 1], centers[:, 1] - y1), 0.0)
-    keep = np.hypot(dx, dy) < radii - 1e-15
-    centers, radii = centers[keep], radii[keep]
-    n = len(centers)
-    if n == 0:
-        return FunctionalVector(0.0, 0.0, 0.0)
+# ---------------------------------------------------------------------------
+# Boundary-interval engine
+# ---------------------------------------------------------------------------
 
-    iv_disk, iv_start, iv_width, iv_owner = [], [], [], []
+# Parameter tolerance: edges are parameterized over [0, 1], circles by angle
+# over [0, 2*pi], so the tolerance is relative to each primitive's size.
+_EPS = 1e-12
 
-    if n > 1:
-        tree = cKDTree(centers)
-        pairs = tree.query_pairs(2.0 * float(np.max(radii)), output_type="ndarray")
-        if len(pairs):
-            i_arr = np.concatenate([pairs[:, 0], pairs[:, 1]])
-            j_arr = np.concatenate([pairs[:, 1], pairs[:, 0]])
-            diff = centers[j_arr] - centers[i_arr]
-            d = np.hypot(diff[:, 0], diff[:, 1])
-            ri, rj = radii[i_arr], radii[j_arr]
-            touch = d < ri + rj
-            i_arr, j_arr, diff, d, ri, rj = (a[touch] for a in (i_arr, j_arr, diff, d, ri, rj))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                arg = (d * d + ri * ri - rj * rj) / (2.0 * d * ri)
-            phi = np.arctan2(diff[:, 1], diff[:, 0])
-            full = arg <= -1.0
-            cross = (~full) & (arg < 1.0)
-            alpha = np.arccos(np.clip(arg[cross], -1.0, 1.0))
-            iv_disk.append(i_arr[full])
-            iv_start.append(np.zeros(int(np.count_nonzero(full))))
-            iv_width.append(np.full(int(np.count_nonzero(full)), TWO_PI))
-            iv_owner.append(j_arr[full])
-            iv_disk.append(i_arr[cross])
-            iv_start.append(phi[cross] - alpha)
-            iv_width.append(2.0 * alpha)
-            iv_owner.append(j_arr[cross])
 
-    # Window-edge coverage of disk boundaries (the part outside the window is
-    # not cell boundary) and disk chords on each edge.
-    edge_defs = [
-        (-1, (0.0, -1.0), -y0),   # bottom edge: outside is n.(x,y) > c with n=(0,-1), c=-y0
-        (-2, (1.0, 0.0), x1),     # right
-        (-3, (0.0, 1.0), y1),     # top
-        (-4, (-1.0, 0.0), -x0),   # left
-    ]
-    edge_chords = {-1: [], -2: [], -3: [], -4: []}
-    edge_axis = {-1: (0, y0, +1), -2: (1, x1, -1), -3: (0, y1, -1), -4: (1, x0, +1)}
-    for code, (nx_, ny_), c in edge_defs:
-        h = (c - (centers[:, 0] * nx_ + centers[:, 1] * ny_)) / radii
-        crossing = np.where(h < 1.0)[0]
-        if len(crossing) == 0:
+class _Boundary:
+    """Boundary primitives of convex bodies in local coordinates.
+
+    Body 0 is the observation region (or the probe segment of
+    segment_coverage); bodies 1.. are grains.  A primitive is either a full
+    counterclockwise circle, parameterized by angle over [0, 2*pi], or a
+    directed edge x + u*d, u in [0, 1], with outward unit normal n and offset
+    n.x.  Polygon edges run counterclockwise, so each body keeps its interior
+    on the left.
+    """
+
+    def __init__(self, centres, outlines):
+        # outlines[b]: a disk radius (float) or local polygon vertices (m, 2).
+        radius = np.array([o if isinstance(o, float) else 0.0 for o in outlines])
+        count = np.array([1 if isinstance(o, float) else len(o) for o in outlines])
+        disk = radius > 0.0
+        first = np.cumsum(count) - count
+        body = np.repeat(np.arange(len(outlines)), count)
+        loc = np.zeros((int(count.sum()), 2))
+        if not np.all(disk):
+            loc[~disk[body]] = np.concatenate([o for o, d in zip(outlines, disk) if not d])
+        k = np.arange(len(body)) - first[body]
+        nxt = first[body] + (k + 1) % count[body]
+        self.prev = first[body] + (k - 1) % count[body]
+        self.body = body
+        self.is_arc = disk[body]
+        self.x = centres[body, 0] + loc[:, 0]
+        self.y = centres[body, 1] + loc[:, 1]
+        self.dx = self.x[nxt] - self.x
+        self.dy = self.y[nxt] - self.y
+        self.r = radius[body]
+        self.len2 = np.where(self.is_arc, 1.0, self.dx * self.dx + self.dy * self.dy)
+        ln = np.sqrt(self.len2)
+        self.nx = np.where(self.is_arc, 0.0, self.dy / ln)
+        self.ny = np.where(self.is_arc, 0.0, -self.dx / ln)
+        self.off = self.nx * self.x + self.ny * self.y
+        self.disk = disk
+        self.count = count
+        self.centres = centres
+        # Circumradius about the centre, for neighbour search.
+        self.reach = np.maximum.reduceat(np.hypot(loc[:, 0], loc[:, 1]) + self.r, first)
+        # table[b] lists body b's primitives, padded with -1.
+        cols = np.arange(int(count.max()))
+        self.table = np.where(cols < count[:, None], first[:, None] + cols, -1)
+
+    def point(self, p, u):
+        """Point at parameter u of primitives p."""
+        arc = self.is_arc[p]
+        return (np.where(arc, self.x[p] + self.r[p] * np.cos(u), self.x[p] + u * self.dx[p]),
+                np.where(arc, self.y[p] + self.r[p] * np.sin(u), self.y[p] + u * self.dy[p]))
+
+    def level(self, p, px, py):
+        """Boundary function of primitives p at points: <= 0 on the body's side."""
+        return np.where(self.is_arc[p], np.hypot(px - self.x[p], py - self.y[p]) - self.r[p],
+                        self.nx[p] * px + self.ny[p] * py - self.off[p])
+
+    def tangent(self, p, px, py):
+        """Counterclockwise tangent (unnormalized) of primitives p at points on them."""
+        arc = self.is_arc[p]
+        return (np.where(arc, self.y[p] - py, self.dx[p]),
+                np.where(arc, px - self.x[p], self.dy[p]))
+
+
+def _seg_in_poly(bd, p, j):
+    """Interval [lo, hi] of edges p inside the open polygons j (Cyrus-Beck).
+
+    An edge lying on one of j's edge lines counts as inside that halfplane
+    only when both run the same way and j has the lower body index: a
+    coincident boundary piece stays once, on the lower-indexed body, and a
+    flush contact (opposite directions) is outside.  hi <= lo is empty.
+    Also returns the edges of j crossed at lo and at hi (-1 for none); at hi
+    a coincident edge of j, which carries the boundary on, takes precedence.
+    """
+    h = bd.table[j]
+    pad = h < 0
+    h = np.where(pad, 0, h)
+    px, py = bd.x[p, None], bd.y[p, None]
+    f0 = np.where(pad, -1.0, bd.nx[h] * px + bd.ny[h] * py - bd.off[h])
+    f1 = np.where(pad, -1.0, bd.nx[h] * (px + bd.dx[p, None]) + bd.ny[h] * (py + bd.dy[p, None])
+                  - bd.off[h])
+    den = f1 - f0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = f0 / (f0 - f1)
+    t_in = np.where(den < 0.0, t, -np.inf)
+    t_out = np.where(den > 0.0, t, np.inf)
+    lo, hi = np.max(t_in, axis=1), np.min(t_out, axis=1)
+    same = ((f0 == 0.0) & (den == 0.0) & (j < bd.body[p])[:, None]
+            & (bd.nx[h] * bd.nx[p, None] + bd.ny[h] * bd.ny[p, None] > 0.0))
+    blocked = np.any((den == 0.0) & (f0 >= 0.0) & ~same, axis=1)
+    # Crossing a vertex crosses both its edge lines at once; the boundary
+    # runs into the vertex along the edge that ends there.
+    rows = np.arange(len(h))[:, None]
+    nxt = (np.arange(h.shape[1]) + 1) % bd.count[j][:, None]
+
+    def crossed(tt, ext):
+        near = np.abs(tt - ext[:, None]) <= _EPS
+        ends = near & near[rows, nxt]
+        k = np.argmax(np.where(ends.any(axis=1, keepdims=True), ends, near), axis=1)
+        return np.where(np.isfinite(ext), h[rows[:, 0], k], -1)
+    c_out = np.where(same.any(axis=1), h[rows[:, 0], np.argmax(same, axis=1)], crossed(t_out, hi))
+    lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
+    return lo, np.where(blocked, lo, hi), crossed(t_in, lo), c_out
+
+
+def _seg_in_disk(bd, p, j):
+    """Interval [lo, hi] of edges p inside the open disks j; hi <= lo is empty.
+
+    The disk's circle is the crossed primitive at both ends.
+    """
+    fx = bd.x[p] - bd.centres[j, 0]
+    fy = bd.y[p] - bd.centres[j, 1]
+    dx, dy, qa = bd.dx[p], bd.dy[p], bd.len2[p]
+    tc = -(fx * dx + fy * dy) / qa
+    cross = fx * dy - fy * dx
+    w2 = (bd.reach[j] ** 2 - cross * cross / qa) / qa
+    w = np.sqrt(np.maximum(w2, 0.0))
+    lo = np.maximum(tc - w, 0.0)
+    circle = bd.table[j, 0]
+    return lo, np.where(w2 > 0.0, np.minimum(tc + w, 1.0), lo), circle, circle
+
+
+def _arc_in_disk(bd, p, j):
+    """Angular interval (start, width) of circles p inside the open disks j.
+
+    A circle coinciding with j's boundary is inside only when j has the lower
+    body index, so the shared circle stays once.
+    """
+    ddx = bd.centres[j, 0] - bd.x[p]
+    ddy = bd.centres[j, 1] - bd.y[p]
+    d = np.hypot(ddx, ddy)
+    ri, rj = bd.r[p], bd.reach[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = (d * d + ri * ri - rj * rj) / (2.0 * d * ri)
+    alpha = np.where(np.isnan(arg), np.where(j < bd.body[p], math.pi, 0.0),
+                     np.arccos(np.clip(arg, -1.0, 1.0)))
+    return np.arctan2(ddy, ddx) - alpha, 2.0 * alpha
+
+
+def _arc_outside_poly(bd, p, j):
+    """Arcs (row, start, width, edge) of circles p outside each edge line of polygons j."""
+    h = bd.table[j]
+    valid = h >= 0
+    h = np.where(valid, h, 0)
+    nx, ny = bd.nx[h], bd.ny[h]
+    lev = (bd.off[h] - nx * bd.x[p, None] - ny * bd.y[p, None]) / bd.r[p, None]
+    valid &= lev < 1.0
+    beta = np.arccos(np.maximum(lev[valid], -1.0))
+    return np.nonzero(valid)[0], np.arctan2(ny[valid], nx[valid]) - beta, 2.0 * beta, h[valid]
+
+
+def _coverage(bd, p, j):
+    """Covered parameter intervals (prim, a, b, carrier) of primitives p by bodies j.
+
+    A grain j covers the part of p in its open interior; the region (j = 0)
+    covers the part of p outside it.  The carrier is the primitive of j that
+    the union boundary follows into the interval's end (on grain primitives,
+    whose kept pieces start there) or out of its start (on region primitives,
+    whose kept pieces start there).
+    """
+    arc, jd, reg = bd.is_arc[p], bd.disk[j], j == 0
+    on_region = bd.body[p] == 0
+    lin, circ = [], []
+    for m, kernel in ((~arc & ~jd, _seg_in_poly), (~arc & jd, _seg_in_disk)):
+        if not m.any():
             continue
-        beta = np.arccos(np.clip(h[crossing], -1.0, 1.0))
-        phi_n = math.atan2(ny_, nx_)
-        axis, coord, _sign = edge_axis[code]
-        iv_disk.append(crossing)
-        iv_start.append(np.full(len(crossing), phi_n) - beta)
-        iv_width.append(2.0 * beta)
-        iv_owner.append(np.full(len(crossing), code, dtype=np.int64))
-        half = radii[crossing] ** 2 - (coord - centers[crossing, 1 - axis]) ** 2
-        pos = half > 0.0
-        if np.any(pos):
-            hh = np.sqrt(half[pos])
-            tc = centers[crossing[pos], axis]
-            for idx, t_c, h_c in zip(crossing[pos], tc, hh):
-                edge_chords[code].append((float(t_c - h_c), float(t_c + h_c), int(idx)))
+        pm, jm, rm = p[m], j[m], reg[m]
+        lo, hi, c_in, c_out = kernel(bd, pm, jm)
+        g = ~rm
+        lin.append((pm[g], lo[g], hi[g], np.where(on_region[m][g], c_in[g], c_out[g])))
+        empty = hi[rm] - lo[rm] <= _EPS
+        lin.append((pm[rm], np.zeros(len(empty)), np.where(empty, 1.0, lo[rm]), c_in[rm]))
+        lin.append((pm[rm], np.where(empty, 1.0, hi[rm]), np.ones(len(empty)), c_out[rm]))
+    m = arc & jd
+    if m.any():
+        start, width = _arc_in_disk(bd, p[m], j[m])
+        rm = reg[m]
+        circ.append((p[m], np.where(rm, start + width, start), np.where(rm, TWO_PI - width, width),
+                     bd.table[j[m], 0]))
+    m = arc & ~jd
+    if m.any():
+        pm, jm = p[m], j[m]
+        rows, start, width, edge = _arc_outside_poly(bd, pm, jm)
+        out = reg[m][rows]
+        circ.append((pm[rows[out]], start[out], width[out], edge[out]))
+        # A grain polygon covers the gaps between the outside arcs of its
+        # edge lines, and a circle with no outside arc lies wholly inside.  A
+        # gap's owner is the edge at its start, so grain circles, which need
+        # the edge at a gap's end, are merged in mirrored angles.
+        rows, start, width, edge = rows[~out], start[~out], width[~out], edge[~out]
+        mirror = ~on_region[m][rows]
+        gd, g0, g1, ge = _merge_circular_vec(rows, np.where(mirror, -(start + width), start),
+                                             width, edge)
+        circ.append((pm[gd], np.where(on_region[m][gd], g0, -g1), g1 - g0, ge))
+        inside = np.flatnonzero(~reg[m] & (np.bincount(rows, minlength=len(pm)) == 0))
+        circ.append((pm[inside], np.zeros(len(inside)), np.full(len(inside), TWO_PI),
+                     np.full(len(inside), -1)))
+    if circ:
+        # Circular intervals become one or two intervals on [0, 2*pi].
+        cp, cs, cw, co = (np.concatenate(c) for c in zip(*circ))
+        full = cw >= TWO_PI - _EPS
+        cs = np.where(full, 0.0, np.mod(cs, TWO_PI))
+        ce = np.where(full, TWO_PI, cs + cw)
+        wrap = ce > TWO_PI
+        lin.append((cp, cs, np.minimum(ce, TWO_PI), co))
+        lin.append((cp[wrap], np.zeros(int(wrap.sum())), ce[wrap] - TWO_PI, co[wrap]))
+    if not lin:
+        return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64)
+    return tuple(np.concatenate(c) for c in zip(*lin))
 
-    if iv_disk:
-        flat_disk = np.concatenate(iv_disk).astype(np.int64)
-        flat_start = np.concatenate(iv_start)
-        flat_width = np.concatenate(iv_width)
-        flat_owner = np.concatenate(iv_owner).astype(np.int64)
-    else:
-        flat_disk = np.empty(0, dtype=np.int64)
-        flat_start = flat_width = np.empty(0)
-        flat_owner = np.empty(0, dtype=np.int64)
 
-    gd, ga0, ga1, gown = _merge_circular_vec(flat_disk, flat_start, flat_width, flat_owner)
+def _firsts(ids):
+    """Mask of the entries of a sorted id array that begin a new id."""
+    out = np.ones(len(ids), dtype=bool)
+    out[1:] = ids[1:] != ids[:-1]
+    return out
 
-    # Disks with no covering interval at all contribute full circles.
-    counts = np.bincount(flat_disk, minlength=n)
-    full_ids = np.flatnonzero(counts == 0)
 
-    sweeps = ga1 - ga0
-    r_g = radii[gd]
-    cx_g = centers[gd, 0]
-    cy_g = centers[gd, 1]
-    sin0, cos0 = np.sin(ga0), np.cos(ga0)
-    sin1, cos1 = np.sin(ga1), np.cos(ga1)
-    turning = float(np.sum(sweeps)) + TWO_PI * len(full_ids)
-    length = float(np.sum(r_g * sweeps)) + TWO_PI * float(np.sum(radii[full_ids]))
-    area = float(np.sum(0.5 * (r_g * r_g * sweeps
-                               + cx_g * r_g * (sin1 - sin0)
-                               - cy_g * r_g * (cos1 - cos0))))
-    area += math.pi * float(np.sum(radii[full_ids] ** 2))
+def _merge_runs(pid, a, b, own):
+    """Union of intervals [a, b], segmented by primitive id.
 
-    # Junction turns at gap starts: t_out is the disk tangent, t_in comes
-    # from the covering disk or window edge; signed_angle(perp u, perp v) =
-    # signed_angle(u, v), so radial vectors substitute for tangents.
-    px = cx_g + r_g * cos0
-    py = cy_g + r_g * sin0
-    out_x = px - cx_g
-    out_y = py - cy_g
-    disk_owned = gown >= 0
-    in_x = np.empty_like(out_x)
-    in_y = np.empty_like(out_y)
-    if np.any(disk_owned):
-        jj = gown[disk_owned]
-        in_x[disk_owned] = px[disk_owned] - centers[jj, 0]
-        in_y[disk_owned] = py[disk_owned] - centers[jj, 1]
-    if np.any(~disk_owned):
-        # edge direction rotated by -90 degrees gives the radial-frame vector
-        dirs = np.array([_EDGE_DIR[int(c)] for c in gown[~disk_owned]])
-        in_x[~disk_owned] = dirs[:, 1]
-        in_y[~disk_owned] = -dirs[:, 0]
-    turns = np.arctan2(in_x * out_y - in_y * out_x, in_x * out_x + in_y * out_y)
-    turns = np.where(turns <= -math.pi + 1e-12, math.pi, turns)
-    turning += float(np.sum(turns))
+    Returns the maximal runs (pid, a, b, owner_a, owner_b) sorted by pid then
+    a, where owner_a owns the interval that starts the run and owner_b the
+    one that reaches its end.
+    """
+    keep = b - a > _EPS
+    pid, a, b, own = pid[keep], a[keep], b[keep], own[keep]
+    order = np.argsort(a)
+    order = order[np.argsort(pid[order], kind="stable")]
+    pid, a, b, own = pid[order], a[order], b[order], own[order]
+    n = len(pid)
+    if n == 0:
+        return pid, a, b, own, own
+    # Segmented running maximum of b on exact integer keys.
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(b)] = np.arange(n)
+    key = pid.astype(np.int64) * n + rank
+    top = np.maximum.accumulate(np.where(key == np.maximum.accumulate(key), np.arange(n), 0))
+    reach = b[top]
+    start = _firsts(pid)
+    start[1:] |= a[1:] > reach[:-1] + _EPS
+    start = np.flatnonzero(start)
+    end = np.append(start[1:], n) - 1
+    return pid[start], a[start], reach[end], own[start], own[top[end]]
 
-    junctions = []  # remaining scalar junctions from window-edge pieces
 
-    # Window edges, traversed CCW: bottom (+x), right (+y), top (-x), left (-y).
-    edge_param = {
-        -1: ((x0, y0), (1.0, 0.0), x0, x1, False),
-        -2: ((x1, y0), (0.0, 1.0), y0, y1, False),
-        -3: ((x1, y1), (-1.0, 0.0), x0, x1, True),
-        -4: ((x0, y1), (0.0, -1.0), y0, y1, True),
-    }
-    for code in (-1, -2, -3, -4):
-        anchor, d_hat, lo, hi, reverse = edge_param[code]
-        pieces = _merge_linear(edge_chords[code], lo, hi)
-        if reverse:
-            # Map axis coordinates to traversal offsets; the traversal start
-            # of a piece is its high-coordinate end, whose coverer is o_hi.
-            pieces = [(hi + lo - b, hi + lo - a, o_hi, o_lo)
-                      for a, b, o_lo, o_hi in pieces][::-1]
-        for a, b, o_start, _o_end in pieces:
-            pa = (anchor[0] + d_hat[0] * (a - lo), anchor[1] + d_hat[1] * (a - lo))
-            pb = (anchor[0] + d_hat[0] * (b - lo), anchor[1] + d_hat[1] * (b - lo))
-            length += (b - a)
-            area += 0.5 * (pa[0] * pb[1] - pb[0] * pa[1])
-            if a <= lo + 1e-12:
-                turning += 0.5 * math.pi
-            else:
-                junctions.append((pa, d_hat, o_start))
+def _measure(bd, p, j):
+    """(v0, v1, v2) of the union of grains inside the region from coverage of
+    primitives p by bodies j.
 
-    for (px, py), t_out, owner in junctions:
-        if owner >= 0:
-            vx, vy = px - centers[owner][0], py - centers[owner][1]
-            nv = math.hypot(vx, vy)
-            t_in = (-vy / nv, vx / nv)
-        else:
-            t_in = _EDGE_DIR[owner]
-        turning += _signed_turn(t_in, t_out)
+    Grain primitives keep their uncovered gaps and region primitives their
+    covered runs.  The turn at a piece's start is taken from the primitive
+    that leads into it: the carrier of the covered interval that ends there
+    (or, on the region, of the run that starts there), or at parameter 0 the
+    previous primitive of the same body when that primitive's end is kept.
+    """
+    rp, ra, rb, oa, ob = _merge_runs(*_coverage(bd, p, j))
+    span = np.where(bd.is_arc, TWO_PI, 1.0)
+    last = _firsts(rp[::-1])[::-1]
+    end_cov = np.zeros(len(span), dtype=bool)
+    end_cov[rp[last]] = rb[last] >= span[rp[last]] - _EPS
+    end_own = np.zeros(len(span), dtype=np.int64)
+    end_own[rp[last]] = ob[last]
 
-    v0 = turning / TWO_PI
+    region = bd.body[rp] == 0
+    g = ~region
+    gp, ga, gb, go = rp[g], ra[g], rb[g], ob[g]
+    head = _firsts(gp)
+    gap_end = span[gp]
+    gap_end[:-1] = np.where(head[1:], gap_end[:-1], ga[1:])
+    after = gap_end - gb > _EPS
+    first_a = span.copy()
+    first_a[gp[head]] = ga[head]
+    lead = np.flatnonzero((bd.body > 0) & (first_a > _EPS))
+    rr = np.flatnonzero(region)
+    at0 = ra[rr] <= _EPS
+    pp = np.concatenate([gp[after], lead, rp[rr]])
+    u0 = np.concatenate([gb[after], np.zeros(len(lead)), np.where(at0, 0.0, ra[rr])])
+    u1 = np.concatenate([gap_end[after], first_a[lead], rb[rr]])
+    prev = bd.prev[pp]
+    # Carrier leading into each start, or -1 for the previous primitive.
+    carrier = np.concatenate([
+        go[after],
+        np.where(end_cov[bd.prev[lead]], end_own[bd.prev[lead]], -1),
+        np.where(at0 & end_cov[bd.prev[rp[rr]]], -1, oa[rr])])
+
+    x0, y0 = bd.point(pp, u0)
+    x1, y1 = bd.point(pp, u1)
+    ix, iy = bd.tangent(np.where(carrier >= 0, carrier, prev), x0, y0)
+    ox, oy = bd.tangent(pp, x0, y0)
+    turns = np.arctan2(ix * oy - iy * ox, ix * ox + iy * oy)
+    turns = np.where(turns <= -math.pi + 1e-12, math.pi, turns)  # reversal: +pi (pulled apart)
+    arc = bd.is_arc[pp]
+    sweep = np.where(arc, u1 - u0, 0.0)
+    r = bd.r[pp]
+    length = float(np.sum(np.where(arc, r, np.sqrt(bd.len2[pp])) * (u1 - u0)))
+    area = 0.5 * float(np.sum(x0 * y1 - x1 * y0 + r * r * (sweep - np.sin(sweep))))
+    v0 = (float(np.sum(sweep)) + float(np.sum(turns))) / TWO_PI
     v0i = round(v0)
     if abs(v0 - v0i) > 1e-3:
-        raise RuntimeError(f"non-integer Euler characteristic {v0}: disk-path inconsistency")
+        raise RuntimeError(f"non-integer Euler characteristic {v0}: arrangement inconsistency")
     return FunctionalVector(float(v0i), 0.5 * length, area)
+
+
+def _grain_arrays(grains, origin):
+    """Centres relative to origin, and outlines of placed grains: a disk's
+    radius or a polygon's local counterclockwise vertices."""
+    centres = np.array([g.center for g in grains], dtype=float).reshape(-1, 2) - origin
+    return centres, [float(g.shape.radius) if isinstance(g.shape, Disk)
+                     else _as_polygon_vertices(g.shape) for g in grains]
 
 
 def arrangement_measure(grains, window: Window, mask: PlacedGrain | None = None) -> FunctionalVector:
     """Exact (v0, v1, v2) of the union of grains clipped to the window.
 
-    `mask` optionally intersects the observation region with one more convex
-    body (it must lie inside the window); the default observation region is
-    the window itself.
+    `mask` optionally replaces the observation region by one convex body,
+    which must lie inside the window.  All geometry is computed in
+    window-centred coordinates.
     """
-    # Exact duplicates are idempotent for a union; drop them so coincident
-    # boundaries cannot be double counted.
-    seen = set()
-    uniq = []
-    for g in grains:
-        k = (g.center, g.shape)
-        if k not in seen:
-            seen.add(k)
-            uniq.append(g)
-    grains = uniq
+    grains = list(grains)
     if not grains:
         return FunctionalVector(0.0, 0.0, 0.0)
-    if mask is None and all(isinstance(g.shape, Disk) for g in grains):
-        centers = np.array([g.center for g in grains], dtype=float)
-        radii = np.array([g.shape.radius for g in grains], dtype=float)
-        return _arrangement_disks(centers, radii, window)
-    return _arrangement_generic(grains, window, mask)
+    (x0, y0), (x1, y1) = window.lo, window.hi
+    origin = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
+    hw, hh = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
+    if mask is None:
+        region_centre = np.zeros((1, 2))
+        region = np.array([[hw, hh], [-hw, hh], [-hw, -hh], [hw, -hh]])
+    else:
+        region_centre, (region,) = _grain_arrays([mask], origin)
+        ext = np.array([[region, region], [-region, -region]]) if isinstance(region, float) else region
+        if np.any(np.abs(region_centre + ext) > [hw, hh]):
+            raise ValueError("arrangement_measure: the mask must lie inside the window")
+    centres, outlines = _grain_arrays(grains, origin)
+    bd = _Boundary(np.vstack([region_centre, centres]), [region] + outlines)
+
+    # Grain pairs whose circumcircles overlap cover each other; grains not
+    # well inside the region pair with it both ways.
+    n = len(grains)
+    reach = bd.reach[1:]
+    pairs = np.empty((0, 2), dtype=np.int64)
+    if n > 1:
+        pairs = cKDTree(centres).query_pairs(2.0 * float(reach.max()), output_type="ndarray")
+        d = np.hypot(*(centres[pairs[:, 0]] - centres[pairs[:, 1]]).T)
+        pairs = pairs[d < reach[pairs[:, 0]] + reach[pairs[:, 1]]] + 1
+    depth = np.max(bd.level(np.arange(bd.count[0])[None, :], centres[:, :1], centres[:, 1:]), axis=1)
+    edge = np.flatnonzero(depth > -reach) + 1
+    zeros = np.zeros(len(edge), dtype=np.int64)
+    covered = np.concatenate([pairs[:, 0], pairs[:, 1], edge, zeros])
+    by = np.concatenate([pairs[:, 1], pairs[:, 0], zeros, edge])
+    prims = bd.table[covered]
+    valid = prims >= 0
+    return _measure(bd, prims[valid], np.broadcast_to(by[:, None], prims.shape)[valid])
 
 
 # ---------------------------------------------------------------------------
 # Edge-corrected (half-open tiling) measurement
 # ---------------------------------------------------------------------------
+
+
+def _polyline_runs(grains, points):
+    """Occupied runs (segment, u0, u1) of the segments joining points.
+
+    Each segment is parameterized over [0, 1] and covered by the grains' open
+    interiors; coordinates are relative to the first point.
+    """
+    points = np.asarray(points, dtype=float)
+    centres, outlines = _grain_arrays(list(grains), points[0])
+    bd = _Boundary(np.vstack([np.zeros((1, 2)), centres]), [points - points[0]] + outlines)
+    # Pair each segment with the grains whose circumcircle reaches it.
+    seg = np.arange(len(points) - 1)
+    t = np.clip(((centres[:, None, 0] - bd.x[seg]) * bd.dx[seg]
+                 + (centres[:, None, 1] - bd.y[seg]) * bd.dy[seg]) / bd.len2[seg], 0.0, 1.0)
+    gap = np.hypot(bd.x[seg] + t * bd.dx[seg] - centres[:, None, 0],
+                   bd.y[seg] + t * bd.dy[seg] - centres[:, None, 1])
+    j, p = np.nonzero(gap < bd.reach[1:, None])
+    rp, u0, u1, _, _ = _merge_runs(*_coverage(bd, p, j + 1))
+    return rp, u0, u1
 
 
 def segment_coverage(grains, a, b):
@@ -747,52 +644,8 @@ def segment_coverage(grains, a, b):
     Returns (piece count, total length); the pieces are the maximal occupied
     intervals, a one-dimensional polyconvex set with v0 = count, v1 = length.
     """
-    ax, ay = float(a[0]), float(a[1])
-    bx, by = float(b[0]), float(b[1])
-    ln = math.hypot(bx - ax, by - ay)
-    intervals = []
-    for g in grains:
-        shape = g.shape
-        cx, cy = g.center
-        if isinstance(shape, Disk):
-            dx, dy = bx - ax, by - ay
-            fx, fy = ax - cx, ay - cy
-            qa = dx * dx + dy * dy
-            qb = 2.0 * (fx * dx + fy * dy)
-            qc = fx * fx + fy * fy - shape.radius ** 2
-            disc = qb * qb - 4.0 * qa * qc
-            if disc <= 0.0:
-                continue
-            sq = math.sqrt(disc)
-            t0 = (-qb - sq) / (2.0 * qa)
-            t1 = (-qb + sq) / (2.0 * qa)
-            t0, t1 = max(t0, 0.0), min(t1, 1.0)
-            if t1 - t0 > 1e-12:
-                intervals.append((t0, t1, None))
-            continue
-        lo, hi = 0.0, 1.0
-        for c in grain_constraints(g):
-            (nx_, ny_), off = c[1], c[2]
-            fa = nx_ * ax + ny_ * ay - off
-            fb = nx_ * bx + ny_ * by - off
-            if abs(fb - fa) < 1e-300:
-                if fa > 0.0:
-                    lo, hi = 1.0, 0.0
-                    break
-                continue
-            t_star = fa / (fa - fb)
-            if fb > fa:
-                hi = min(hi, t_star)
-            else:
-                lo = max(lo, t_star)
-            if lo >= hi:
-                break
-        if hi - lo > 1e-12:
-            intervals.append((lo, hi, None))
-    pieces = _merge_linear(intervals, 0.0, 1.0)
-    count = sum(1 for p0, p1, *_ in pieces if p1 - p0 > 1e-12)
-    total = sum(p1 - p0 for p0, p1, *_ in pieces) * ln
-    return count, total
+    _, u0, u1 = _polyline_runs(grains, [a, b])
+    return len(u0), float(np.sum(u1 - u0)) * math.hypot(b[0] - a[0], b[1] - a[1])
 
 
 def edge_corrected_measure(grains, window: Window) -> FunctionalVector:
@@ -803,28 +656,14 @@ def edge_corrected_measure(grains, window: Window) -> FunctionalVector:
     a lattice of windows, so the expectation is the density times the window
     area for every stationary model (no isotropy needed).
     """
+    grains = list(grains)
     full = arrangement_measure(grains, window)
     (x0, y0), (x1, y1) = window.lo, window.hi
-    grains = list(grains)
-    near_r = [g for g in grains if abs(g.center[0] - x1) <= g.circumradius()]
-    near_t = [g for g in grains if abs(g.center[1] - y1) <= g.circumradius()]
-    n_r, len_r = segment_coverage(near_r, (x1, y0), (x1, y1))
-    n_t, len_t = segment_coverage(near_t, (x0, y1), (x1, y1))
-    corner = any(_grain_contains(g, x1, y1) for g in near_r)
-    return FunctionalVector(full.v0 - n_r - n_t + (1.0 if corner else 0.0),
-                            full.v1 - len_r - len_t,
-                            full.v2)
-
-
-def _grain_contains(g: PlacedGrain, x, y) -> bool:
-    shape = g.shape
-    if isinstance(shape, Disk):
-        return math.hypot(x - g.center[0], y - g.center[1]) <= shape.radius
-    for c in grain_constraints(g):
-        (nx_, ny_), off = c[1], c[2]
-        if nx_ * x + ny_ * y > off:
-            return False
-    return True
+    # Segment 0 is the top edge up to the far corner, segment 1 the right edge.
+    rp, u0, u1 = _polyline_runs(grains, [(x0, y1), (x1, y1), (x1, y0)])
+    length = float(np.sum((u1 - u0) * np.where(rp == 0, x1 - x0, y1 - y0)))
+    corner = bool(np.any((rp == 0) & (u1 >= 1.0 - _EPS)))
+    return FunctionalVector(full.v0 - len(rp) + corner, full.v1 - length, full.v2)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,23 @@ class TestIntersectConvex:
         fv, cell = intersect_convex([disk(0, 0), disk(2.0, 0)], W)
         assert fv == (0.0, 0.0, 0.0) and cell is None
 
+    @pytest.mark.parametrize("grains, cell, union", [
+        # disk tangent to the window edge, from inside and from outside
+        ([disk(3.0, 0.0)], (1.0, math.pi, math.pi), (1.0, math.pi, math.pi)),
+        ([disk(5.0, 0.0)], (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        # internally tangent circles
+        ([disk(0.0, 0.0), disk(0.5, 0.0, 1.5)], (1.0, math.pi, math.pi),
+         (1.0, 1.5 * math.pi, 2.25 * math.pi)),
+        # circle tangent to a square's edge line
+        ([disk(1.5, 0.0, 0.5), PlacedGrain((0.5, 0.0), AlignedRect(0.5, 0.5))], (0.0, 0.0, 0.0),
+         (2.0, 0.5 * math.pi + 2.0, 0.25 * math.pi + 1.0)),
+    ])
+    def test_tangent_contacts(self, grains, cell, union):
+        from germgrain.union import inclusion_exclusion_measure
+        fv, _ = intersect_convex(grains, W)
+        assert fv == pytest.approx(cell, abs=1e-12)
+        assert inclusion_exclusion_measure(grains, W).as_array() == pytest.approx(union, abs=1e-12)
+
     def test_cap_enforced(self):
         grains = [disk(0.01 * k, 0.0) for k in range(21)]
         with pytest.raises(TooManyGrainsError):

@@ -152,7 +152,9 @@ class TestOtherSubcommands:
                           for r in rows if r["block"] == "sigma"])
         assert sigma.shape == (3, 3)
         np.linalg.cholesky(sigma)
-        assert "quadrature_errors" in headers
+        errors = json.loads(headers["quadrature_errors"])
+        for key in ("rho22_quadrature", "rho12_quadrature", "rho11_quadrature"):
+            assert 0.0 <= errors[key] < 1e-6
 
     def test_clt_subcommand_small(self, tmp_path, cfg_file):
         out = tmp_path / "clt.csv"

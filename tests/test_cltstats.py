@@ -90,6 +90,25 @@ class TestRunBatch:
         par = run_batch(self.CFG, 8.0, 24, parallelism=2)
         assert np.array_equal(serial.functionals, par.functionals)
 
+    def test_failing_replicate_is_named(self, monkeypatch):
+        from germgrain import cltstats
+        measure = cltstats.arrangement_measure
+        calls = []
+
+        def fail_third(grains, window):
+            calls.append(window)
+            if len(calls) == 3:
+                raise RuntimeError("non-integer Euler characteristic 0.5")
+            return measure(grains, window)
+        monkeypatch.setattr(cltstats, "arrangement_measure", fail_third)
+        with pytest.raises(RuntimeError) as info:
+            run_batch(self.CFG, 8.0, 5, parallelism=1)
+        (x0, y0), (x1, y1) = self.CFG.window.scaled(8.0).lo, self.CFG.window.scaled(8.0).hi
+        msg = str(info.value)
+        assert msg.startswith("replicate 2 failed (non-integer Euler characteristic 0.5)")
+        assert (f"--seed {self.CFG.seed} --window {x0!r} {y0!r} {x1!r} {y1!r} --replicate 2"
+                in msg)
+
     def test_mean_area_fraction(self):
         batch = run_batch(self.CFG, 16.0, 300)
         p = volume_fraction(0.3, math.pi)

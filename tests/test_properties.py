@@ -150,6 +150,44 @@ class TestEngineInvariance:
         assert a == pytest.approx(b, abs=1e-9)
 
 
+class TestWindowCentredCoordinates:
+    # Rounding the translated centres moves grains by about 1e-16 of the
+    # offset (2e-9 at 1e7), so v1 and v2 agree to 1e-7 relative.
+    CONFIGS = [
+        ModelConfig.from_record({"gamma": 0.5, "window": {"lo": [0, 0], "hi": [8, 8]}, "seed": 11,
+                                 "grains": {"family": "rect", "rotate": True,
+                                            "halfwidth": {"law": "constant", "value": 0.5},
+                                            "halfheight": {"law": "constant", "value": 0.5}}}),
+        ModelConfig.from_record({"gamma": 0.3, "window": {"lo": [0, 0], "hi": [16, 16]}, "seed": 11,
+                                 "grains": {"family": "disk", "rotate": False,
+                                            "radius": {"law": "constant", "value": 1.0}}}),
+    ]
+
+    @staticmethod
+    def _moved(s, shift=0.0, factor=1.0):
+        def shape(k):
+            if isinstance(k, Disk):
+                return Disk(k.radius * factor)
+            return ConvexPolygon(tuple((factor * x, factor * y) for x, y in k.vertices))
+        w = s.config.window
+        grains = [PlacedGrain((factor * g.center[0] + shift, factor * g.center[1] + shift),
+                              shape(g.shape)) for g in s.placed]
+        return grains, Window((factor * w.lo[0] + shift, factor * w.lo[1] + shift),
+                              (factor * w.hi[0] + shift, factor * w.hi[1] + shift))
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    @pytest.mark.parametrize("shift, factor", [(1e3, 1.0), (1e5, 1.0), (1e7, 1.0),
+                                               (0.0, 1e-3), (0.0, 1e4)])
+    def test_far_and_scaled_windows(self, cfg, shift, factor):
+        for rep in range(3):
+            s = sample(cfg, rep)
+            base = arrangement_measure(s.placed, cfg.window)
+            got = arrangement_measure(*self._moved(s, shift, factor))
+            assert got.v0 == base.v0
+            assert got.v1 == pytest.approx(factor * base.v1, rel=1e-7)
+            assert got.v2 == pytest.approx(factor ** 2 * base.v2, rel=1e-7)
+
+
 class TestDeterminismProperties:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2 ** 62), st.integers(0, 500))
