@@ -329,8 +329,8 @@ def _seg_in_poly(bd, p, j):
     only when both run the same way and j has the lower body index: a
     coincident boundary piece stays once, on the lower-indexed body, and a
     flush contact (opposite directions) is outside.  hi <= lo is empty.
-    Also returns the edges of j crossed at lo and at hi (-1 for none); at hi
-    a coincident edge of j, which carries the boundary on, takes precedence.
+    Also returns the edges of j crossed at lo and at hi; at hi a coincident
+    edge of j, which carries the boundary on, takes precedence.
     """
     h = bd.table[j]
     pad = h < 0
@@ -356,11 +356,11 @@ def _seg_in_poly(bd, p, j):
     def crossed(tt, ext):
         near = np.abs(tt - ext[:, None]) <= _EPS
         ends = near & near[rows, nxt]
-        k = np.argmax(np.where(ends.any(axis=1, keepdims=True), ends, near), axis=1)
-        return np.where(np.isfinite(ext), h[rows[:, 0], k], -1)
+        return h[rows[:, 0], np.argmax(np.where(ends.any(axis=1, keepdims=True), ends, near), axis=1)]
+    c_in = crossed(t_in, lo)
     c_out = np.where(same.any(axis=1), h[rows[:, 0], np.argmax(same, axis=1)], crossed(t_out, hi))
     lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
-    return lo, np.where(blocked, lo, hi), crossed(t_in, lo), c_out
+    return lo, np.where(blocked, lo, hi), c_in, c_out
 
 
 def _seg_in_disk(bd, p, j):
@@ -485,8 +485,10 @@ def _merge_runs(pid, a, b, own):
     """
     keep = b - a > _EPS
     pid, a, b, own = pid[keep], a[keep], b[keep], own[keep]
+    # Sort by a, then stably by pid in 16-bit digits, which numpy radix-sorts.
     order = np.argsort(a)
-    order = order[np.argsort(pid[order], kind="stable")]
+    for shift in range(0, max(int(pid.max(initial=0)).bit_length(), 1), 16):
+        order = order[np.argsort((pid[order] >> shift).astype(np.uint16), kind="stable")]
     pid, a, b, own = pid[order], a[order], b[order], own[order]
     n = len(pid)
     if n == 0:
@@ -603,14 +605,15 @@ def arrangement_measure(grains, window: Window, mask: PlacedGrain | None = None)
         pairs = cKDTree(centres).query_pairs(2.0 * float(reach.max()), output_type="ndarray")
         d = np.hypot(*(centres[pairs[:, 0]] - centres[pairs[:, 1]]).T)
         pairs = pairs[d < reach[pairs[:, 0]] + reach[pairs[:, 1]]] + 1
-    depth = np.max(bd.level(np.arange(bd.count[0])[None, :], centres[:, :1], centres[:, 1:]), axis=1)
+    depth = np.max([bd.level(k, centres[:, 0], centres[:, 1]) for k in range(bd.count[0])], axis=0)
     edge = np.flatnonzero(depth > -reach) + 1
     zeros = np.zeros(len(edge), dtype=np.int64)
     covered = np.concatenate([pairs[:, 0], pairs[:, 1], edge, zeros])
     by = np.concatenate([pairs[:, 1], pairs[:, 0], zeros, edge])
-    prims = bd.table[covered]
-    valid = prims >= 0
-    return _measure(bd, prims[valid], np.broadcast_to(by[:, None], prims.shape)[valid])
+    count = bd.count[covered]
+    start = np.cumsum(count) - count
+    p = np.arange(int(count.sum())) - np.repeat(start - bd.table[covered, 0], count)
+    return _measure(bd, p, np.repeat(by, count))
 
 
 # ---------------------------------------------------------------------------
