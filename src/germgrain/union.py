@@ -598,13 +598,10 @@ def arrangement_measure(grains, window: Window, mask: PlacedGrain | None = None)
 
     # Grain pairs whose circumcircles overlap cover each other; grains not
     # well inside the region pair with it both ways.
-    n = len(grains)
     reach = bd.reach[1:]
-    pairs = np.empty((0, 2), dtype=np.int64)
-    if n > 1:
-        pairs = cKDTree(centres).query_pairs(2.0 * float(reach.max()), output_type="ndarray")
-        d = np.hypot(*(centres[pairs[:, 0]] - centres[pairs[:, 1]]).T)
-        pairs = pairs[d < reach[pairs[:, 0]] + reach[pairs[:, 1]]] + 1
+    pairs = cKDTree(centres).query_pairs(2.0 * float(reach.max()), output_type="ndarray")
+    d = np.hypot(*(centres[pairs[:, 0]] - centres[pairs[:, 1]]).T)
+    pairs = pairs[d < reach[pairs[:, 0]] + reach[pairs[:, 1]]] + 1
     depth = np.max([bd.level(k, centres[:, 0], centres[:, 1]) for k in range(bd.count[0])], axis=0)
     edge = np.flatnonzero(depth > -reach) + 1
     zeros = np.zeros(len(edge), dtype=np.int64)
