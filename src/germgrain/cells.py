@@ -410,18 +410,6 @@ class ConvexCell:
                     return False
         return True
 
-    def contains_interior(self, x, y, tol=COORD_EPS):
-        for c in self.constraints:
-            if c[0] == "h":
-                (nx, ny), off = c[1], c[2]
-                if nx * x + ny * y - off > -tol:
-                    return False
-            else:
-                (cx, cy), r = c[1], c[2]
-                if math.hypot(x - cx, y - cy) > r - tol:
-                    return False
-        return True
-
 
 def clip_cell(cell: ConvexCell, constraints) -> ConvexCell | None:
     """Clip a cell by further constraints; None means empty."""

@@ -15,7 +15,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from .geometry import shape_from_record
 from .moments import (DensityVector, EstimationError, invert_intensity,
                       invert_intensity_se, miles_densities_2d)
 from .process import (GrainDistribution, ModelConfig, empirical_capacity,
-                      read_sample, replicate_failure, sample, theory_capacity,
+                      read_sample, replicate_rows, sample, theory_capacity,
                       write_sample)
 from .union import (arrangement_measure, edge_corrected_measure,
                     inclusion_exclusion_measure, pixel_measure, rasterize,
@@ -155,18 +154,9 @@ def _cmd_predict(args):
     return 0
 
 
-def _estimate_rows(config_rec, lo, hi):
-    """Edge-corrected density rows of replicates lo..hi-1, one sample at a time."""
-    cfg = ModelConfig.from_record(config_rec)
-    area = cfg.window.area()
-    rows = np.empty((hi - lo, 3))
-    for k in range(lo, hi):
-        s = sample(cfg, k)
-        try:
-            rows[k - lo] = edge_corrected_measure(s.placed, cfg.window).as_array() / area
-        except RuntimeError as exc:
-            raise replicate_failure(cfg, k, exc) from exc
-    return rows
+def _density_row(s):
+    """Edge-corrected densities of one sample."""
+    return edge_corrected_measure(s.placed, s.config.window).as_array() / s.config.window.area()
 
 
 def _cmd_estimate(args):
@@ -174,15 +164,7 @@ def _cmd_estimate(args):
     if args.reps < 2:
         raise EstimationError("estimate needs at least 2 replicates")
     t0 = time.time()
-    rec = cfg.to_record()
-    if args.threads > 1:
-        chunk = (args.reps + args.threads - 1) // args.threads
-        bounds = [(lo, min(lo + chunk, args.reps)) for lo in range(0, args.reps, chunk)]
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            rows = np.vstack(list(pool.map(_estimate_rows, [rec] * len(bounds),
-                                           [b[0] for b in bounds], [b[1] for b in bounds])))
-    else:
-        rows = _estimate_rows(rec, 0, args.reps)
+    rows = replicate_rows(cfg, _density_row, args.reps, args.threads)
     dv = DensityVector(*rows.mean(axis=0))
     se = rows.std(axis=0, ddof=1) / np.sqrt(len(rows))
     gamma_hat, ev1_hat, ev2_hat = invert_intensity(dv)

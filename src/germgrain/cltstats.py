@@ -19,14 +19,13 @@ samples, and the scale trend is decreasing (negative Spearman correlation).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 from scipy.stats import spearmanr
 
-from .process import ModelConfig, replicate_failure, sample
+from .process import ModelConfig, replicate_rows
 from .union import arrangement_measure
 
 __all__ = [
@@ -49,40 +48,21 @@ class ReplicateBatch:
     seed: int
 
 
-def _measure_range(config_rec, scale, lo, hi):
-    cfg = ModelConfig.from_record(config_rec)
-    win = cfg.window.scaled(scale)
-    cfg_scaled = ModelConfig(cfg.gamma, cfg.grains, win, cfg.seed)
-    out = np.empty((hi - lo, 3))
-    for k in range(lo, hi):
-        s = sample(cfg_scaled, k)
-        try:
-            out[k - lo] = arrangement_measure(s.placed, win).as_array()
-        except RuntimeError as exc:
-            raise replicate_failure(cfg_scaled, k, exc) from exc
-    return out
+def _functionals(s):
+    """(v0, v1, v2) of one sample on its window."""
+    return arrangement_measure(s.placed, s.config.window).as_array()
 
 
 def run_batch(config: ModelConfig, scale: float, reps: int,
               parallelism: int = 1) -> ReplicateBatch:
     """reps independent replicates of (v0, v1, v2) of Z on the scaled window.
 
-    Deterministic given (config.seed, replicate): results are keyed by
-    replicate index and assembled in index order, so any parallelism degree
+    Deterministic given (config.seed, replicate): any parallelism degree
     yields the identical array.
     """
-    rec = config.to_record()
     win = config.window.scaled(scale)
-    if parallelism <= 1:
-        rows = _measure_range(rec, scale, 0, reps)
-    else:
-        chunk = (reps + parallelism - 1) // parallelism
-        bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            parts = list(pool.map(_measure_range, [rec] * len(bounds),
-                                  [scale] * len(bounds),
-                                  [b[0] for b in bounds], [b[1] for b in bounds]))
-        rows = np.vstack(parts)
+    rows = replicate_rows(ModelConfig(config.gamma, config.grains, win, config.seed),
+                          _functionals, reps, parallelism)
     return ReplicateBatch(scale=scale, reps=reps, window_area=win.area(),
                           functionals=rows, seed=config.seed)
 

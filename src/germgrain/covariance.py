@@ -358,8 +358,6 @@ def rho_11(gamma: float, dist: GrainDistribution):
     """
     if gamma == 0.0:
         return 0.0, 0.0
-    if not dist.has_interior:
-        raise ValueError("rho_11 requires grains with nonempty interior")
     if dist.family == "disk":
         prof = covariogram_functions(dist)
         c2, c1 = prof.c2(gamma), prof.c1(gamma)
@@ -497,8 +495,6 @@ def sigma_matrix(gamma: float, dist: GrainDistribution, check_tol: float = 1e-6)
     covariance expressions and the direct Euler-volume covariance."""
     if not dist.isotropic:
         raise AnisotropyError("sigma_matrix requires an isotropic grain law")
-    if not dist.has_interior:
-        raise ValueError("sigma_matrix requires grains with nonempty interior")
     m = dist.moments()
     v1b = gamma * m.ev1
     q = math.exp(-gamma * m.ev2)       # 1 - p

@@ -178,24 +178,21 @@ def ball_densities_3d(gamma: float, radius_law: ParamLaw) -> np.ndarray:
 def estimate_densities(samples, edge_corrected: bool = True):
     """Per-window density estimates from measured replicates.
 
-    Measures every sample with the arrangement engine, divides by the window
-    area and averages.  With edge_corrected=True (default) the half-open
-    tiling correction removes the window-boundary term exactly, making the
-    estimator unbiased for any stationary model; the naive ratio
+    Measures each sample as it arrives with the arrangement engine, divides
+    by its window area and averages; no sample is held once measured.  With
+    edge_corrected=True (default) the half-open tiling correction removes
+    the window-boundary term exactly, making the estimator unbiased for any
+    stationary model; the naive ratio
     (edge_corrected=False) carries a boundary bias of order
     perimeter/area, reported exactly by local_mean_value in the isotropic
     case.  Returns (DensityVector, standard errors, per-replicate rows).
     Needs at least 2 replicates for a standard error.
     """
-    samples = list(samples)
-    if len(samples) < 2:
-        raise EstimationError("estimate_densities needs at least 2 replicates")
-    area = samples[0].config.window.area()
     engine = edge_corrected_measure if edge_corrected else arrangement_measure
-    rows = np.array([
-        engine(s.placed, s.config.window).as_array() / area
-        for s in samples
-    ])
+    rows = np.array([engine(s.placed, s.config.window).as_array() / s.config.window.area()
+                     for s in samples])
+    if len(rows) < 2:
+        raise EstimationError("estimate_densities needs at least 2 replicates")
     mean = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(len(rows))
     return DensityVector(*mean), se, rows

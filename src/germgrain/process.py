@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -200,10 +202,6 @@ class GrainDistribution:
         if self.family == "rect":
             return math.hypot(self.halfwidth.support_max(), self.halfheight.support_max())
         return circumradius(self.shape)
-
-    @property
-    def has_interior(self) -> bool:
-        return True  # every representable grain is full-dimensional
 
     def moments(self) -> GrainMoments:
         if self.family == "disk":
@@ -404,6 +402,10 @@ def _shape_hits_probe(grain: PlacedGrain, probe: PlacedGrain) -> bool:
     return cell is not None and clip_cell(cell, gc(probe)) is not None
 
 
+def _misses(probe: PlacedGrain, s: GermGrainSample) -> bool:
+    return not any(_shape_hits_probe(g, probe) for g in s.placed)
+
+
 def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int):
     """Fraction of replicates whose realization misses the placed probe.
 
@@ -421,22 +423,50 @@ def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int
             f"probe must keep distance >= rmax={r} from the window boundary "
             f"(margin {margin:.6g}); move or shrink it")
     placed_probe = PlacedGrain((cx, cy), probe)
-    misses = 0
-    for k in range(reps):
-        s = sample(config, k)
-        if not any(_shape_hits_probe(g, placed_probe) for g in s.placed):
-            misses += 1
-    p = misses / reps
+    p = int(np.sum(replicate_rows(config, partial(_misses, placed_probe), reps))) / reps
     return p, math.sqrt(max(p * (1.0 - p), 1.0 / reps) / reps)
 
 
-def replicate_failure(config: ModelConfig, replicate: int, exc: Exception) -> RuntimeError:
-    """An engine error on one replicate, named so that the replicate can be
-    dumped again with `germgrain simulate`."""
-    (x0, y0), (x1, y1) = config.window.lo, config.window.hi
-    where = f"--seed {config.seed} --window {x0!r} {y0!r} {x1!r} {y1!r} --replicate {replicate}"
-    return RuntimeError(f"replicate {replicate} failed ({exc}); reproduce its grains with "
-                        f"germgrain simulate --config <config> {where}")
+# ---------------------------------------------------------------------------
+# Replicate driver
+# ---------------------------------------------------------------------------
+
+
+def _replicate_range(config: ModelConfig, functional, lo: int, hi: int) -> list:
+    """functional(sample(config, k)) for k in lo..hi-1, one sample at a time.
+
+    An engine error is re-raised naming the replicate, so that its grains
+    can be dumped again with `germgrain simulate`.
+    """
+    rows = []
+    for k in range(lo, hi):
+        s = sample(config, k)
+        try:
+            rows.append(functional(s))
+        except RuntimeError as exc:
+            (x0, y0), (x1, y1) = config.window.lo, config.window.hi
+            where = f"--seed {config.seed} --window {x0!r} {y0!r} {x1!r} {y1!r} --replicate {k}"
+            raise RuntimeError(f"replicate {k} failed ({exc}); reproduce its grains with "
+                               f"germgrain simulate --config <config> {where}") from exc
+    return rows
+
+
+def replicate_rows(config: ModelConfig, functional, reps: int, workers: int = 1) -> np.ndarray:
+    """Rows functional(sample(config, k)) for k = 0..reps-1, in replicate order.
+
+    With workers > 1 the replicates are split into contiguous ranges, one per
+    worker process; functional must then be picklable (a module-level
+    function or a partial of one).  Every replicate is keyed by its index,
+    so the result does not depend on workers.
+    """
+    if workers <= 1:
+        return np.array(_replicate_range(config, functional, 0, reps))
+    chunk = -(-reps // workers)
+    los = range(0, reps, chunk)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(_replicate_range, [config] * len(los), [functional] * len(los),
+                         los, [min(lo + chunk, reps) for lo in los])
+        return np.array([row for part in parts for row in part])
 
 
 # ---------------------------------------------------------------------------

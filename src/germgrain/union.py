@@ -12,14 +12,18 @@ Three engines compute the same quantity:
     disk's circle, a polygon edge, an edge of the window or of the optional
     convex mask) gets the parameter intervals that other bodies cover: a
     grain covers with its open interior, the observation region covers what
-    lies outside it.  One vectorized merge segmented by primitive yields the
-    kept pieces, the uncovered gaps of grain primitives and the covered runs
-    of region primitives.  The area follows from Green's theorem, v1 is half
-    the kept length, and the Euler characteristic comes from total boundary
-    turning (Gauss-Bonnet: swept arc angle plus the turn at each piece's
-    start, divided by 2*pi).  Each turn is read from the primitive bounding
-    the covering interval that ends there, or from the body's own vertex, so
-    no endpoints are matched.  All geometry is window-centred.
+    lies outside it.  One vectorized interval merge, segmented by key, does
+    every union: per (circle, polygon) pair it joins the polygon's outside
+    arcs, whose gaps are the polygon's coverage of the circle, and per
+    primitive it yields the kept pieces, the uncovered gaps of grain
+    primitives and the covered runs of region primitives; circular
+    intervals are split at 2*pi first.  The area follows from Green's
+    theorem, v1 is half the kept length, and the Euler characteristic comes
+    from total boundary turning (Gauss-Bonnet: swept arc angle plus the turn
+    at each piece's start, divided by 2*pi).  Each turn is read from the
+    primitive bounding the covering interval that ends there, or from the
+    body's own vertex, so no endpoints are matched.  All geometry is
+    window-centred.
 
   * pixel_measure -- approximate raster engine from 2x2 pixel-configuration
     counts.  Area error is O(1/resolution); the perimeter estimator uses the
@@ -104,150 +108,6 @@ def inclusion_exclusion_measure(grains, window: Window, cap: int = 18) -> Functi
 
     recurse(base, 0, 0)
     return FunctionalVector(*total)
-
-
-# ---------------------------------------------------------------------------
-# Interval merges
-# ---------------------------------------------------------------------------
-
-
-def _merge_circular(intervals):
-    """Union of angular intervals; returns (gaps, covered_width).
-
-    Each interval is (start, width, owner) with width in (0, 2*pi].  Gaps come
-    back as (gap_start, gap_end, owner_at_gap_start) with absolute angles and
-    gap_end > gap_start; owner_at_gap_start is the owner of the covered
-    interval that ends where the gap begins.
-
-    Readable single-disk reference for the segmented vectorized merge below;
-    the test suite holds the two implementations together.
-    """
-    if not intervals:
-        return [(0.0, TWO_PI, None)], 0.0
-    ivs = []
-    for s, w, o in intervals:
-        if w >= TWO_PI - 1e-12:
-            return [], TWO_PI
-        s = math.fmod(s, TWO_PI)
-        if s < 0.0:
-            s += TWO_PI
-        ivs.append((s, w, o))
-    ivs.sort(key=lambda t: t[0])
-    theta0 = ivs[0][0]
-    offs = [((s - theta0) % TWO_PI, w, o) for s, w, o in ivs]
-    offs.sort(key=lambda t: t[0])
-    gaps = []
-    reach = offs[0][0] + offs[0][1]
-    owner = offs[0][2]
-    for a, w, o in offs[1:]:
-        if a <= reach + 1e-12:
-            if a + w > reach:
-                reach = a + w
-                owner = o
-        else:
-            gaps.append((reach, a, owner))
-            reach = a + w
-            owner = o
-    wrap = reach - TWO_PI
-    if reach < TWO_PI - 1e-12:
-        gaps.append((reach, TWO_PI, owner))
-        wrap_owner = None
-    else:
-        wrap_owner = owner
-    if wrap > 1e-12:
-        trimmed = []
-        for g0, g1, o in gaps:
-            if g1 <= wrap + 1e-12:
-                continue
-            if g0 < wrap:
-                trimmed.append((wrap, g1, wrap_owner))
-            else:
-                trimmed.append((g0, g1, o))
-        gaps = trimmed
-    out = []
-    covered = TWO_PI
-    for g0, g1, o in gaps:
-        if g1 - g0 > 1e-12:
-            out.append((theta0 + g0, theta0 + g1, o))
-            covered -= (g1 - g0)
-    return out, covered
-
-
-def _merge_circular_vec(disk_ids, starts, widths, owners, eps=1e-12):
-    """Vectorized circular-interval union, segmented by disk id.
-
-    Returns (gap_disk, gap_a0, gap_a1, gap_owner) with absolute angles,
-    a1 > a0, and gap_owner the coverer whose interval ends where the gap
-    begins (-5 marks an impossible owner and never occurs on real gaps).
-    Disks whose coverage reaches the full circle produce no rows; disks with
-    no intervals at all must be handled by the caller.
-    """
-    n = len(disk_ids)
-    if n == 0:
-        return (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),
-                np.empty(0, dtype=np.int64))
-    s = np.mod(starts, TWO_PI)
-    order = np.lexsort((s, disk_ids))
-    disk_ids = disk_ids[order]
-    s = s[order]
-    w = widths[order]
-    owners = owners[order]
-
-    first = np.flatnonzero(np.r_[True, disk_ids[1:] != disk_ids[:-1]])
-    seg = np.cumsum(np.r_[False, disk_ids[1:] != disk_ids[:-1]])
-    theta0 = s[first][seg]
-    a = s - theta0
-    b = a + w
-
-    K = 16.0  # > 4*pi, so per-segment keys never collide
-    key = b + seg * K
-    cm = np.maximum.accumulate(key)
-    newmax = key >= cm
-    posmax = np.maximum.accumulate(np.where(newmax, np.arange(n), -1))
-    reach = cm - seg * K
-
-    is_first = np.zeros(n, dtype=bool)
-    is_first[first] = True
-    last = np.r_[first[1:] - 1, n - 1]
-
-    gap_d, gap_g0, gap_g1, gap_o, gap_seg = [], [], [], [], []
-    # interior gaps
-    idx = np.flatnonzero(~is_first & (a > np.r_[0.0, reach[:-1]] + eps))
-    if len(idx):
-        prev = idx - 1
-        gap_d.append(disk_ids[idx])
-        gap_g0.append(reach[prev])
-        gap_g1.append(a[idx])
-        gap_o.append(owners[posmax[prev]])
-        gap_seg.append(seg[idx])
-    # final gaps
-    open_end = reach[last] < TWO_PI - eps
-    if np.any(open_end):
-        li = last[open_end]
-        gap_d.append(disk_ids[li])
-        gap_g0.append(reach[li])
-        gap_g1.append(np.full(len(li), TWO_PI))
-        gap_o.append(owners[posmax[li]])
-        gap_seg.append(seg[li])
-    if not gap_d:
-        return (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),
-                np.empty(0, dtype=np.int64))
-    gd = np.concatenate(gap_d)
-    g0 = np.concatenate(gap_g0)
-    g1 = np.concatenate(gap_g1)
-    go = np.concatenate(gap_o)
-    gs = np.concatenate(gap_seg)
-
-    # wrap-around trimming: coverage past 2*pi eats into the earliest gaps
-    wrap = np.maximum(reach[last] - TWO_PI, 0.0)[gs]
-    wrap_owner = owners[posmax[last]][gs]
-    keep = g1 > wrap + eps
-    trimmed = keep & (g0 < wrap)
-    go = np.where(trimmed, wrap_owner, go)
-    g0 = np.maximum(g0, wrap)
-    keep &= (g1 - g0) > eps
-    t0 = theta0[np.flatnonzero(is_first)][gs]
-    return gd[keep], (t0 + g0)[keep], (t0 + g1)[keep], go[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +269,17 @@ def _arc_outside_poly(bd, p, j):
     return np.nonzero(valid)[0], np.arctan2(ny[valid], nx[valid]) - beta, 2.0 * beta, h[valid]
 
 
+def _unwrap(p, start, width, own):
+    """Circular intervals (p, start, width, owner) as one or two intervals on [0, 2*pi]."""
+    full = width >= TWO_PI - _EPS
+    a = np.where(full, 0.0, np.mod(start, TWO_PI))
+    b = np.where(full, TWO_PI, a + width)
+    wrap = b > TWO_PI
+    return (np.concatenate([p, p[wrap]]), np.concatenate([a, np.zeros(int(wrap.sum()))]),
+            np.concatenate([np.minimum(b, TWO_PI), b[wrap] - TWO_PI]),
+            np.concatenate([own, own[wrap]]))
+
+
 def _coverage(bd, p, j):
     """Covered parameter intervals (prim, a, b, carrier) of primitives p by bodies j.
 
@@ -443,27 +314,23 @@ def _coverage(bd, p, j):
         rows, start, width, edge = _arc_outside_poly(bd, pm, jm)
         out = reg[m][rows]
         circ.append((pm[rows[out]], start[out], width[out], edge[out]))
-        # A grain polygon covers the gaps between the outside arcs of its
-        # edge lines, and a circle with no outside arc lies wholly inside.  A
-        # gap's owner is the edge at its start, so grain circles, which need
-        # the edge at a gap's end, are merged in mirrored angles.
-        rows, start, width, edge = rows[~out], start[~out], width[~out], edge[~out]
-        mirror = ~on_region[m][rows]
-        gd, g0, g1, ge = _merge_circular_vec(rows, np.where(mirror, -(start + width), start),
-                                             width, edge)
-        circ.append((pm[gd], np.where(on_region[m][gd], g0, -g1), g1 - g0, ge))
-        inside = np.flatnonzero(~reg[m] & (np.bincount(rows, minlength=len(pm)) == 0))
+        # A grain polygon covers the gaps between the merged outside arcs of
+        # its edge lines, the last gap running across 2*pi, and a circle with
+        # no outside arc lies wholly inside.  The carrier is the edge starting
+        # the run after a gap on a grain circle, and the edge ending the run
+        # before it on a region circle.
+        rp, ra, rb, oa, ob = _merge_runs(*_unwrap(rows[~out], start[~out], width[~out],
+                                                  edge[~out]))
+        head, last = _firsts(rp), _firsts(rp[::-1])[::-1]
+        first = np.flatnonzero(head)[np.cumsum(head) - 1]
+        nxt = np.where(last, first, np.arange(len(rp)) + 1)
+        gap_end = np.where(last, ra[first] + TWO_PI, ra[nxt])
+        circ.append((pm[rp], rb, gap_end - rb, np.where(on_region[m][rp], ob, oa[nxt])))
+        inside = np.flatnonzero(~reg[m] & (np.bincount(rp, minlength=len(pm)) == 0))
         circ.append((pm[inside], np.zeros(len(inside)), np.full(len(inside), TWO_PI),
                      np.full(len(inside), -1)))
     if circ:
-        # Circular intervals become one or two intervals on [0, 2*pi].
-        cp, cs, cw, co = (np.concatenate(c) for c in zip(*circ))
-        full = cw >= TWO_PI - _EPS
-        cs = np.where(full, 0.0, np.mod(cs, TWO_PI))
-        ce = np.where(full, TWO_PI, cs + cw)
-        wrap = ce > TWO_PI
-        lin.append((cp, cs, np.minimum(ce, TWO_PI), co))
-        lin.append((cp[wrap], np.zeros(int(wrap.sum())), ce[wrap] - TWO_PI, co[wrap]))
+        lin.append(_unwrap(*(np.concatenate(c) for c in zip(*circ))))
     if not lin:
         return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64)
     return tuple(np.concatenate(c) for c in zip(*lin))
@@ -477,11 +344,12 @@ def _firsts(ids):
 
 
 def _merge_runs(pid, a, b, own):
-    """Union of intervals [a, b], segmented by primitive id.
+    """Union of intervals [a, b], segmented by an integer key pid.
 
-    Returns the maximal runs (pid, a, b, owner_a, owner_b) sorted by pid then
-    a, where owner_a owns the interval that starts the run and owner_b the
-    one that reaches its end.
+    The engine's only interval merge: pid is a primitive, or a (circle,
+    polygon) pair in _coverage.  Returns the maximal runs (pid, a, b,
+    owner_a, owner_b) sorted by pid then a, where owner_a owns the interval
+    that starts the run and owner_b the one that reaches its end.
     """
     keep = b - a > _EPS
     pid, a, b, own = pid[keep], a[keep], b[keep], own[keep]

@@ -151,10 +151,6 @@ class TestRhoMCOracles:
         assert abs(got - (est_a + est_b)) < max(4.0 * se, 5e-4 * got)
         assert got == pytest.approx(5.362506, rel=2e-4)
 
-    def test_rho11_degenerate_interior_guard(self):
-        # every representable grain has interior; the guard is structural
-        assert DISK1.has_interior
-
     def test_small_gamma_limits_tensor_paths(self):
         # boundary x body / boundary x boundary tensor quadratures for
         # square grains, pinned by the constant-integrand limits

@@ -142,6 +142,35 @@ class TestArrangement:
         lens, _ = intersect_convex([disk(2.0, 0.0, 1.0), PlacedGrain((0, 0), Disk(2.0))], W)
         assert fv2.as_array() == pytest.approx(np.array(lens), abs=1e-9)
 
+    def test_masked_mixed_grains_match_subset_sums(self):
+        # Disks and rotated rectangles under a disk or rotated-rectangle mask,
+        # so grain polygons cover the mask's circle and grain circles cross
+        # the mask's edges.  Z n mask is the signed sum over grain subsets S
+        # of the convex cells S n mask.
+        from itertools import combinations
+
+        from germgrain.cells import intersect_convex
+        from germgrain.geometry import rotate_shape
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for k in range(200):
+            centre = tuple(rng.uniform(-0.5, 0.5, 2))
+            mask = PlacedGrain(centre, Disk(2.5) if k % 2 == 0 else
+                               rotate_shape(AlignedRect(1.1, 0.8), rng.uniform(0.0, math.pi)))
+            grains = []
+            for _ in range(int(rng.integers(1, 6))):
+                c = tuple(rng.uniform(-3.5, 3.5, 2))
+                if rng.random() < 0.5:
+                    grains.append(PlacedGrain(c, Disk(rng.uniform(0.3, 1.3))))
+                else:
+                    rect = AlignedRect(rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0))
+                    grains.append(PlacedGrain(c, rotate_shape(rect, rng.uniform(0.0, math.pi))))
+            want = sum((-1.0) ** (n + 1) * np.array(intersect_convex([*sub, mask], W)[0])
+                       for n in range(1, len(grains) + 1) for sub in combinations(grains, n))
+            got = arrangement_measure(grains, W, mask=mask).as_array()
+            worst = max(worst, float(np.max(np.abs(got - want))))
+        assert worst <= 1e-9
+
     @pytest.mark.parametrize("grains, want", [
         ([PlacedGrain((0, 0), AlignedRect(0.5, 0.5)), PlacedGrain((1, 0), AlignedRect(0.5, 0.5))],
          (2.0, 4.0, 2.0)),
@@ -163,33 +192,6 @@ class TestArrangement:
     def test_exact_duplicates_dedupe(self):
         fv = arrangement_measure([disk(0, 0), disk(0, 0)], W)
         assert fv.as_array() == pytest.approx([1.0, math.pi, math.pi], abs=1e-12)
-
-
-class TestMergeImplementations:
-    def test_vectorized_matches_scalar_reference(self):
-        # The scalar circular merge is the readable reference; the segmented
-        # vectorized one must reproduce its gaps (and owners) exactly.
-        from germgrain.union import _merge_circular, _merge_circular_vec
-        rng = np.random.default_rng(8123)
-        for _ in range(400):
-            n_int = int(rng.integers(0, 9))
-            starts = rng.uniform(-2 * math.pi, 4 * math.pi, n_int)
-            widths = rng.uniform(0.05, 2.5, n_int)
-            owners = rng.integers(0, 50, n_int)
-            gaps_ref, _ = _merge_circular(
-                [(float(s), float(w), int(o)) for s, w, o in zip(starts, widths, owners)])
-            gd, ga0, ga1, go = _merge_circular_vec(
-                np.zeros(n_int, dtype=np.int64), starts, widths, owners.astype(np.int64))
-            if n_int == 0:
-                assert gaps_ref == [(0.0, 2 * math.pi, None)] and len(gd) == 0
-                continue
-            got = sorted(zip(np.mod(ga0, 2 * math.pi), ga1 - ga0, go))
-            want = sorted((a0 % (2 * math.pi), a1 - a0, o) for a0, a1, o in gaps_ref)
-            assert len(got) == len(want)
-            for (a, w, o), (a2, w2, o2) in zip(got, want):
-                assert a == pytest.approx(a2, abs=1e-9)
-                assert w == pytest.approx(w2, abs=1e-9)
-                assert o == o2
 
 
 class TestEdgeCorrectedMeasure:
