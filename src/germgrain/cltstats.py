@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import spearmanr
 
 from .process import ModelConfig, replicate_rows
 from .union import arrangement_measure
@@ -175,6 +174,8 @@ def clt_experiment(config: ModelConfig, scales, reps: int, functional: str = "v2
     inspection (the theoretical trend is about -1/2); only its sign is a
     stable assertion.
     """
+    from scipy.stats import spearmanr  # lazy: scipy.stats dominates CLI start-up
+
     if reps < 100:
         raise ValueError("distributional tests need at least 100 replicates")
     idx = FUNCTIONAL_INDEX[functional]

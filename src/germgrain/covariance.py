@@ -41,10 +41,11 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import (AlignedRect, ConvexPolygon, _as_polygon_vertices,
-                       boundary_covariogram, covariogram, disk_covariogram,
+                       boundary_covariogram, covariogram,
+                       disk_boundary_covariogram, disk_covariogram,
                        intrinsic_volumes)
 from .moments import _compositions, c_const
-from .process import GrainDistribution
+from .process import GAUSS_LEGENDRE_24, GrainDistribution
 from .quadrature import adaptive_quad, gauss_legendre, tanh_sinh
 
 __all__ = [
@@ -73,8 +74,8 @@ class CovariogramFunctions:
     of an isotropic grain law (gamma-free; multiply by gamma for C2, C1)."""
 
     cutoff: float
-    g2: object  # vectorized callable s -> E covariogram
-    g1: object  # vectorized callable s -> E boundary covariogram
+    g2: object  # array-valued callable s -> E covariogram
+    g1: object  # array-valued callable s -> E boundary covariogram
     kinks: tuple = ()  # radial abscissae where the profiles are non-smooth
 
     def c2(self, gamma):
@@ -84,31 +85,48 @@ class CovariogramFunctions:
         return lambda s: gamma * self.g1(s)
 
 
+def _radius_average(law, kernel):
+    """s -> E kernel(R, s) over the radius law R, array-valued in s.
+
+    The law's nodes run along a trailing array axis: its atoms, or for the
+    uniform law ParamLaw.expect's 24-point Gauss-Legendre rule on two panels
+    split at the kink R = s/2 (the split point is clipped to [a, b], so
+    where a < s/2 < b fails one panel has zero width and the other is the
+    unsplit rule).
+    """
+    if law.kind == "constant":
+        return lambda s: kernel(law.args[0], s)
+    if law.kind == "discrete":
+        values, probs = (np.asarray(v) for v in law.args)
+        return lambda s: kernel(values, np.asarray(s, dtype=float)[..., None]) @ probs
+    a, b = law.args
+    x, w = GAUSS_LEGENDRE_24
+
+    def average(s):
+        s = np.asarray(s, dtype=float)
+        cuts = np.empty(s.shape + (3,))
+        cuts[..., 0] = a
+        cuts[..., 1] = np.minimum(np.maximum(0.5 * s, a), b)
+        cuts[..., 2] = b
+        lo, hi = cuts[..., :-1], cuts[..., 1:]
+        half = 0.5 * (hi - lo)
+        r = half[..., None] * x + (0.5 * (lo + hi))[..., None]
+        panels = (kernel(r, s[..., None, None]) @ w) * half
+        return panels.sum(axis=-1) / (b - a)
+    return average
+
+
 def _disk_profiles(dist: GrainDistribution) -> CovariogramFunctions:
     law = dist.radius
-
-    def g2(s):
-        s = np.asarray(s, dtype=float)
-        # the lens area is non-smooth in r at r = t/2
-        return np.vectorize(
-            lambda t: law.expect(lambda r: disk_covariogram(r, t), breaks=(t / 2.0,)))(s)
-
-    def g1(s):
-        s = np.asarray(s, dtype=float)
-
-        def one(t):
-            return law.expect(
-                lambda r: r * math.acos(min(t / (2.0 * r), 1.0)) if t < 2.0 * r else 0.0,
-                breaks=(t / 2.0,))
-        return np.vectorize(one)(s)
-
     if law.kind == "constant":
         kinks = (2.0 * law.args[0],)
     elif law.kind == "uniform":
         kinks = (2.0 * law.args[0], 2.0 * law.args[1])
     else:
         kinks = tuple(sorted(2.0 * v for v in law.args[0]))
-    return CovariogramFunctions(2.0 * law.support_max(), g2, g1, kinks)
+    return CovariogramFunctions(2.0 * law.support_max(),
+                                _radius_average(law, disk_covariogram),
+                                _radius_average(law, disk_boundary_covariogram), kinks)
 
 
 def _tabulated_profiles(dist: GrainDistribution, n_s: int, n_theta: int) -> CovariogramFunctions:
@@ -122,22 +140,9 @@ def _tabulated_profiles(dist: GrainDistribution, n_s: int, n_theta: int) -> Cova
     ss = np.linspace(0.0, cutoff, n_s)
     th, wth = gauss_legendre(n_theta, 0.0, math.pi)
     wth = wth / math.pi
-
-    def avg(fun):
-        vals = np.empty_like(ss)
-        for i, s in enumerate(ss):
-            if s == 0.0:
-                vals[i] = dist.expect_shape(lambda k: fun(k, (0.0, 0.0)))
-                continue
-            acc = 0.0
-            for t, w in zip(th, wth):
-                tx, ty = s * math.cos(t), s * math.sin(t)
-                acc += w * dist.expect_shape(lambda k: fun(k, (tx, ty)))
-            vals[i] = acc
-        return vals
-
-    tab2 = avg(covariogram)
-    tab1 = avg(boundary_covariogram)
+    grid = (np.outer(ss, np.cos(th)), np.outer(ss, np.sin(th)))
+    tab2 = dist.expect_shape(lambda k: covariogram(k, grid)) @ wth
+    tab1 = dist.expect_shape(lambda k: boundary_covariogram(k, grid)) @ wth
     # The s = 0 point of the boundary profile uses the v1 convention; replace
     # by the one-sided limit so interpolation near 0 is faithful.
     tab1[0] = dist.expect_shape(lambda k: 0.5 * intrinsic_volumes(k).v1)
@@ -169,13 +174,7 @@ def _c2_vector(dist: GrainDistribution, gamma: float):
         prof = covariogram_functions(dist)
         return lambda tx, ty: gamma * prof.g2(np.hypot(tx, ty))
 
-    def c2(tx, ty):
-        tx = np.asarray(tx, dtype=float)
-        ty = np.asarray(ty, dtype=float)
-        out = np.vectorize(
-            lambda ax, ay: dist.expect_shape(lambda k: covariogram(k, (ax, ay))))(tx, ty)
-        return gamma * out
-    return c2
+    return lambda tx, ty: gamma * dist.expect_shape(lambda k: covariogram(k, (tx, ty)))
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +370,7 @@ def rho_11(gamma: float, dist: GrainDistribution):
             return gamma * prof.g1(np.hypot(dx, dy))
     else:
         def c1vec(dx, dy):
-            dx = np.asarray(dx, dtype=float)
-            dy = np.asarray(dy, dtype=float)
-            return gamma * np.vectorize(
-                lambda ax, ay: dist.expect_shape(
-                    lambda k: boundary_covariogram(k, (ax, ay))))(dx, dy)
+            return gamma * dist.expect_shape(lambda k: boundary_covariogram(k, (dx, dy)))
     return dist.expect_shape(lambda k: _rho11_one_body(k, c2vec, c1vec, gamma)), None
 
 

@@ -299,37 +299,62 @@ def intersect_polygons(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def disk_covariogram(radius: float, dist: float) -> float:
-    """Lens area of two disks of equal radius with centers `dist` apart."""
-    if dist >= 2.0 * radius:
-        return 0.0
-    if dist <= 0.0:
-        return math.pi * radius * radius
-    return (2.0 * radius * radius * math.acos(dist / (2.0 * radius))
-            - 0.5 * dist * math.sqrt(4.0 * radius * radius - dist * dist))
+def disk_covariogram(radius, dist):
+    """Lens area of two disks of equal radius with centers `dist` apart.
 
-
-def covariogram(shape: GrainShape, t) -> float:
-    """Set covariogram g_K(t) = area(K intersected with K + t).
-
-    Closed form for disks (circular lens) and aligned rectangles (product of
-    triangular one-dimensional covariograms); convex polygon clipping for
-    polygons.  Always symmetric in t and supported on |t| < 2*circumradius.
+    Array-valued: radius and dist broadcast against each other.
     """
-    tx, ty = float(t[0]), float(t[1])
-    d = math.hypot(tx, ty)
-    if isinstance(shape, Disk):
-        return disk_covariogram(shape.radius, d)
-    if isinstance(shape, AlignedRect):
-        return (max(2.0 * shape.halfwidth - abs(tx), 0.0)
-                * max(2.0 * shape.halfheight - abs(ty), 0.0))
-    if d >= 2.0 * circumradius(shape):
+    r = np.asarray(radius, dtype=float)
+    d = np.asarray(dist, dtype=float)
+    two_r = 2.0 * r
+    lens = (two_r * r * np.arccos(np.minimum(d / two_r, 1.0))
+            - 0.5 * d * np.sqrt(np.maximum(two_r * two_r - d * d, 0.0)))
+    return np.where(d >= two_r, 0.0, np.where(d <= 0.0, math.pi * r * r, lens))[()]
+
+
+def disk_boundary_covariogram(radius, dist):
+    """Half-length of a circle lying in the open disk translated by `dist`.
+
+    r * acos(dist / 2r) below dist = 2r and 0 beyond, so dist = 0 gives the
+    one-sided limit r*pi/2 (boundary_covariogram applies the v1 convention
+    there).  Array-valued like disk_covariogram.
+    """
+    r = np.asarray(radius, dtype=float)
+    d = np.asarray(dist, dtype=float)
+    return np.where(d < 2.0 * r, r * np.arccos(np.minimum(d / (2.0 * r), 1.0)), 0.0)[()]
+
+
+def _per_translation(kernel, shape, tx, ty):
+    """Evaluate a scalar polygon kernel at every translation (polygons clip)."""
+    vals = [kernel(shape, x, y) for x, y in zip(tx.ravel().tolist(), ty.ravel().tolist())]
+    return np.array(vals, dtype=float).reshape(tx.shape)
+
+
+def _polygon_covariogram(shape, tx, ty):
+    if math.hypot(tx, ty) >= 2.0 * circumradius(shape):
         return 0.0
     verts = shape.vertex_array()
     inter = intersect_polygons(verts, verts + np.array([tx, ty]))
     if len(inter) < 3:
         return 0.0
     return _shoelace(inter)
+
+
+def covariogram(shape: GrainShape, t):
+    """Set covariogram g_K(t) = area(K intersected with K + t).
+
+    Closed form for disks (circular lens) and aligned rectangles (product of
+    triangular one-dimensional covariograms); convex polygon clipping for
+    polygons.  Always symmetric in t and supported on |t| < 2*circumradius.
+    Array-valued: t = (tx, ty) with components of one shape.
+    """
+    tx, ty = np.asarray(t, dtype=float)
+    if isinstance(shape, Disk):
+        return disk_covariogram(shape.radius, np.hypot(tx, ty))
+    if isinstance(shape, AlignedRect):
+        return (np.maximum(2.0 * shape.halfwidth - np.abs(tx), 0.0)
+                * np.maximum(2.0 * shape.halfheight - np.abs(ty), 0.0))[()]
+    return _per_translation(_polygon_covariogram, shape, tx, ty)[()]
 
 
 def _segment_interior_length(a, b, halfplanes, tol: float) -> float:
@@ -353,34 +378,10 @@ def _segment_interior_length(a, b, halfplanes, tol: float) -> float:
     return (hi - lo) * math.hypot(*(b - a))
 
 
-def boundary_covariogram(shape: GrainShape, t) -> float:
-    """Half-length of the boundary of K lying in the open interior of K + t.
-
-    At t = 0 the convention is v1(K) (the whole boundary, halved), matching
-    how the value enters the covariance integrals; the one-sided limit of the
-    open-interior definition as t -> 0 is v1(K)/2, but the single point t = 0
-    never carries quadrature weight.
-    """
-    tx, ty = float(t[0]), float(t[1])
-    d = math.hypot(tx, ty)
+def _polygon_boundary_covariogram(shape, tx, ty):
     R = circumradius(shape)
-    if d <= 1e-15 * max(1.0, R):
-        return intrinsic_volumes(shape).v1
-    if d >= 2.0 * R:
+    if math.hypot(tx, ty) >= 2.0 * R:
         return 0.0
-    if isinstance(shape, Disk):
-        r = shape.radius
-        if d >= 2.0 * r:
-            return 0.0
-        return r * math.acos(d / (2.0 * r))
-    if isinstance(shape, AlignedRect):
-        w, h = shape.halfwidth, shape.halfheight
-        total = 0.0
-        if 0.0 < abs(tx) < 2.0 * w:
-            total += max(2.0 * h - abs(ty), 0.0)
-        if 0.0 < abs(ty) < 2.0 * h:
-            total += max(2.0 * w - abs(tx), 0.0)
-        return 0.5 * total
     verts = shape.vertex_array()
     shifted = polygon_halfplanes(verts + np.array([tx, ty]))
     tol = 1e-12 * max(1.0, R)
@@ -389,6 +390,30 @@ def boundary_covariogram(shape: GrainShape, t) -> float:
     for i in range(n):
         total += _segment_interior_length(verts[i], verts[(i + 1) % n], shifted, tol)
     return 0.5 * total
+
+
+def boundary_covariogram(shape: GrainShape, t):
+    """Half-length of the boundary of K lying in the open interior of K + t.
+
+    At t = 0 the convention is v1(K) (the whole boundary, halved), matching
+    how the value enters the covariance integrals; the one-sided limit of the
+    open-interior definition as t -> 0 is v1(K)/2, but the single point t = 0
+    never carries quadrature weight.  Array-valued like covariogram.
+    """
+    tx, ty = np.asarray(t, dtype=float)
+    d = np.hypot(tx, ty)
+    R = circumradius(shape)
+    if isinstance(shape, Disk):
+        val = disk_boundary_covariogram(shape.radius, d)
+    elif isinstance(shape, AlignedRect):
+        w, h = shape.halfwidth, shape.halfheight
+        ax, ay = np.abs(tx), np.abs(ty)
+        val = 0.5 * (np.where((0.0 < ax) & (ax < 2.0 * w), np.maximum(2.0 * h - ay, 0.0), 0.0)
+                     + np.where((0.0 < ay) & (ay < 2.0 * h), np.maximum(2.0 * w - ax, 0.0), 0.0))
+    else:
+        val = _per_translation(_polygon_boundary_covariogram, shape, tx, ty)
+    return np.where(d <= 1e-15 * max(1.0, R), intrinsic_volumes(shape).v1,
+                    np.where(d >= 2.0 * R, 0.0, val))[()]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ from .rng import poisson_draw, replicate_rng
 
 FORMAT_VERSION = "germgrain-sample-1"
 
+# Gauss-Legendre rule of ParamLaw.expect (nodes, weights on [-1, 1]).
+GAUSS_LEGENDRE_24 = np.polynomial.legendre.leggauss(24)
+
 
 class EdgeEffectError(ValueError):
     """Probe too close to the window boundary for an unbiased estimate."""
@@ -113,7 +116,7 @@ class ParamLaw:
             return sum(p * f(v) for v, p in zip(values, probs))
         a, b = self.args
         cuts = sorted({a, b} | {x for x in breaks if a < x < b})
-        x, w = np.polynomial.legendre.leggauss(24)
+        x, w = GAUSS_LEGENDRE_24
         total = 0.0
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             xs = 0.5 * (hi - lo) * x + 0.5 * (lo + hi)

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import germgrain
 from germgrain.cli import main
 
 CFG = {
@@ -172,3 +175,14 @@ class TestOtherSubcommands:
                      "--out", str(out)]) == 0
         data = out.read_bytes()
         assert data.startswith(b"P5\n48 48\n255\n")
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is the largest import of the CLI and only clt_experiment
+    # needs it, so every other command must start without it
+    src = os.path.dirname(os.path.dirname(germgrain.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, germgrain.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

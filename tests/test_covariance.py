@@ -7,7 +7,8 @@ from scipy.stats import qmc
 from germgrain.cells import PlacedGrain, Window, clip_cell, grain_constraints, window_cell
 from germgrain.covariance import (AnisotropyError, covariogram_functions,
                                   p_polynomial, phi_star, rho_0i, rho_11,
-                                  rho_12, rho_22, sigma_matrix, sigma_volume)
+                                  rho_12, rho_22, rho_table, sigma_matrix,
+                                  sigma_volume)
 from germgrain.geometry import Disk, disk_covariogram, intrinsic_volumes
 from germgrain.process import (GrainDistribution, ModelConfig, ParamLaw,
                                fixed_disk, sample, unit_squares)
@@ -309,3 +310,69 @@ class TestSigmaMatrix:
         dense = 2.0 * math.pi * float(
             ws @ (np.expm1(GAMMA * np.array([disk_covariogram(1.0, s) for s in xs])) * xs))
         assert abs(val - dense) <= max(10.0 * err, 1e-10)
+
+
+RADIUS_LAWS = {
+    "constant": ParamLaw.constant(1.0),
+    "uniform": ParamLaw.uniform(0.5, 1.5),
+    "discrete": ParamLaw.mixture((0.6, 1.0, 1.4), (0.2, 0.5, 0.3)),
+}
+
+
+def _scalar_disk_profiles(law, t):
+    """The disk profiles' definition, one abscissa at a time."""
+    g2 = law.expect(lambda r: disk_covariogram(r, t), breaks=(t / 2.0,))
+    g1 = law.expect(
+        lambda r: r * math.acos(min(t / (2.0 * r), 1.0)) if t < 2.0 * r else 0.0,
+        breaks=(t / 2.0,))
+    return g2, g1
+
+
+class TestDiskProfiles:
+    @pytest.mark.parametrize("law", RADIUS_LAWS.values(), ids=RADIUS_LAWS.keys())
+    def test_array_profiles_match_scalar_definition(self, law):
+        prof = covariogram_functions(GrainDistribution("disk", radius=law))
+        lo = 2.0 * (law.args[0] if law.kind != "discrete" else min(law.args[0]))
+        # s = 0, s/2 = a, s/2 = b (the cutoff), beyond the cutoff, and between
+        ss = np.concatenate([[0.0, lo, prof.cutoff, 1.1 * prof.cutoff],
+                             np.linspace(0.0, 1.05 * prof.cutoff, 44)])
+        want = np.array([_scalar_disk_profiles(law, t) for t in ss]).T
+        for g, ref in zip((prof.g2, prof.g1), want):
+            got = np.array([g(t) for t in ss])
+            assert all(np.ndim(g(t)) == 0 for t in ss[:4])
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(g(ss), ref, rtol=1e-13, atol=0.0)
+            grid = g(ss.reshape(6, 8))
+            assert grid.shape == (6, 8)
+            np.testing.assert_allclose(grid.ravel(), ref, rtol=1e-13, atol=0.0)
+        assert prof.g2(1.1 * prof.cutoff) == 0.0 and prof.g1(prof.cutoff) == 0.0
+
+    def test_uniform_profile_is_the_discrete_mixture_limit(self):
+        n = 2000
+        mids = 0.5 + (np.arange(n) + 0.5) / n
+        mixture = GrainDistribution("disk", radius=ParamLaw.mixture(mids, np.full(n, 1.0 / n)))
+        uniform = covariogram_functions(
+            GrainDistribution("disk", radius=RADIUS_LAWS["uniform"]))
+        limit = covariogram_functions(mixture)
+        ss = np.linspace(0.0, 3.1, 63)
+        np.testing.assert_allclose(uniform.g2(ss), limit.g2(ss), rtol=0.0, atol=1e-6)
+        # g1's integrand r*acos(s/2r) has a square-root kink at r = s/2, where
+        # the 24-point rule converges only algebraically: g1 sits up to 7e-6
+        # above the exact expectation, the midpoint mixture up to 1.1e-6
+        np.testing.assert_allclose(uniform.g1(ss), limit.g1(ss), rtol=0.0, atol=1e-5)
+
+
+class TestRhoPins:
+    """rho tables at gamma 0.3, pinned to values of the scalar-profile code."""
+
+    @pytest.mark.parametrize("dist, want", [
+        (GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)),
+         {(2, 2): 5.647373992957349, (1, 2): 5.352324270758459, (1, 1): 6.09420665203003}),
+        (unit_squares(rotate=True),
+         {(1, 1): 1.4296019531550195, (1, 2): 0.6645379019212775, (2, 2): 0.3210757717970298}),
+    ], ids=["uniform-disks", "rotated-squares"])
+    def test_rho_table(self, dist, want):
+        values = rho_table(GAMMA, dist).values
+        for (i, j), v in want.items():
+            assert values[i, j] == pytest.approx(v, rel=1e-10)
+            assert values[j, i] == values[i, j]
