@@ -8,7 +8,7 @@ theory against Monte Carlo at desk scale.
 
 __version__ = "0.1.0"
 
-from .cells import PlacedGrain, TooManyGrainsError, Window, intersect_convex
+from .cells import Grains, PlacedGrain, TooManyGrainsError, Window, intersect_convex
 from .cltstats import (NormalityReport, ReplicateBatch, clt_experiment,
                        ks_to_normal, multivariate_check, normality_report,
                        run_batch, wasserstein_to_normal)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (AlignedRect, Disk, GrainShape,
-                       _as_polygon_vertices, circumradius, polygon_halfplanes)
+                       _as_polygon_vertices, polygon_halfplanes)
 
 # Coordinate epsilon for vertex identification.
 COORD_EPS = 1e-9
@@ -60,12 +60,6 @@ class Seg:
     def point_at(self, s):
         return (self.p[0] + s * (self.q[0] - self.p[0]),
                 self.p[1] + s * (self.q[1] - self.p[1]))
-
-    def tangent(self, s=0.0):
-        ln = self.length()
-        return ((self.q[0] - self.p[0]) / ln, (self.q[1] - self.p[1]) / ln)
-
-    turning = 0.0
 
 
 @dataclass(frozen=True)
@@ -101,14 +95,6 @@ class Arc:
         a = self.a0 + s * self.sweep
         return (self.center[0] + self.radius * math.cos(a),
                 self.center[1] + self.radius * math.sin(a))
-
-    def tangent(self, s=0.0):
-        a = self.a0 + s * self.sweep
-        return (-math.sin(a), math.cos(a))
-
-    @property
-    def turning(self):
-        return self.sweep
 
 
 def _norm_angle(a):
@@ -358,8 +344,57 @@ class PlacedGrain:
     def __post_init__(self):
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
-    def circumradius(self):
-        return circumradius(self.shape)
+
+@dataclass(frozen=True, eq=False)
+class Grains:
+    """Placed grains as arrays, the form sampling produces and the engines read.
+
+    centres (n, 2); radius (n,), a disk's radius or 0 for a polygon; count
+    (n,), vertices per grain; loc (count.sum(), 2), the grains' local
+    counterclockwise vertices stacked in grain order, one zero row for a disk.
+    """
+
+    centres: np.ndarray
+    radius: np.ndarray
+    count: np.ndarray
+    loc: np.ndarray
+
+    def __len__(self):
+        return len(self.centres)
+
+    @property
+    def reach(self) -> np.ndarray:
+        """Circumradius of each grain about its centre."""
+        first = np.cumsum(self.count) - self.count
+        hyp = np.hypot(self.loc[:, 0], self.loc[:, 1])
+        return (np.maximum.reduceat(hyp, first) if len(self) else hyp) + self.radius
+
+    def rows(self, idx) -> np.ndarray:
+        """Indices into loc of the vertices of grains idx, in that order."""
+        count = self.count[idx]
+        first = np.cumsum(self.count) - self.count
+        return np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count - first[idx], count)
+
+    def take(self, idx) -> "Grains":
+        return Grains(self.centres[idx], self.radius[idx], self.count[idx], self.loc[self.rows(idx)])
+
+    @staticmethod
+    def join(*parts) -> "Grains":
+        return Grains(*(np.concatenate([getattr(g, f) for g in parts])
+                        for f in ("centres", "radius", "count", "loc")))
+
+    @staticmethod
+    def of(grains) -> "Grains":
+        """A Grains unchanged, or the arrays of a sequence of PlacedGrain."""
+        if isinstance(grains, Grains):
+            return grains
+        grains = list(grains)
+        outlines = [np.zeros((1, 2)) if isinstance(g.shape, Disk) else _as_polygon_vertices(g.shape)
+                    for g in grains]
+        return Grains(np.array([g.center for g in grains], dtype=float).reshape(-1, 2),
+                      np.array([getattr(g.shape, "radius", 0.0) for g in grains], dtype=float),
+                      np.array([len(o) for o in outlines], dtype=np.int64),
+                      np.concatenate(outlines) if grains else np.zeros((0, 2)))
 
 
 def grain_constraints(grain: PlacedGrain):
@@ -437,11 +472,6 @@ def clip_cell(cell: ConvexCell, constraints) -> ConvexCell | None:
 
 def window_cell(window: Window) -> ConvexCell:
     return ConvexCell(window.chain(), [("h", n, off) for n, off in window.halfplanes()])
-
-
-def build_cell(grain: PlacedGrain, window: Window) -> ConvexCell | None:
-    """Grain intersected with the window, or None when (measure-zero) empty."""
-    return clip_cell(window_cell(window), grain_constraints(grain))
 
 
 def intersect_convex(grains, window: Window, cap: int = 20):

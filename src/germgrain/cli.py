@@ -109,18 +109,18 @@ def _cmd_simulate(args):
     cfg = _load_config(args)
     s = sample(cfg, args.replicate)
     _atomic_write(args.out, lambda tmp: write_sample(tmp, s))
-    print(f"wrote {len(s.placed)} grains to {args.out}")
+    print(f"wrote {len(s.grains)} grains to {args.out}")
     return 0
 
 
 def _cmd_measure(args):
     s = read_sample(args.infile)
     if args.engine == "arrangement":
-        fv = arrangement_measure(s.placed, s.config.window)
+        fv = arrangement_measure(s.grains, s.config.window)
     elif args.engine == "inclusion-exclusion":
         fv = inclusion_exclusion_measure(s.placed, s.config.window)
     else:
-        fv = pixel_measure(s.placed, s.config.window, args.resolution)
+        fv = pixel_measure(s.grains, s.config.window, args.resolution)
     _write_csv(args.out, s.config, ["engine", "replicate", "v0", "v1", "v2"],
                [[args.engine, s.replicate, fv.v0, fv.v1, fv.v2]])
     print(f"v0={fv.v0} v1={fv.v1} v2={fv.v2}")
@@ -156,7 +156,7 @@ def _cmd_predict(args):
 
 def _density_row(s):
     """Edge-corrected densities of one sample."""
-    return edge_corrected_measure(s.placed, s.config.window).as_array() / s.config.window.area()
+    return edge_corrected_measure(s.grains, s.config.window).as_array() / s.config.window.area()
 
 
 def _cmd_estimate(args):
@@ -228,7 +228,7 @@ def _cmd_capacity(args):
 def _cmd_render(args):
     cfg = _load_config(args)
     s = sample(cfg, args.replicate)
-    img = rasterize(s.placed, cfg.window, args.resolution)
+    img = rasterize(s.grains, cfg.window, args.resolution)
     _atomic_write(args.out, lambda tmp: write_pgm(tmp, img))
     print(f"wrote {img.shape[1]}x{img.shape[0]} PGM to {args.out}")
     return 0

@@ -49,7 +49,7 @@ class ReplicateBatch:
 
 def _functionals(s):
     """(v0, v1, v2) of one sample on its window."""
-    return arrangement_measure(s.placed, s.config.window).as_array()
+    return arrangement_measure(s.grains, s.config.window).as_array()
 
 
 def run_batch(config: ModelConfig, scale: float, reps: int,

@@ -189,7 +189,7 @@ def estimate_densities(samples, edge_corrected: bool = True):
     Needs at least 2 replicates for a standard error.
     """
     engine = edge_corrected_measure if edge_corrected else arrangement_measure
-    rows = np.array([engine(s.placed, s.config.window).as_array() / s.config.window.area()
+    rows = np.array([engine(s.grains, s.config.window).as_array() / s.config.window.area()
                      for s in samples])
     if len(rows) < 2:
         raise EstimationError("estimate_densities needs at least 2 replicates")

@@ -17,16 +17,17 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .cells import PlacedGrain, Window
-from .geometry import (AlignedRect, Disk, GrainShape, circumradius,
-                       intrinsic_volumes, minkowski_sum_area, rotate_shape,
-                       shape_from_record, shape_to_record)
+from .cells import Grains, PlacedGrain, Window
+from .geometry import (AlignedRect, ConvexPolygon, Disk, GrainShape,
+                       _as_polygon_vertices, circumradius, intrinsic_volumes,
+                       minkowski_sum_area, shape_from_record, shape_to_record)
 from .rng import poisson_draw, replicate_rng
+from .union import hits_probe
 
 FORMAT_VERSION = "germgrain-sample-1"
 
@@ -241,19 +242,24 @@ class GrainDistribution:
 
     # -- sampling ---------------------------------------------------------
 
-    def sample_shapes(self, rng: np.random.Generator, n: int) -> list:
+    def sample_shapes(self, rng: np.random.Generator, n: int) -> Grains:
+        """n grains centred at the origin; draws shape parameters, then rotations."""
         if self.family == "disk":
-            return [Disk(r) for r in self.radius.sample(rng, n)]
-        if self.family == "rect":
-            ws = self.halfwidth.sample(rng, n)
-            hs = self.halfheight.sample(rng, n)
-            shapes = [AlignedRect(w, h) for w, h in zip(ws, hs)]
+            radius, loc = self.radius.sample(rng, n), np.zeros((n, 1, 2))
+        elif self.family == "rect":
+            w = self.halfwidth.sample(rng, n)
+            h = self.halfheight.sample(rng, n)
+            radius, loc = 0.0, np.stack([w, h, -w, h, -w, -h, w, -h], axis=1).reshape(n, 4, 2)
         else:
-            shapes = [self.shape] * n
-        if self.rotate:
+            radius = self.shape.radius if isinstance(self.shape, Disk) else 0.0
+            verts = np.zeros((1, 2)) if radius else _as_polygon_vertices(self.shape)
+            loc = np.broadcast_to(verts, (n,) + verts.shape)
+        if self.rotate and self.family != "disk":
             angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
-            shapes = [rotate_shape(s, a) for s, a in zip(shapes, angles)]
-        return shapes
+            c, s = np.cos(angles), np.sin(angles)
+            loc = loc @ np.stack([c, s, -s, c], axis=1).reshape(n, 2, 2)
+        return Grains(np.zeros((n, 2)), np.full(n, radius),
+                      np.full(n, loc.shape[1], dtype=np.int64), loc.reshape(-1, 2))
 
     # -- serialization ------------------------------------------------------
 
@@ -325,9 +331,28 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class GermGrainSample:
-    placed: tuple          # tuple of PlacedGrain
+    """One realization: its grains as arrays, which every engine reads, the
+    model and the replicate index.  `placed` builds PlacedGrain objects on
+    demand, for the inclusion-exclusion oracle and grain dumps."""
+
+    grains: Grains
     config: ModelConfig
     replicate: int
+
+    @property
+    def placed(self) -> tuple:
+        """The grains as PlacedGrain: a disk, an unrotated rect or the law's own
+        shape, and a ConvexPolygon for a rotated grain."""
+        g, law = self.grains, self.config.grains
+
+        def shape(r, v):
+            if r > 0.0:
+                return Disk(r)
+            if law.rotate:
+                return ConvexPolygon(tuple(map(tuple, v)))
+            return AlignedRect(*v[0]) if law.family == "rect" else law.shape
+        return tuple(PlacedGrain(c, shape(r, v)) for c, r, v in
+                     zip(g.centres, g.radius, np.split(g.loc, np.cumsum(g.count)[:-1])))
 
 
 def _uniform_in_dilation(rng, window: Window, r: float, n: int) -> np.ndarray:
@@ -362,9 +387,8 @@ def sample(config: ModelConfig, replicate: int = 0) -> GermGrainSample:
     mean = config.gamma * config.window.dilated_area(r)
     n = poisson_draw(rng, mean)
     germs = _uniform_in_dilation(rng, config.window, r, n)
-    shapes = config.grains.sample_shapes(rng, n)
-    placed = tuple(PlacedGrain((x, y), s) for (x, y), s in zip(germs, shapes))
-    return GermGrainSample(placed=placed, config=config, replicate=replicate)
+    grains = replace(config.grains.sample_shapes(rng, n), centres=germs)
+    return GermGrainSample(grains=grains, config=config, replicate=replicate)
 
 
 # ---------------------------------------------------------------------------
@@ -391,22 +415,8 @@ def point_coverage_probability(config: ModelConfig) -> float:
     return 1.0 - math.exp(-config.gamma * config.grains.moments().ev2)
 
 
-def _shape_hits_probe(grain: PlacedGrain, probe: PlacedGrain) -> bool:
-    from .cells import clip_cell, window_cell, grain_constraints as gc
-    gr = grain.circumradius() + probe.circumradius()
-    d = math.hypot(grain.center[0] - probe.center[0], grain.center[1] - probe.center[1])
-    if d >= gr:
-        return False
-    if isinstance(grain.shape, Disk) and isinstance(probe.shape, Disk):
-        return True  # circumdisk test already exact for two disks
-    lo = (min(grain.center[0], probe.center[0]) - gr, min(grain.center[1], probe.center[1]) - gr)
-    hi = (max(grain.center[0], probe.center[0]) + gr, max(grain.center[1], probe.center[1]) + gr)
-    cell = clip_cell(window_cell(Window(lo, hi)), gc(grain))
-    return cell is not None and clip_cell(cell, gc(probe)) is not None
-
-
 def _misses(probe: PlacedGrain, s: GermGrainSample) -> bool:
-    return not any(_shape_hits_probe(g, probe) for g in s.placed)
+    return not hits_probe(s.grains, probe, s.config.window)
 
 
 def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int):
@@ -481,7 +491,7 @@ def write_sample(path, s: GermGrainSample):
     lines = [f"# format: {FORMAT_VERSION}",
              f"# config: {json.dumps(s.config.to_record(), sort_keys=True)}",
              f"# replicate: {s.replicate}",
-             f"# count: {len(s.placed)}"]
+             f"# count: {len(s.grains)}"]
     for g in s.placed:
         lines.append(f"{g.center[0]!r} {g.center[1]!r} {json.dumps(shape_to_record(g.shape))}")
     with open(path, "w") as f:
@@ -507,4 +517,4 @@ def read_sample(path) -> GermGrainSample:
             placed.append(PlacedGrain((float(xs), float(ys)), shape_from_record(json.loads(rest))))
     if config is None:
         raise ValueError(f"{path}: missing '# config:' header")
-    return GermGrainSample(tuple(placed), config, replicate)
+    return GermGrainSample(Grains.of(placed), config, replicate)

@@ -1,11 +1,12 @@
 """Functionals (v0, v1, v2) of a union of placed grains clipped to a window.
 
-Three engines compute the same quantity:
+The exact and raster engines read grains as cells.Grains arrays; a sequence
+of PlacedGrain is converted at entry.  Three engines compute the same quantity:
 
-  * inclusion_exclusion_measure -- the additive-extension oracle: a signed sum
-    of intersection-cell functionals over all nonempty grain subsets, with
-    depth-first pruning (supersets of an empty intersection stay empty).
-    Exponential; capped at 18 grains hitting the window.
+  * inclusion_exclusion_measure -- the additive-extension oracle over
+    PlacedGrain: a signed sum of intersection-cell functionals over all
+    nonempty grain subsets, with depth-first pruning (supersets of an empty
+    intersection stay empty).  Exponential; capped at 18 grains.
 
   * arrangement_measure -- exact polynomial-time engine over boundary
     intervals, one path for every grain type.  Each boundary primitive (a
@@ -23,14 +24,14 @@ Three engines compute the same quantity:
     at each piece's start, divided by 2*pi).  Each turn is read from the
     primitive bounding the covering interval that ends there, or from the
     body's own vertex, so no endpoints are matched.  All geometry is
-    window-centred.
+    window-centred.  The same coverage kernels decide hits_probe.
 
   * pixel_measure -- approximate raster engine from 2x2 pixel-configuration
-    counts.  Area error is O(1/resolution); the perimeter estimator uses the
-    two-direction Cauchy-Crofton weight pi/4 on axis adjacencies, which is
-    unbiased in the isotropic-boundary limit and biased (by 4/pi) for
-    axis-aligned boundaries; the Euler number uses 8-connected foreground
-    weights and is exact once the resolution resolves all features.
+    counts; a pixel is occupied when its centre lies inside some grain.  Area
+    error is O(1/resolution); perimeter uses the two-direction Cauchy-Crofton
+    weight pi/4 on axis adjacencies (unbiased for isotropic boundaries, biased
+    by 4/pi for axis-aligned ones); the Euler number uses 8-connected
+    foreground weights, exact once the resolution resolves all features.
 
 Measure-zero contacts (tangent circles, shared edges, vertex-on-edge) count
 as empty intersections in every engine: flush grains behave as if pulled
@@ -50,14 +51,13 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cells import (TWO_PI, PlacedGrain, TooManyGrainsError, Window,
+from .cells import (TWO_PI, Grains, PlacedGrain, TooManyGrainsError, Window,
                     clip_cell, grain_constraints, window_cell)
-from .geometry import AlignedRect, Disk, _as_polygon_vertices
 
 __all__ = [
     "FunctionalVector", "inclusion_exclusion_measure", "arrangement_measure",
-    "edge_corrected_measure", "segment_coverage", "pixel_measure", "rasterize",
-    "write_pgm",
+    "edge_corrected_measure", "hits_probe", "segment_coverage", "pixel_measure",
+    "rasterize", "write_pgm",
 ]
 
 
@@ -130,26 +130,21 @@ class _Boundary:
     on the left.
     """
 
-    def __init__(self, centres, outlines):
-        # outlines[b]: a disk radius (float) or local polygon vertices (m, 2).
-        radius = np.array([o if isinstance(o, float) else 0.0 for o in outlines])
-        count = np.array([1 if isinstance(o, float) else len(o) for o in outlines])
-        disk = radius > 0.0
+    def __init__(self, g: Grains, origin=(0.0, 0.0)):
+        centres, count = g.centres - origin, g.count
+        disk = g.radius > 0.0
         first = np.cumsum(count) - count
-        body = np.repeat(np.arange(len(outlines)), count)
-        loc = np.zeros((int(count.sum()), 2))
-        if not np.all(disk):
-            loc[~disk[body]] = np.concatenate([o for o, d in zip(outlines, disk) if not d])
+        body = np.repeat(np.arange(len(g)), count)
         k = np.arange(len(body)) - first[body]
         nxt = first[body] + (k + 1) % count[body]
         self.prev = first[body] + (k - 1) % count[body]
         self.body = body
         self.is_arc = disk[body]
-        self.x = centres[body, 0] + loc[:, 0]
-        self.y = centres[body, 1] + loc[:, 1]
+        self.x = centres[body, 0] + g.loc[:, 0]
+        self.y = centres[body, 1] + g.loc[:, 1]
         self.dx = self.x[nxt] - self.x
         self.dy = self.y[nxt] - self.y
-        self.r = radius[body]
+        self.r = g.radius[body]
         self.len2 = np.where(self.is_arc, 1.0, self.dx * self.dx + self.dy * self.dy)
         ln = np.sqrt(self.len2)
         self.nx = np.where(self.is_arc, 0.0, self.dy / ln)
@@ -158,10 +153,11 @@ class _Boundary:
         self.disk = disk
         self.count = count
         self.centres = centres
+        self.grains = g
         # Circumradius about the centre, for neighbour search.
-        self.reach = np.maximum.reduceat(np.hypot(loc[:, 0], loc[:, 1]) + self.r, first)
+        self.reach = g.reach
         # table[b] lists body b's primitives, padded with -1.
-        cols = np.arange(int(count.max()))
+        cols = np.arange(int(count.max(initial=0)))
         self.table = np.where(cols < count[:, None], first[:, None] + cols, -1)
 
     def point(self, p, u):
@@ -432,53 +428,64 @@ def _measure(bd, p, j):
     return FunctionalVector(float(v0i), 0.5 * length, area)
 
 
-def _grain_arrays(grains, origin):
-    """Centres relative to origin, and outlines of placed grains: a disk's
-    radius or a polygon's local counterclockwise vertices."""
-    centres = np.array([g.center for g in grains], dtype=float).reshape(-1, 2) - origin
-    return centres, [float(g.shape.radius) if isinstance(g.shape, Disk)
-                     else _as_polygon_vertices(g.shape) for g in grains]
+def _window_region(window: Window) -> Grains:
+    (x0, y0), (x1, y1) = window.lo, window.hi
+    hw, hh = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
+    return Grains(np.array([[0.5 * (x0 + x1), 0.5 * (y0 + y1)]]), np.zeros(1), np.array([4]),
+                  np.array([[hw, hh], [-hw, hh], [-hw, -hh], [hw, -hh]]))
+
+
+def _expand(bd, covered, by):
+    """Every primitive of the bodies `covered`, each paired with its body in `by`."""
+    return bd.grains.rows(covered), np.repeat(by, bd.count[covered])
 
 
 def arrangement_measure(grains, window: Window, mask: PlacedGrain | None = None) -> FunctionalVector:
     """Exact (v0, v1, v2) of the union of grains clipped to the window.
 
-    `mask` optionally replaces the observation region by one convex body,
-    which must lie inside the window.  All geometry is computed in
-    window-centred coordinates.
+    grains is a Grains or a sequence of PlacedGrain.  `mask` optionally
+    replaces the observation region by one convex body, which must lie inside
+    the window.  All geometry is computed in window-centred coordinates.
     """
-    grains = list(grains)
-    if not grains:
+    grains = Grains.of(grains)
+    if not len(grains):
         return FunctionalVector(0.0, 0.0, 0.0)
-    (x0, y0), (x1, y1) = window.lo, window.hi
-    origin = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
-    hw, hh = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
-    if mask is None:
-        region_centre = np.zeros((1, 2))
-        region = np.array([[hw, hh], [-hw, hh], [-hw, -hh], [hw, -hh]])
-    else:
-        region_centre, (region,) = _grain_arrays([mask], origin)
-        ext = np.array([[region, region], [-region, -region]]) if isinstance(region, float) else region
-        if np.any(np.abs(region_centre + ext) > [hw, hh]):
-            raise ValueError("arrangement_measure: the mask must lie inside the window")
-    centres, outlines = _grain_arrays(grains, origin)
-    bd = _Boundary(np.vstack([region_centre, centres]), [region] + outlines)
+    window_region = _window_region(window)
+    origin = window_region.centres[0]
+    region = window_region if mask is None else Grains.of([mask])
+    bd = _Boundary(Grains.join(region, grains), origin)
+    if mask is not None and np.any(np.abs(bd.centres[0] + region.loc) + region.radius
+                                   > window_region.loc[0]):
+        raise ValueError("arrangement_measure: the mask must lie inside the window")
 
     # Grain pairs whose circumcircles overlap cover each other; grains not
     # well inside the region pair with it both ways.
-    reach = bd.reach[1:]
+    centres, reach = bd.centres[1:], bd.reach[1:]
     pairs = cKDTree(centres).query_pairs(2.0 * float(reach.max()), output_type="ndarray")
     d = np.hypot(*(centres[pairs[:, 0]] - centres[pairs[:, 1]]).T)
     pairs = pairs[d < reach[pairs[:, 0]] + reach[pairs[:, 1]]] + 1
     depth = np.max([bd.level(k, centres[:, 0], centres[:, 1]) for k in range(bd.count[0])], axis=0)
     edge = np.flatnonzero(depth > -reach) + 1
     zeros = np.zeros(len(edge), dtype=np.int64)
-    covered = np.concatenate([pairs[:, 0], pairs[:, 1], edge, zeros])
-    by = np.concatenate([pairs[:, 1], pairs[:, 0], zeros, edge])
-    count = bd.count[covered]
-    start = np.cumsum(count) - count
-    p = np.arange(int(count.sum())) - np.repeat(start - bd.table[covered, 0], count)
-    return _measure(bd, p, np.repeat(by, count))
+    return _measure(bd, *_expand(bd, np.concatenate([pairs[:, 0], pairs[:, 1], edge, zeros]),
+                                 np.concatenate([pairs[:, 1], pairs[:, 0], zeros, edge])))
+
+
+def hits_probe(grains, probe: PlacedGrain, window: Window) -> bool:
+    """Whether the open interior of the probe meets that of some grain.
+
+    The grains whose circumcircle reaches the probe's are paired with it both
+    ways; a hit is a covered interval of positive length on either boundary.
+    """
+    grains, probe = Grains.of(grains), Grains.of([probe])
+    near = np.flatnonzero(np.hypot(*(grains.centres - probe.centres).T)
+                          < grains.reach + probe.reach)
+    region = _window_region(window)
+    bd = _Boundary(Grains.join(region, probe, grains.take(near)), region.centres[0])
+    ids = np.arange(len(near)) + 2
+    probe_and_near = np.concatenate([np.ones_like(ids), ids])
+    _, a, b, _ = _coverage(bd, *_expand(bd, probe_and_near, probe_and_near[::-1]))
+    return bool(np.any(b - a > _EPS))
 
 
 # ---------------------------------------------------------------------------
@@ -486,22 +493,25 @@ def arrangement_measure(grains, window: Window, mask: PlacedGrain | None = None)
 # ---------------------------------------------------------------------------
 
 
-def _polyline_runs(grains, points):
+def _polyline_runs(grains: Grains, points):
     """Occupied runs (segment, u0, u1) of the segments joining points.
 
     Each segment is parameterized over [0, 1] and covered by the grains' open
     interiors; coordinates are relative to the first point.
     """
-    points = np.asarray(points, dtype=float)
-    centres, outlines = _grain_arrays(list(grains), points[0])
-    bd = _Boundary(np.vstack([np.zeros((1, 2)), centres]), [points - points[0]] + outlines)
+    origin = np.asarray(points[0], dtype=float)
+    pts = np.asarray(points, dtype=float) - origin
     # Pair each segment with the grains whose circumcircle reaches it.
-    seg = np.arange(len(points) - 1)
-    t = np.clip(((centres[:, None, 0] - bd.x[seg]) * bd.dx[seg]
-                 + (centres[:, None, 1] - bd.y[seg]) * bd.dy[seg]) / bd.len2[seg], 0.0, 1.0)
-    gap = np.hypot(bd.x[seg] + t * bd.dx[seg] - centres[:, None, 0],
-                   bd.y[seg] + t * bd.dy[seg] - centres[:, None, 1])
-    j, p = np.nonzero(gap < bd.reach[1:, None])
+    centres = grains.centres - origin
+    (x, y), (dx, dy) = pts[:-1].T, np.diff(pts, axis=0).T
+    t = np.clip(((centres[:, None, 0] - x) * dx + (centres[:, None, 1] - y) * dy)
+                / (dx * dx + dy * dy), 0.0, 1.0)
+    gap = np.hypot(x + t * dx - centres[:, None, 0], y + t * dy - centres[:, None, 1])
+    near = gap < grains.reach[:, None]
+    keep = np.flatnonzero(near.any(axis=1))
+    polyline = Grains(origin[None], np.zeros(1), np.array([len(pts)]), pts)
+    bd = _Boundary(Grains.join(polyline, grains.take(keep)), origin)
+    j, p = np.nonzero(near[keep])
     rp, u0, u1, _, _ = _merge_runs(*_coverage(bd, p, j + 1))
     return rp, u0, u1
 
@@ -512,7 +522,7 @@ def segment_coverage(grains, a, b):
     Returns (piece count, total length); the pieces are the maximal occupied
     intervals, a one-dimensional polyconvex set with v0 = count, v1 = length.
     """
-    _, u0, u1 = _polyline_runs(grains, [a, b])
+    _, u0, u1 = _polyline_runs(Grains.of(grains), [a, b])
     return len(u0), float(np.sum(u1 - u0)) * math.hypot(b[0] - a[0], b[1] - a[1])
 
 
@@ -524,7 +534,7 @@ def edge_corrected_measure(grains, window: Window) -> FunctionalVector:
     a lattice of windows, so the expectation is the density times the window
     area for every stationary model (no isotropy needed).
     """
-    grains = list(grains)
+    grains = Grains.of(grains)
     full = arrangement_measure(grains, window)
     (x0, y0), (x1, y1) = window.lo, window.hi
     # Segment 0 is the top edge up to the far corner, segment 1 the right edge.
@@ -553,9 +563,9 @@ def rasterize(grains, window: Window, resolution: float) -> np.ndarray:
     xs = window.lo[0] + (np.arange(nx) + 0.5) * h
     ys = window.lo[1] + (np.arange(ny) + 0.5) * h
     img = np.zeros((ny, nx), dtype=bool)
-    for g in grains:
-        cx, cy = g.center
-        R = g.circumradius()
+    grains = Grains.of(grains)
+    bd = _Boundary(grains)
+    for k, ((cx, cy), R) in enumerate(zip(grains.centres, grains.reach)):
         ix0 = np.searchsorted(xs, cx - R)
         ix1 = np.searchsorted(xs, cx + R, side="right")
         iy0 = np.searchsorted(ys, cy - R)
@@ -563,20 +573,8 @@ def rasterize(grains, window: Window, resolution: float) -> np.ndarray:
         if ix0 >= ix1 or iy0 >= iy1:
             continue
         X, Y = np.meshgrid(xs[ix0:ix1], ys[iy0:iy1])
-        shape = g.shape
-        if isinstance(shape, Disk):
-            m = (X - cx) ** 2 + (Y - cy) ** 2 <= shape.radius ** 2
-        elif isinstance(shape, AlignedRect):
-            m = (np.abs(X - cx) <= shape.halfwidth) & (np.abs(Y - cy) <= shape.halfheight)
-        else:
-            verts = _as_polygon_vertices(shape)
-            m = np.ones_like(X, dtype=bool)
-            nv = len(verts)
-            for k in range(nv):
-                ax, ay = verts[k]
-                bx, by = verts[(k + 1) % nv]
-                m &= ((bx - ax) * (Y - cy - ay) - (by - ay) * (X - cx - ax)) >= 0.0
-        img[iy0:iy1, ix0:ix1] |= m
+        prims = bd.table[k, :bd.count[k], None, None]
+        img[iy0:iy1, ix0:ix1] |= np.max(bd.level(prims, X, Y), axis=0) <= 0.0
     return img
 
 

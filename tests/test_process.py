@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from germgrain.cells import Window
+from germgrain import cli, cltstats
+from germgrain.cells import Grains, PlacedGrain, Window
 from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk,
-                                intrinsic_volumes, minkowski_sum_area)
+                                intrinsic_volumes, minkowski_sum_area,
+                                rotate_shape)
 from germgrain.process import (EdgeEffectError, GrainDistribution, ModelConfig,
-                               ParamLaw, empirical_capacity, fixed_disk,
-                               mean_hit_area, point_coverage_probability,
-                               read_sample, sample, theory_capacity,
+                               ParamLaw, _uniform_in_dilation,
+                               empirical_capacity, fixed_disk, mean_hit_area,
+                               point_coverage_probability, read_sample,
+                               replicate_rows, sample, theory_capacity,
                                unit_squares, write_sample)
 from germgrain.rng import poisson_draw, replicate_rng
 
@@ -101,9 +104,8 @@ class TestGrainDistribution:
         d = GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.2, 0.6),
                               halfheight=ParamLaw.uniform(0.1, 0.4), rotate=True)
         rng = replicate_rng(5, 0)
-        from germgrain.geometry import circumradius
         shapes = d.sample_shapes(rng, 500)
-        assert max(circumradius(s) for s in shapes) <= d.rmax + 1e-12
+        assert max(shapes.reach) <= d.rmax + 1e-12
 
     def test_record_roundtrip(self):
         for d in (fixed_disk(1.0), unit_squares(rotate=True),
@@ -154,17 +156,73 @@ class TestSampling:
         # Edge-direction histogram of rotated squares is uniform on [0, pi/2).
         d = unit_squares(rotate=True)
         rng = replicate_rng(99, 0)
-        shapes = d.sample_shapes(rng, 4000)
-        angles = []
-        for s in shapes:
-            v = s.vertex_array()
-            e = v[1] - v[0]
-            angles.append(math.atan2(e[1], e[0]) % (math.pi / 2.0))
+        v = d.sample_shapes(rng, 4000).loc.reshape(4000, 4, 2)
+        e = v[:, 1] - v[:, 0]
+        angles = np.arctan2(e[:, 1], e[:, 0]) % (math.pi / 2.0)
         hist, _ = np.histogram(angles, bins=16, range=(0.0, math.pi / 2.0))
         expected = len(angles) / 16.0
         stat = float(np.sum((hist - expected) ** 2 / expected))
         p_value = 1.0 - chi2.cdf(stat, df=15)
         assert p_value > 0.01
+
+
+def _reference_sample(config, replicate):
+    """The per-object draw: one PlacedGrain with a validated shape per grain,
+    in the draw order count, germs, shape parameters, rotations."""
+    rng = replicate_rng(config.seed, replicate)
+    d, r = config.grains, config.grains.rmax
+    n = poisson_draw(rng, config.gamma * config.window.dilated_area(r))
+    germs = _uniform_in_dilation(rng, config.window, r, n)
+    if d.family == "disk":
+        shapes = [Disk(x) for x in d.radius.sample(rng, n)]
+    else:
+        if d.family == "rect":
+            ws, hs = d.halfwidth.sample(rng, n), d.halfheight.sample(rng, n)
+            shapes = [AlignedRect(w, h) for w, h in zip(ws, hs)]
+        else:
+            shapes = [d.shape] * n
+        if d.rotate:
+            angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
+            shapes = [rotate_shape(sh, a) for sh, a in zip(shapes, angles)]
+    return tuple(PlacedGrain(c, sh) for c, sh in zip(germs, shapes))
+
+
+PENTAGON = ConvexPolygon(((0.0, -0.6), (0.7, -0.2), (0.5, 0.5), (-0.3, 0.6), (-0.6, -0.1)))
+
+
+class TestArrayDraw:
+    @pytest.mark.parametrize("grains, tol", [
+        (fixed_disk(1.0), 0.0),
+        (GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)), 0.0),
+        (GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.2, 0.6),
+                           halfheight=ParamLaw.constant(0.3)), 0.0),
+        (GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.2, 0.6),
+                           halfheight=ParamLaw.constant(0.3), rotate=True), 0.0),
+        # ConvexPolygon recentres each rotated copy; the arrays do not.
+        (GrainDistribution("fixed", shape=PENTAGON, rotate=True), 4.5e-16),
+    ])
+    def test_matches_per_object_draw(self, grains, tol):
+        cfg = ModelConfig(0.5, grains, Window((0.0, 0.0), (8.0, 8.0)), seed=23)
+        for k in range(5):
+            s = sample(cfg, k)
+            ref = _reference_sample(cfg, k)
+            want = Grains.of(ref)
+            for f in ("centres", "radius", "count") + (() if tol else ("loc",)):
+                assert getattr(s.grains, f).tobytes() == getattr(want, f).tobytes()
+            assert np.max(np.abs(s.grains.loc - want.loc), initial=0.0) <= tol
+            assert s.placed == ref
+
+    def test_hot_path_builds_no_grain_objects(self, monkeypatch):
+        disks = ModelConfig(0.3, fixed_disk(1.0), Window((0.0, 0.0), (16.0, 16.0)), seed=3)
+        squares = ModelConfig(0.5, unit_squares(rotate=True),
+                              Window((0.0, 0.0), (16.0, 16.0)), seed=4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-grain object was built")
+        for cls in (Disk, ConvexPolygon, PlacedGrain):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        assert replicate_rows(disks, cltstats._functionals, 3).shape == (3, 3)
+        assert replicate_rows(squares, cli._density_row, 3).shape == (3, 3)
 
 
 class TestCapacity:
@@ -257,21 +315,25 @@ class TestEdgeExactness:
 
 class TestSampleIO:
     def test_roundtrip(self, tmp_path):
-        cfg = ModelConfig(0.4, GrainDistribution("rect",
-                                                 halfwidth=ParamLaw.uniform(0.2, 0.5),
-                                                 halfheight=ParamLaw.constant(0.3),
-                                                 rotate=True),
-                          Window((0, 0), (6, 6)), seed=8)
-        s = sample(cfg, 2)
-        p = tmp_path / "dump.txt"
-        write_sample(p, s)
-        s2 = read_sample(p)
-        assert s2.config == cfg and s2.replicate == 2
-        assert len(s2.placed) == len(s.placed)
-        for a, b in zip(s.placed, s2.placed):
-            assert a.center == pytest.approx(b.center)
-            assert intrinsic_volumes(a.shape).as_array() == pytest.approx(
-                intrinsic_volumes(b.shape).as_array())
+        for grains in (GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)),
+                       GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.2, 0.5),
+                                         halfheight=ParamLaw.constant(0.3)),
+                       GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.2, 0.5),
+                                         halfheight=ParamLaw.constant(0.3), rotate=True)):
+            cfg = ModelConfig(0.4, grains, Window((0, 0), (6, 6)), seed=8)
+            s = sample(cfg, 2)
+            p = tmp_path / "dump.txt"
+            write_sample(p, s)
+            s2 = read_sample(p)
+            assert s2.config == cfg and s2.replicate == 2
+            assert len(s2.placed) == len(s.placed)
+            for a, b in zip(s.placed, s2.placed):
+                assert a.center == pytest.approx(b.center)
+                assert intrinsic_volumes(a.shape).as_array() == pytest.approx(
+                    intrinsic_volumes(b.shape).as_array())
+            again = tmp_path / "again.txt"
+            write_sample(again, s2)
+            assert again.read_bytes() == p.read_bytes()
 
     def test_missing_header_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from germgrain.cells import PlacedGrain, TooManyGrainsError, Window
+from germgrain.cells import (PlacedGrain, TooManyGrainsError, Window,
+                             intersect_convex)
 from germgrain.geometry import AlignedRect, ConvexPolygon, Disk
+from germgrain.process import (GrainDistribution, ModelConfig, ParamLaw,
+                               fixed_disk, sample, unit_squares)
 from germgrain.union import (arrangement_measure, edge_corrected_measure,
-                             inclusion_exclusion_measure, pixel_measure,
-                             rasterize, segment_coverage, write_pgm)
+                             hits_probe, inclusion_exclusion_measure,
+                             pixel_measure, rasterize, segment_coverage,
+                             write_pgm)
 
 W = Window((-4.0, -4.0), (4.0, 4.0))
 LENS_AREA = 2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)
@@ -213,11 +217,44 @@ class TestEdgeCorrectedMeasure:
         # covers both edges once each; corner occupied adds one back
         assert fv.v0 == pytest.approx(full.v0 - 1.0 - 1.0 + 1.0)
 
+    @pytest.mark.parametrize("grains", [
+        fixed_disk(1.0), GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)),
+        unit_squares(rotate=True), unit_squares()])
+    def test_half_open_tiles_sum_to_the_window(self, grains):
+        win = Window((0.0, 0.0), (12.0, 12.0))
+        cfg = ModelConfig(0.5, grains, win, seed=17)
+        quarters = [Window((x, y), (x + 6.0, y + 6.0)) for x in (0.0, 6.0) for y in (0.0, 6.0)]
+        for k in range(4):
+            s = sample(cfg, k)
+            whole = edge_corrected_measure(s.grains, win).as_array()
+            tiles = sum(edge_corrected_measure(s.grains, q).as_array() for q in quarters)
+            assert tiles[0] == whole[0]
+            assert tiles[1:] == pytest.approx(whole[1:], rel=1e-9)
+
     def test_segment_coverage_counts(self):
         n, ln = segment_coverage([disk(0, 0), disk(3, 0), PlacedGrain((1.5, 0), AlignedRect(0.2, 0.2))],
                                  (-4.0, 0.0), (4.0, 0.0))
         assert n == 3
         assert ln == pytest.approx(2.0 + 2.0 + 0.4, rel=1e-12)
+
+
+class TestHitsProbe:
+    def test_agrees_with_convex_intersection(self):
+        rng = np.random.default_rng(8)
+        big = Window((-10.0, -10.0), (10.0, 10.0))
+        hits = 0
+        for _ in range(300):
+            probe, grain = random_grains(rng, 2, box=1.2)
+            got = hits_probe([grain], probe, big)
+            assert got == (intersect_convex([probe, grain], big)[1] is not None)
+            hits += got
+        assert 0 < hits < 300
+
+    def test_containment_is_a_hit(self):
+        inner = PlacedGrain((0.1, 0.0), AlignedRect(0.2, 0.1))
+        assert hits_probe([disk(0.0, 0.0, 2.0)], inner, W)
+        assert hits_probe([inner], PlacedGrain((0.0, 0.0), Disk(2.0)), W)
+        assert not hits_probe([disk(2.0, 0.0)], disk(0.0, 0.0), W)
 
 
 class TestPixelEngine:
