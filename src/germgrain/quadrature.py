@@ -7,7 +7,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 
 class QuadratureError(RuntimeError):
@@ -19,6 +18,8 @@ class QuadratureError(RuntimeError):
 
 
 def adaptive_quad(f, a, b, epsabs, epsrel=1e-10, limit=200, points=None):
+    from scipy.integrate import IntegrationWarning, quad  # lazy: only covariance integrates
+
     epsabs = max(epsabs, 1e-14)
     if points is not None:
         points = [p for p in points if a < p < b]

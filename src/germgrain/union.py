@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cells import (TWO_PI, Grains, PlacedGrain, TooManyGrainsError, Window,
                     clip_cell, grain_constraints, window_cell)
@@ -435,6 +434,50 @@ def _window_region(window: Window) -> Grains:
                   np.array([[hw, hh], [-hw, hh], [-hw, -hh], [hw, -hh]]))
 
 
+def _cell_pairs(centres, r):
+    """Candidate pairs of points as index arrays (i, j), each unordered pair
+    once, including every pair of points less than r > 0 apart.
+
+    A cell list: the points are binned into square cells of side at least r
+    and each cell is joined with itself and its four forward neighbours.  The
+    side carries a margin for the rounding of the cell coordinates, and is at
+    least 2**-30 of the points' span, so the cell key fits an int64 at any
+    scale.
+    """
+    n = len(centres)
+    if n < 2:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    # Per coordinate: numpy reduces an (n, 2) array along axis 0 slowly.
+    x, y = centres.T
+    x0, y0 = x.min(), y.min()
+    span = max(x.max() - x0, y.max() - y0)
+    side = max(r * (1.0 + 2.0 ** -40) + span * 2.0 ** -48, span * 2.0 ** -30)
+    cx = np.floor((x - x0) / side).astype(np.int64)
+    cy = np.floor((y - y0) / side).astype(np.int64)
+    rows = int(cy.max()) + 2
+    key = cx * rows + cy
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = _firsts(key)
+    start = np.flatnonzero(head)
+    cells, stop = key[start], np.append(start[1:], n)
+    # Each cell and its forward neighbours as ranges of sorted positions,
+    # empty where a neighbour is unoccupied; the key of (column, row + 1)
+    # never aliases an occupied cell.
+    want = cells[:, None] + np.array([0, 1, rows - 1, rows, rows + 1])
+    k = np.minimum(np.searchsorted(cells, want), len(cells) - 1)
+    hit = cells[k] == want
+    cell_of = np.cumsum(head) - 1
+    begin = np.where(hit, start[k], 0)[cell_of]
+    end = np.where(hit, stop[k], 0)[cell_of]
+    begin[:, 0] = np.arange(1, n + 1)  # in its own cell, a point pairs with those after it
+    num = end - begin
+    first = np.repeat(order, num.sum(axis=1))
+    num = num.ravel()
+    second = np.arange(len(first)) + np.repeat(begin.ravel() - np.cumsum(num) + num, num)
+    return first, order[second]
+
+
 def _expand(bd, covered, by):
     """Every primitive of the bodies `covered`, each paired with its body in `by`."""
     return bd.grains.rows(covered), np.repeat(by, bd.count[covered])
@@ -461,14 +504,19 @@ def arrangement_measure(grains, window: Window, mask: PlacedGrain | None = None)
     # Grain pairs whose circumcircles overlap cover each other; grains not
     # well inside the region pair with it both ways.
     centres, reach = bd.centres[1:], bd.reach[1:]
-    pairs = cKDTree(centres).query_pairs(2.0 * float(reach.max()), output_type="ndarray")
-    d = np.hypot(*(centres[pairs[:, 0]] - centres[pairs[:, 1]]).T)
-    pairs = pairs[d < reach[pairs[:, 0]] + reach[pairs[:, 1]]] + 1
-    depth = np.max([bd.level(k, centres[:, 0], centres[:, 1]) for k in range(bd.count[0])], axis=0)
+    a, b = _cell_pairs(centres, 2.0 * float(reach.max()))
+    x, y = centres.T
+    near = np.hypot(x[a] - x[b], y[a] - y[b]) < reach[a] + reach[b]
+    a, b, n = a[near], b[near], len(centres)
+    # Pairs in index order: at exact contacts the engine's tie-breaks follow
+    # pair order, which then does not depend on the search.
+    key = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    a, b = key // n + 1, key % n + 1
+    depth = np.max([bd.level(k, x, y) for k in range(bd.count[0])], axis=0)
     edge = np.flatnonzero(depth > -reach) + 1
     zeros = np.zeros(len(edge), dtype=np.int64)
-    return _measure(bd, *_expand(bd, np.concatenate([pairs[:, 0], pairs[:, 1], edge, zeros]),
-                                 np.concatenate([pairs[:, 1], pairs[:, 0], zeros, edge])))
+    return _measure(bd, *_expand(bd, np.concatenate([a, b, edge, zeros]),
+                                 np.concatenate([b, a, zeros, edge])))
 
 
 def hits_probe(grains, probe: PlacedGrain, window: Window) -> bool:
@@ -480,6 +528,8 @@ def hits_probe(grains, probe: PlacedGrain, window: Window) -> bool:
     grains, probe = Grains.of(grains), Grains.of([probe])
     near = np.flatnonzero(np.hypot(*(grains.centres - probe.centres).T)
                           < grains.reach + probe.reach)
+    if not len(near):
+        return False
     region = _window_region(window)
     bd = _Boundary(Grains.join(region, probe, grains.take(near)), region.centres[0])
     ids = np.arange(len(near)) + 2

@@ -177,12 +177,36 @@ class TestOtherSubcommands:
         assert data.startswith(b"P5\n48 48\n255\n")
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is the largest import of the CLI and only clt_experiment
-    # needs it, so every other command must start without it
+def _fresh_python(code, cwd=None):
+    """Standard output of code run in a fresh interpreter on this germgrain."""
     src = os.path.dirname(os.path.dirname(germgrain.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, germgrain.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120, cwd=cwd)
+    return out.stdout.strip()
+
+
+def _scipy_loaded_after(code, cwd=None):
+    code += ("\nimport json, sys"
+             "\nprint(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+    return json.loads(_fresh_python(code, cwd).splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # only covariance (scipy.integrate) and clt (scipy.special) need scipy,
+    # so every other command must start without any of it
+    out = _fresh_python("import sys, germgrain.cli; print('scipy.stats' in sys.modules)")
+    assert out == "False"
+    assert _scipy_loaded_after("import germgrain.cli") == []
+
+    cfg = dict(CFG, gamma=0.5, window={"lo": [0.0, 0.0], "hi": [6.0, 6.0]},
+               grains={"family": "rect", "rotate": True,
+                       "halfwidth": {"law": "constant", "value": 0.5},
+                       "halfheight": {"law": "constant", "value": 0.5}})
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    run = "from germgrain.cli import main\nassert main(['{}', '--config', 'cfg.json', {}]) == 0"
+    estimate = run.format("estimate", "'--reps', '4', '--threads', '1', '--out', 'e.csv'")
+    assert _scipy_loaded_after(estimate, tmp_path) == []
+    loaded = _scipy_loaded_after(run.format("covariance", "'--out', 'c.csv'"), tmp_path)
+    assert "scipy.integrate" in loaded and "scipy.stats" not in loaded
+    assert (tmp_path / "e.csv").exists() and (tmp_path / "c.csv").exists()

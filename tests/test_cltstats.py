@@ -1,12 +1,14 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from germgrain.cells import Window
 from germgrain.cltstats import (DegenerateVarianceError, ks_to_normal,
-                                normality_report, run_batch,
-                                wasserstein_to_normal)
+                                normality_report, rank_correlation,
+                                run_batch, wasserstein_to_normal)
 from germgrain.moments import volume_fraction
 from germgrain.process import ModelConfig, fixed_disk
 
@@ -126,6 +128,47 @@ class TestRunBatch:
     def test_variance_positive_for_interior_grains(self):
         batch = run_batch(self.CFG, 8.0, 120)
         assert np.all(batch.functionals.var(axis=0) > 0.0)
+
+
+class TestRankCorrelation:
+    # clt_experiment's trend statistic; it must equal scipy's spearmanr bit for bit
+
+    @staticmethod
+    def spearman(x, y):
+        from scipy.stats import spearmanr
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # ConstantInputWarning
+            return float(spearmanr(x, y).statistic)
+
+    def check(self, x, y):
+        got, want = rank_correlation(x, y), self.spearman(x, y)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (x, y, got, want)
+
+    def test_orderings_of_three_scales(self):
+        scales = np.array([16.0, 32.0, 64.0])
+        for perm in itertools.permutations([0.031, 0.022, 0.015]):
+            self.check(scales, np.array(perm))
+        assert rank_correlation(scales, [0.031, 0.022, 0.015]) == -1.0
+
+    def test_ties(self):
+        rng = np.random.default_rng(3)
+        for n in range(3, 25):
+            for _ in range(20):
+                self.check(rng.integers(0, 4, n).astype(float),
+                           rng.integers(0, 3, n).astype(float))
+        self.check([1.0, 2.0, 2.0], [0.5, 0.5, 0.7])
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(4)
+        for n in range(3, 41):
+            for _ in range(15):
+                self.check(rng.normal(size=n), rng.normal(size=n) + rng.normal() * np.arange(n))
+
+    def test_constant_input_is_nan(self):
+        for x, y in (([2.0, 2.0, 2.0], [1.0, 3.0, 2.0]), ([1.0, 3.0, 2.0], [5.0] * 3),
+                     ([0.0] * 7, [0.0] * 7)):
+            assert math.isnan(rank_correlation(x, y))
+            self.check(x, y)
 
 
 class TestCltExperiment:

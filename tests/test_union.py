@@ -8,7 +8,7 @@ from germgrain.cells import (PlacedGrain, TooManyGrainsError, Window,
 from germgrain.geometry import AlignedRect, ConvexPolygon, Disk
 from germgrain.process import (GrainDistribution, ModelConfig, ParamLaw,
                                fixed_disk, sample, unit_squares)
-from germgrain.union import (arrangement_measure, edge_corrected_measure,
+from germgrain.union import (_cell_pairs, arrangement_measure, edge_corrected_measure,
                              hits_probe, inclusion_exclusion_measure,
                              pixel_measure, rasterize, segment_coverage,
                              write_pgm)
@@ -198,6 +198,85 @@ class TestArrangement:
         assert fv.as_array() == pytest.approx([1.0, math.pi, math.pi], abs=1e-12)
 
 
+class TestCellPairs:
+    # arrangement_measure keeps the cell-list candidates closer than the sum
+    # of their reaches; that set must be every such pair, found by brute force
+
+    @staticmethod
+    def check(centres, reach):
+        centres, reach = np.asarray(centres, dtype=float).reshape(-1, 2), np.asarray(reach, float)
+        cand = np.column_stack(_cell_pairs(centres, 2.0 * float(reach.max(initial=0.0))))
+        assert cand.dtype == np.int64 and cand.shape[1] == 2
+        assert np.all(cand[:, 0] != cand[:, 1])
+        unordered = np.sort(cand, axis=1)
+        assert len(np.unique(unordered, axis=0)) == len(cand)
+        d = np.hypot(*(centres[cand[:, 0]] - centres[cand[:, 1]]).T)
+        got = unordered[d < reach[cand[:, 0]] + reach[cand[:, 1]]]
+        dx = centres[:, None, :] - centres[None, :, :]
+        close = np.hypot(dx[..., 0], dx[..., 1]) < reach[:, None] + reach[None, :]
+        want = np.argwhere(np.triu(close, 1))
+        assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+        return len(want)
+
+    def test_zero_one_two_grains(self):
+        assert self.check(np.zeros((0, 2)), np.zeros(0)) == 0
+        assert self.check([[3.0, 4.0]], [1.0]) == 0
+        assert self.check([[0.0, 0.0], [1.9, 0.0]], [1.0, 1.0]) == 1
+        assert self.check([[0.0, 0.0], [2.0, 0.0]], [1.0, 1.0]) == 0  # tangent: no pair
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_centres_on_one_line(self, axis):
+        rng = np.random.default_rng(20 + axis)
+        c = np.full((300, 2), 7.25)
+        c[:, axis] = rng.uniform(-50.0, 50.0, 300)
+        assert self.check(c, rng.uniform(0.05, 0.5, 300)) > 0
+
+    def test_centres_on_cell_boundaries(self):
+        # a half-integer lattice with reach 1: cells of side 2 start on lattice
+        # points, and pairs at spacing 1.5 and 1.9375 straddle cell edges
+        g = np.arange(-6.0, 6.5, 0.5)
+        c = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        assert self.check(c, np.ones(len(c))) > 0
+        for spacing in (1.5, 1.9375, 2.0, 4.0):
+            line = np.column_stack([spacing * np.arange(-10, 11), np.zeros(21)])
+            self.check(line, np.ones(21))
+            self.check(np.vstack([line, line[:, ::-1]]), np.ones(42))
+
+    def test_coincident_centres(self):
+        c = np.repeat([[1.0, 1.0], [1.0, 3.5], [40.0, -2.0]], [4, 3, 2], axis=0)
+        assert self.check(c, np.full(9, 0.5)) == 6 + 3 + 1
+
+    def test_mixed_reaches(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = int(rng.integers(2, 150))
+            reach = 10.0 ** rng.uniform(-3.0, 0.5, n)
+            self.check(rng.uniform(-20.0, 20.0, (n, 2)), reach)
+
+    @pytest.mark.parametrize("tiny, side, offset", [
+        (1e-6, 1e7, 0.0), (1e-6, 1e7, 3e9), (1e-30, 1e7, 0.0), (1e-300, 1e300, -1e300)])
+    def test_wide_scale_ratio(self, tiny, side, offset):
+        # tiny grains in small clusters over a huge window: cells of side
+        # 2 * reach would number 1e13 or more per axis, too many for a
+        # column * rows + row key in an int64
+        rng = np.random.default_rng(24)
+        seeds = offset + rng.uniform(0.0, side, (60, 2))
+        c = np.vstack([seeds, seeds + rng.uniform(-tiny, tiny, (60, 2)),
+                       seeds + [tiny * 1.5, 0.0], seeds[:5]])
+        assert self.check(c, np.full(len(c), tiny)) > 0
+        assert self.check(np.vstack([c, [[offset, offset]]]),
+                          np.append(np.full(len(c), tiny), side * 1e-3)) > 0
+
+    def test_random_seeded_inputs(self):
+        rng = np.random.default_rng(25)
+        for _ in range(100):
+            n = int(rng.integers(0, 80))
+            box = 10.0 ** rng.uniform(-3.0, 6.0)
+            c = rng.uniform(-box, box, (n, 2)) + 10.0 ** rng.uniform(0.0, 8.0)
+            self.check(np.round(c) if rng.random() < 0.3 else c,
+                       rng.uniform(0.0, 10.0 ** rng.uniform(-4.0, 1.0), n))
+
+
 class TestEdgeCorrectedMeasure:
     def test_interior_grain_unchanged(self):
         fv = edge_corrected_measure([disk(0, 0)], W)
@@ -255,6 +334,10 @@ class TestHitsProbe:
         assert hits_probe([disk(0.0, 0.0, 2.0)], inner, W)
         assert hits_probe([inner], PlacedGrain((0.0, 0.0), Disk(2.0)), W)
         assert not hits_probe([disk(2.0, 0.0)], disk(0.0, 0.0), W)
+
+    def test_no_grain_near_the_probe(self):
+        assert not hits_probe([], disk(0.0, 0.0), W)
+        assert not hits_probe([disk(3.0, 0.0), disk(-2.5, 2.5)], disk(0.0, 0.0), W)
 
 
 class TestPixelEngine:
