@@ -408,7 +408,8 @@ def grain_constraints(grain: PlacedGrain):
         return [("h", (1.0, 0.0), cx + w), ("h", (-1.0, 0.0), -(cx - w)),
                 ("h", (0.0, 1.0), cy + h), ("h", (0.0, -1.0), -(cy - h))]
     verts = _as_polygon_vertices(shape) + np.array([cx, cy])
-    return [("h", (float(n[0]), float(n[1])), off) for n, off in polygon_halfplanes(verts)]
+    normals, offsets = polygon_halfplanes(verts)
+    return [("h", (float(n[0]), float(n[1])), float(off)) for n, off in zip(normals, offsets)]
 
 
 class ConvexCell:

@@ -105,6 +105,24 @@ def _add_model_flags(p):
     p.add_argument("--grains", help="grain distribution record as JSON (overrides config)")
 
 
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
+def _add_threads_flag(p):
+    # A string default goes through type too, so a bad GERMGRAIN_THREADS is
+    # a usage error like a bad --threads.
+    p.add_argument("--threads", type=_positive_int,
+                   default=os.environ.get("GERMGRAIN_THREADS", "1"),
+                   help="process-pool width, at least 1 (env GERMGRAIN_THREADS)")
+
+
 def _cmd_simulate(args):
     cfg = _load_config(args)
     s = sample(cfg, args.replicate)
@@ -263,9 +281,7 @@ def build_parser():
     sp = sub.add_parser("estimate", help="estimate densities and invert the intensity")
     _add_model_flags(sp)
     sp.add_argument("--reps", type=int, default=100)
-    sp.add_argument("--threads", type=int,
-                    default=int(os.environ.get("GERMGRAIN_THREADS", "1")),
-                    help="process-pool width (env GERMGRAIN_THREADS)")
+    _add_threads_flag(sp)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_estimate)
 
@@ -279,9 +295,7 @@ def build_parser():
     sp.add_argument("--scales", type=float, nargs="+", default=[8, 16, 32])
     sp.add_argument("--reps", type=int, default=500)
     sp.add_argument("--functional", choices=["v0", "v1", "v2"], default="v2")
-    sp.add_argument("--threads", type=int,
-                    default=int(os.environ.get("GERMGRAIN_THREADS", "1")),
-                    help="process-pool width (env GERMGRAIN_THREADS)")
+    _add_threads_flag(sp)
     sp.add_argument("--out", required=True)
     sp.add_argument("--json-out")
     sp.set_defaults(func=_cmd_clt)

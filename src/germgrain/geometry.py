@@ -8,6 +8,11 @@ dilation areas, set covariograms, boundary covariograms and Minkowski-sum
 areas -- the single-grain quantities every mean-value and covariance formula
 of the Boolean model is built from.
 
+Covariograms are array-valued for every family.  Disks and aligned
+rectangles have closed forms; a polygon's two covariograms come from one
+Cyrus-Beck clip of its edges against the halfplanes of its translates,
+evaluated for all translations at once.
+
 Convention: for a convex body K in the plane, v0(K) = 1, v1(K) is HALF the
 perimeter and v2(K) is the area.  The half-perimeter normalization is the one
 that makes the Steiner expansion read
@@ -21,9 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Vertex-coincidence tolerance for polygon clipping.
-CLIP_EPS = 1e-12
 
 
 class DegenerateShapeError(ValueError):
@@ -122,6 +124,23 @@ def _perimeter(verts: np.ndarray) -> float:
     return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
 
 
+def _as_polygon_vertices(shape) -> np.ndarray:
+    if isinstance(shape, AlignedRect):
+        w, h = shape.halfwidth, shape.halfheight
+        return np.array([[w, h], [-w, h], [-w, -h], [w, -h]], dtype=float)
+    return shape.vertex_array()
+
+
+def polygon_halfplanes(verts: np.ndarray):
+    """Outward unit normals (n, 2) and offsets (n,) of a CCW convex polygon,
+    which is the set {x : normals @ x <= offsets}; row i belongs to the edge
+    from vertex i to vertex i + 1."""
+    e = np.roll(verts, -1, axis=0) - verts
+    normals = np.column_stack([e[:, 1], -e[:, 0]])
+    normals /= np.hypot(e[:, 0], e[:, 1])[:, None]
+    return normals, np.sum(normals * verts, axis=1)
+
+
 def _circumcircle(a, b, c):
     """Center and radius of the circle through three points, or None if collinear."""
     ax, ay = a
@@ -193,11 +212,7 @@ def rotate_shape(shape: GrainShape, angle: float) -> GrainShape:
         return shape
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s], [s, c]])
-    if isinstance(shape, AlignedRect):
-        w, h = shape.halfwidth, shape.halfheight
-        corners = np.array([[w, h], [-w, h], [-w, -h], [w, -h]], dtype=float)
-        return ConvexPolygon(tuple(map(tuple, corners @ rot.T)))
-    return ConvexPolygon(tuple(map(tuple, shape.vertex_array() @ rot.T)))
+    return ConvexPolygon(tuple(map(tuple, _as_polygon_vertices(shape) @ rot.T)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,66 +251,7 @@ def circumradius(shape: GrainShape) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Convex polygon clipping (vertices-only Sutherland-Hodgman)
-# ---------------------------------------------------------------------------
-
-
-def clip_polygon_halfplane(verts: np.ndarray, normal, offset: float) -> np.ndarray:
-    """Clip a convex CCW polygon to the halfplane {x : normal . x <= offset}."""
-    n = len(verts)
-    if n == 0:
-        return verts
-    s = verts @ np.asarray(normal, dtype=float) - offset
-    scale = max(1.0, float(np.max(np.abs(verts))))
-    tol = CLIP_EPS * scale
-    out = []
-    for i in range(n):
-        j = (i + 1) % n
-        pi_in, pj_in = s[i] <= tol, s[j] <= tol
-        if pi_in:
-            out.append(verts[i])
-        if pi_in != pj_in:
-            t = s[i] / (s[i] - s[j])
-            out.append(verts[i] + t * (verts[j] - verts[i]))
-    if not out:
-        return np.empty((0, 2))
-    res = np.asarray(out)
-    # Drop coincident vertices produced by near-boundary crossings.
-    keep = [0]
-    for i in range(1, len(res)):
-        if np.hypot(*(res[i] - res[keep[-1]])) > tol:
-            keep.append(i)
-    if len(keep) > 1 and np.hypot(*(res[keep[-1]] - res[keep[0]])) <= tol:
-        keep.pop()
-    return res[keep]
-
-
-def polygon_halfplanes(verts: np.ndarray):
-    """Outward halfplane constraints (normal, offset) of a CCW convex polygon."""
-    out = []
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        e = b - a
-        nrm = np.array([e[1], -e[0]])
-        ln = math.hypot(*nrm)
-        nrm = nrm / ln
-        out.append((nrm, float(nrm @ a)))
-    return out
-
-
-def intersect_polygons(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Intersection of two convex CCW polygons, as a (possibly empty) vertex array."""
-    res = p
-    for nrm, off in polygon_halfplanes(q):
-        res = clip_polygon_halfplane(res, nrm, off)
-        if len(res) < 3:
-            return np.empty((0, 2))
-    return res
-
-
-# ---------------------------------------------------------------------------
-# Covariograms
+# Covariograms: closed forms, and one array edge clip for polygons
 # ---------------------------------------------------------------------------
 
 
@@ -324,28 +280,42 @@ def disk_boundary_covariogram(radius, dist):
     return np.where(d < 2.0 * r, r * np.arccos(np.minimum(d / (2.0 * r), 1.0)), 0.0)[()]
 
 
-def _per_translation(kernel, shape, tx, ty):
-    """Evaluate a scalar polygon kernel at every translation (polygons clip)."""
-    vals = [kernel(shape, x, y) for x, y in zip(tx.ravel().tolist(), ty.ravel().tolist())]
-    return np.array(vals, dtype=float).reshape(tx.shape)
+def _edge_spans(verts: np.ndarray, tx, ty):
+    """Clip the edges of a CCW convex polygon K to K + t, for all t at once.
 
-
-def _polygon_covariogram(shape, tx, ty):
-    if math.hypot(tx, ty) >= 2.0 * circumradius(shape):
-        return 0.0
-    verts = shape.vertex_array()
-    inter = intersect_polygons(verts, verts + np.array([tx, ty]))
-    if len(inter) < 3:
-        return 0.0
-    return _shoelace(inter)
+    Cyrus-Beck: edge i, v_i + s*e_i for 0 <= s <= 1, against every halfplane
+    of K + t.  Returns (span, flush), both of shape tx.shape + (n,): span is
+    the length in s of the part of edge i inside K + t, and flush marks the
+    edges that lie on the line of their own translate (n_i . t = 0), which
+    that line does not clip.  An edge on the line of an opposite edge of
+    K + t is clipped away, since that contact has no area.  "Parallel" and
+    "on the line" are decided to 1e-12 of the polygon's scale.
+    """
+    normals, offsets = polygon_halfplanes(verts)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(verts))))
+    # f_ij(s) = a_ij + s*b_ij is the signed distance of edge i's point s
+    # outside halfplane j of K + t.
+    shift = np.multiply.outer(tx, normals[:, 0]) + np.multiply.outer(ty, normals[:, 1])
+    a = (verts @ normals.T - offsets) - shift[..., None, :]
+    b = (np.roll(verts, -1, axis=0) - verts) @ normals.T
+    parallel = np.abs(b) <= tol
+    s = -a / np.where(parallel, 1.0, b)
+    lo = np.max(np.where(b < -tol, s, 0.0), axis=-1)
+    hi = np.min(np.where(b > tol, s, 1.0), axis=-1)
+    cut = np.any(parallel & (a > np.where(np.eye(len(verts), dtype=bool), tol, -tol)), axis=-1)
+    flush = np.abs(np.diagonal(a, axis1=-2, axis2=-1)) <= tol
+    return np.where(cut, 0.0, np.maximum(hi - lo, 0.0)), flush
 
 
 def covariogram(shape: GrainShape, t):
     """Set covariogram g_K(t) = area(K intersected with K + t).
 
     Closed form for disks (circular lens) and aligned rectangles (product of
-    triangular one-dimensional covariograms); convex polygon clipping for
-    polygons.  Always symmetric in t and supported on |t| < 2*circumradius.
+    triangular one-dimensional covariograms).  For polygons, Green's theorem
+    over the boundary pieces of the intersection: K's edges clipped to K + t,
+    and K + t's edges clipped to K (K's edges clipped to K - t, shifted by
+    t).  An edge shared by both, running the same way, counts once.  Always
+    symmetric in t and supported on |t| < 2*circumradius.
     Array-valued: t = (tx, ty) with components of one shape.
     """
     tx, ty = np.asarray(t, dtype=float)
@@ -354,42 +324,16 @@ def covariogram(shape: GrainShape, t):
     if isinstance(shape, AlignedRect):
         return (np.maximum(2.0 * shape.halfwidth - np.abs(tx), 0.0)
                 * np.maximum(2.0 * shape.halfheight - np.abs(ty), 0.0))[()]
-    return _per_translation(_polygon_covariogram, shape, tx, ty)[()]
-
-
-def _segment_interior_length(a, b, halfplanes, tol: float) -> float:
-    """Length of the part of segment [a, b] strictly inside all halfplanes."""
-    lo, hi = 0.0, 1.0
-    for nrm, off in halfplanes:
-        fa = float(nrm @ a) - off
-        fb = float(nrm @ b) - off
-        # Want f(s) < -tol strictly along a + s*(b-a).
-        if abs(fb - fa) < 1e-300:
-            if fa >= -tol:
-                return 0.0
-            continue
-        s_star = (-tol - fa) / (fb - fa)
-        if fb > fa:
-            hi = min(hi, s_star)
-        else:
-            lo = max(lo, s_star)
-        if lo >= hi:
-            return 0.0
-    return (hi - lo) * math.hypot(*(b - a))
-
-
-def _polygon_boundary_covariogram(shape, tx, ty):
-    R = circumradius(shape)
-    if math.hypot(tx, ty) >= 2.0 * R:
-        return 0.0
     verts = shape.vertex_array()
-    shifted = polygon_halfplanes(verts + np.array([tx, ty]))
-    tol = 1e-12 * max(1.0, R)
-    total = 0.0
-    n = len(verts)
-    for i in range(n):
-        total += _segment_interior_length(verts[i], verts[(i + 1) % n], shifted, tol)
-    return 0.5 * total
+    e = np.roll(verts, -1, axis=0) - verts
+    cross = verts[:, 0] * e[:, 1] - verts[:, 1] * e[:, 0]
+    span, _ = _edge_spans(verts, tx, ty)
+    back, flush = _edge_spans(verts, -tx, -ty)
+    back = np.where(flush, 0.0, back)
+    # A piece s in [lo, hi] of edge v + s*e adds (hi - lo) * v x e to twice the area.
+    twice = (np.sum(span * cross, axis=-1) + np.sum(back * cross, axis=-1)
+             + tx * np.sum(back * e[:, 1], axis=-1) - ty * np.sum(back * e[:, 0], axis=-1))
+    return np.where(np.hypot(tx, ty) >= 2.0 * circumradius(shape), 0.0, 0.5 * twice)[()]
 
 
 def boundary_covariogram(shape: GrainShape, t):
@@ -411,7 +355,10 @@ def boundary_covariogram(shape: GrainShape, t):
         val = 0.5 * (np.where((0.0 < ax) & (ax < 2.0 * w), np.maximum(2.0 * h - ay, 0.0), 0.0)
                      + np.where((0.0 < ay) & (ay < 2.0 * h), np.maximum(2.0 * w - ax, 0.0), 0.0))
     else:
-        val = _per_translation(_polygon_boundary_covariogram, shape, tx, ty)
+        verts = shape.vertex_array()
+        e = np.roll(verts, -1, axis=0) - verts
+        span, flush = _edge_spans(verts, tx, ty)
+        val = 0.5 * np.sum(np.where(flush, 0.0, span) * np.hypot(e[:, 0], e[:, 1]), axis=-1)
     return np.where(d <= 1e-15 * max(1.0, R), intrinsic_volumes(shape).v1,
                     np.where(d >= 2.0 * R, 0.0, val))[()]
 
@@ -419,13 +366,6 @@ def boundary_covariogram(shape: GrainShape, t):
 # ---------------------------------------------------------------------------
 # Minkowski sums
 # ---------------------------------------------------------------------------
-
-
-def _as_polygon_vertices(shape) -> np.ndarray:
-    if isinstance(shape, AlignedRect):
-        w, h = shape.halfwidth, shape.halfheight
-        return np.array([[w, h], [-w, h], [-w, -h], [w, -h]], dtype=float)
-    return shape.vertex_array()
 
 
 def _support(verts: np.ndarray, u) -> float:

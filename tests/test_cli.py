@@ -124,6 +124,29 @@ class TestErrorPaths:
         assert "rmax" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["estimate", "clt"])
+    @pytest.mark.parametrize("env, flag", [("abc", None), ("0", None), ("1", "0"),
+                                           ("2", "-1"), ("1", "two")])
+    def test_bad_threads_is_a_usage_error(self, tmp_path, cfg_file, capsys, monkeypatch,
+                                          command, env, flag):
+        monkeypatch.setenv("GERMGRAIN_THREADS", env)
+        out = tmp_path / "o.csv"
+        argv = [command, "--config", cfg_file, "--reps", "2", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ([] if flag is None else ["--threads", flag]))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err and "positive integer" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_threads_flag_overrides_bad_env(self, tmp_path, cfg_file, monkeypatch):
+        monkeypatch.setenv("GERMGRAIN_THREADS", "abc")
+        out = tmp_path / "e.csv"
+        assert main(["estimate", "--config", cfg_file, "--reps", "2", "--threads", "1",
+                     "--out", str(out)]) == 0
+        assert out.exists()
+
 
 class TestOtherSubcommands:
     def test_capacity_matches_theory(self, tmp_path, cfg_file):

@@ -9,7 +9,7 @@ from germgrain.covariance import (AnisotropyError, covariogram_functions,
                                   p_polynomial, phi_star, rho_0i, rho_11,
                                   rho_12, rho_22, rho_table, sigma_matrix,
                                   sigma_volume)
-from germgrain.geometry import Disk, disk_covariogram, intrinsic_volumes
+from germgrain.geometry import ConvexPolygon, Disk, disk_covariogram, intrinsic_volumes
 from germgrain.process import (GrainDistribution, ModelConfig, ParamLaw,
                                fixed_disk, sample, unit_squares)
 from germgrain.union import arrangement_measure
@@ -106,6 +106,17 @@ class TestSigmaVolumeOracle:
     def test_quadrature_convergence_reported(self):
         val, err = rho_22(GAMMA, DISK1)
         assert err < 1e-8 * val
+
+    def test_polygon_law_matches_rect_law(self):
+        # The unit square as a polygon runs the edge-clip covariogram through
+        # the same 96-node tensor rule over the same cutoff as the rect's
+        # closed form.
+        square = ConvexPolygon(((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)))
+        polygon, rect = GrainDistribution("fixed", shape=square), unit_squares()
+        for f in (rho_22, sigma_volume):
+            (pv, pe), (rv, re) = f(GAMMA, polygon), f(GAMMA, rect)
+            assert pv == pytest.approx(rv, rel=1e-12)
+            assert pe == pytest.approx(re, rel=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germgrain.cells import PlacedGrain, Window
+from germgrain.cells import PlacedGrain, Window, intersect_convex
 from germgrain.cltstats import normality_report, run_batch
-from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk, circumradius,
+from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk,
+                                boundary_covariogram, circumradius,
                                 covariogram, intrinsic_volumes,
-                                minkowski_sum_area, steiner_area)
+                                minkowski_sum_area, rotate_shape, steiner_area)
 from germgrain.process import ModelConfig, fixed_disk, sample
-from germgrain.union import arrangement_measure
+from germgrain.union import arrangement_measure, segment_coverage
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -44,6 +45,11 @@ def shapes(draw):
         return Disk(_generic(draw, 0.1, 2.0))
     if kind == 1:
         return AlignedRect(_generic(draw, 0.1, 1.5), _generic(draw, 0.1, 1.5))
+    return draw(polygons())
+
+
+@st.composite
+def polygons(draw):
     n = draw(st.integers(4, 8))
     base = _generic(draw, 0.0, 2.0 * math.pi)
     gaps = [_generic(draw, 0.2, 1.0) for _ in range(n)]
@@ -86,6 +92,93 @@ class TestCovariogramProperties:
         assert -1e-12 <= g <= v2 + 1e-9
         if math.hypot(*t) > 1e-6:
             assert g < v2  # strict drop away from the origin
+
+
+def _clip_oracles(shape, t, skip_parallel=False):
+    """g2 and g1 of a polygon from independent engines: the area of the
+    cells oracle's K n (K + t), and half the coverage of K's edges by K + t.
+
+    With skip_parallel, t runs along edge lines; an edge parallel to t then
+    lies on a line of K + t, outside its open interior, and adds nothing.
+    """
+    R = circumradius(shape)
+    window = Window((-4.0 * R, -4.0 * R), (4.0 * R, 4.0 * R))
+    (_, _, area), _ = intersect_convex([PlacedGrain((0.0, 0.0), shape),
+                                        PlacedGrain(t, shape)], window)
+    verts = shape.vertex_array()
+    half_length = 0.0
+    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+        e = b - a
+        if skip_parallel and abs(e[0] * t[1] - e[1] * t[0]) <= 1e-9 * math.hypot(*e):
+            continue
+        half_length += 0.5 * segment_coverage([PlacedGrain(t, shape)], a, b)[1]
+    return area, half_length
+
+
+class TestPolygonEdgeClip:
+    """The array edge clip behind polygon covariograms, against the cells
+    oracle (g2) and the union engine's segment coverage (g1)."""
+
+    def _check(self, shape, t, skip_parallel=False):
+        area, half_length = _clip_oracles(shape, t, skip_parallel)
+        assert covariogram(shape, t) == pytest.approx(area, abs=1e-12)
+        if math.hypot(*t) > 0.0:  # t = 0 takes the v1 convention
+            assert boundary_covariogram(shape, t) == pytest.approx(half_length, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polygons(), vectors())
+    def test_random_shifts(self, shape, t):
+        self._check(shape, t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(polygons(), st.floats(0.0, 2.0 * math.pi, **finite))
+    def test_zero_and_near_support_shifts(self, shape, angle):
+        self._check(shape, (0.0, 0.0))
+        d = 2.0 * circumradius(shape) * (1.0 - 1e-9)
+        self._check(shape, (d * math.cos(angle), d * math.sin(angle)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(polygons(), st.floats(0.0, 2.0 * math.pi, **finite), st.floats(0.05, 1.0, **finite))
+    def test_shifts_along_edges(self, shape, angle, frac):
+        shape = rotate_shape(shape, angle)
+        verts = shape.vertex_array()
+        for e in np.roll(verts, -1, axis=0) - verts:
+            for sign in (1.0, -1.0):
+                self._check(shape, tuple(sign * frac * e), skip_parallel=True)
+
+    def test_rotated_square_along_its_edges(self):
+        square = AlignedRect(0.5, 0.5)
+        for k in range(24):
+            angle = 0.1 + 0.26 * k
+            rotated = rotate_shape(square, angle)
+            for d in (0.1, 0.5, 0.99):
+                for q in range(4):
+                    phi = angle + q * math.pi / 2.0
+                    t = (d * math.cos(phi), d * math.sin(phi))
+                    u = [(d, 0.0), (0.0, d), (-d, 0.0), (0.0, -d)][q]
+                    assert covariogram(rotated, t) == pytest.approx(
+                        covariogram(square, u), abs=1e-15)
+                    assert boundary_covariogram(rotated, t) == pytest.approx(
+                        boundary_covariogram(square, u), abs=1e-15)
+            # Flat contact of opposite edges: no area, no boundary inside.
+            c, s = math.cos(angle), math.sin(angle)
+            t = (0.3 * c - s, 0.3 * s + c)
+            assert covariogram(rotated, t) == pytest.approx(0.0, abs=1e-15)
+            assert boundary_covariogram(rotated, t) == pytest.approx(0.0, abs=1e-15)
+
+    def test_grid_matches_scalar_evaluation(self):
+        angles = np.arange(6) * math.pi / 3.0 + 0.3
+        hexagon = ConvexPolygon(tuple(zip(np.cos(angles), np.sin(angles))))
+        ss = np.linspace(0.0, 2.0, 33)
+        th = (np.arange(8) + 0.5) * math.pi / 8.0
+        grid = (np.outer(ss, np.cos(th)), np.outer(ss, np.sin(th)))
+        for f in (covariogram, boundary_covariogram):
+            values = f(hexagon, grid)
+            assert values.shape == (33, 8)
+            scalar = [[f(hexagon, (x, y)) for x, y in zip(rx, ry)] for rx, ry in zip(*grid)]
+            assert np.array_equal(values, np.array(scalar))
+            assert np.ndim(f(hexagon, (0.4, -0.2))) == 0
+            assert isinstance(f(hexagon, (0.4, -0.2)), float)
 
 
 class TestSteinerProperties:
