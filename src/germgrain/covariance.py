@@ -153,7 +153,8 @@ def _tabulated_profiles(dist: GrainDistribution, n_s: int, n_theta: int) -> Cova
     def g1(s):
         return np.interp(np.asarray(s, dtype=float), ss, tab1, right=0.0)
 
-    return CovariogramFunctions(cutoff, g2, g1)
+    # Linear interpolation kinks at every interior grid node.
+    return CovariogramFunctions(cutoff, g2, g1, tuple(ss[1:-1]))
 
 
 @lru_cache(maxsize=32)
@@ -193,9 +194,8 @@ def rho_22(gamma: float, dist: GrainDistribution):
         epsabs = 1e-10 * max(scale, 1e-6)
 
         def integrand(s):
-            return math.expm1(gamma * float(prof.g2(s))) * s
-        val, err = adaptive_quad(integrand, 0.0, cutoff, epsabs=epsabs,
-                                 points=list(prof.kinks))
+            return np.expm1(gamma * prof.g2(s)) * s
+        val, err = adaptive_quad(integrand, 0.0, cutoff, epsabs=epsabs, points=prof.kinks)
         return 2.0 * math.pi * val, 2.0 * math.pi * err
     # Anisotropic: tensor integral over one quadrant (covariograms are even).
     c2 = _c2_vector(dist, gamma)
@@ -255,10 +255,9 @@ def _interior_nodes(shape, n):
 def _rho12_one_disk(radius, c2fun, gamma, kinks=()):
     """(value, achieved quadrature error) for one disk radius."""
     def integrand(s):
-        return math.exp(float(c2fun(s))) * 2.0 * math.acos(min(s / (2.0 * radius), 1.0)) * s
+        return np.exp(c2fun(s)) * 2.0 * np.arccos(np.minimum(s / (2.0 * radius), 1.0)) * s
     scale = math.exp(float(c2fun(0.0))) * math.pi * radius ** 2
-    val, err = adaptive_quad(integrand, 0.0, 2.0 * radius, epsabs=1e-11 * scale,
-                             points=list(kinks))
+    val, err = adaptive_quad(integrand, 0.0, 2.0 * radius, epsabs=1e-11 * scale, points=kinks)
     return gamma * math.pi * radius * np.array([val, err])
 
 
@@ -297,11 +296,11 @@ def rho_12(gamma: float, dist: GrainDistribution):
 def _rho11_one_disk(radius, c2fun, c1fun, gamma, kinks=()):
     """(value, achieved adaptive quadrature error of term A) for one disk radius."""
     def integrand_a(s):
-        return (math.exp(float(c2fun(s))) * float(c1fun(s))
-                * 2.0 * math.acos(min(s / (2.0 * radius), 1.0)) * s)
+        return (np.exp(c2fun(s)) * c1fun(s)
+                * 2.0 * np.arccos(np.minimum(s / (2.0 * radius), 1.0)) * s)
     scale = math.exp(float(c2fun(0.0))) * math.pi * radius ** 2
     term_a, err_a = adaptive_quad(integrand_a, 0.0, 2.0 * radius,
-                                  epsabs=1e-11 * max(scale, 1e-9), points=list(kinks))
+                                  epsabs=1e-11 * max(scale, 1e-9), points=kinks)
     term_a *= gamma * math.pi * radius
 
     def integrand_b(psi):

@@ -368,10 +368,6 @@ def boundary_covariogram(shape: GrainShape, t):
 # ---------------------------------------------------------------------------
 
 
-def _support(verts: np.ndarray, u) -> float:
-    return float(np.max(verts @ np.asarray(u)))
-
-
 def minkowski_sum_area(shape: GrainShape, probe: GrainShape) -> float:
     """Area of shape (+) probe*, the probe reflected through the origin.
 
@@ -393,14 +389,9 @@ def minkowski_sum_area(shape: GrainShape, probe: GrainShape) -> float:
     if _shoelace(q) < 0.0:
         q = q[::-1]
     # area(P + Q) = area(P) + area(Q) + sum over edges e of Q of h_P(n_e) |e|
-    mixed2 = 0.0
-    nq = len(q)
-    for i in range(nq):
-        a, b = q[i], q[(i + 1) % nq]
-        e = b - a
-        ln = math.hypot(*e)
-        nrm = np.array([e[1], -e[0]]) / ln
-        mixed2 += _support(p, nrm) * ln
+    normals, _ = polygon_halfplanes(q)
+    lengths = np.hypot(*(np.roll(q, -1, axis=0) - q).T)
+    mixed2 = float(np.max(p @ normals.T, axis=0) @ lengths)
     return _shoelace(p) + _shoelace(q) + mixed2
 
 

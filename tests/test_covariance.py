@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -373,17 +374,52 @@ class TestDiskProfiles:
         np.testing.assert_allclose(uniform.g1(ss), limit.g1(ss), rtol=0.0, atol=1e-5)
 
 
+ROTATED_HEXAGON = GrainDistribution("fixed", shape=ConvexPolygon(tuple(
+    (math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)) for k in range(6))), rotate=True)
+ROTATED_RECTS = GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.3, 0.6),
+                                  halfheight=ParamLaw.constant(0.5), rotate=True)
+
+
 class TestRhoPins:
-    """rho tables at gamma 0.3, pinned to values of the scalar-profile code."""
+    """rho tables at gamma 0.3, pinned to values of the scalar-profile code;
+    the rotated squares' (2, 2) entry is the exact integral of their
+    tabulated profile (see test_tabulated_rho22_is_the_table_integral)."""
 
     @pytest.mark.parametrize("dist, want", [
         (GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)),
          {(2, 2): 5.647373992957349, (1, 2): 5.352324270758459, (1, 1): 6.09420665203003}),
         (unit_squares(rotate=True),
-         {(1, 1): 1.4296019531550195, (1, 2): 0.6645379019212775, (2, 2): 0.3210757717970298}),
+         {(1, 1): 1.4296019531550195, (1, 2): 0.6645379019212775, (2, 2): 0.3210757711056572}),
     ], ids=["uniform-disks", "rotated-squares"])
     def test_rho_table(self, dist, want):
         values = rho_table(GAMMA, dist).values
         for (i, j), v in want.items():
             assert values[i, j] == pytest.approx(v, rel=1e-10)
             assert values[j, i] == values[i, j]
+
+    @pytest.mark.parametrize("dist", [unit_squares(rotate=True), ROTATED_HEXAGON],
+                             ids=["rotated-squares", "rotated-hexagon"])
+    def test_tabulated_rho22_is_the_table_integral(self, dist):
+        # the profile is linear between grid nodes, so 16 Gauss-Legendre
+        # points per grid panel integrate exp(linear) * s to rounding
+        prof = covariogram_functions(dist)
+        nodes = np.concatenate([[0.0], prof.kinks, [prof.cutoff]])
+        x, w = np.polynomial.legendre.leggauss(16)
+        half = 0.5 * np.diff(nodes)
+        s = half[:, None] * x + 0.5 * (nodes[1:] + nodes[:-1])[:, None]
+        oracle = 2.0 * math.pi * float(half @ (np.expm1(GAMMA * prof.g2(s)) * s @ w))
+        assert rho_22(GAMMA, dist)[0] == pytest.approx(oracle, rel=1e-12)
+
+
+class TestTabulatedPolygonLaws:
+    @pytest.mark.parametrize("dist", [ROTATED_HEXAGON, ROTATED_RECTS],
+                             ids=["rotated-hexagon", "rotated-uniform-rects"])
+    def test_sigma_matrix_is_positive_definite(self, dist):
+        cm = sigma_matrix(GAMMA, dist)
+        assert np.all(np.linalg.eigvalsh(cm.matrix) > 0.0)
+        assert 0.0 <= cm.rho.errors["rho22_quadrature"] < 1e-12
+
+    def test_rotated_hexagon_takes_under_a_second(self):
+        t0 = time.perf_counter()
+        sigma_matrix(GAMMA, ROTATED_HEXAGON)
+        assert time.perf_counter() - t0 <= 1.0
