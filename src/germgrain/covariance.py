@@ -27,9 +27,14 @@ derivations exist for the entries (1,1), (1,2) and (0,2); the assembly
 verifies itself against them and refuses to return on disagreement.
 
 Quadrature domains are exact (never truncated): every integrand factor
-vanishes beyond the covariogram cutoff.  The boundary-boundary integrals get
-a tanh-sinh rule so the coincident-point endpoint (|y-z| -> 0, where C1 has
-an arccos-type kink but stays bounded) cannot degrade convergence.
+vanishes beyond the covariogram cutoff.  As z = y - t lies in K exactly when
+y lies in K + t, a boundary x body integral of f(y-z) is 2 int f(t) g1_K(t) dt,
+so for disk laws rho(V1,V2) and the C1-weighted term of rho(V1,V1) are radial
+integrals of the closed-form profiles; every disk-law integral is adaptive,
+split at the profile kinks, and reports its achieved error.  Polygonal grains
+use tensor rules and, on the same-edge boundary-boundary term, a tanh-sinh
+rule (its coincident-point endpoint cannot degrade convergence); these report
+no error.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .geometry import (AlignedRect, ConvexPolygon, _as_polygon_vertices,
                        disk_boundary_covariogram, disk_covariogram,
                        intrinsic_volumes)
 from .moments import _compositions, c_const
-from .process import GAUSS_LEGENDRE_24, GrainDistribution
+from .process import GrainDistribution
 from .quadrature import adaptive_quad, gauss_legendre, tanh_sinh
 
 __all__ = [
@@ -53,6 +58,10 @@ __all__ = [
     "AssemblyError", "covariogram_functions", "sigma_volume", "rho_22",
     "rho_12", "rho_11", "rho_0i", "p_polynomial", "phi_star", "sigma_matrix",
 ]
+
+
+# Largest relative gap the assembly may leave to its direct derivations.
+ASSEMBLY_CHECK_TOL = 1e-6
 
 
 class AnisotropyError(ValueError):
@@ -85,14 +94,25 @@ class CovariogramFunctions:
         return lambda s: gamma * self.g1(s)
 
 
-def _radius_average(law, kernel):
+def _lens_antiderivative(r, c):
+    """Antiderivative in r of the lens area of two radius-r disks 2c apart (r >= c)."""
+    q = np.sqrt(r * r - c * c)
+    return (2.0 / 3.0) * (r ** 3 * np.arccos(c / r) - 2.0 * c * r * q + c ** 3 * np.log(r + q))
+
+
+def _arc_antiderivative(r, c):
+    """Antiderivative in r of the disk boundary covariogram r acos(c/r) (r >= c)."""
+    q = np.sqrt(r * r - c * c)
+    return 0.5 * (r * r * np.arccos(c / r) - c * q)
+
+
+def _radius_average(law, kernel, antiderivative):
     """s -> E kernel(R, s) over the radius law R, array-valued in s.
 
-    The law's nodes run along a trailing array axis: its atoms, or for the
-    uniform law ParamLaw.expect's 24-point Gauss-Legendre rule on two panels
-    split at the kink R = s/2 (the split point is clipped to [a, b], so
-    where a < s/2 < b fails one panel has zero width and the other is the
-    unsplit rule).
+    A point mass or mixture sums its atoms along a trailing array axis.  The
+    kernel vanishes for R <= s/2, so uniform(a, b) is the closed form
+    [F(b, c) - F(max(a, c), c)] / (b - a) with c = min(s/2, b) and F the
+    kernel's antiderivative in R (zero beyond the cutoff, where c = b).
     """
     if law.kind == "constant":
         return lambda s: kernel(law.args[0], s)
@@ -100,49 +120,39 @@ def _radius_average(law, kernel):
         values, probs = (np.asarray(v) for v in law.args)
         return lambda s: kernel(values, np.asarray(s, dtype=float)[..., None]) @ probs
     a, b = law.args
-    x, w = GAUSS_LEGENDRE_24
 
     def average(s):
-        s = np.asarray(s, dtype=float)
-        cuts = np.empty(s.shape + (3,))
-        cuts[..., 0] = a
-        cuts[..., 1] = np.minimum(np.maximum(0.5 * s, a), b)
-        cuts[..., 2] = b
-        lo, hi = cuts[..., :-1], cuts[..., 1:]
-        half = 0.5 * (hi - lo)
-        r = half[..., None] * x + (0.5 * (lo + hi))[..., None]
-        panels = (kernel(r, s[..., None, None]) @ w) * half
-        return panels.sum(axis=-1) / (b - a)
+        c = np.minimum(0.5 * np.asarray(s, dtype=float), b)
+        return (antiderivative(b, c) - antiderivative(np.maximum(a, c), c)) / (b - a)
     return average
 
 
 def _disk_profiles(dist: GrainDistribution) -> CovariogramFunctions:
     law = dist.radius
-    if law.kind == "constant":
-        kinks = (2.0 * law.args[0],)
-    elif law.kind == "uniform":
-        kinks = (2.0 * law.args[0], 2.0 * law.args[1])
-    else:
-        kinks = tuple(sorted(2.0 * v for v in law.args[0]))
-    return CovariogramFunctions(2.0 * law.support_max(),
-                                _radius_average(law, disk_covariogram),
-                                _radius_average(law, disk_boundary_covariogram), kinks)
+    radii = law.args[0] if law.kind == "discrete" else law.args  # atoms or (a, b)
+    return CovariogramFunctions(
+        2.0 * law.support_max(),
+        _radius_average(law, disk_covariogram, _lens_antiderivative),
+        _radius_average(law, disk_boundary_covariogram, _arc_antiderivative),
+        tuple(sorted(2.0 * r for r in radii)))
 
 
 def _tabulated_profiles(dist: GrainDistribution, n_s: int, n_theta: int) -> CovariogramFunctions:
     """Rotation-averaged profiles on a dense radial grid (linear interpolation).
 
-    Valid for any isotropic law; the rotation integral uses the pi-periodicity
-    of both covariograms (g_K(t) = g_K(-t) always; the boundary profile is
-    averaged over the full rotation group so only the parity matters).
+    Valid for any isotropic law.  The rotation integral runs over [0, pi): the
+    covariogram is even (g2_K(t) = g2_K(-t)), and the boundary covariogram,
+    which is not unless K = -K, is averaged over t and -t.
     """
     cutoff = 2.0 * dist.rmax
     ss = np.linspace(0.0, cutoff, n_s)
     th, wth = gauss_legendre(n_theta, 0.0, math.pi)
     wth = wth / math.pi
-    grid = (np.outer(ss, np.cos(th)), np.outer(ss, np.sin(th)))
+    grid = np.array([np.cos(th), np.sin(th)])[:, None, :] * ss[:, None]  # (2, n_s, n_theta)
     tab2 = dist.expect_shape(lambda k: covariogram(k, grid)) @ wth
     tab1 = dist.expect_shape(lambda k: boundary_covariogram(k, grid)) @ wth
+    grid *= -1.0  # in place, so a second grid is never held
+    tab1 = 0.5 * (tab1 + dist.expect_shape(lambda k: boundary_covariogram(k, grid)) @ wth)
     # The s = 0 point of the boundary profile uses the v1 convention; replace
     # by the one-sided limit so interpolation near 0 is faithful.
     tab1[0] = dist.expect_shape(lambda k: 0.5 * intrinsic_volumes(k).v1)
@@ -183,21 +193,24 @@ def _c2_vector(dist: GrainDistribution, gamma: float):
 # ---------------------------------------------------------------------------
 
 
+def _radial_integral(prof: CovariogramFunctions, f, epsabs):
+    """2 pi int f(s) s ds over [0, cutoff], split at the kinks: (value, error)."""
+    val, err = adaptive_quad(lambda s: f(s) * s, 0.0, prof.cutoff, epsabs=epsabs,
+                             points=prof.kinks)
+    return 2.0 * math.pi * val, 2.0 * math.pi * err
+
+
 def rho_22(gamma: float, dist: GrainDistribution):
     """integral over the plane of exp(C2(y)) - 1; (value, error estimate)."""
     if gamma == 0.0:
         return 0.0, 0.0
-    cutoff = 2.0 * dist.rmax
     if dist.isotropic:
         prof = covariogram_functions(dist)
-        scale = math.expm1(gamma * float(prof.g2(0.0))) * cutoff ** 2
-        epsabs = 1e-10 * max(scale, 1e-6)
-
-        def integrand(s):
-            return np.expm1(gamma * prof.g2(s)) * s
-        val, err = adaptive_quad(integrand, 0.0, cutoff, epsabs=epsabs, points=prof.kinks)
-        return 2.0 * math.pi * val, 2.0 * math.pi * err
+        scale = math.expm1(gamma * float(prof.g2(0.0))) * prof.cutoff ** 2
+        return _radial_integral(prof, lambda s: np.expm1(gamma * prof.g2(s)),
+                                1e-10 * max(scale, 1e-6))
     # Anisotropic: tensor integral over one quadrant (covariograms are even).
+    cutoff = 2.0 * dist.rmax
     c2 = _c2_vector(dist, gamma)
     n = 96
     xs, wx = gauss_legendre(n, 0.0, cutoff)
@@ -252,16 +265,8 @@ def _interior_nodes(shape, n):
     return np.asarray(pts), np.asarray(ws)
 
 
-def _rho12_one_disk(radius, c2fun, gamma, kinks=()):
-    """(value, achieved quadrature error) for one disk radius."""
-    def integrand(s):
-        return np.exp(c2fun(s)) * 2.0 * np.arccos(np.minimum(s / (2.0 * radius), 1.0)) * s
-    scale = math.exp(float(c2fun(0.0))) * math.pi * radius ** 2
-    val, err = adaptive_quad(integrand, 0.0, 2.0 * radius, epsabs=1e-11 * scale, points=kinks)
-    return gamma * math.pi * radius * np.array([val, err])
-
-
-def _rho12_one_body(shape, c2vec, gamma, n=48):
+def _boundary_body(shape, f, n=48):
+    """Tensor rule for the integral of f(y - z) over (boundary x body) of a polygon."""
     pts, ws = _interior_nodes(shape, n)
     total = 0.0
     for a, b in _edges_of(shape):
@@ -270,58 +275,43 @@ def _rho12_one_body(shape, c2vec, gamma, n=48):
         ln = math.hypot(*(b - a))
         dx = edge_pts[:, 0][:, None] - pts[:, 0][None, :]
         dy = edge_pts[:, 1][:, None] - pts[:, 1][None, :]
-        vals = np.exp(c2vec(dx, dy))
-        total += ln * float(wu @ vals @ ws)
-    return gamma * 0.5 * total
+        total += ln * float(wu @ f(dx, dy) @ ws)
+    return total
 
 
 def rho_12(gamma: float, dist: GrainDistribution):
     """integral of exp(C2(y-z)) against the boundary x body measure M_{1,2}.
 
-    Returns (value, error): the adaptive quadrature's achieved error, weighted
-    like the value over the radius law, or None for the fixed tensor rule of
-    polygonal grains, which gives no error estimate.
+    For disk laws this is 2 pi int exp(C2(s)) C1(s) s ds.  Returns (value,
+    error): the adaptive quadrature's achieved error, or None for the fixed
+    tensor rule of polygonal grains, which gives no error estimate.
     """
     if gamma == 0.0:
         return 0.0, 0.0
     if dist.family == "disk":
         prof = covariogram_functions(dist)
-        c2 = prof.c2(gamma)
-        val, err = dist.radius.expect(lambda r: _rho12_one_disk(r, c2, gamma, prof.kinks))
-        return float(val), float(err)
+        c2, c1 = prof.c2(gamma), prof.c1(gamma)
+        scale = math.exp(float(c2(0.0))) * float(c1(0.0)) * prof.cutoff ** 2
+        return _radial_integral(prof, lambda s: np.exp(c2(s)) * c1(s), 1e-11 * scale)
     c2vec = _c2_vector(dist, gamma)
-    return dist.expect_shape(lambda k: _rho12_one_body(k, c2vec, gamma)), None
+    return dist.expect_shape(
+        lambda k: gamma * 0.5 * _boundary_body(k, lambda dx, dy: np.exp(c2vec(dx, dy)))), None
 
 
-def _rho11_one_disk(radius, c2fun, c1fun, gamma, kinks=()):
-    """(value, achieved adaptive quadrature error of term A) for one disk radius."""
-    def integrand_a(s):
-        return (np.exp(c2fun(s)) * c1fun(s)
-                * 2.0 * np.arccos(np.minimum(s / (2.0 * radius), 1.0)) * s)
-    scale = math.exp(float(c2fun(0.0))) * math.pi * radius ** 2
-    term_a, err_a = adaptive_quad(integrand_a, 0.0, 2.0 * radius,
-                                  epsabs=1e-11 * max(scale, 1e-9), points=kinks)
-    term_a *= gamma * math.pi * radius
-
-    def integrand_b(psi):
-        return np.exp(c2fun(2.0 * radius * np.sin(0.5 * psi)))
-    term_b = gamma * 0.5 * math.pi * radius ** 2 * tanh_sinh(integrand_b, 0.0, 2.0 * math.pi, level=8)
-    return np.array([term_a + term_b, gamma * math.pi * radius * err_a])
+def _rho11_disk_boundary_term(radius, c2fun, gamma, kinks):
+    """rho11's boundary x boundary term for one radius: (value, error).  Points
+    at chord angle psi are 2 r sin(psi/2) apart, so [0, pi] is taken twice."""
+    chord_kinks = [2.0 * math.asin(k / (2.0 * radius)) for k in kinks if k < 2.0 * radius]
+    scale = math.exp(float(c2fun(0.0))) * math.pi
+    val, err = adaptive_quad(lambda psi: np.exp(c2fun(2.0 * radius * np.sin(0.5 * psi))),
+                             0.0, math.pi, epsabs=1e-11 * scale, points=chord_kinks)
+    return gamma * math.pi * radius ** 2 * np.array([val, err])
 
 
 def _rho11_one_body(shape, c2vec, c1vec, gamma, n=48):
     # Term A: boundary x body with the C1 factor.
-    pts, ws = _interior_nodes(shape, n)
-    term_a = 0.0
-    for a, b in _edges_of(shape):
-        u, wu = gauss_legendre(n, 0.0, 1.0)
-        edge_pts = a[None, :] + u[:, None] * (b - a)[None, :]
-        ln = math.hypot(*(b - a))
-        dx = edge_pts[:, 0][:, None] - pts[:, 0][None, :]
-        dy = edge_pts[:, 1][:, None] - pts[:, 1][None, :]
-        vals = np.exp(c2vec(dx, dy)) * c1vec(dx, dy)
-        term_a += ln * float(wu @ vals @ ws)
-    term_a *= gamma * 0.5
+    term_a = gamma * 0.5 * _boundary_body(
+        shape, lambda dx, dy: np.exp(c2vec(dx, dy)) * c1vec(dx, dy), n)
     # Term B: boundary x boundary, quarter weight (Phi_1 = half-length twice).
     edges = _edges_of(shape)
     term_b = 0.0
@@ -336,7 +326,7 @@ def _rho11_one_body(shape, c2vec, c1vec, gamma, n=48):
 
                 def f(s):
                     return (l1 - s) * np.exp(c2vec(d_hat[0] * s, d_hat[1] * s))
-                term_b += 2.0 * tanh_sinh(f, 0.0, l1, level=8)
+                term_b += 2.0 * tanh_sinh(f, 0.0, l1)
                 continue
             u, wu = gauss_legendre(n, 0.0, 1.0)
             p1 = a1[None, :] + u[:, None] * (b1 - a1)[None, :]
@@ -351,16 +341,21 @@ def _rho11_one_body(shape, c2vec, c1vec, gamma, n=48):
 def rho_11(gamma: float, dist: GrainDistribution):
     """Both boundary-measure integrals of rho(V1, V1).
 
-    Returns (value, error) like rho_12; the tanh-sinh boundary-boundary term
-    has no error estimate and contributes none.
+    For disk laws the boundary x body term is 2 pi int exp(C2(s)) C1(s)^2 s ds
+    and the boundary x boundary term a chord-angle integral per radius.
+    Returns (value, error) like rho_12, a disk law's error summing both terms'.
     """
     if gamma == 0.0:
         return 0.0, 0.0
     if dist.family == "disk":
         prof = covariogram_functions(dist)
         c2, c1 = prof.c2(gamma), prof.c1(gamma)
-        val, err = dist.radius.expect(lambda r: _rho11_one_disk(r, c2, c1, gamma, prof.kinks))
-        return float(val), float(err)
+        scale = math.exp(float(c2(0.0))) * float(c1(0.0)) ** 2 * prof.cutoff ** 2
+        term_a, err_a = _radial_integral(prof, lambda s: np.exp(c2(s)) * c1(s) ** 2,
+                                         1e-11 * scale)
+        term_b, err_b = dist.radius.expect(
+            lambda r: _rho11_disk_boundary_term(r, c2, gamma, prof.kinks))
+        return term_a + float(term_b), err_a + float(err_b)
     c2vec = _c2_vector(dist, gamma)
     if dist.isotropic:
         prof = covariogram_functions(dist)
@@ -483,7 +478,7 @@ def rho_table(gamma: float, dist: GrainDistribution) -> RhoTable:
                            "rho11_quadrature": e11})
 
 
-def sigma_matrix(gamma: float, dist: GrainDistribution, check_tol: float = 1e-6) -> CovMatrix:
+def sigma_matrix(gamma: float, dist: GrainDistribution) -> CovMatrix:
     """Assemble the 3x3 asymptotic covariance matrix for an isotropic planar
     Boolean model, verifying the assembly against the direct volume/surface
     covariance expressions and the direct Euler-volume covariance."""
@@ -517,7 +512,7 @@ def sigma_matrix(gamma: float, dist: GrainDistribution, check_tol: float = 1e-6)
     for (i, j), want in checks.items():
         got = sig[i, j]
         denom = max(abs(want), abs(got), 1e-300)
-        if abs(got - want) / denom > check_tol:
+        if abs(got - want) / denom > ASSEMBLY_CHECK_TOL:
             raise AssemblyError(
                 f"sigma({i},{j}) assembly {got!r} disagrees with direct form {want!r}")
     return CovMatrix(sig, rho, gamma)

@@ -103,12 +103,11 @@ class ParamLaw:
         values, probs = self.args
         return np.asarray(values)[rng.choice(len(values), size=n, p=probs)]
 
-    def expect(self, f, breaks=()) -> float:
-        """E[f(X)]: point mass, mixture sum or piecewise Gauss-Legendre(24).
+    def expect(self, f) -> float:
+        """E[f(X)]: point mass, mixture sum or Gauss-Legendre(24) on [a, b].
 
-        breaks lists abscissae where f is non-smooth; the uniform-law
-        integral is split there so the rule converges at full order.  f may
-        return an array, which is averaged elementwise with the same weights.
+        f may return an array, which is averaged elementwise with the same
+        weights.
         """
         if self.kind == "constant":
             return f(self.args[0])
@@ -116,12 +115,9 @@ class ParamLaw:
             values, probs = self.args
             return sum(p * f(v) for v, p in zip(values, probs))
         a, b = self.args
-        cuts = sorted({a, b} | {x for x in breaks if a < x < b})
         x, w = GAUSS_LEGENDRE_24
-        total = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            xs = 0.5 * (hi - lo) * x + 0.5 * (lo + hi)
-            total += sum(wi * f(xi) for xi, wi in zip(xs, w)) * 0.5 * (hi - lo)
+        xs = 0.5 * (b - a) * x + 0.5 * (a + b)
+        total = sum(wi * f(xi) for xi, wi in zip(xs, w)) * 0.5 * (b - a)
         return total / (b - a)
 
     def to_record(self):

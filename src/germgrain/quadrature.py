@@ -52,6 +52,9 @@ _X21 = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 # pairs; keeping that order makes a panel's value bit-for-bit qk21's.
 _PAIRS = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
 
+# Refinement level of tanh_sinh: step 1/32, 243 nodes on the real line.
+TANH_SINH_LEVEL = 8
+
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -124,10 +127,11 @@ def gauss_legendre(n, a, b):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def tanh_sinh(f, a, b, level=7):
-    """Tanh-sinh rule on [a, b]; nodes pile up at both endpoints, so endpoint
-    kinks and integrable singularities converge fast.  f must be vectorized."""
-    h = 1.0 / 2 ** (level - 3)
+def tanh_sinh(f, a, b):
+    """Tanh-sinh rule on [a, b] with step 2^-(TANH_SINH_LEVEL - 3); nodes pile
+    up at both endpoints, so endpoint kinks and integrable singularities
+    converge fast.  f must be vectorized."""
+    h = 1.0 / 2 ** (TANH_SINH_LEVEL - 3)
     k = np.arange(-int(3.8 / h), int(3.8 / h) + 1)
     t = k * h
     half_pi = 0.5 * math.pi

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import qmc
 
 from germgrain.cells import PlacedGrain, Window, clip_cell, grain_constraints, window_cell
@@ -332,12 +333,17 @@ RADIUS_LAWS = {
 
 
 def _scalar_disk_profiles(law, t):
-    """The disk profiles' definition, one abscissa at a time."""
-    g2 = law.expect(lambda r: disk_covariogram(r, t), breaks=(t / 2.0,))
-    g1 = law.expect(
-        lambda r: r * math.acos(min(t / (2.0 * r), 1.0)) if t < 2.0 * r else 0.0,
-        breaks=(t / 2.0,))
-    return g2, g1
+    """The disk profiles' definition, one abscissa at a time: the atoms of a
+    point mass or mixture, scipy quad split at the kink r = t/2 for the
+    uniform law."""
+    kernels = (lambda r: disk_covariogram(r, t),
+               lambda r: r * math.acos(min(t / (2.0 * r), 1.0)) if t < 2.0 * r else 0.0)
+    if law.kind != "uniform":
+        return tuple(law.expect(k) for k in kernels)
+    a, b = law.args
+    points = [t / 2.0] if a < t / 2.0 < b else None
+    return tuple(quad(k, a, b, points=points, epsabs=0.0, epsrel=1e-13, limit=200)[0] / (b - a)
+                 for k in kernels)
 
 
 class TestDiskProfiles:
@@ -352,11 +358,11 @@ class TestDiskProfiles:
         for g, ref in zip((prof.g2, prof.g1), want):
             got = np.array([g(t) for t in ss])
             assert all(np.ndim(g(t)) == 0 for t in ss[:4])
-            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(g(ss), ref, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(g(ss), ref, rtol=1e-13, atol=1e-15)
             grid = g(ss.reshape(6, 8))
             assert grid.shape == (6, 8)
-            np.testing.assert_allclose(grid.ravel(), ref, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(grid.ravel(), ref, rtol=1e-13, atol=1e-15)
         assert prof.g2(1.1 * prof.cutoff) == 0.0 and prof.g1(prof.cutoff) == 0.0
 
     def test_uniform_profile_is_the_discrete_mixture_limit(self):
@@ -368,10 +374,74 @@ class TestDiskProfiles:
         limit = covariogram_functions(mixture)
         ss = np.linspace(0.0, 3.1, 63)
         np.testing.assert_allclose(uniform.g2(ss), limit.g2(ss), rtol=0.0, atol=1e-6)
-        # g1's integrand r*acos(s/2r) has a square-root kink at r = s/2, where
-        # the 24-point rule converges only algebraically: g1 sits up to 7e-6
-        # above the exact expectation, the midpoint mixture up to 1.1e-6
-        np.testing.assert_allclose(uniform.g1(ss), limit.g1(ss), rtol=0.0, atol=1e-5)
+        np.testing.assert_allclose(uniform.g1(ss), limit.g1(ss), rtol=0.0, atol=2e-6)
+
+
+def _lens_antiderivative(r, c):
+    q = math.sqrt(r * r - c * c)
+    return (2.0 / 3.0) * (r ** 3 * math.acos(c / r) - 2.0 * c * r * q + c ** 3 * math.log(r + q))
+
+
+def _arc_antiderivative(r, c):
+    q = math.sqrt(r * r - c * c)
+    return 0.5 * (r * r * math.acos(c / r) - c * q)
+
+
+def _oracle_profiles(law):
+    """Scalar closed-form disk profiles g2, g1 and their kinks."""
+    if law.kind == "uniform":
+        a, b = law.args
+
+        def average(antiderivative):
+            return lambda s: (0.0 if s >= 2.0 * b else
+                              (antiderivative(b, s / 2.0)
+                               - antiderivative(max(a, s / 2.0), s / 2.0)) / (b - a))
+        return average(_lens_antiderivative), average(_arc_antiderivative), [2.0 * a, 2.0 * b]
+    values, probs = ((law.args[0],), (1.0,)) if law.kind == "constant" else law.args
+    return (lambda s: sum(p * disk_covariogram(v, s) for v, p in zip(values, probs)),
+            lambda s: sum(p * v * math.acos(s / (2.0 * v)) for v, p in zip(values, probs)
+                          if s < 2.0 * v),
+            [2.0 * v for v in values])
+
+
+def _rho_oracle(law, gamma):
+    """(rho22, rho12, rho11) of a disk law by scipy quad of the closed-form
+    profiles: plane integrals as radial ones, and rho11's boundary x boundary
+    term over the full chord angle [0, 2 pi] of each radius, split at pi and
+    where the chord crosses a profile kink."""
+    g2, g1, kinks = _oracle_profiles(law)
+    tol = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+
+    def plane(f):
+        return 2.0 * math.pi * quad(lambda s: f(s) * s, 0.0, max(kinks), points=kinks, **tol)[0]
+
+    def boundary_pairs(r):
+        psi = [2.0 * math.asin(k / (2.0 * r)) for k in kinks if k < 2.0 * r]
+        pts = sorted(psi + [math.pi] + [2.0 * math.pi - p for p in psi])
+        return 0.5 * gamma * math.pi * r * r * quad(
+            lambda p: math.exp(gamma * g2(2.0 * r * math.sin(0.5 * p))),
+            0.0, 2.0 * math.pi, points=pts, **tol)[0]
+    if law.kind == "uniform":
+        a, b = law.args
+        term_b = quad(boundary_pairs, a, b, **tol)[0] / (b - a)
+    else:
+        values, probs = ((law.args[0],), (1.0,)) if law.kind == "constant" else law.args
+        term_b = sum(p * boundary_pairs(v) for v, p in zip(values, probs))
+    return (plane(lambda s: math.expm1(gamma * g2(s))),
+            plane(lambda s: math.exp(gamma * g2(s)) * gamma * g1(s)),
+            plane(lambda s: math.exp(gamma * g2(s)) * (gamma * g1(s)) ** 2) + term_b)
+
+
+class TestDiskLawOracle:
+    @pytest.mark.parametrize("gamma", [0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("law", RADIUS_LAWS.values(), ids=RADIUS_LAWS.keys())
+    def test_rho_table_matches_quad_oracle(self, law, gamma):
+        table = rho_table(gamma, GrainDistribution("disk", radius=law))
+        for (i, j), name, want in zip(((2, 2), (1, 2), (1, 1)), ("rho22", "rho12", "rho11"),
+                                      _rho_oracle(law, gamma)):
+            got, err = table.values[i, j], table.errors[f"{name}_quadrature"]
+            assert got == pytest.approx(want, rel=1e-10)
+            assert abs(got - want) <= err
 
 
 ROTATED_HEXAGON = GrainDistribution("fixed", shape=ConvexPolygon(tuple(
@@ -381,13 +451,15 @@ ROTATED_RECTS = GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.3, 0.6),
 
 
 class TestRhoPins:
-    """rho tables at gamma 0.3, pinned to values of the scalar-profile code;
-    the rotated squares' (2, 2) entry is the exact integral of their
-    tabulated profile (see test_tabulated_rho22_is_the_table_integral)."""
+    """rho tables at gamma 0.3.  The uniform disks' entries are the scipy quad
+    oracle of their closed-form profiles (see TestDiskLawOracle); the rotated
+    squares' are values of the scalar-profile code, their (2, 2) entry the
+    exact integral of the tabulated profile (see
+    test_tabulated_rho22_is_the_table_integral)."""
 
     @pytest.mark.parametrize("dist, want", [
         (GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)),
-         {(2, 2): 5.647373992957349, (1, 2): 5.352324270758459, (1, 1): 6.09420665203003}),
+         {(2, 2): 5.647374053497943, (1, 2): 5.352324283178176, (1, 1): 6.094202066668875}),
         (unit_squares(rotate=True),
          {(1, 1): 1.4296019531550195, (1, 2): 0.6645379019212775, (2, 2): 0.3210757711056572}),
     ], ids=["uniform-disks", "rotated-squares"])
@@ -418,6 +490,20 @@ class TestTabulatedPolygonLaws:
         cm = sigma_matrix(GAMMA, dist)
         assert np.all(np.linalg.eigvalsh(cm.matrix) > 0.0)
         assert 0.0 <= cm.rho.errors["rho22_quadrature"] < 1e-12
+
+    def test_rotated_triangle_does_not_see_its_base_orientation(self):
+        # the rotation group holds theta + pi, so a shape and its turn by pi
+        # are one isotropic law, although g1_K(-t) != g1_K(t) for K != -K
+        tri = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        dists = [GrainDistribution("fixed", shape=ConvexPolygon(tuple((sign * x, sign * y)
+                                                                    for x, y in tri)),
+                                   rotate=True) for sign in (1.0, -1.0)]
+        base, turned = (covariogram_functions(d) for d in dists)
+        ss = np.linspace(0.0, base.cutoff, 301)
+        for g, h in ((base.g2, turned.g2), (base.g1, turned.g1)):
+            np.testing.assert_allclose(g(ss), h(ss), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(rho_table(GAMMA, dists[0]).values,
+                                   rho_table(GAMMA, dists[1]).values, rtol=1e-14, atol=0.0)
 
     def test_rotated_hexagon_takes_under_a_second(self):
         t0 = time.perf_counter()
