@@ -30,6 +30,6 @@ from .process import (EdgeEffectError, GermGrainSample, GrainDistribution,
                       GrainMoments, ModelConfig, ParamLaw, empirical_capacity,
                       fixed_disk, read_sample, sample, theory_capacity,
                       unit_squares, write_sample)
-from .union import (FunctionalVector, arrangement_measure,
+from .union import (FunctionalVector, ReplicateError, arrangement_measure,
                     edge_corrected_measure, inclusion_exclusion_measure,
                     pixel_measure, rasterize, segment_coverage, write_pgm)

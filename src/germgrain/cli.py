@@ -25,9 +25,9 @@ from .covariance import sigma_matrix
 from .geometry import shape_from_record
 from .moments import (DensityVector, EstimationError, invert_intensity,
                       invert_intensity_se, miles_densities_2d)
-from .process import (GrainDistribution, ModelConfig, empirical_capacity,
-                      read_sample, replicate_rows, sample, theory_capacity,
-                      write_sample)
+from .process import (GrainDistribution, ModelConfig, each_sample,
+                      empirical_capacity, read_sample, replicate_rows, sample,
+                      theory_capacity, write_sample)
 from .union import (arrangement_measure, edge_corrected_measure,
                     inclusion_exclusion_measure, pixel_measure, rasterize,
                     write_pgm)
@@ -172,9 +172,10 @@ def _cmd_predict(args):
     return 0
 
 
-def _density_row(s):
-    """Edge-corrected densities of one sample."""
-    return edge_corrected_measure(s.grains, s.config.window).as_array() / s.config.window.area()
+def _density_rows(samples):
+    """Edge-corrected densities of each sample of a chunk."""
+    return each_sample(lambda s: edge_corrected_measure(s.grains, s.config.window).as_array()
+                       / s.config.window.area(), samples)
 
 
 def _cmd_estimate(args):
@@ -182,7 +183,7 @@ def _cmd_estimate(args):
     if args.reps < 2:
         raise EstimationError("estimate needs at least 2 replicates")
     t0 = time.time()
-    rows = replicate_rows(cfg, _density_row, args.reps, args.threads)
+    rows = replicate_rows(cfg, _density_rows, args.reps, args.threads)
     dv = DensityVector(*rows.mean(axis=0))
     se = rows.std(axis=0, ddof=1) / np.sqrt(len(rows))
     gamma_hat, ev1_hat, ev2_hat = invert_intensity(dv)

@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# scipy.special is imported inside the functions that use it, so that only
-# the clt command loads it.
-
+from .cells import Grains
 from .process import ModelConfig, replicate_rows
 from .union import arrangement_measure
 
@@ -49,9 +47,12 @@ class ReplicateBatch:
     seed: int
 
 
-def _functionals(s):
-    """(v0, v1, v2) of one sample on its window."""
-    return arrangement_measure(s.grains, s.config.window).as_array()
+def _functionals(samples):
+    """Rows (v0, v1, v2) of a chunk of samples on their common window, in one
+    engine pass."""
+    return arrangement_measure(Grains.join(*(s.grains for s in samples)),
+                               samples[0].config.window,
+                               counts=[len(s.grains) for s in samples])
 
 
 def run_batch(config: ModelConfig, scale: float, reps: int,
@@ -77,11 +78,23 @@ def _phi_pdf(x):
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+def _ndtr(x):
+    """Standard normal CDF of an array, as 0.5 * erfc(-x / sqrt(2))."""
+    erfc = np.frompyfunc(math.erfc, 1, 1)
+    return 0.5 * np.asarray(erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0)), dtype=float)
+
+
+def _ndtri(p):
+    """Standard normal quantiles of an array of probabilities in (0, 1)."""
+    import statistics  # imported here: it costs every command's start-up 4 ms
+
+    inv_cdf = statistics.NormalDist().inv_cdf
+    return np.array([inv_cdf(float(q)) for q in np.asarray(p, dtype=float)])
+
+
 def _phi_antideriv(x):
     """Antiderivative of the standard normal CDF: x*Phi(x) + phi(x)."""
-    from scipy.special import ndtr
-
-    return x * ndtr(x) + _phi_pdf(x)
+    return x * _ndtr(x) + _phi_pdf(x)
 
 
 def wasserstein_to_normal(sample_values) -> float:
@@ -92,8 +105,6 @@ def wasserstein_to_normal(sample_values) -> float:
     via x*Phi(x) + phi(x).  Equals the Wasserstein-1 distance between the
     empirical measure and N(0, 1).
     """
-    from scipy.special import ndtr, ndtri
-
     xs = np.sort(np.asarray(sample_values, dtype=float))
     n = len(xs)
     if n < 2:
@@ -102,7 +113,7 @@ def wasserstein_to_normal(sample_values) -> float:
     b = xs[1:]
     levels = np.arange(1, n) / n
     A_a, A_b = _phi_antideriv(a), _phi_antideriv(b)
-    F_a, F_b = ndtr(a), ndtr(b)
+    F_a, F_b = _ndtr(a), _ndtr(b)
     below = F_b <= levels          # Phi below the step level on the whole gap
     above = F_a >= levels
     crossing = ~(below | above)
@@ -110,22 +121,20 @@ def wasserstein_to_normal(sample_values) -> float:
     pieces[below] = levels[below] * (b - a)[below] - (A_b - A_a)[below]
     pieces[above] = (A_b - A_a)[above] - levels[above] * (b - a)[above]
     if np.any(crossing):
-        xc = ndtri(levels[crossing])
+        xc = _ndtri(levels[crossing])
         A_c = _phi_antideriv(xc)
         pieces[crossing] = (levels[crossing] * (xc - a[crossing]) - (A_c - A_a[crossing])
                             + (A_b[crossing] - A_c) - levels[crossing] * (b[crossing] - xc))
     # Tails: level 0 on (-inf, x_1], level 1 on [x_n, inf).
     total = _phi_antideriv(xs[0])
-    total += _phi_pdf(xs[-1]) - xs[-1] * (1.0 - ndtr(xs[-1]))
+    total += _phi_pdf(xs[-1]) - xs[-1] * (1.0 - _ndtr(xs[-1]))
     return float(total + pieces.sum())
 
 
 def ks_to_normal(sample_values) -> float:
-    from scipy.special import ndtr
-
     xs = np.sort(np.asarray(sample_values, dtype=float))
     n = len(xs)
-    cdf = ndtr(xs)
+    cdf = _ndtr(xs)
     upper = np.max(np.abs(np.arange(1, n + 1) / n - cdf))
     lower = np.max(np.abs(cdf - np.arange(0, n) / n))
     return float(max(upper, lower))

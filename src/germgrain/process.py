@@ -27,9 +27,16 @@ from .geometry import (AlignedRect, ConvexPolygon, Disk, GrainShape,
                        _as_polygon_vertices, circumradius, intrinsic_volumes,
                        minkowski_sum_area, shape_from_record, shape_to_record)
 from .rng import poisson_draw, replicate_rng
-from .union import hits_probe
+from .union import ReplicateError, hits_probe
 
 FORMAT_VERSION = "germgrain-sample-1"
+
+# The replicate driver hands a functional consecutive samples until they hold
+# this many grains.  One arrangement-engine pass over a chunk pays the
+# engine's fixed cost (about 1 ms) once; past about 1300 grains the cost per
+# grain stops falling, while a pass's transient memory grows by about 1.2 KB
+# per grain.
+CHUNK_GRAINS = 2048
 
 # Gauss-Legendre rule of ParamLaw.expect (nodes, weights on [-1, 1]).
 GAUSS_LEGENDRE_24 = np.polynomial.legendre.leggauss(24)
@@ -411,8 +418,8 @@ def point_coverage_probability(config: ModelConfig) -> float:
     return 1.0 - math.exp(-config.gamma * config.grains.moments().ev2)
 
 
-def _misses(probe: PlacedGrain, s: GermGrainSample) -> bool:
-    return not hits_probe(s.grains, probe, s.config.window)
+def _misses(probe: PlacedGrain, samples) -> list:
+    return each_sample(lambda s: not hits_probe(s.grains, probe, s.config.window), samples)
 
 
 def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int):
@@ -441,32 +448,56 @@ def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int
 # ---------------------------------------------------------------------------
 
 
-def _replicate_range(config: ModelConfig, functional, lo: int, hi: int) -> list:
-    """functional(sample(config, k)) for k in lo..hi-1, one sample at a time.
+def each_sample(f, samples) -> list:
+    """[f(s) for s in samples]: a one-sample function as a chunk functional.
 
-    An engine error is re-raised naming the replicate, so that its grains
-    can be dumped again with `germgrain simulate`.
+    A RuntimeError is re-raised as a ReplicateError naming the sample's
+    position in the chunk.
     """
     rows = []
-    for k in range(lo, hi):
-        s = sample(config, k)
+    for i, s in enumerate(samples):
         try:
-            rows.append(functional(s))
+            rows.append(f(s))
         except RuntimeError as exc:
+            raise ReplicateError(str(exc), i) from exc
+    return rows
+
+
+def _replicate_range(config: ModelConfig, functional, lo: int, hi: int) -> list:
+    """The rows of functional over the samples k = lo..hi-1, a chunk at a time.
+
+    A chunk is consecutive samples, closed once it holds CHUNK_GRAINS grains.
+    A ReplicateError is re-raised naming the replicate, so that its grains
+    can be dumped again with `germgrain simulate`.
+    """
+    rows, k = [], lo
+    while k < hi:
+        chunk, grains = [], 0
+        while k < hi and grains < CHUNK_GRAINS:
+            chunk.append(sample(config, k))
+            grains += len(chunk[-1].grains)
+            k += 1
+        try:
+            rows.extend(functional(chunk))
+        except ReplicateError as exc:
+            bad = chunk[exc.index].replicate
             (x0, y0), (x1, y1) = config.window.lo, config.window.hi
-            where = f"--seed {config.seed} --window {x0!r} {y0!r} {x1!r} {y1!r} --replicate {k}"
-            raise RuntimeError(f"replicate {k} failed ({exc}); reproduce its grains with "
+            where = f"--seed {config.seed} --window {x0!r} {y0!r} {x1!r} {y1!r} --replicate {bad}"
+            raise RuntimeError(f"replicate {bad} failed ({exc}); reproduce its grains with "
                                f"germgrain simulate --config <config> {where}") from exc
     return rows
 
 
 def replicate_rows(config: ModelConfig, functional, reps: int, workers: int = 1) -> np.ndarray:
-    """Rows functional(sample(config, k)) for k = 0..reps-1, in replicate order.
+    """Rows of functional over sample(config, k) for k = 0..reps-1, in replicate order.
 
+    functional takes a chunk, a list of consecutive samples, and returns one
+    row per sample; each_sample makes one from a function of one sample.
     With workers > 1 the replicates are split into contiguous ranges, one per
     worker process; functional must then be picklable (a module-level
     function or a partial of one).  Every replicate is keyed by its index,
-    so the result does not depend on workers.
+    and a functional's row must not depend on the rest of its chunk, so the
+    result does not depend on workers.
     """
     if workers <= 1:
         return np.array(_replicate_range(config, functional, 0, reps))

@@ -9,22 +9,25 @@ of PlacedGrain is converted at entry.  Three engines compute the same quantity:
     intersection stay empty).  Exponential; capped at 18 grains.
 
   * arrangement_measure -- exact polynomial-time engine over boundary
-    intervals, one path for every grain type.  Each boundary primitive (a
-    disk's circle, a polygon edge, an edge of the window or of the optional
-    convex mask) gets the parameter intervals that other bodies cover: a
-    grain covers with its open interior, the observation region covers what
-    lies outside it.  One vectorized interval merge, segmented by key, does
-    every union: per (circle, polygon) pair it joins the polygon's outside
-    arcs, whose gaps are the polygon's coverage of the circle, and per
-    primitive it yields the kept pieces, the uncovered gaps of grain
-    primitives and the covered runs of region primitives; circular
-    intervals are split at 2*pi first.  The area follows from Green's
-    theorem, v1 is half the kept length, and the Euler characteristic comes
-    from total boundary turning (Gauss-Bonnet: swept arc angle plus the turn
-    at each piece's start, divided by 2*pi).  Each turn is read from the
-    primitive bounding the covering interval that ends there, or from the
-    body's own vertex, so no endpoints are matched.  All geometry is
-    window-centred.  The same coverage kernels decide hits_probe.
+    intervals, one path for every grain type and one pass for a whole chunk
+    of replicates.  Each boundary primitive (a disk's circle, a polygon
+    edge, an edge of the window or of the optional convex mask) gets the
+    parameter intervals that other bodies cover: a grain covers with its
+    open interior, the observation region covers what lies outside it.  One
+    vectorized interval merge, segmented by key, does every union: per
+    (circle, polygon) pair it joins the polygon's outside arcs, whose gaps
+    are the polygon's coverage of the circle, and per primitive it yields
+    the kept pieces, the uncovered gaps of grain primitives and the covered
+    runs of region primitives; circular intervals are split at 2*pi first.
+    The area follows from Green's theorem, v1 is half the kept length, and
+    the Euler characteristic comes from total boundary turning
+    (Gauss-Bonnet: swept arc angle plus the turn at each piece's start,
+    divided by 2*pi).  Each turn is read from the primitive bounding the
+    covering interval that ends there, or from the body's own vertex, so no
+    endpoints are matched.  All geometry is window-centred.  In a chunk,
+    bodies of two replicates never pair, each replicate has its own region,
+    and each row is summed over its own pieces only.  The same coverage
+    kernels decide hits_probe.
 
   * pixel_measure -- approximate raster engine from 2x2 pixel-configuration
     counts; a pixel is occupied when its centre lies inside some grain.  Area
@@ -54,9 +57,9 @@ from .cells import (TWO_PI, Grains, PlacedGrain, TooManyGrainsError, Window,
                     clip_cell, grain_constraints, window_cell)
 
 __all__ = [
-    "FunctionalVector", "inclusion_exclusion_measure", "arrangement_measure",
-    "edge_corrected_measure", "hits_probe", "segment_coverage", "pixel_measure",
-    "rasterize", "write_pgm",
+    "FunctionalVector", "ReplicateError", "inclusion_exclusion_measure",
+    "arrangement_measure", "edge_corrected_measure", "hits_probe", "segment_coverage",
+    "pixel_measure", "rasterize", "write_pgm",
 ]
 
 
@@ -75,6 +78,19 @@ class FunctionalVector:
 
     def __repr__(self):
         return f"FunctionalVector(v0={self.v0}, v1={self.v1}, v2={self.v2})"
+
+
+class ReplicateError(RuntimeError):
+    """An engine failure tied to one replicate: index is its position in the chunk."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+    def __reduce__(self):
+        # Pickled from args alone, it would lose index on its way out of a
+        # worker process.
+        return ReplicateError, (str(self), self.index)
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +137,17 @@ _EPS = 1e-12
 class _Boundary:
     """Boundary primitives of convex bodies in local coordinates.
 
-    Body 0 is the observation region (or the probe segment of
-    segment_coverage); bodies 1.. are grains.  A primitive is either a full
+    The first `regions` bodies are observation regions, one for each
+    replicate of a chunk (or the probe segment of segment_coverage); the
+    rest are grains.  rep gives the replicate of each body, region r being
+    replicate r's (one replicate by default).  A primitive is either a full
     counterclockwise circle, parameterized by angle over [0, 2*pi], or a
     directed edge x + u*d, u in [0, 1], with outward unit normal n and offset
     n.x.  Polygon edges run counterclockwise, so each body keeps its interior
     on the left.
     """
 
-    def __init__(self, g: Grains, origin=(0.0, 0.0)):
+    def __init__(self, g: Grains, origin=(0.0, 0.0), regions=1, rep=None):
         centres, count = g.centres - origin, g.count
         disk = g.radius > 0.0
         first = np.cumsum(count) - count
@@ -158,6 +176,10 @@ class _Boundary:
         # table[b] lists body b's primitives, padded with -1.
         cols = np.arange(int(count.max(initial=0)))
         self.table = np.where(cols < count[:, None], first[:, None] + cols, -1)
+        self.replicates = regions
+        self.rep = np.zeros(len(g), dtype=np.int64) if rep is None else rep
+        self.is_region = np.arange(len(g)) < regions
+        self.on_region = body < regions
 
     def point(self, p, u):
         """Point at parameter u of primitives p."""
@@ -278,14 +300,14 @@ def _unwrap(p, start, width, own):
 def _coverage(bd, p, j):
     """Covered parameter intervals (prim, a, b, carrier) of primitives p by bodies j.
 
-    A grain j covers the part of p in its open interior; the region (j = 0)
-    covers the part of p outside it.  The carrier is the primitive of j that
+    A grain j covers the part of p in its open interior; a region covers the
+    part of p outside it.  The carrier is the primitive of j that
     the union boundary follows into the interval's end (on grain primitives,
     whose kept pieces start there) or out of its start (on region primitives,
     whose kept pieces start there).
     """
-    arc, jd, reg = bd.is_arc[p], bd.disk[j], j == 0
-    on_region = bd.body[p] == 0
+    arc, jd, reg = bd.is_arc[p], bd.disk[j], bd.is_region[j]
+    on_region = bd.on_region[p]
     lin, circ = [], []
     for m, kernel in ((~arc & ~jd, _seg_in_poly), (~arc & jd, _seg_in_disk)):
         if not m.any():
@@ -338,28 +360,39 @@ def _firsts(ids):
     return out
 
 
+def _dense_rank(v):
+    """Rank of each value of v among its distinct values; equal values share one."""
+    order = np.argsort(v)
+    rank = np.empty(len(v), dtype=np.int64)
+    rank[order] = np.cumsum(_firsts(v[order])) - 1
+    return rank
+
+
 def _merge_runs(pid, a, b, own):
     """Union of intervals [a, b], segmented by an integer key pid.
 
     The engine's only interval merge: pid is a primitive, or a (circle,
     polygon) pair in _coverage.  Returns the maximal runs (pid, a, b,
     owner_a, owner_b) sorted by pid then a, where owner_a owns the interval
-    that starts the run and owner_b the one that reaches its end.
+    that starts the run and owner_b the one that reaches its end.  Of
+    intervals tied in a, the first in input order starts the run; of those
+    tied in the largest b, the last in run order ends it.  So the runs of
+    one pid depend only on its own intervals and their order.
     """
     keep = b - a > _EPS
     pid, a, b, own = pid[keep], a[keep], b[keep], own[keep]
-    # Sort by a, then stably by pid in 16-bit digits, which numpy radix-sorts.
-    order = np.argsort(a)
-    for shift in range(0, max(int(pid.max(initial=0)).bit_length(), 1), 16):
-        order = order[np.argsort((pid[order] >> shift).astype(np.uint16), kind="stable")]
+    # Stable sorts by the dense rank of a, then by pid, in 16-bit digits,
+    # which numpy radix-sorts.
+    order = np.arange(len(pid))
+    for key in (_dense_rank(a), pid):
+        for shift in range(0, max(int(key.max(initial=0)).bit_length(), 1), 16):
+            order = order[np.argsort((key[order] >> shift).astype(np.uint16), kind="stable")]
     pid, a, b, own = pid[order], a[order], b[order], own[order]
     n = len(pid)
     if n == 0:
         return pid, a, b, own, own
     # Segmented running maximum of b on exact integer keys.
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(b)] = np.arange(n)
-    key = pid.astype(np.int64) * n + rank
+    key = pid.astype(np.int64) * n + _dense_rank(b)
     top = np.maximum.accumulate(np.where(key == np.maximum.accumulate(key), np.arange(n), 0))
     reach = b[top]
     start = _firsts(pid)
@@ -370,14 +403,17 @@ def _merge_runs(pid, a, b, own):
 
 
 def _measure(bd, p, j):
-    """(v0, v1, v2) of the union of grains inside the region from coverage of
-    primitives p by bodies j.
+    """Rows (v0, v1, v2), one per replicate, of the union of its grains inside
+    its region, from coverage of primitives p by bodies j.
 
     Grain primitives keep their uncovered gaps and region primitives their
     covered runs.  The turn at a piece's start is taken from the primitive
     that leads into it: the carrier of the covered interval that ends there
     (or, on the region, of the run that starts there), or at parameter 0 the
     previous primitive of the same body when that primitive's end is kept.
+    Each replicate's sums run over its own pieces in piece order, so its row
+    does not depend on the other replicates.  A non-integer Euler
+    characteristic raises ReplicateError naming the first such replicate.
     """
     rp, ra, rb, oa, ob = _merge_runs(*_coverage(bd, p, j))
     span = np.where(bd.is_arc, TWO_PI, 1.0)
@@ -387,7 +423,7 @@ def _measure(bd, p, j):
     end_own = np.zeros(len(span), dtype=np.int64)
     end_own[rp[last]] = ob[last]
 
-    region = bd.body[rp] == 0
+    region = bd.on_region[rp]
     g = ~region
     gp, ga, gb, go = rp[g], ra[g], rb[g], ob[g]
     head = _firsts(gp)
@@ -396,7 +432,7 @@ def _measure(bd, p, j):
     after = gap_end - gb > _EPS
     first_a = span.copy()
     first_a[gp[head]] = ga[head]
-    lead = np.flatnonzero((bd.body > 0) & (first_a > _EPS))
+    lead = np.flatnonzero(~bd.on_region & (first_a > _EPS))
     rr = np.flatnonzero(region)
     at0 = ra[rr] <= _EPS
     pp = np.concatenate([gp[after], lead, rp[rr]])
@@ -418,13 +454,19 @@ def _measure(bd, p, j):
     arc = bd.is_arc[pp]
     sweep = np.where(arc, u1 - u0, 0.0)
     r = bd.r[pp]
-    length = float(np.sum(np.where(arc, r, np.sqrt(bd.len2[pp])) * (u1 - u0)))
-    area = 0.5 * float(np.sum(x0 * y1 - x1 * y0 + r * r * (sweep - np.sin(sweep))))
-    v0 = (float(np.sum(sweep)) + float(np.sum(turns))) / TWO_PI
-    v0i = round(v0)
-    if abs(v0 - v0i) > 1e-3:
-        raise RuntimeError(f"non-integer Euler characteristic {v0}: arrangement inconsistency")
-    return FunctionalVector(float(v0i), 0.5 * length, area)
+    rep = bd.rep[bd.body[pp]]
+
+    def per_replicate(values):
+        return np.bincount(rep, values, minlength=bd.replicates)
+    length = per_replicate(np.where(arc, r, np.sqrt(bd.len2[pp])) * (u1 - u0))
+    area = 0.5 * per_replicate(x0 * y1 - x1 * y0 + r * r * (sweep - np.sin(sweep)))
+    v0 = (per_replicate(sweep) + per_replicate(turns)) / TWO_PI
+    v0i = np.round(v0) + 0.0  # + 0.0 turns -0.0 into 0.0
+    bad = np.flatnonzero(np.abs(v0 - v0i) > 1e-3)
+    if len(bad):
+        raise ReplicateError(f"non-integer Euler characteristic {float(v0[bad[0]])}: "
+                             "arrangement inconsistency", int(bad[0]))
+    return np.column_stack([v0i, 0.5 * length, area])
 
 
 def _window_region(window: Window) -> Grains:
@@ -434,14 +476,16 @@ def _window_region(window: Window) -> Grains:
                   np.array([[hw, hh], [-hw, hh], [-hw, -hh], [hw, -hh]]))
 
 
-def _cell_pairs(centres, r):
+def _cell_pairs(centres, r, group):
     """Candidate pairs of points as index arrays (i, j), each unordered pair
-    once, including every pair of points less than r > 0 apart.
+    once, including every pair of points of the same group (a nonnegative
+    integer per point) less than r > 0 apart; points of two groups never pair.
 
-    A cell list: the points are binned into square cells of side at least r
-    and each cell is joined with itself and its four forward neighbours.  The
-    side carries a margin for the rounding of the cell coordinates, and is at
-    least 2**-30 of the points' span, so the cell key fits an int64 at any
+    A cell list: the points are binned into square cells of side at least r,
+    keyed by group, column and row, and each cell is joined with itself and
+    its four forward neighbours.  The side carries a margin for the rounding
+    of the cell coordinates, and is a large enough share of the points' span
+    (2**-30 of it for one group) that the cell key fits an int64 at any
     scale.
     """
     n = len(centres)
@@ -451,11 +495,13 @@ def _cell_pairs(centres, r):
     x, y = centres.T
     x0, y0 = x.min(), y.min()
     span = max(x.max() - x0, y.max() - y0)
-    side = max(r * (1.0 + 2.0 ** -40) + span * 2.0 ** -48, span * 2.0 ** -30)
+    bits = (61 - (int(group.max()) + 1).bit_length()) // 2
+    side = max(r * (1.0 + 2.0 ** -40) + span * 2.0 ** -48, span * 2.0 ** -bits)
     cx = np.floor((x - x0) / side).astype(np.int64)
     cy = np.floor((y - y0) / side).astype(np.int64)
+    # A spare row and column keep every forward neighbour inside its group.
     rows = int(cy.max()) + 2
-    key = cx * rows + cy
+    key = (group * (int(cx.max()) + 2) + cx) * rows + cy
     order = np.argsort(key, kind="stable")
     key = key[order]
     head = _firsts(key)
@@ -483,40 +529,61 @@ def _expand(bd, covered, by):
     return bd.grains.rows(covered), np.repeat(by, bd.count[covered])
 
 
-def arrangement_measure(grains, window: Window, mask: PlacedGrain | None = None) -> FunctionalVector:
+def arrangement_measure(grains, window: Window, mask: PlacedGrain | None = None,
+                        counts=None):
     """Exact (v0, v1, v2) of the union of grains clipped to the window.
 
     grains is a Grains or a sequence of PlacedGrain.  `mask` optionally
     replaces the observation region by one convex body, which must lie inside
     the window.  All geometry is computed in window-centred coordinates.
+
+    With `counts`, grains is a chunk of len(counts) replicates, counts[r]
+    grains of replicate r after those of the replicates before it, each
+    observed on the same window and mask.  One engine pass then returns
+    their rows (v0, v1, v2) as a (len(counts), 3) array; a row does not
+    depend on the other replicates of its chunk.  A failing replicate raises
+    ReplicateError with its position in the chunk.
     """
     grains = Grains.of(grains)
+    rows = _chunk_rows(grains, window, mask, [len(grains)] if counts is None else counts)
+    return rows if counts is not None else FunctionalVector(*rows[0])
+
+
+def _chunk_rows(grains: Grains, window: Window, mask, counts):
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.sum() != len(grains):
+        raise ValueError(f"arrangement_measure: counts sum to {counts.sum()}, "
+                         f"not the {len(grains)} grains")
     if not len(grains):
-        return FunctionalVector(0.0, 0.0, 0.0)
+        return np.zeros((len(counts), 3))
     window_region = _window_region(window)
     origin = window_region.centres[0]
     region = window_region if mask is None else Grains.of([mask])
-    bd = _Boundary(Grains.join(region, grains), origin)
-    if mask is not None and np.any(np.abs(bd.centres[0] + region.loc) + region.radius
-                                   > window_region.loc[0]):
+    if mask is not None and np.any(np.abs(region.centres[0] - origin + region.loc)
+                                   + region.radius > window_region.loc[0]):
         raise ValueError("arrangement_measure: the mask must lie inside the window")
+    # Bodies 0..m-1 are the replicates' regions, all alike; the grains follow.
+    m = len(counts)
+    rep = np.repeat(np.arange(m), counts)
+    bd = _Boundary(Grains.join(region.take(np.zeros(m, dtype=np.int64)), grains), origin, m,
+                   np.concatenate([np.arange(m), rep]))
 
-    # Grain pairs whose circumcircles overlap cover each other; grains not
-    # well inside the region pair with it both ways.
-    centres, reach = bd.centres[1:], bd.reach[1:]
-    a, b = _cell_pairs(centres, 2.0 * float(reach.max()))
+    # Grain pairs of one replicate whose circumcircles overlap cover each
+    # other; grains not well inside the region pair with it both ways.
+    centres, reach = bd.centres[m:], bd.reach[m:]
+    a, b = _cell_pairs(centres, 2.0 * float(reach.max()), rep)
     x, y = centres.T
     near = np.hypot(x[a] - x[b], y[a] - y[b]) < reach[a] + reach[b]
     a, b, n = a[near], b[near], len(centres)
     # Pairs in index order: at exact contacts the engine's tie-breaks follow
     # pair order, which then does not depend on the search.
     key = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
-    a, b = key // n + 1, key % n + 1
+    a, b = key // n + m, key % n + m
     depth = np.max([bd.level(k, x, y) for k in range(bd.count[0])], axis=0)
-    edge = np.flatnonzero(depth > -reach) + 1
-    zeros = np.zeros(len(edge), dtype=np.int64)
-    return _measure(bd, *_expand(bd, np.concatenate([a, b, edge, zeros]),
-                                 np.concatenate([b, a, zeros, edge])))
+    edge = np.flatnonzero(depth > -reach)
+    regions, edge = rep[edge], edge + m
+    return _measure(bd, *_expand(bd, np.concatenate([a, b, edge, regions]),
+                                 np.concatenate([b, a, regions, edge])))
 
 
 def hits_probe(grains, probe: PlacedGrain, window: Window) -> bool:

@@ -216,8 +216,7 @@ def _scipy_loaded_after(code, cwd=None):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
-    # only clt (scipy.special) needs scipy, so every other command must
-    # start without any of it
+    # no command needs scipy, so none may load any of it
     out = _fresh_python("import sys, germgrain.cli; print('scipy.stats' in sys.modules)")
     assert out == "False"
     assert _scipy_loaded_after("import germgrain.cli") == []
@@ -231,4 +230,6 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     estimate = run.format("estimate", "'--reps', '4', '--threads', '1', '--out', 'e.csv'")
     assert _scipy_loaded_after(estimate, tmp_path) == []
     assert _scipy_loaded_after(run.format("covariance", "'--out', 'c.csv'"), tmp_path) == []
-    assert (tmp_path / "e.csv").exists() and (tmp_path / "c.csv").exists()
+    clt = run.format("clt", "'--scales', '1', '2', '--reps', '100', '--out', 'clt.csv'")
+    assert _scipy_loaded_after(clt, tmp_path) == []
+    assert all((tmp_path / f).exists() for f in ("e.csv", "c.csv", "clt.csv"))

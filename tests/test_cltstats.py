@@ -5,12 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
-from germgrain.cells import Window
-from germgrain.cltstats import (DegenerateVarianceError, ks_to_normal,
-                                normality_report, rank_correlation,
-                                run_batch, wasserstein_to_normal)
+from germgrain import cltstats, process
+from germgrain.cells import Grains, PlacedGrain, Window
+from germgrain.cltstats import (DegenerateVarianceError, _ndtr, _ndtri,
+                                ks_to_normal, normality_report,
+                                rank_correlation, run_batch,
+                                wasserstein_to_normal)
+from germgrain.geometry import ConvexPolygon
 from germgrain.moments import volume_fraction
-from germgrain.process import ModelConfig, fixed_disk
+from germgrain.process import GermGrainSample, ModelConfig, fixed_disk
 
 
 class TestWasserstein:
@@ -61,6 +64,56 @@ class TestKS:
         assert ks_to_normal(rng.standard_normal(500) + 3.0) > 0.5
 
 
+def _scipy_wasserstein(xs):
+    """wasserstein_to_normal on scipy's ndtr and ndtri, as the reference."""
+    from scipy.special import ndtr, ndtri
+
+    def antideriv(x):
+        return x * ndtr(x) + np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    xs = np.sort(xs)
+    n = len(xs)
+    a, b, levels = xs[:-1], xs[1:], np.arange(1, n) / n
+    A_a, A_b, F_a, F_b = antideriv(a), antideriv(b), ndtr(a), ndtr(b)
+    below, above = F_b <= levels, F_a >= levels
+    crossing = ~(below | above)
+    pieces = np.empty(n - 1)
+    pieces[below] = levels[below] * (b - a)[below] - (A_b - A_a)[below]
+    pieces[above] = (A_b - A_a)[above] - levels[above] * (b - a)[above]
+    xc = ndtri(levels[crossing])
+    A_c = antideriv(xc)
+    pieces[crossing] = (levels[crossing] * (xc - a[crossing]) - (A_c - A_a[crossing])
+                        + (A_b[crossing] - A_c) - levels[crossing] * (b[crossing] - xc))
+    total = antideriv(xs[0]) + np.exp(-0.5 * xs[-1] ** 2) / math.sqrt(2.0 * math.pi) \
+        - xs[-1] * (1.0 - ndtr(xs[-1]))
+    return float(total + pieces.sum())
+
+
+class TestNormalFunctions:
+    # the normal CDF and quantile come from the standard library, not scipy
+
+    def test_ndtr_matches_scipy(self):
+        from scipy.special import ndtr
+        x = np.linspace(-38.0, 38.0, 76_001)
+        assert np.max(np.abs(_ndtr(x) - ndtr(x))) <= 4.5e-16
+
+    def test_ndtri_matches_scipy(self):
+        from scipy.special import ndtri
+        p = np.concatenate([np.linspace(1e-12, 1.0 - 1e-12, 20_001), np.arange(1, 1000) / 1000])
+        assert np.max(np.abs(_ndtri(p) - ndtri(p))) <= 4e-15
+
+    def test_distances_match_scipy_formulas(self):
+        from scipy.special import ndtr
+        rng = np.random.default_rng(5)
+        for x in (rng.standard_normal(300), rng.gamma(2.0, size=1000), np.zeros(16),
+                  rng.standard_normal(50) + 3.0):
+            assert abs(wasserstein_to_normal(x) - _scipy_wasserstein(x)) <= 1e-14
+            xs, n = np.sort(x), len(x)
+            cdf = ndtr(xs)
+            ks = max(np.max(np.abs(np.arange(1, n + 1) / n - cdf)),
+                     np.max(np.abs(cdf - np.arange(0, n) / n)))
+            assert abs(ks_to_normal(x) - ks) <= 1e-14
+
+
 class TestNormalityReport:
     def test_standardization_exactness(self):
         rng = np.random.default_rng(3)
@@ -93,23 +146,50 @@ class TestRunBatch:
         assert np.array_equal(serial.functionals, par.functionals)
 
     def test_failing_replicate_is_named(self, monkeypatch):
-        from germgrain import cltstats
-        measure = cltstats.arrangement_measure
-        calls = []
+        # Replicate 13 is two diamonds touching at one vertex on the window
+        # edge, an exact point contact on which the engine's integrality
+        # check fails.  It sits mid-chunk at either parallelism (one chunk of
+        # 0..19, or 10..19 in the second worker).
+        win = self.CFG.window.scaled(8.0)
+        diamond = ConvexPolygon(((0.5, 0.0), (0.0, 0.5), (-0.5, 0.0), (0.0, -0.5)))
+        bad = Grains.of([PlacedGrain((x, win.lo[1]), diamond) for x in (-0.5, 0.5)])
+        draw = process.sample
 
-        def fail_third(grains, window):
-            calls.append(window)
-            if len(calls) == 3:
-                raise RuntimeError("non-integer Euler characteristic 0.5")
-            return measure(grains, window)
-        monkeypatch.setattr(cltstats, "arrangement_measure", fail_third)
-        with pytest.raises(RuntimeError) as info:
-            run_batch(self.CFG, 8.0, 5, parallelism=1)
-        (x0, y0), (x1, y1) = self.CFG.window.scaled(8.0).lo, self.CFG.window.scaled(8.0).hi
-        msg = str(info.value)
-        assert msg.startswith("replicate 2 failed (non-integer Euler characteristic 0.5)")
-        assert (f"--seed {self.CFG.seed} --window {x0!r} {y0!r} {x1!r} {y1!r} --replicate 2"
-                in msg)
+        def sample(config, k):
+            return GermGrainSample(bad, config, k) if k == 13 else draw(config, k)
+        monkeypatch.setattr(process, "sample", sample)
+        (x0, y0), (x1, y1) = win.lo, win.hi
+        for parallelism in (1, 2):
+            with pytest.raises(RuntimeError) as info:
+                run_batch(self.CFG, 8.0, 20, parallelism=parallelism)
+            msg = str(info.value)
+            assert msg.startswith("replicate 13 failed (non-integer Euler characteristic ")
+            assert (f"--seed {self.CFG.seed} --window {x0!r} {y0!r} {x1!r} {y1!r} "
+                    "--replicate 13" in msg)
+
+    def test_engine_and_sampler_calls_are_traceable(self, monkeypatch):
+        # A traced run wraps cltstats.arrangement_measure and process.sample
+        # by name, counting grains by the length of the engine's first
+        # argument; a name with no calls leaves its layer's metrics empty.
+        engine, draw = cltstats.arrangement_measure, process.sample
+        grains, replicates = [], []
+
+        def counting_engine(chunk, *args, **kwargs):
+            grains.append(len(chunk))
+            return engine(chunk, *args, **kwargs)
+
+        def counting_sample(config, k):
+            replicates.append(k)
+            return draw(config, k)
+        monkeypatch.setattr(cltstats, "arrangement_measure", counting_engine)
+        monkeypatch.setattr(process, "sample", counting_sample)
+        reps = 40
+        run_batch(self.CFG, 16.0, reps, parallelism=1)
+        win = self.CFG.window.scaled(16.0)
+        cfg = ModelConfig(self.CFG.gamma, self.CFG.grains, win, self.CFG.seed)
+        assert 1 <= len(grains) < reps
+        assert sum(grains) == sum(len(draw(cfg, k).grains) for k in range(reps))
+        assert replicates == list(range(reps))
 
     def test_mean_area_fraction(self):
         batch = run_batch(self.CFG, 16.0, 300)

@@ -222,7 +222,7 @@ class TestArrayDraw:
         for cls in (Disk, ConvexPolygon, PlacedGrain):
             monkeypatch.setattr(cls, "__init__", refuse)
         assert replicate_rows(disks, cltstats._functionals, 3).shape == (3, 3)
-        assert replicate_rows(squares, cli._density_row, 3).shape == (3, 3)
+        assert replicate_rows(squares, cli._density_rows, 3).shape == (3, 3)
 
 
 class TestCapacity:

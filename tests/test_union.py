@@ -1,14 +1,16 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from germgrain.cells import (PlacedGrain, TooManyGrainsError, Window,
+from germgrain.cells import (Grains, PlacedGrain, TooManyGrainsError, Window,
                              intersect_convex)
 from germgrain.geometry import AlignedRect, ConvexPolygon, Disk
-from germgrain.process import (GrainDistribution, ModelConfig, ParamLaw,
-                               fixed_disk, sample, unit_squares)
-from germgrain.union import (_cell_pairs, arrangement_measure, edge_corrected_measure,
+from germgrain.process import (GermGrainSample, GrainDistribution, ModelConfig,
+                               ParamLaw, fixed_disk, sample, unit_squares)
+from germgrain.union import (ReplicateError, _cell_pairs, arrangement_measure,
+                             edge_corrected_measure,
                              hits_probe, inclusion_exclusion_measure,
                              pixel_measure, rasterize, segment_coverage,
                              write_pgm)
@@ -203,9 +205,10 @@ class TestCellPairs:
     # of their reaches; that set must be every such pair, found by brute force
 
     @staticmethod
-    def check(centres, reach):
+    def check(centres, reach, group=None):
         centres, reach = np.asarray(centres, dtype=float).reshape(-1, 2), np.asarray(reach, float)
-        cand = np.column_stack(_cell_pairs(centres, 2.0 * float(reach.max(initial=0.0))))
+        group = np.zeros(len(centres), dtype=np.int64) if group is None else group
+        cand = np.column_stack(_cell_pairs(centres, 2.0 * float(reach.max(initial=0.0)), group))
         assert cand.dtype == np.int64 and cand.shape[1] == 2
         assert np.all(cand[:, 0] != cand[:, 1])
         unordered = np.sort(cand, axis=1)
@@ -214,6 +217,7 @@ class TestCellPairs:
         got = unordered[d < reach[cand[:, 0]] + reach[cand[:, 1]]]
         dx = centres[:, None, :] - centres[None, :, :]
         close = np.hypot(dx[..., 0], dx[..., 1]) < reach[:, None] + reach[None, :]
+        close &= group[:, None] == group[None, :]
         want = np.argwhere(np.triu(close, 1))
         assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
         return len(want)
@@ -275,6 +279,87 @@ class TestCellPairs:
             c = rng.uniform(-box, box, (n, 2)) + 10.0 ** rng.uniform(0.0, 8.0)
             self.check(np.round(c) if rng.random() < 0.3 else c,
                        rng.uniform(0.0, 10.0 ** rng.uniform(-4.0, 1.0), n))
+
+    def test_groups_never_pair(self):
+        # a chunk of replicates: overlapping windows, pairs only within one
+        rng = np.random.default_rng(31)
+        for groups in (1, 2, 7, 300):
+            n = int(rng.integers(2, 400))
+            group = np.sort(rng.integers(0, groups, n))
+            c = rng.uniform(-5.0, 5.0, (n, 2))
+            self.check(c, rng.uniform(0.1, 1.0, n), group)
+        # far apart in one group, at the far edge of the span in the next
+        self.check([[0.0, 0.0], [9.0, 9.0], [9.5, 9.0], [0.5, 0.0]], [1.0] * 4,
+                   np.array([0, 0, 1, 1]))
+
+
+def _rows_of(samples):
+    """Chunk rows of samples on their common window."""
+    return arrangement_measure(Grains.join(*(s.grains for s in samples)),
+                               samples[0].config.window,
+                               counts=[len(s.grains) for s in samples])
+
+
+class TestChunks:
+    # one engine pass over a chunk of replicates gives each the row that it
+    # gets alone, whatever else is in the chunk
+
+    WIN = Window((0.0, 0.0), (12.0, 12.0))
+    LAWS = {"unit disks": fixed_disk(1.0),
+            "uniform disks": GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)),
+            "rotated squares": unit_squares(rotate=True)}
+
+    def samples(self, law):
+        cfg = ModelConfig(0.3, law, self.WIN, seed=17)
+        out = [sample(cfg, k) for k in range(70)]
+        empty = Grains(np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=np.int64),
+                       np.zeros((0, 2)))
+        far = Grains.join(*(s.grains for s in out[:2]))
+        far = Grains(far.centres + 100.0, far.radius, far.count, far.loc)
+        # a replicate with no grains and one whose grains all miss the window
+        out[3] = GermGrainSample(empty, cfg, 3)
+        out[40] = GermGrainSample(far, cfg, 40)
+        return out
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_rows_do_not_depend_on_the_chunk(self, law):
+        samples = self.samples(self.LAWS[law])
+        rows = {size: np.concatenate([_rows_of(samples[i:i + size])
+                                      for i in range(0, len(samples), size)])
+                for size in (1, 7, 64)}
+        assert rows[1].tobytes() == rows[7].tobytes() == rows[64].tobytes()
+        alone = np.array([arrangement_measure(s.grains, self.WIN).as_array() for s in samples])
+        assert np.array_equal(rows[64][:, 0], alone[:, 0])
+        assert np.allclose(rows[64][:, 1:], alone[:, 1:], rtol=1e-12, atol=0.0)
+        assert rows[64][3].tolist() == [0.0, 0.0, 0.0]
+        assert rows[64][40].tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_batches_match_chunks_at_any_parallelism(self, law):
+        from germgrain.cltstats import run_batch
+        cfg = ModelConfig(0.3, self.LAWS[law], Window((0.0, 0.0), (1.0, 1.0)), seed=23)
+        one, two = (run_batch(cfg, 12.0, 60, parallelism=p).functionals for p in (1, 2))
+        assert one.tobytes() == two.tobytes()
+        win_cfg = ModelConfig(0.3, self.LAWS[law], cfg.window.scaled(12.0), seed=23)
+        singles = np.concatenate([_rows_of([sample(win_cfg, k)]) for k in range(60)])
+        assert one.tobytes() == singles.tobytes()
+
+    def test_failing_replicate_is_named_by_position(self):
+        diamond = ConvexPolygon(((0.5, 0.0), (0.0, 0.5), (-0.5, 0.0), (0.0, -0.5)))
+        bad = Grains.of([PlacedGrain((x, 0.0), diamond) for x in (5.5, 6.5)])
+        chunk = [s.grains for s in self.samples(self.LAWS["rotated squares"])[5:10]]
+        chunk.insert(3, bad)
+        with pytest.raises(ReplicateError) as info:
+            arrangement_measure(Grains.join(*chunk), self.WIN, counts=[len(g) for g in chunk])
+        assert info.value.index == 3
+        assert str(info.value).startswith("non-integer Euler characteristic")
+        # it leaves a worker process whole
+        assert pickle.loads(pickle.dumps(info.value)).index == 3
+
+    def test_counts_must_cover_the_grains(self):
+        g = Grains.of([disk(1.0, 1.0), disk(2.0, 2.0)])
+        with pytest.raises(ValueError, match="counts"):
+            arrangement_measure(g, self.WIN, counts=[1])
 
 
 class TestEdgeCorrectedMeasure:
