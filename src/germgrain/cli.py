@@ -305,7 +305,7 @@ def build_parser():
     _add_model_flags(sp)
     sp.add_argument("--probe", required=True, help="probe shape record as JSON")
     sp.add_argument("--at", type=float, nargs=2, required=True, metavar=("X", "Y"))
-    sp.add_argument("--reps", type=int, default=1000)
+    sp.add_argument("--reps", type=_positive_int, default=1000)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_capacity)
 

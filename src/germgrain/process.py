@@ -27,7 +27,7 @@ from .geometry import (AlignedRect, ConvexPolygon, Disk, GrainShape,
                        _as_polygon_vertices, circumradius, intrinsic_volumes,
                        minkowski_sum_area, shape_from_record, shape_to_record)
 from .rng import poisson_draw, replicate_rng
-from .union import ReplicateError, hits_probe
+from .union import ReplicateError, arrangement_measure
 
 FORMAT_VERSION = "germgrain-sample-1"
 
@@ -418,8 +418,18 @@ def point_coverage_probability(config: ModelConfig) -> float:
     return 1.0 - math.exp(-config.gamma * config.grains.moments().ev2)
 
 
-def _misses(probe: PlacedGrain, samples) -> list:
-    return each_sample(lambda s: not hits_probe(s.grains, probe, s.config.window), samples)
+def _misses(probe: PlacedGrain, samples) -> np.ndarray:
+    """Whether each sample misses the probe: the grains whose circumcircle
+    reaches the probe's, measured inside it in one engine pass for the
+    chunk, have area 0 there."""
+    body = Grains.of([probe])
+    grains = Grains.join(*(s.grains for s in samples))
+    rep = np.repeat(np.arange(len(samples)), [len(s.grains) for s in samples])
+    near = np.flatnonzero(np.hypot(*(grains.centres - body.centres).T)
+                          < grains.reach + body.reach)
+    rows = arrangement_measure(grains.take(near), samples[0].config.window, mask=probe,
+                               counts=np.bincount(rep[near], minlength=len(samples)))
+    return rows[:, 2] == 0.0
 
 
 def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int):
@@ -429,6 +439,8 @@ def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int
     distance >= rmax from the window boundary, otherwise grains that could
     hit it would be missing from the realization and bias the estimate.
     """
+    if reps < 1:
+        raise ValueError(f"empirical_capacity needs at least 1 replicate, got {reps}")
     cx, cy = float(center[0]), float(center[1])
     rp = circumradius(probe)
     r = config.grains.rmax

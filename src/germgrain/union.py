@@ -26,8 +26,9 @@ of PlacedGrain is converted at entry.  Three engines compute the same quantity:
     covering interval that ends there, or from the body's own vertex, so no
     endpoints are matched.  All geometry is window-centred.  In a chunk,
     bodies of two replicates never pair, each replicate has its own region,
-    and each row is summed over its own pieces only.  The same coverage
-    kernels decide hits_probe.
+    and each row is summed over its own pieces only.  The half-open tiling
+    correction reads the covered runs of the top and right window edges from
+    the same pass.
 
   * pixel_measure -- approximate raster engine from 2x2 pixel-configuration
     counts; a pixel is occupied when its centre lies inside some grain.  Area
@@ -58,7 +59,7 @@ from .cells import (TWO_PI, Grains, PlacedGrain, TooManyGrainsError, Window,
 
 __all__ = [
     "FunctionalVector", "ReplicateError", "inclusion_exclusion_measure",
-    "arrangement_measure", "edge_corrected_measure", "hits_probe", "segment_coverage",
+    "arrangement_measure", "edge_corrected_measure", "segment_coverage",
     "pixel_measure", "rasterize", "write_pgm",
 ]
 
@@ -402,7 +403,7 @@ def _merge_runs(pid, a, b, own):
     return pid[start], a[start], reach[end], own[start], own[top[end]]
 
 
-def _measure(bd, p, j):
+def _measure(bd, p, j, edge_corrected):
     """Rows (v0, v1, v2), one per replicate, of the union of its grains inside
     its region, from coverage of primitives p by bodies j.
 
@@ -412,8 +413,11 @@ def _measure(bd, p, j):
     (or, on the region, of the run that starts there), or at parameter 0 the
     previous primitive of the same body when that primitive's end is kept.
     Each replicate's sums run over its own pieces in piece order, so its row
-    does not depend on the other replicates.  A non-integer Euler
-    characteristic raises ReplicateError naming the first such replicate.
+    does not depend on the other replicates.  edge_corrected drops the
+    covered runs of region primitives 0 (the top edge, from the far corner)
+    and 3 (the right edge) from v0 and v1, and adds back a covered far
+    corner.  A non-integer Euler characteristic raises ReplicateError naming
+    the first such replicate.
     """
     rp, ra, rb, oa, ob = _merge_runs(*_coverage(bd, p, j))
     span = np.where(bd.is_arc, TWO_PI, 1.0)
@@ -461,12 +465,21 @@ def _measure(bd, p, j):
     length = per_replicate(np.where(arc, r, np.sqrt(bd.len2[pp])) * (u1 - u0))
     area = 0.5 * per_replicate(x0 * y1 - x1 * y0 + r * r * (sweep - np.sin(sweep)))
     v0 = (per_replicate(sweep) + per_replicate(turns)) / TWO_PI
+    v1 = 0.5 * length
+    if edge_corrected:
+        side = rp[rr] - bd.table[bd.body[rp[rr]], 0]
+        cut = (side == 0) | (side == 3)
+
+        def per_run(values):
+            return np.bincount(bd.rep[bd.body[rp[rr]]], values, minlength=bd.replicates)
+        v0 = v0 - per_run(cut) + per_run((side == 0) & at0)
+        v1 = v1 - per_run(cut * (rb[rr] - ra[rr]) * np.sqrt(bd.len2[rp[rr]]))
     v0i = np.round(v0) + 0.0  # + 0.0 turns -0.0 into 0.0
     bad = np.flatnonzero(np.abs(v0 - v0i) > 1e-3)
     if len(bad):
         raise ReplicateError(f"non-integer Euler characteristic {float(v0[bad[0]])}: "
                              "arrangement inconsistency", int(bad[0]))
-    return np.column_stack([v0i, 0.5 * length, area])
+    return np.column_stack([v0i, v1, area])
 
 
 def _window_region(window: Window) -> Grains:
@@ -530,7 +543,7 @@ def _expand(bd, covered, by):
 
 
 def arrangement_measure(grains, window: Window, mask: PlacedGrain | None = None,
-                        counts=None):
+                        counts=None, edge_corrected=False):
     """Exact (v0, v1, v2) of the union of grains clipped to the window.
 
     grains is a Grains or a sequence of PlacedGrain.  `mask` optionally
@@ -543,13 +556,17 @@ def arrangement_measure(grains, window: Window, mask: PlacedGrain | None = None,
     their rows (v0, v1, v2) as a (len(counts), 3) array; a row does not
     depend on the other replicates of its chunk.  A failing replicate raises
     ReplicateError with its position in the chunk.
+    With edge_corrected, rows are those of edge_corrected_measure.
     """
+    if edge_corrected and mask is not None:
+        raise ValueError("arrangement_measure: edge_corrected takes no mask")
     grains = Grains.of(grains)
-    rows = _chunk_rows(grains, window, mask, [len(grains)] if counts is None else counts)
+    rows = _chunk_rows(grains, window, mask, [len(grains)] if counts is None else counts,
+                       edge_corrected)
     return rows if counts is not None else FunctionalVector(*rows[0])
 
 
-def _chunk_rows(grains: Grains, window: Window, mask, counts):
+def _chunk_rows(grains: Grains, window: Window, mask, counts, edge_corrected):
     counts = np.asarray(counts, dtype=np.int64)
     if counts.sum() != len(grains):
         raise ValueError(f"arrangement_measure: counts sum to {counts.sum()}, "
@@ -583,26 +600,7 @@ def _chunk_rows(grains: Grains, window: Window, mask, counts):
     edge = np.flatnonzero(depth > -reach)
     regions, edge = rep[edge], edge + m
     return _measure(bd, *_expand(bd, np.concatenate([a, b, edge, regions]),
-                                 np.concatenate([b, a, regions, edge])))
-
-
-def hits_probe(grains, probe: PlacedGrain, window: Window) -> bool:
-    """Whether the open interior of the probe meets that of some grain.
-
-    The grains whose circumcircle reaches the probe's are paired with it both
-    ways; a hit is a covered interval of positive length on either boundary.
-    """
-    grains, probe = Grains.of(grains), Grains.of([probe])
-    near = np.flatnonzero(np.hypot(*(grains.centres - probe.centres).T)
-                          < grains.reach + probe.reach)
-    if not len(near):
-        return False
-    region = _window_region(window)
-    bd = _Boundary(Grains.join(region, probe, grains.take(near)), region.centres[0])
-    ids = np.arange(len(near)) + 2
-    probe_and_near = np.concatenate([np.ones_like(ids), ids])
-    _, a, b, _ = _coverage(bd, *_expand(bd, probe_and_near, probe_and_near[::-1]))
-    return bool(np.any(b - a > _EPS))
+                                 np.concatenate([b, a, regions, edge])), edge_corrected)
 
 
 # ---------------------------------------------------------------------------
@@ -610,37 +608,28 @@ def hits_probe(grains, probe: PlacedGrain, window: Window) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _polyline_runs(grains: Grains, points):
-    """Occupied runs (segment, u0, u1) of the segments joining points.
-
-    Each segment is parameterized over [0, 1] and covered by the grains' open
-    interiors; coordinates are relative to the first point.
-    """
-    origin = np.asarray(points[0], dtype=float)
-    pts = np.asarray(points, dtype=float) - origin
-    # Pair each segment with the grains whose circumcircle reaches it.
-    centres = grains.centres - origin
-    (x, y), (dx, dy) = pts[:-1].T, np.diff(pts, axis=0).T
-    t = np.clip(((centres[:, None, 0] - x) * dx + (centres[:, None, 1] - y) * dy)
-                / (dx * dx + dy * dy), 0.0, 1.0)
-    gap = np.hypot(x + t * dx - centres[:, None, 0], y + t * dy - centres[:, None, 1])
-    near = gap < grains.reach[:, None]
-    keep = np.flatnonzero(near.any(axis=1))
-    polyline = Grains(origin[None], np.zeros(1), np.array([len(pts)]), pts)
-    bd = _Boundary(Grains.join(polyline, grains.take(keep)), origin)
-    j, p = np.nonzero(near[keep])
-    rp, u0, u1, _, _ = _merge_runs(*_coverage(bd, p, j + 1))
-    return rp, u0, u1
-
-
 def segment_coverage(grains, a, b):
     """Occupied part of the segment [a, b] under the union of grains.
 
     Returns (piece count, total length); the pieces are the maximal occupied
     intervals, a one-dimensional polyconvex set with v0 = count, v1 = length.
+    The segment is covered by the grains' open interiors, in coordinates
+    relative to a.
     """
-    _, u0, u1 = _polyline_runs(Grains.of(grains), [a, b])
-    return len(u0), float(np.sum(u1 - u0)) * math.hypot(b[0] - a[0], b[1] - a[1])
+    grains = Grains.of(grains)
+    a = np.asarray(a, dtype=float)
+    dx, dy = np.asarray(b, dtype=float) - a
+    if dx == 0.0 and dy == 0.0:
+        raise ValueError("segment_coverage: the segment has zero length")
+    # The segment is body 0, paired with the grains whose circumcircle reaches it.
+    cx, cy = (grains.centres - a).T
+    t = np.clip((cx * dx + cy * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+    near = np.flatnonzero(np.hypot(t * dx - cx, t * dy - cy) < grains.reach)
+    segment = Grains(a[None], np.zeros(1), np.array([2]), np.array([[0.0, 0.0], [dx, dy]]))
+    bd = _Boundary(Grains.join(segment, grains.take(near)), a)
+    _, u0, u1, _, _ = _merge_runs(*_coverage(bd, np.zeros(len(near), dtype=np.int64),
+                                             np.arange(1, len(near) + 1)))
+    return len(u0), float(np.sum(u1 - u0)) * math.hypot(dx, dy)
 
 
 def edge_corrected_measure(grains, window: Window) -> FunctionalVector:
@@ -651,14 +640,7 @@ def edge_corrected_measure(grains, window: Window) -> FunctionalVector:
     a lattice of windows, so the expectation is the density times the window
     area for every stationary model (no isotropy needed).
     """
-    grains = Grains.of(grains)
-    full = arrangement_measure(grains, window)
-    (x0, y0), (x1, y1) = window.lo, window.hi
-    # Segment 0 is the top edge up to the far corner, segment 1 the right edge.
-    rp, u0, u1 = _polyline_runs(grains, [(x0, y1), (x1, y1), (x1, y0)])
-    length = float(np.sum((u1 - u0) * np.where(rp == 0, x1 - x0, y1 - y0)))
-    corner = bool(np.any((rp == 0) & (u1 >= 1.0 - _EPS)))
-    return FunctionalVector(full.v0 - len(rp) + corner, full.v1 - length, full.v2)
+    return arrangement_measure(grains, window, edge_corrected=True)
 
 
 # ---------------------------------------------------------------------------

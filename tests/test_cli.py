@@ -124,6 +124,19 @@ class TestErrorPaths:
         assert "rmax" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_capacity_reps_must_be_positive(self, tmp_path, cfg_file, capsys, reps):
+        out = tmp_path / "c.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["capacity", "--config", cfg_file,
+                  "--probe", json.dumps({"kind": "disk", "radius": 1.0}),
+                  "--at", "4", "4", "--reps", reps, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--reps" in err and "positive integer" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["estimate", "clt"])
     @pytest.mark.parametrize("env, flag", [("abc", None), ("0", None), ("1", "0"),
                                            ("2", "-1"), ("1", "two")])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from germgrain import moments, union
 from germgrain.cells import Window
 from germgrain.geometry import AlignedRect
 from germgrain.moments import (DensityVector, EstimationError,
@@ -190,6 +191,27 @@ class TestEstimateDensities:
         dvb, seb, _ = estimate_densities([sample(b, k) for k in range(reps)])
         z = np.abs(dva.as_array() - dvb.as_array()) / np.hypot(sea, seb)
         assert np.all(z < 3.5)
+
+    def test_engine_calls_are_traceable(self, monkeypatch):
+        # A traced run wraps moments.edge_corrected_measure and
+        # union.arrangement_measure by name, counting grains by the length of
+        # the first argument: each sample must pass through both, once.
+        corrected, engine = moments.edge_corrected_measure, union.arrangement_measure
+        calls = []
+
+        def tracing(name, f):
+            def traced(grains, *args, **kwargs):
+                calls.append((name, grains))
+                return f(grains, *args, **kwargs)
+            return traced
+        monkeypatch.setattr(moments, "edge_corrected_measure", tracing("edge", corrected))
+        monkeypatch.setattr(union, "arrangement_measure", tracing("engine", engine))
+        cfg = ModelConfig(0.5, unit_squares(rotate=True), Window((0, 0), (8, 8)), seed=9)
+        samples = [sample(cfg, k) for k in range(4)]
+        estimate_densities(samples)
+        assert [name for name, _ in calls] == ["edge", "engine"] * len(samples)
+        assert all(g is s.grains for (_, g), s in zip(calls[::2], samples))
+        assert all(g is s.grains for (_, g), s in zip(calls[1::2], samples))
 
     def test_naive_bias_matches_local_formula(self):
         cfg = ModelConfig(0.5, DISK1, Window((0, 0), (16, 16)), seed=314)

@@ -1,10 +1,11 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from germgrain import cli, cltstats
+from germgrain import cli, cltstats, process
 from germgrain.cells import Grains, PlacedGrain, Window
 from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk,
                                 intrinsic_volumes, minkowski_sum_area,
@@ -214,6 +215,7 @@ class TestArrayDraw:
 
     def test_hot_path_builds_no_grain_objects(self, monkeypatch):
         disks = ModelConfig(0.3, fixed_disk(1.0), Window((0.0, 0.0), (16.0, 16.0)), seed=3)
+        probe = PlacedGrain((8.0, 8.0), Disk(1.5))
         squares = ModelConfig(0.5, unit_squares(rotate=True),
                               Window((0.0, 0.0), (16.0, 16.0)), seed=4)
 
@@ -223,6 +225,8 @@ class TestArrayDraw:
             monkeypatch.setattr(cls, "__init__", refuse)
         assert replicate_rows(disks, cltstats._functionals, 3).shape == (3, 3)
         assert replicate_rows(squares, cli._density_rows, 3).shape == (3, 3)
+        misses = replicate_rows(disks, partial(process._misses, probe), 3)
+        assert misses.shape == (3,) and misses.dtype == bool
 
 
 class TestCapacity:
@@ -259,6 +263,35 @@ class TestCapacity:
         cfg = ModelConfig(1e-4, fixed_disk(0.5), Window((0, 0), (8, 8)), seed=2)
         est, _ = empirical_capacity(cfg, Disk(0.5), (4.0, 4.0), 300)
         assert est > 0.99
+
+    def test_needs_a_replicate(self):
+        cfg = ModelConfig(0.1, fixed_disk(1.0), Window((0, 0), (8, 8)), seed=1)
+        for reps in (0, -3):
+            with pytest.raises(ValueError, match="at least 1 replicate"):
+                empirical_capacity(cfg, Disk(1.0), (4.0, 4.0), reps)
+
+    def test_one_engine_call_per_chunk(self, monkeypatch):
+        engine = process.arrangement_measure
+        chunks = []
+
+        def counting_engine(grains, *args, **kwargs):
+            chunks.append(len(kwargs["counts"]))
+            return engine(grains, *args, **kwargs)
+        monkeypatch.setattr(process, "arrangement_measure", counting_engine)
+        monkeypatch.setattr(process, "CHUNK_GRAINS", 100)
+        cfg = ModelConfig(0.3, fixed_disk(1.0), Window((0, 0), (8, 8)), seed=1)
+        reps = 30
+        empirical_capacity(cfg, Disk(1.0), (4.0, 4.0), reps)
+        # replicate_rows closes a chunk once its samples hold CHUNK_GRAINS grains.
+        want, held = [0], 0
+        for k in range(reps):
+            if held >= 100:
+                want.append(0)
+                held = 0
+            want[-1] += 1
+            held += len(sample(cfg, k).grains)
+        assert len(want) > 1
+        assert chunks == want
 
     def test_edge_effect_guard(self):
         cfg = ModelConfig(0.1, fixed_disk(1.0), Window((0, 0), (8, 8)), seed=1)

@@ -4,14 +4,14 @@ import pickle
 import numpy as np
 import pytest
 
+from germgrain import union
 from germgrain.cells import (Grains, PlacedGrain, TooManyGrainsError, Window,
                              intersect_convex)
 from germgrain.geometry import AlignedRect, ConvexPolygon, Disk
 from germgrain.process import (GermGrainSample, GrainDistribution, ModelConfig,
-                               ParamLaw, fixed_disk, sample, unit_squares)
-from germgrain.union import (ReplicateError, _cell_pairs, arrangement_measure,
-                             edge_corrected_measure,
-                             hits_probe, inclusion_exclusion_measure,
+                               ParamLaw, _misses, fixed_disk, sample, unit_squares)
+from germgrain.union import (_EPS, ReplicateError, _cell_pairs, arrangement_measure,
+                             edge_corrected_measure, inclusion_exclusion_measure,
                              pixel_measure, rasterize, segment_coverage,
                              write_pgm)
 
@@ -401,28 +401,98 @@ class TestEdgeCorrectedMeasure:
         assert n == 3
         assert ln == pytest.approx(2.0 + 2.0 + 0.4, rel=1e-12)
 
+    def test_zero_length_segment_is_an_error(self):
+        with pytest.raises(ValueError, match="zero length"):
+            segment_coverage([disk(0, 0)], (0.5, 0.5), (0.5, 0.5))
 
-class TestHitsProbe:
+    def test_one_boundary_per_call(self, monkeypatch):
+        built = []
+
+        class Counted(union._Boundary):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(union, "_Boundary", Counted)
+        edge_corrected_measure([disk(4.0, 4.0), disk(3.5, 0.0)], W)
+        assert len(built) == 1
+
+    def test_mask_is_refused(self):
+        with pytest.raises(ValueError, match="edge_corrected"):
+            arrangement_measure([disk(0, 0)], W, mask=disk(0.0, 0.0, 2.0), edge_corrected=True)
+
+    @staticmethod
+    def _separate_parts(grains, window):
+        """The correction from its parts: the full window, segment coverage of
+        the top and right edges, and the far corner in some grain's interior."""
+        full = arrangement_measure(grains, window).as_array()
+        (x0, y0), (x1, y1) = window.lo, window.hi
+        n_top, l_top = segment_coverage(grains, (x0, y1), (x1, y1))
+        n_right, l_right = segment_coverage(grains, (x1, y0), (x1, y1))
+        g = Grains.of(grains)
+        corner = False
+        for k in range(len(g)):
+            cx, cy = g.centres[k]
+            if g.radius[k] > 0.0:
+                corner |= math.hypot(x1 - cx, y1 - cy) < g.radius[k] * (1.0 - _EPS)
+            else:
+                v = g.loc[g.rows([k])]
+                e = np.roll(v, -1, axis=0) - v
+                side = e[:, 0] * (y1 - cy - v[:, 1]) - e[:, 1] * (x1 - cx - v[:, 0])
+                corner |= bool(np.all(side > _EPS * np.hypot(*e.T)))
+        return np.array([full[0] - n_top - n_right + corner, full[1] - l_top - l_right, full[2]])
+
+    @pytest.mark.parametrize("grains", [
+        GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)), unit_squares(rotate=True),
+        GrainDistribution("fixed", shape=ConvexPolygon(((0.0, 0.0), (1.2, 0.1), (0.3, 0.9))),
+                          rotate=True)])
+    def test_one_pass_matches_the_separate_parts(self, grains):
+        for side in (4.0, 16.0):
+            win = Window((1.0, -2.0), (1.0 + side, side - 2.0))
+            cfg = ModelConfig(0.5, grains, win, seed=29)
+            for k in range(25):
+                s = sample(cfg, k)
+                want = self._separate_parts(s.grains, win)
+                got = edge_corrected_measure(s.grains, win).as_array()
+                assert got[0] == want[0]
+                assert got[2].tobytes() == want[2].tobytes()
+                assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-12)
+
+
+def probe_misses(grains, probe, window=W):
+    """The capacity functional's miss rule for one sample of grains."""
+    cfg = ModelConfig(0.1, fixed_disk(1.0), window)
+    return bool(_misses(probe, [GermGrainSample(Grains.of(grains), cfg, 0)])[0])
+
+
+class TestProbeMisses:
     def test_agrees_with_convex_intersection(self):
         rng = np.random.default_rng(8)
         big = Window((-10.0, -10.0), (10.0, 10.0))
         hits = 0
         for _ in range(300):
             probe, grain = random_grains(rng, 2, box=1.2)
-            got = hits_probe([grain], probe, big)
+            got = not probe_misses([grain], probe, big)
             assert got == (intersect_convex([probe, grain], big)[1] is not None)
             hits += got
         assert 0 < hits < 300
 
     def test_containment_is_a_hit(self):
         inner = PlacedGrain((0.1, 0.0), AlignedRect(0.2, 0.1))
-        assert hits_probe([disk(0.0, 0.0, 2.0)], inner, W)
-        assert hits_probe([inner], PlacedGrain((0.0, 0.0), Disk(2.0)), W)
-        assert not hits_probe([disk(2.0, 0.0)], disk(0.0, 0.0), W)
+        assert not probe_misses([disk(0.0, 0.0, 2.0)], inner)
+        assert not probe_misses([inner], PlacedGrain((0.0, 0.0), Disk(2.0)))
+        assert probe_misses([disk(2.0, 0.0)], disk(0.0, 0.0))
 
     def test_no_grain_near_the_probe(self):
-        assert not hits_probe([], disk(0.0, 0.0), W)
-        assert not hits_probe([disk(3.0, 0.0), disk(-2.5, 2.5)], disk(0.0, 0.0), W)
+        assert probe_misses([], disk(0.0, 0.0))
+        assert probe_misses([disk(3.0, 0.0), disk(-2.5, 2.5)], disk(0.0, 0.0))
+
+    def test_a_chunk_matches_its_samples(self):
+        cfg = ModelConfig(0.3, fixed_disk(1.0), Window((0.0, 0.0), (8.0, 8.0)), seed=6)
+        probe = PlacedGrain((4.0, 4.0), AlignedRect(0.8, 0.5))
+        samples = [sample(cfg, k) for k in range(40)]
+        one_by_one = [probe_misses(s.grains, probe, cfg.window) for s in samples]
+        assert list(_misses(probe, samples)) == one_by_one
+        assert 0 < sum(one_by_one) < 40
 
 
 class TestPixelEngine:
