@@ -23,14 +23,13 @@ from . import __version__
 from .cltstats import clt_experiment
 from .covariance import sigma_matrix
 from .geometry import shape_from_record
-from .moments import (DensityVector, EstimationError, invert_intensity,
+from .moments import (density_estimate, density_rows, invert_intensity,
                       invert_intensity_se, miles_densities_2d)
-from .process import (GrainDistribution, ModelConfig, each_sample,
-                      empirical_capacity, read_sample, replicate_rows, sample,
-                      theory_capacity, write_sample)
-from .union import (arrangement_measure, edge_corrected_measure,
-                    inclusion_exclusion_measure, pixel_measure, rasterize,
-                    write_pgm)
+from .process import (GrainDistribution, ModelConfig, empirical_capacity,
+                      read_sample, replicate_rows, sample, theory_capacity,
+                      write_sample)
+from .union import (arrangement_measure, inclusion_exclusion_measure,
+                    pixel_measure, rasterize, write_pgm)
 
 FORMAT_VERSION = "germgrain-csv-1"
 
@@ -172,20 +171,11 @@ def _cmd_predict(args):
     return 0
 
 
-def _density_rows(samples):
-    """Edge-corrected densities of each sample of a chunk."""
-    return each_sample(lambda s: edge_corrected_measure(s.grains, s.config.window).as_array()
-                       / s.config.window.area(), samples)
-
-
 def _cmd_estimate(args):
     cfg = _load_config(args)
-    if args.reps < 2:
-        raise EstimationError("estimate needs at least 2 replicates")
     t0 = time.time()
-    rows = replicate_rows(cfg, _density_rows, args.reps, args.threads)
-    dv = DensityVector(*rows.mean(axis=0))
-    se = rows.std(axis=0, ddof=1) / np.sqrt(len(rows))
+    rows = replicate_rows(cfg, density_rows, args.reps, args.threads)
+    dv, se = density_estimate(rows)
     gamma_hat, ev1_hat, ev2_hat = invert_intensity(dv)
     g_se = invert_intensity_se(dv, np.cov(rows.T), len(rows))
     _write_csv(args.out, cfg,
@@ -281,7 +271,7 @@ def build_parser():
 
     sp = sub.add_parser("estimate", help="estimate densities and invert the intensity")
     _add_model_flags(sp)
-    sp.add_argument("--reps", type=int, default=100)
+    sp.add_argument("--reps", type=_positive_int, default=100)
     _add_threads_flag(sp)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_estimate)

@@ -210,12 +210,14 @@ def clt_experiment(config: ModelConfig, scales, reps: int, functional: str = "v2
                    parallelism: int = 1, batches=None):
     """Normality reports per scale plus the fitted log-log rate of w1 vs scale.
 
-    Returns (reports, slope, spearman_rho).  The slope is reported for
-    inspection (the theoretical trend is about -1/2); only its sign is a
-    stable assertion.
+    Returns (reports, slope, spearman_rho).  The fit needs at least two
+    distinct scales.  The slope is reported for inspection (the theoretical
+    trend is about -1/2); only its sign is a stable assertion.
     """
     if reps < 100:
         raise ValueError("distributional tests need at least 100 replicates")
+    if len(scales) < 2 or len(set(scales)) < len(scales):
+        raise ValueError(f"the rate fit needs at least two distinct scales, got {list(scales)}")
     idx = FUNCTIONAL_INDEX[functional]
     reports = []
     for r in scales:

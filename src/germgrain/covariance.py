@@ -209,16 +209,18 @@ def rho_22(gamma: float, dist: GrainDistribution):
         scale = math.expm1(gamma * float(prof.g2(0.0))) * prof.cutoff ** 2
         return _radial_integral(prof, lambda s: np.expm1(gamma * prof.g2(s)),
                                 1e-10 * max(scale, 1e-6))
-    # Anisotropic: tensor integral over one quadrant (covariograms are even).
+    # Anisotropic: tensor integral over the upper half-plane, doubled.  A
+    # covariogram is even, g(t) = g(-t), but need not be mirror-symmetric in
+    # either axis, so the quadrants [0, c]^2 and [-c, 0] x [0, c] both count.
     cutoff = 2.0 * dist.rmax
     c2 = _c2_vector(dist, gamma)
-    n = 96
-    xs, wx = gauss_legendre(n, 0.0, cutoff)
-    vals = np.expm1(c2(*np.meshgrid(xs, xs, indexing="ij")))
-    val = 4.0 * float(wx @ vals @ wx)
-    xs2, wx2 = gauss_legendre(n // 2, 0.0, cutoff)
-    coarse = 4.0 * float(wx2 @ np.expm1(c2(*np.meshgrid(xs2, xs2, indexing="ij"))) @ wx2)
-    return val, abs(val - coarse)
+
+    def half_plane(n):
+        xs, wx = gauss_legendre(n, 0.0, cutoff)
+        return 2.0 * sum(float(wx @ np.expm1(c2(*np.meshgrid(side * xs, xs, indexing="ij"))) @ wx)
+                         for side in (1.0, -1.0))
+    val = half_plane(96)
+    return val, abs(val - half_plane(48))
 
 
 def sigma_volume(gamma: float, dist: GrainDistribution):

@@ -25,14 +25,15 @@ from itertools import product
 
 import numpy as np
 
-from .process import GrainDistribution, GrainMoments, ParamLaw
+from .cells import Grains
+from .process import GrainDistribution, GrainMoments, ParamLaw, chunks
 from .union import arrangement_measure, edge_corrected_measure
 
 __all__ = [
     "DensityVector", "volume_fraction", "miles_densities_2d",
-    "ball_densities_3d", "estimate_densities", "invert_intensity",
-    "EstimationError", "kappa", "c_const", "density_general",
-    "mixed_moment_direct",
+    "ball_densities_3d", "density_rows", "density_estimate",
+    "estimate_densities", "invert_intensity", "EstimationError", "kappa",
+    "c_const", "density_general", "mixed_moment_direct",
 ]
 
 
@@ -175,27 +176,33 @@ def ball_densities_3d(gamma: float, radius_law: ParamLaw) -> np.ndarray:
     return np.array([d3, d2, d1, d0])
 
 
-def estimate_densities(samples, edge_corrected: bool = True):
-    """Per-window density estimates from measured replicates.
-
-    Measures each sample as it arrives with the arrangement engine, divides
-    by its window area and averages; no sample is held once measured.  With
-    edge_corrected=True (default) the half-open tiling correction removes
-    the window-boundary term exactly, making the estimator unbiased for any
-    stationary model; the naive ratio
-    (edge_corrected=False) carries a boundary bias of order
-    perimeter/area, reported exactly by local_mean_value in the isotropic
-    case.  Returns (DensityVector, standard errors, per-replicate rows).
-    Needs at least 2 replicates for a standard error.
-    """
+def density_rows(samples, edge_corrected: bool = True) -> np.ndarray:
+    """Densities (d0, d1, d2) of a chunk of samples on one window, measured in
+    one engine pass and divided by the window area.  The half-open tiling
+    correction (edge_corrected=True) makes them unbiased for any stationary
+    model; the naive ratio carries a boundary bias of order perimeter/area,
+    given exactly by local_mean_value for isotropic laws."""
+    window = samples[0].config.window
+    if any(s.config.window != window for s in samples):
+        raise ValueError("density_rows: the samples of a chunk must share one window")
     engine = edge_corrected_measure if edge_corrected else arrangement_measure
-    rows = np.array([engine(s.grains, s.config.window).as_array() / s.config.window.area()
-                     for s in samples])
+    return engine(Grains.join(*(s.grains for s in samples)), window,
+                  counts=[len(s.grains) for s in samples]) / window.area()
+
+
+def density_estimate(rows):
+    """Mean DensityVector and standard errors of an array of density rows, at least 2."""
     if len(rows) < 2:
-        raise EstimationError("estimate_densities needs at least 2 replicates")
-    mean = rows.mean(axis=0)
-    se = rows.std(axis=0, ddof=1) / math.sqrt(len(rows))
-    return DensityVector(*mean), se, rows
+        raise EstimationError("density estimation needs at least 2 replicates")
+    return DensityVector(*rows.mean(axis=0)), rows.std(axis=0, ddof=1) / math.sqrt(len(rows))
+
+
+def estimate_densities(samples, edge_corrected: bool = True):
+    """(DensityVector, standard errors, per-replicate rows) of samples, an
+    iterable measured a chunk (process.chunks) at a time by density_rows."""
+    rows = np.array([row for chunk in chunks(samples)
+                     for row in density_rows(chunk, edge_corrected)])
+    return (*density_estimate(rows), rows)
 
 
 def local_mean_value(j: int, shape, gamma: float, dist: GrainDistribution) -> float:

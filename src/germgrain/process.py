@@ -32,11 +32,11 @@ from .union import ReplicateError, arrangement_measure
 FORMAT_VERSION = "germgrain-sample-1"
 
 # The replicate driver hands a functional consecutive samples until they hold
-# this many grains.  One arrangement-engine pass over a chunk pays the
-# engine's fixed cost (about 1 ms) once; past about 1300 grains the cost per
-# grain stops falling, while a pass's transient memory grows by about 1.2 KB
-# per grain.
-CHUNK_GRAINS = 2048
+# this many boundary primitives (Grains.count summed: one per disk, one per
+# polygon edge).  One arrangement-engine pass over a chunk pays the engine's
+# fixed cost (about 1 ms) once; past about 1300 disks the cost per grain stops
+# falling, while a pass's transient memory grows with its primitives.
+CHUNK_PRIMITIVES = 2048
 
 # Gauss-Legendre rule of ParamLaw.expect (nodes, weights on [-1, 1]).
 GAUSS_LEGENDRE_24 = np.polynomial.legendre.leggauss(24)
@@ -460,35 +460,28 @@ def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int
 # ---------------------------------------------------------------------------
 
 
-def each_sample(f, samples) -> list:
-    """[f(s) for s in samples]: a one-sample function as a chunk functional.
-
-    A RuntimeError is re-raised as a ReplicateError naming the sample's
-    position in the chunk.
-    """
-    rows = []
-    for i, s in enumerate(samples):
-        try:
-            rows.append(f(s))
-        except RuntimeError as exc:
-            raise ReplicateError(str(exc), i) from exc
-    return rows
+def chunks(samples):
+    """Consecutive samples in lists, each closed once it holds CHUNK_PRIMITIVES
+    boundary primitives, or before a sample on another window."""
+    chunk, held = [], 0
+    for s in samples:
+        if chunk and (held >= CHUNK_PRIMITIVES or s.config.window != chunk[0].config.window):
+            yield chunk
+            chunk, held = [], 0
+        chunk.append(s)
+        held += int(s.grains.count.sum())
+    if chunk:
+        yield chunk
 
 
 def _replicate_range(config: ModelConfig, functional, lo: int, hi: int) -> list:
     """The rows of functional over the samples k = lo..hi-1, a chunk at a time.
 
-    A chunk is consecutive samples, closed once it holds CHUNK_GRAINS grains.
     A ReplicateError is re-raised naming the replicate, so that its grains
     can be dumped again with `germgrain simulate`.
     """
-    rows, k = [], lo
-    while k < hi:
-        chunk, grains = [], 0
-        while k < hi and grains < CHUNK_GRAINS:
-            chunk.append(sample(config, k))
-            grains += len(chunk[-1].grains)
-            k += 1
+    rows = []
+    for chunk in chunks(sample(config, k) for k in range(lo, hi)):
         try:
             rows.extend(functional(chunk))
         except ReplicateError as exc:
@@ -503,8 +496,8 @@ def _replicate_range(config: ModelConfig, functional, lo: int, hi: int) -> list:
 def replicate_rows(config: ModelConfig, functional, reps: int, workers: int = 1) -> np.ndarray:
     """Rows of functional over sample(config, k) for k = 0..reps-1, in replicate order.
 
-    functional takes a chunk, a list of consecutive samples, and returns one
-    row per sample; each_sample makes one from a function of one sample.
+    functional takes a chunk (see chunks), a list of consecutive samples, and
+    returns one row per sample.
     With workers > 1 the replicates are split into contiguous ranges, one per
     worker process; functional must then be picklable (a module-level
     function or a partial of one).  Every replicate is keyed by its index,

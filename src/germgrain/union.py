@@ -134,6 +134,9 @@ def inclusion_exclusion_measure(grains, window: Window, cap: int = 18) -> Functi
 # over [0, 2*pi], so the tolerance is relative to each primitive's size.
 _EPS = 1e-12
 
+# Rows of (edge, polygon) pairs per block of _seg_in_poly.
+_ROW_BLOCK = 2048
+
 
 class _Boundary:
     """Boundary primitives of convex bodies in local coordinates.
@@ -208,8 +211,13 @@ def _seg_in_poly(bd, p, j):
     coincident boundary piece stays once, on the lower-indexed body, and a
     flush contact (opposite directions) is outside.  hi <= lo is empty.
     Also returns the edges of j crossed at lo and at hi; at hi a coincident
-    edge of j, which carries the boundary on, takes precedence.
+    edge of j, which carries the boundary on, takes precedence.  Rows go in
+    blocks of _ROW_BLOCK, which bounds the (rows x body width) temporaries.
     """
+    if len(p) > _ROW_BLOCK:
+        blocks = [_seg_in_poly(bd, p[i:i + _ROW_BLOCK], j[i:i + _ROW_BLOCK])
+                  for i in range(0, len(p), _ROW_BLOCK)]
+        return tuple(np.concatenate(c) for c in zip(*blocks))
     h = bd.table[j]
     pad = h < 0
     h = np.where(pad, 0, h)
@@ -632,15 +640,16 @@ def segment_coverage(grains, a, b):
     return len(u0), float(np.sum(u1 - u0)) * math.hypot(dx, dy)
 
 
-def edge_corrected_measure(grains, window: Window) -> FunctionalVector:
+def edge_corrected_measure(grains, window: Window, counts=None):
     """Unbiased per-window functionals by the half-open tiling correction.
 
     Subtracts the functionals of Z on the right and top window edges and adds
     back the far corner indicator; contributions then telescope exactly over
     a lattice of windows, so the expectation is the density times the window
-    area for every stationary model (no isotropy needed).
+    area for every stationary model (no isotropy needed).  `counts` is
+    arrangement_measure's: with it, the rows of a chunk of replicates.
     """
-    return arrangement_measure(grains, window, edge_corrected=True)
+    return arrangement_measure(grains, window, counts=counts, edge_corrected=True)
 
 
 # ---------------------------------------------------------------------------

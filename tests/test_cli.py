@@ -205,6 +205,24 @@ class TestOtherSubcommands:
         assert len(summary["w1"]) == 2
         assert summary["config"]["seed"] == 5
 
+    @pytest.mark.parametrize("scales", [["2"], ["1", "1"], ["2", "2", "4"]])
+    def test_clt_needs_two_distinct_scales(self, tmp_path, cfg_file, capsys, scales):
+        out, js = tmp_path / "clt.csv", tmp_path / "clt.json"
+        assert main(["clt", "--config", cfg_file, "--scales", *scales, "--reps", "100",
+                     "--out", str(out), "--json-out", str(js)]) == 1
+        assert "at least two distinct scales" in capsys.readouterr().err
+        assert not out.exists() and not js.exists()
+
+    def test_estimate_needs_two_replicates(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "e.csv"
+        assert main(["estimate", "--config", cfg_file, "--reps", "1", "--out", str(out)]) == 1
+        assert "at least 2 replicates" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--config", cfg_file, "--reps", "0", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_render_pgm(self, tmp_path, cfg_file):
         out = tmp_path / "img.pgm"
         assert main(["render", "--config", cfg_file, "--resolution", "4",

@@ -11,9 +11,11 @@ from germgrain.covariance import (AnisotropyError, covariogram_functions,
                                   p_polynomial, phi_star, rho_0i, rho_11,
                                   rho_12, rho_22, rho_table, sigma_matrix,
                                   sigma_volume)
-from germgrain.geometry import ConvexPolygon, Disk, disk_covariogram, intrinsic_volumes
+from germgrain.geometry import (ConvexPolygon, Disk, covariogram, disk_covariogram,
+                                intrinsic_volumes)
 from germgrain.process import (GrainDistribution, ModelConfig, ParamLaw,
                                fixed_disk, sample, unit_squares)
+from germgrain.quadrature import gauss_legendre
 from germgrain.union import arrangement_measure
 
 DISK1 = fixed_disk(1.0)
@@ -108,6 +110,28 @@ class TestSigmaVolumeOracle:
     def test_quadrature_convergence_reported(self):
         val, err = rho_22(GAMMA, DISK1)
         assert err < 1e-8 * val
+
+    # The right triangle's covariogram is even, g(t) = g(-t), but mirror-
+    # symmetric in neither axis, so no single quadrant stands for the plane.
+    TRIANGLE = GrainDistribution("fixed", shape=ConvexPolygon(((0.0, 0.0), (1.0, 0.0),
+                                                               (0.0, 1.0))))
+
+    def test_asymmetric_law_small_gamma_limit(self):
+        g = 1e-6
+        val, err = rho_22(g, self.TRIANGLE)
+        assert val == pytest.approx(g * 0.25, rel=1e-3)  # gamma * v2^2
+        assert abs(val - g * 0.25) <= err
+
+    def test_asymmetric_law_matches_four_quadrant_oracle(self):
+        # a dense 400-node Gauss-Legendre rule in each of the four quadrants
+        c = 2.0 * self.TRIANGLE.rmax
+        xs, w = gauss_legendre(400, 0.0, c)
+        oracle = sum(float(w @ np.expm1(GAMMA * covariogram(
+            self.TRIANGLE.shape, np.meshgrid(sx * xs, sy * xs, indexing="ij"))) @ w)
+            for sx in (1.0, -1.0) for sy in (1.0, -1.0))
+        val, err = rho_22(GAMMA, self.TRIANGLE)
+        assert abs(val - oracle) <= err
+        assert val == pytest.approx(oracle, rel=2e-4)
 
     def test_polygon_law_matches_rect_law(self):
         # The unit square as a polygon runs the edge-clip covariogram through

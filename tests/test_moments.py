@@ -1,19 +1,21 @@
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from germgrain import moments, union
+from germgrain import moments, process, union
 from germgrain.cells import Window
 from germgrain.geometry import AlignedRect
 from germgrain.moments import (DensityVector, EstimationError,
                                ball_densities_3d, c_const, density_general,
-                               estimate_densities, invert_intensity,
+                               density_rows, estimate_densities, invert_intensity,
                                invert_intensity_se, kappa, local_mean_value,
                                miles_densities_2d, mixed_moment_direct,
                                volume_fraction)
-from germgrain.process import (ModelConfig, ParamLaw, fixed_disk, sample,
-                               unit_squares)
+from germgrain.process import (GrainDistribution, ModelConfig, ParamLaw,
+                               fixed_disk, replicate_rows, sample, unit_squares)
 from germgrain.rng import replicate_rng
 
 DISK1 = fixed_disk(1.0)
@@ -195,23 +197,27 @@ class TestEstimateDensities:
     def test_engine_calls_are_traceable(self, monkeypatch):
         # A traced run wraps moments.edge_corrected_measure and
         # union.arrangement_measure by name, counting grains by the length of
-        # the first argument: each sample must pass through both, once.
+        # the first argument: each chunk must pass through both, once, with
+        # all of its samples' grains.
         corrected, engine = moments.edge_corrected_measure, union.arrangement_measure
         calls = []
 
         def tracing(name, f):
             def traced(grains, *args, **kwargs):
-                calls.append((name, grains))
+                calls.append((name, len(grains)))
                 return f(grains, *args, **kwargs)
             return traced
         monkeypatch.setattr(moments, "edge_corrected_measure", tracing("edge", corrected))
         monkeypatch.setattr(union, "arrangement_measure", tracing("engine", engine))
+        monkeypatch.setattr(process, "CHUNK_PRIMITIVES", 500)
         cfg = ModelConfig(0.5, unit_squares(rotate=True), Window((0, 0), (8, 8)), seed=9)
-        samples = [sample(cfg, k) for k in range(4)]
+        samples = [sample(cfg, k) for k in range(12)]
         estimate_densities(samples)
-        assert [name for name, _ in calls] == ["edge", "engine"] * len(samples)
-        assert all(g is s.grains for (_, g), s in zip(calls[::2], samples))
-        assert all(g is s.grains for (_, g), s in zip(calls[1::2], samples))
+        grains = [sum(len(s.grains) for s in c) for c in process.chunks(samples)]
+        assert len(grains) > 1
+        assert [name for name, _ in calls] == ["edge", "engine"] * len(grains)
+        assert [n for _, n in calls[::2]] == [n for _, n in calls[1::2]] == grains
+        assert sum(grains) == sum(len(s.grains) for s in samples)
 
     def test_naive_bias_matches_local_formula(self):
         cfg = ModelConfig(0.5, DISK1, Window((0, 0), (16, 16)), seed=314)
@@ -224,6 +230,56 @@ class TestEstimateDensities:
         assert np.all(np.abs(dv_naive.as_array() - predicted) < 3.5 * se)
         # and the bias really is the boundary term, not noise
         assert abs(dv_naive.as_array()[1] - theory[1]) > 10.0 * se[1]
+
+
+class TestDensityRows:
+    # chunked density rows are the per-sample engine rows over the window
+    # area, bit for bit, whatever the chunk size and parallelism
+
+    LAWS = {"rotated squares": unit_squares(rotate=True),
+            "uniform disks": GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5))}
+
+    @staticmethod
+    def alone(samples, edge_corrected):
+        engine = union.edge_corrected_measure if edge_corrected else union.arrangement_measure
+        return np.array([engine(s.grains, s.config.window).as_array() / s.config.window.area()
+                         for s in samples])
+
+    @pytest.mark.parametrize("edge_corrected", [True, False], ids=["corrected", "naive"])
+    @pytest.mark.parametrize("primitives", [50, process.CHUNK_PRIMITIVES])
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_rows_match_single_samples(self, monkeypatch, law, primitives, edge_corrected):
+        monkeypatch.setattr(process, "CHUNK_PRIMITIVES", primitives)
+        cfg = ModelConfig(0.4, self.LAWS[law], Window((0.0, 0.0), (8.0, 8.0)), seed=29)
+        reps = 24
+        samples = [sample(cfg, k) for k in range(reps)]
+        want = self.alone(samples, edge_corrected)
+        _, _, rows = estimate_densities(samples, edge_corrected=edge_corrected)
+        assert rows.tobytes() == want.tobytes()
+        functional = partial(density_rows, edge_corrected=edge_corrected)
+        for workers in (1, 2):
+            assert replicate_rows(cfg, functional, reps, workers).tobytes() == want.tobytes()
+
+    def test_empty_replicate(self):
+        cfg = ModelConfig(0.4, self.LAWS["rotated squares"], Window((0.0, 0.0), (8.0, 8.0)),
+                          seed=29)
+        samples = [sample(cfg, k) for k in range(3)]
+        samples[1] = replace(samples[1], grains=samples[1].grains.take(np.zeros(0, dtype=int)))
+        rows = density_rows(samples)
+        assert rows[1].tolist() == [0.0, 0.0, 0.0]
+        assert rows.tobytes() == self.alone(samples, True).tobytes()
+
+    def test_a_chunk_never_mixes_windows(self):
+        a = ModelConfig(0.4, DISK1, Window((0.0, 0.0), (8.0, 8.0)), seed=3)
+        b = ModelConfig(0.4, DISK1, Window((0.0, 0.0), (4.0, 8.0)), seed=3)
+        samples = [sample(a, 0), sample(a, 1), sample(b, 0), sample(b, 1), sample(a, 2)]
+        with pytest.raises(ValueError, match="share one window"):
+            density_rows(samples[1:3])
+        # chunks close where the window changes, so each sample is divided
+        # by its own window's area
+        assert [len(c) for c in process.chunks(samples)] == [2, 2, 1]
+        _, _, rows = estimate_densities(samples)
+        assert rows.tobytes() == self.alone(samples, True).tobytes()
 
 
 class TestInvertIntensity:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from germgrain import cli, cltstats, process
+from germgrain import cltstats, moments, process
 from germgrain.cells import Grains, PlacedGrain, Window
 from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk,
                                 intrinsic_volumes, minkowski_sum_area,
@@ -224,7 +224,7 @@ class TestArrayDraw:
         for cls in (Disk, ConvexPolygon, PlacedGrain):
             monkeypatch.setattr(cls, "__init__", refuse)
         assert replicate_rows(disks, cltstats._functionals, 3).shape == (3, 3)
-        assert replicate_rows(squares, cli._density_rows, 3).shape == (3, 3)
+        assert replicate_rows(squares, moments.density_rows, 3).shape == (3, 3)
         misses = replicate_rows(disks, partial(process._misses, probe), 3)
         assert misses.shape == (3,) and misses.dtype == bool
 
@@ -278,20 +278,23 @@ class TestCapacity:
             chunks.append(len(kwargs["counts"]))
             return engine(grains, *args, **kwargs)
         monkeypatch.setattr(process, "arrangement_measure", counting_engine)
-        monkeypatch.setattr(process, "CHUNK_GRAINS", 100)
-        cfg = ModelConfig(0.3, fixed_disk(1.0), Window((0, 0), (8, 8)), seed=1)
-        reps = 30
-        empirical_capacity(cfg, Disk(1.0), (4.0, 4.0), reps)
-        # replicate_rows closes a chunk once its samples hold CHUNK_GRAINS grains.
-        want, held = [0], 0
-        for k in range(reps):
-            if held >= 100:
-                want.append(0)
-                held = 0
-            want[-1] += 1
-            held += len(sample(cfg, k).grains)
-        assert len(want) > 1
-        assert chunks == want
+        monkeypatch.setattr(process, "CHUNK_PRIMITIVES", 100)
+        for grains in (fixed_disk(1.0), unit_squares(rotate=True)):
+            cfg = ModelConfig(0.3, grains, Window((0, 0), (8, 8)), seed=1)
+            reps = 30
+            chunks.clear()
+            empirical_capacity(cfg, Disk(1.0), (4.0, 4.0), reps)
+            # replicate_rows closes a chunk once its samples hold
+            # CHUNK_PRIMITIVES boundary primitives: one per disk, four per square.
+            want, held = [0], 0
+            for k in range(reps):
+                if held >= 100:
+                    want.append(0)
+                    held = 0
+                want[-1] += 1
+                held += int(sample(cfg, k).grains.count.sum())
+            assert len(want) > 1
+            assert chunks == want
 
     def test_edge_effect_guard(self):
         cfg = ModelConfig(0.1, fixed_disk(1.0), Window((0, 0), (8, 8)), seed=1)

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,6 +344,40 @@ class TestChunks:
         win_cfg = ModelConfig(0.3, self.LAWS[law], cfg.window.scaled(12.0), seed=23)
         singles = np.concatenate([_rows_of([sample(win_cfg, k)]) for k in range(60)])
         assert one.tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_rows_do_not_depend_on_the_row_block(self, monkeypatch, law):
+        samples = self.samples(self.LAWS[law])[:20]
+        grains = Grains.join(*(s.grains for s in samples))
+
+        def rows():
+            return np.concatenate([
+                arrangement_measure(grains, self.WIN, counts=[len(s.grains) for s in samples],
+                                    edge_corrected=corrected) for corrected in (False, True)])
+        want = rows()
+        monkeypatch.setattr(union, "_ROW_BLOCK", 7)
+        assert rows().tobytes() == want.tobytes()
+
+    def test_pass_memory_grows_slower_than_its_chunk(self):
+        # The (rows x body width) temporaries of the edge kernels come in
+        # blocks of fixed size, so a pass over a 4-sample chunk of rotated
+        # squares peaks at no more than twice the largest of its samples' own
+        # passes.  tracemalloc counts numpy's buffers, deterministically.
+        cfg = ModelConfig(0.5, unit_squares(rotate=True), Window((0.0, 0.0), (16.0, 16.0)),
+                          seed=1)
+        samples = [sample(cfg, k) for k in range(4)]
+
+        def peak(chunk):
+            grains = Grains.join(*(s.grains for s in chunk))
+            tracemalloc.start()
+            try:
+                arrangement_measure(grains, cfg.window, counts=[len(s.grains) for s in chunk],
+                                    edge_corrected=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(samples)  # leaves out what only a first call allocates
+        assert peak(samples) <= 2.0 * max(peak([s]) for s in samples)
 
     def test_failing_replicate_is_named_by_position(self):
         diamond = ConvexPolygon(((0.5, 0.0), (0.0, 0.5), (-0.5, 0.0), (0.0, -0.5)))
