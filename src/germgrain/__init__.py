@@ -8,28 +8,33 @@ theory against Monte Carlo at desk scale.
 
 __version__ = "0.1.0"
 
-from .cells import Grains, PlacedGrain, TooManyGrainsError, Window, intersect_convex
-from .cltstats import (NormalityReport, ReplicateBatch, clt_experiment,
-                       ks_to_normal, multivariate_check, normality_report,
-                       run_batch, wasserstein_to_normal)
-from .covariance import (AnisotropyError, AssemblyError, CovMatrix, RhoTable,
-                         covariogram_functions, p_polynomial, phi_star,
-                         rho_0i, rho_11, rho_12, rho_22, sigma_matrix,
-                         sigma_volume)
-from .geometry import (AlignedRect, ConvexPolygon, DegenerateShapeError, Disk,
-                       IntrinsicVolumes2D, boundary_covariogram, circumradius,
-                       covariogram, intrinsic_volumes, minkowski_sum_area,
-                       rotate_shape, shape_from_record, shape_to_record,
-                       steiner_area)
-from .moments import (DensityVector, EstimationError, ball_densities_3d,
-                      density_general, estimate_densities, invert_intensity,
-                      invert_intensity_se, local_mean_value,
-                      miles_densities_2d, mixed_moment_direct,
-                      volume_fraction)
-from .process import (EdgeEffectError, GermGrainSample, GrainDistribution,
-                      GrainMoments, ModelConfig, ParamLaw, empirical_capacity,
-                      fixed_disk, read_sample, sample, theory_capacity,
-                      unit_squares, write_sample)
-from .union import (FunctionalVector, ReplicateError, arrangement_measure,
-                    edge_corrected_measure, inclusion_exclusion_measure,
-                    pixel_measure, rasterize, segment_coverage, write_pgm)
+# Public names by module, each imported on first access (PEP 562) like a submodule.
+_EXPORTS = {
+    "cells": "Grains PlacedGrain TooManyGrainsError Window intersect_convex",
+    "cltstats": "NormalityReport ReplicateBatch clt_experiment ks_to_normal multivariate_check "
+                "normality_report run_batch wasserstein_to_normal",
+    "covariance": "AnisotropyError AssemblyError CovMatrix RhoTable covariogram_functions "
+                  "p_polynomial phi_star rho_0i rho_11 rho_12 rho_22 sigma_matrix sigma_volume",
+    "geometry": "AlignedRect ConvexPolygon DegenerateShapeError Disk IntrinsicVolumes2D "
+                "boundary_covariogram circumradius covariogram intrinsic_volumes "
+                "minkowski_sum_area rotate_shape shape_from_record shape_to_record steiner_area",
+    "moments": "DensityVector EstimationError ball_densities_3d density_general "
+               "estimate_densities invert_intensity invert_intensity_se local_mean_value "
+               "miles_densities_2d mixed_moment_direct volume_fraction",
+    "process": "EdgeEffectError GermGrainSample GrainDistribution GrainMoments ModelConfig "
+               "ParamLaw empirical_capacity fixed_disk read_sample sample theory_capacity "
+               "unit_squares write_sample",
+    "union": "FunctionalVector ReplicateError arrangement_measure edge_corrected_measure "
+             "inclusion_exclusion_measure pixel_measure rasterize segment_coverage write_pgm",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    from importlib import import_module
+    if name in _EXPORTS or name in ("quadrature", "rng"):
+        return import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,19 +17,7 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .cltstats import clt_experiment
-from .covariance import sigma_matrix
-from .geometry import shape_from_record
-from .moments import (density_estimate, density_rows, invert_intensity,
-                      invert_intensity_se, miles_densities_2d)
-from .process import (GrainDistribution, ModelConfig, empirical_capacity,
-                      read_sample, replicate_rows, sample, theory_capacity,
-                      write_sample)
-from .union import (arrangement_measure, inclusion_exclusion_measure,
-                    pixel_measure, rasterize, write_pgm)
 
 FORMAT_VERSION = "germgrain-csv-1"
 
@@ -53,7 +41,7 @@ def _atomic_write(path, write):
         raise
 
 
-def _header_lines(config: ModelConfig | None, extra=None):
+def _header_lines(config, extra=None):
     lines = [f"# format: {FORMAT_VERSION}", f"# version: {__version__}"]
     if config is not None:
         lines.append(f"# config: {json.dumps(config.to_record(), sort_keys=True)}")
@@ -67,13 +55,12 @@ def _write_csv(path, config, columns, rows, extra=None):
     lines = _header_lines(config, extra)
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(repr(float(x)) if isinstance(x, (int, float, np.floating))
-                              else str(x) for x in row))
+        lines.append(",".join(x if isinstance(x, str) else repr(float(x)) for x in row))
     data = ("\n".join(lines) + "\n").encode()
     _atomic_write(path, lambda tmp: Path(tmp).write_bytes(data))
 
 
-def _load_config(args) -> ModelConfig:
+def _config_record(args):
     rec = {}
     if args.config:
         with open(args.config) as f:
@@ -87,31 +74,40 @@ def _load_config(args) -> ModelConfig:
         rec["window"] = {"lo": [x0, y0], "hi": [x1, y1]}
     if getattr(args, "grains", None) is not None:
         rec["grains"] = json.loads(args.grains)
+    return rec
+
+
+def _load_config(args):
+    from . import ModelConfig
+    rec = _config_record(args)
     missing = [k for k in ("gamma", "grains", "window") if k not in rec]
     if missing:
-        raise CliError(f"config incomplete: missing {', '.join(missing)} "
-                       f"(give --config or flags)")
-    rec.setdefault("seed", 0)
+        raise CliError(f"config incomplete: missing {', '.join(missing)} (give --config or flags)")
     return ModelConfig.from_record(rec)
 
 
 def _add_model_flags(p):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--gamma", type=float, help="intensity (overrides config)")
-    p.add_argument("--seed", type=int, help="master seed (overrides config)")
+    p.add_argument("--seed", type=_nonnegative_int, help="master seed (overrides config)")
     p.add_argument("--window", type=float, nargs=4, metavar=("X0", "Y0", "X1", "Y1"),
                    help="window corners (overrides config)")
     p.add_argument("--grains", help="grain distribution record as JSON (overrides config)")
 
 
-def _positive_int(text):
+def _positive_int(text, least=1):
     try:
         n = int(text)
     except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        n = least - 1
+    if n < least:
+        kind = "positive" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return n
+
+
+def _nonnegative_int(text):
+    return _positive_int(text, least=0)
 
 
 def _add_threads_flag(p):
@@ -123,6 +119,7 @@ def _add_threads_flag(p):
 
 
 def _cmd_simulate(args):
+    from . import sample, write_sample
     cfg = _load_config(args)
     s = sample(cfg, args.replicate)
     _atomic_write(args.out, lambda tmp: write_sample(tmp, s))
@@ -131,6 +128,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_measure(args):
+    from . import arrangement_measure, inclusion_exclusion_measure, pixel_measure, read_sample
     s = read_sample(args.infile)
     if args.engine == "arrangement":
         fv = arrangement_measure(s.grains, s.config.window)
@@ -145,16 +143,11 @@ def _cmd_measure(args):
 
 
 def _cmd_predict(args):
+    from . import GrainDistribution, miles_densities_2d
     # gamma = 0 is a legal prediction input (all densities vanish) even
     # though a simulation config requires gamma > 0.
     if args.gamma == 0.0:
-        rec = {}
-        if args.config:
-            with open(args.config) as f:
-                rec = json.load(f)
-        if getattr(args, "grains", None) is not None:
-            rec["grains"] = json.loads(args.grains)
-        grains = GrainDistribution.from_record(rec["grains"])
+        grains = GrainDistribution.from_record(_config_record(args)["grains"])
         m = grains.moments()
         _write_csv(args.out, None, ["gamma", "ev1", "ev2", "d0", "d1", "d2"],
                    [[0.0, m.ev1, m.ev2, 0.0, 0.0, 0.0]],
@@ -172,6 +165,9 @@ def _cmd_predict(args):
 
 
 def _cmd_estimate(args):
+    import numpy as np
+    from .moments import density_estimate, density_rows, invert_intensity, invert_intensity_se
+    from .process import replicate_rows
     cfg = _load_config(args)
     t0 = time.time()
     rows = replicate_rows(cfg, density_rows, args.reps, args.threads)
@@ -189,6 +185,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_covariance(args):
+    from . import sigma_matrix
     cfg = _load_config(args)
     cm = sigma_matrix(cfg.gamma, cfg.grains)
     rows = [["sigma", i] + list(cm.matrix[i]) for i in range(3)]
@@ -200,6 +197,7 @@ def _cmd_covariance(args):
 
 
 def _cmd_clt(args):
+    from . import clt_experiment
     cfg = _load_config(args)
     t0 = time.time()
     reports, slope, rho = clt_experiment(cfg, args.scales, args.reps,
@@ -222,6 +220,7 @@ def _cmd_clt(args):
 
 
 def _cmd_capacity(args):
+    from . import empirical_capacity, shape_from_record, theory_capacity
     cfg = _load_config(args)
     probe = shape_from_record(json.loads(args.probe))
     center = args.at
@@ -235,6 +234,7 @@ def _cmd_capacity(args):
 
 
 def _cmd_render(args):
+    from . import rasterize, sample, write_pgm
     cfg = _load_config(args)
     s = sample(cfg, args.replicate)
     img = rasterize(s.grains, cfg.window, args.resolution)
@@ -251,7 +251,7 @@ def build_parser():
 
     sp = sub.add_parser("simulate", help="sample one realization to a grain dump")
     _add_model_flags(sp)
-    sp.add_argument("--replicate", type=int, default=0)
+    sp.add_argument("--replicate", type=_nonnegative_int, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_simulate)
 
@@ -284,7 +284,7 @@ def build_parser():
     sp = sub.add_parser("clt", help="central-limit experiment over window scales")
     _add_model_flags(sp)
     sp.add_argument("--scales", type=float, nargs="+", default=[8, 16, 32])
-    sp.add_argument("--reps", type=int, default=500)
+    sp.add_argument("--reps", type=_positive_int, default=500)
     sp.add_argument("--functional", choices=["v0", "v1", "v2"], default="v2")
     _add_threads_flag(sp)
     sp.add_argument("--out", required=True)
@@ -301,7 +301,7 @@ def build_parser():
 
     sp = sub.add_parser("render", help="rasterize a realization to PGM")
     _add_model_flags(sp)
-    sp.add_argument("--replicate", type=int, default=0)
+    sp.add_argument("--replicate", type=_nonnegative_int, default=0)
     sp.add_argument("--resolution", type=float, default=8.0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_render)

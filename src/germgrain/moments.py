@@ -27,6 +27,7 @@ import numpy as np
 
 from .cells import Grains
 from .process import GrainDistribution, GrainMoments, ParamLaw, chunks
+from .quadrature import legendre_rule
 from .union import arrangement_measure, edge_corrected_measure
 
 __all__ = [
@@ -139,7 +140,7 @@ def mixed_moment_direct(dist: GrainDistribution, n_rot: int = 48) -> float:
         if not dist.rotate:
             return (minkowski_sum_area(k, m) - intrinsic_volumes(k).v2
                     - intrinsic_volumes(m).v2)
-        x, w = np.polynomial.legendre.leggauss(n_rot)
+        x, w = legendre_rule(n_rot)
         total = 0.0
         for seg in range(4):
             a, b = seg * math.pi / 2.0, (seg + 1) * math.pi / 2.0

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -26,6 +25,7 @@ from .cells import Grains, PlacedGrain, Window
 from .geometry import (AlignedRect, ConvexPolygon, Disk, GrainShape,
                        _as_polygon_vertices, circumradius, intrinsic_volumes,
                        minkowski_sum_area, shape_from_record, shape_to_record)
+from .quadrature import legendre_rule
 from .rng import poisson_draw, replicate_rng
 from .union import ReplicateError, arrangement_measure
 
@@ -37,9 +37,6 @@ FORMAT_VERSION = "germgrain-sample-1"
 # fixed cost (about 1 ms) once; past about 1300 disks the cost per grain stops
 # falling, while a pass's transient memory grows with its primitives.
 CHUNK_PRIMITIVES = 2048
-
-# Gauss-Legendre rule of ParamLaw.expect (nodes, weights on [-1, 1]).
-GAUSS_LEGENDRE_24 = np.polynomial.legendre.leggauss(24)
 
 
 class EdgeEffectError(ValueError):
@@ -122,7 +119,7 @@ class ParamLaw:
             values, probs = self.args
             return sum(p * f(v) for v, p in zip(values, probs))
         a, b = self.args
-        x, w = GAUSS_LEGENDRE_24
+        x, w = legendre_rule(24)
         xs = 0.5 * (b - a) * x + 0.5 * (a + b)
         total = sum(wi * f(xi) for xi, wi in zip(xs, w)) * 0.5 * (b - a)
         return total / (b - a)
@@ -319,6 +316,8 @@ class ModelConfig:
     def __post_init__(self):
         if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
             raise ValueError(f"intensity gamma must be positive and finite, got {self.gamma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     def to_record(self) -> dict:
         return {"gamma": self.gamma, "grains": self.grains.to_record(),
@@ -506,6 +505,7 @@ def replicate_rows(config: ModelConfig, functional, reps: int, workers: int = 1)
     """
     if workers <= 1:
         return np.array(_replicate_range(config, functional, 0, reps))
+    from concurrent.futures import ProcessPoolExecutor  # costs start-up; only a pool needs it
     chunk = -(-reps // workers)
     los = range(0, reps, chunk)
     with ProcessPoolExecutor(max_workers=workers) as pool:

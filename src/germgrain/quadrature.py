@@ -11,6 +11,7 @@ array of abscissae.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,7 +97,7 @@ def adaptive_quad(f, a, b, epsabs, epsrel=1e-10, limit=200, points=None):
     """
     epsabs = max(epsabs, 1e-14)
     cuts = np.asarray(points if points is not None else (), dtype=float)
-    cuts = np.unique(np.concatenate([[a], cuts[(cuts > a) & (cuts < b)], [b]]))
+    cuts = np.array(sorted({a, b, *cuts[(cuts > a) & (cuts < b)].tolist()}), dtype=float)
     lo, hi = cuts[:-1], cuts[1:]
     vals, errs = _gk21(f, lo, hi)
     spent = 0
@@ -121,9 +122,17 @@ def adaptive_quad(f, a, b, epsabs, epsrel=1e-10, limit=200, points=None):
     return val, err
 
 
+@lru_cache(maxsize=None)
+def legendre_rule(n):
+    """Gauss-Legendre nodes and weights on [-1, 1]; made once per n, read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(n, a, b):
     """Nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = legendre_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

@@ -191,10 +191,12 @@ class _Boundary:
         return (np.where(arc, self.x[p] + self.r[p] * np.cos(u), self.x[p] + u * self.dx[p]),
                 np.where(arc, self.y[p] + self.r[p] * np.sin(u), self.y[p] + u * self.dy[p]))
 
-    def level(self, p, px, py):
-        """Boundary function of primitives p at points: <= 0 on the body's side."""
-        return np.where(self.is_arc[p], np.hypot(px - self.x[p], py - self.y[p]) - self.r[p],
-                        self.nx[p] * px + self.ny[p] * py - self.off[p])
+    def level(self, b, px, py):
+        """Boundary function of body b at points (arrays): <= 0 in the body."""
+        p = self.table[b, :self.count[b]].reshape((-1,) + (1,) * np.ndim(px))
+        if self.disk[b]:
+            return np.hypot(px - self.x[p[0]], py - self.y[p[0]]) - self.r[p[0]]
+        return np.max(self.nx[p] * px + self.ny[p] * py - self.off[p], axis=0)
 
     def tangent(self, p, px, py):
         """Counterclockwise tangent (unnormalized) of primitives p at points on them."""
@@ -604,8 +606,7 @@ def _chunk_rows(grains: Grains, window: Window, mask, counts, edge_corrected):
     # pair order, which then does not depend on the search.
     key = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
     a, b = key // n + m, key % n + m
-    depth = np.max([bd.level(k, x, y) for k in range(bd.count[0])], axis=0)
-    edge = np.flatnonzero(depth > -reach)
+    edge = np.flatnonzero(bd.level(0, x, y) > -reach)
     regions, edge = rep[edge], edge + m
     return _measure(bd, *_expand(bd, np.concatenate([a, b, edge, regions]),
                                  np.concatenate([b, a, regions, edge])), edge_corrected)
@@ -681,8 +682,7 @@ def rasterize(grains, window: Window, resolution: float) -> np.ndarray:
         if ix0 >= ix1 or iy0 >= iy1:
             continue
         X, Y = np.meshgrid(xs[ix0:ix1], ys[iy0:iy1])
-        prims = bd.table[k, :bd.count[k], None, None]
-        img[iy0:iy1, ix0:ix1] |= np.max(bd.level(prims, X, Y), axis=0) <= 0.0
+        img[iy0:iy1, ix0:ix1] |= bd.level(k, X, Y) <= 0.0
     return img
 
 

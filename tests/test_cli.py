@@ -213,6 +213,28 @@ class TestOtherSubcommands:
         assert "at least two distinct scales" in capsys.readouterr().err
         assert not out.exists() and not js.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("simulate", "--replicate", "-1"), ("render", "--replicate", "-2"),
+        ("simulate", "--seed", "-3"), ("estimate", "--seed", "-1"),
+        ("clt", "--reps", "0"), ("clt", "--reps", "-5")])
+    def test_negative_seed_or_index_is_a_usage_error(self, tmp_path, cfg_file, capsys,
+                                                     command, flag, value):
+        out = tmp_path / "o.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg_file, flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "integer" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_in_config_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(CFG, seed=-3)))
+        out = tmp_path / "dump.txt"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_estimate_needs_two_replicates(self, tmp_path, cfg_file, capsys):
         out = tmp_path / "e.csv"
         assert main(["estimate", "--config", cfg_file, "--reps", "1", "--out", str(out)]) == 1
@@ -240,10 +262,14 @@ def _fresh_python(code, cwd=None):
     return out.stdout.strip()
 
 
+def _modules_after(code, cwd=None):
+    """Names in sys.modules once code has run in a fresh interpreter."""
+    code += "\nimport json, sys\nprint(json.dumps(list(sys.modules)))"
+    return set(json.loads(_fresh_python(code, cwd).splitlines()[-1]))
+
+
 def _scipy_loaded_after(code, cwd=None):
-    code += ("\nimport json, sys"
-             "\nprint(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
-    return json.loads(_fresh_python(code, cwd).splitlines()[-1])
+    return [m for m in _modules_after(code, cwd) if m.split('.')[0] == 'scipy']
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
@@ -264,3 +290,26 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     clt = run.format("clt", "'--scales', '1', '2', '--reps', '100', '--out', 'clt.csv'")
     assert _scipy_loaded_after(clt, tmp_path) == []
     assert all((tmp_path / f).exists() for f in ("e.csv", "c.csv", "clt.csv"))
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    version = ("from germgrain.cli import main\n"
+               "try:\n    main(['--version'])\nexcept SystemExit:\n    pass")
+    loaded = _modules_after(version)
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("germgrain")} == {"germgrain", "germgrain.cli"}
+
+    # rotated squares: the covariance takes the adaptive rule and Gauss-Legendre tensors
+    cfg = dict(CFG, gamma=0.5, window={"lo": [0.0, 0.0], "hi": [6.0, 6.0]},
+               grains={"family": "rect", "rotate": True,
+                       "halfwidth": {"law": "constant", "value": 0.5},
+                       "halfheight": {"law": "constant", "value": 0.5}})
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    run = "from germgrain.cli import main\nassert main(['{}', '--config', 'cfg.json', {}]) == 0"
+    loaded = _modules_after(run.format("covariance", "'--out', 'c.csv'"), tmp_path)
+    assert {"germgrain.covariance", "germgrain.quadrature"} <= loaded
+    assert not loaded & {"germgrain.cltstats", "concurrent.futures.process", "numpy.ma"}
+    estimate = run.format("estimate", "'--reps', '4', '--threads', '1', '--out', 'e.csv'")
+    loaded = _modules_after(estimate, tmp_path)
+    assert "germgrain.moments" in loaded
+    assert not loaded & {"germgrain.covariance", "concurrent.futures.process"}

@@ -153,6 +153,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             ModelConfig(0.0, fixed_disk(1.0), Window((0, 0), (1, 1)))
 
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed"):
+            ModelConfig(0.5, fixed_disk(1.0), Window((0, 0), (1, 1)), seed=-3)
+        with pytest.raises(ValueError, match="seed"):
+            ModelConfig.from_record({"gamma": 0.5, "grains": fixed_disk(1.0).to_record(),
+                                     "window": {"lo": [0, 0], "hi": [1, 1]}, "seed": -1})
+
     def test_isotropy_of_rotated_squares(self):
         # Edge-direction histogram of rotated squares is uniform on [0, pi/2).
         d = unit_squares(rotate=True)

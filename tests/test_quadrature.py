@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from germgrain.quadrature import _X21, QuadratureError, _gk21, adaptive_quad
+from germgrain.quadrature import (_X21, QuadratureError, _gk21, adaptive_quad, gauss_legendre,
+                                  legendre_rule)
 
 PANEL_CASES = {
     "exp": (np.exp, 0.0, 1.0),
@@ -71,6 +72,34 @@ class TestAdaptive:
         assert adaptive_quad(f, 0.0, 1.0, epsabs=1e-13,
                              points=[-1.0, 0.0, 1.0, 2.5]) == inside
         assert inside[0] == pytest.approx(math.e - 1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("points", [
+        [0.7, 0.3, 0.7, 0.3, 0.3],
+        [0.0, 0.3, 1.0, 0.7, 0.0],
+        [-2.0, 0.7, 5.0, 0.3, 1.5],
+    ], ids=["repeated", "at-ends", "outside"])
+    def test_cuts_are_the_sorted_distinct_kinks_inside(self, points):
+        first = []
+
+        def f(x):
+            first.append(x[:, 0])
+            return np.sqrt(np.abs(x - 0.3)) + np.abs(x - 0.7)
+        split = adaptive_quad(f, 0.0, 1.0, epsabs=1e-13, points=[0.3, 0.7])
+        first.clear()
+        assert adaptive_quad(f, 0.0, 1.0, epsabs=1e-13, points=points) == split
+        # the first round has one panel each on [0, 0.3], [0.3, 0.7] and [0.7, 1]
+        assert len(first[0]) == 3 and np.all(np.diff(first[0]) > 0.0)
+
+    def test_legendre_rule_is_cached_and_read_only(self):
+        x, w = legendre_rule(24)
+        assert legendre_rule(24)[0] is x
+        np.testing.assert_array_equal(x, np.polynomial.legendre.leggauss(24)[0])
+        np.testing.assert_array_equal(w, np.polynomial.legendre.leggauss(24)[1])
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        nodes, weights = gauss_legendre(24, 1.0, 3.0)
+        nodes[0] = weights[0] = 0.0  # a scaled rule is the caller's own copy
+        assert legendre_rule(24)[0][0] == x[0] and x[0] != 0.0
 
     def test_unconverged_integral_raises_with_achieved_error(self):
         def f(x):
