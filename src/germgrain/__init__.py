@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cells": "Grains PlacedGrain TooManyGrainsError Window intersect_convex",
     "cltstats": "NormalityReport ReplicateBatch clt_experiment ks_to_normal multivariate_check "
-                "normality_report run_batch wasserstein_to_normal",
+                "normality_report run_batch run_batches wasserstein_to_normal",
     "covariance": "AnisotropyError AssemblyError CovMatrix RhoTable covariogram_functions "
                   "p_polynomial phi_star rho_0i rho_11 rho_12 rho_22 sigma_matrix sigma_volume",
     "geometry": "AlignedRect ConvexPolygon DegenerateShapeError Disk IntrinsicVolumes2D "
@@ -38,3 +38,7 @@ def __getattr__(name):
     if name in _MODULE_OF:
         return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS, "quadrature", "rng"})

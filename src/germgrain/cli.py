@@ -309,6 +309,10 @@ def build_parser():
 
 
 def main(argv=None):
+    # --threads is germgrain's only parallelism: no command does BLAS work
+    # worth threading, and an idle OpenBLAS pool costs each process CPU time.
+    # Set before any command imports numpy; an explicit setting still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

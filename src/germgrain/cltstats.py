@@ -28,7 +28,7 @@ from .process import ModelConfig, replicate_rows
 from .union import arrangement_measure
 
 __all__ = [
-    "ReplicateBatch", "NormalityReport", "run_batch", "wasserstein_to_normal",
+    "ReplicateBatch", "NormalityReport", "run_batch", "run_batches", "wasserstein_to_normal",
     "ks_to_normal", "normality_report", "rank_correlation", "clt_experiment",
     "multivariate_check", "DegenerateVarianceError",
 ]
@@ -62,11 +62,17 @@ def run_batch(config: ModelConfig, scale: float, reps: int,
     Deterministic given (config.seed, replicate): any parallelism degree
     yields the identical array.
     """
-    win = config.window.scaled(scale)
-    rows = replicate_rows(ModelConfig(config.gamma, config.grains, win, config.seed),
-                          _functionals, reps, parallelism)
-    return ReplicateBatch(scale=scale, reps=reps, window_area=win.area(),
-                          functionals=rows, seed=config.seed)
+    return run_batches(config, [scale], reps, parallelism)[0]
+
+
+def run_batches(config: ModelConfig, scales, reps: int, parallelism: int = 1) -> list:
+    """run_batch at each scale, the scales sharing one process pool."""
+    configs = [ModelConfig(config.gamma, config.grains, config.window.scaled(r), config.seed)
+               for r in scales]
+    rows = replicate_rows(configs, _functionals, reps, parallelism)
+    return [ReplicateBatch(scale=r, reps=reps, window_area=c.window.area(),
+                           functionals=f, seed=config.seed)
+            for r, c, f in zip(scales, configs, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +225,10 @@ def clt_experiment(config: ModelConfig, scales, reps: int, functional: str = "v2
     if len(scales) < 2 or len(set(scales)) < len(scales):
         raise ValueError(f"the rate fit needs at least two distinct scales, got {list(scales)}")
     idx = FUNCTIONAL_INDEX[functional]
-    reports = []
-    for r in scales:
-        batch = batches[r] if batches is not None else run_batch(config, r, reps, parallelism)
-        reports.append(normality_report(batch.functionals[:, idx], r, batch.window_area))
+    if batches is None:
+        batches = dict(zip(scales, run_batches(config, scales, reps, parallelism)))
+    reports = [normality_report(batches[r].functionals[:, idx], r, batches[r].window_area)
+               for r in scales]
     w1s = np.array([rep.w1 for rep in reports])
     slope = float(np.polyfit(np.log(np.asarray(scales, dtype=float)), np.log(w1s), 1)[0])
     rho = rank_correlation(np.asarray(scales, dtype=float), w1s)

@@ -438,8 +438,6 @@ def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int
     distance >= rmax from the window boundary, otherwise grains that could
     hit it would be missing from the realization and bias the estimate.
     """
-    if reps < 1:
-        raise ValueError(f"empirical_capacity needs at least 1 replicate, got {reps}")
     cx, cy = float(center[0]), float(center[1])
     rp = circumradius(probe)
     r = config.grains.rmax
@@ -492,26 +490,36 @@ def _replicate_range(config: ModelConfig, functional, lo: int, hi: int) -> list:
     return rows
 
 
-def replicate_rows(config: ModelConfig, functional, reps: int, workers: int = 1) -> np.ndarray:
+def replicate_rows(config, functional, reps: int, workers: int = 1):
     """Rows of functional over sample(config, k) for k = 0..reps-1, in replicate order.
 
     functional takes a chunk (see chunks), a list of consecutive samples, and
-    returns one row per sample.
-    With workers > 1 the replicates are split into contiguous ranges, one per
-    worker process; functional must then be picklable (a module-level
-    function or a partial of one).  Every replicate is keyed by its index,
-    and a functional's row must not depend on the rest of its chunk, so the
-    result does not depend on workers.
+    returns one row per sample.  config may also be a sequence of configs,
+    each run for reps replicates; the result is then a list with one array
+    per config.
+    With workers > 1 each config's replicates are split into contiguous
+    ranges, one per worker, and the ranges of every config run on one
+    process pool; functional must then be picklable (a module-level function
+    or a partial of one).  Every replicate is keyed by its index, and a
+    functional's row must not depend on the rest of its chunk, so the result
+    does not depend on workers.
     """
-    if workers <= 1:
-        return np.array(_replicate_range(config, functional, 0, reps))
-    from concurrent.futures import ProcessPoolExecutor  # costs start-up; only a pool needs it
-    chunk = -(-reps // workers)
-    los = range(0, reps, chunk)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(_replicate_range, [config] * len(los), [functional] * len(los),
-                         los, [min(lo + chunk, reps) for lo in los])
-        return np.array([row for part in parts for row in part])
+    if reps < 1:
+        raise ValueError(f"reps={reps}: need at least 1 replicate")
+    configs = [config] if isinstance(config, ModelConfig) else list(config)
+    step = -(-reps // max(workers, 1))
+    los = range(0, reps, step)
+    tasks = [(c, lo, min(lo + step, reps)) for c in configs for lo in los]
+    if workers <= 1 or len(tasks) <= 1:
+        parts = [_replicate_range(c, functional, lo, hi) for c, lo, hi in tasks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # costs start-up; only a pool needs it
+        cs, lows, highs = zip(*tasks)
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            parts = list(pool.map(_replicate_range, cs, [functional] * len(tasks), lows, highs))
+    rows = [np.array([row for part in parts[i:i + len(los)] for row in part])
+            for i in range(0, len(parts), len(los))]
+    return rows[0] if isinstance(config, ModelConfig) else rows
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,16 @@ import pytest
 from scipy.stats import qmc
 
 from germgrain.cells import PlacedGrain, Window, intersect_convex
-from germgrain.cltstats import multivariate_check, normality_report, run_batch
+from germgrain.cltstats import multivariate_check, normality_report, run_batch, run_batches
 from germgrain.covariance import (rho_22, sigma_matrix, sigma_volume)
 from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk,
                                 disk_covariogram, intrinsic_volumes,
                                 steiner_area)
-from germgrain.moments import (estimate_densities, invert_intensity,
+from germgrain.moments import (density_estimate, density_rows, invert_intensity,
                                invert_intensity_se, miles_densities_2d,
                                mixed_moment_direct, volume_fraction)
 from germgrain.process import (ModelConfig, empirical_capacity, fixed_disk,
-                               sample, theory_capacity, unit_squares)
+                               replicate_rows, theory_capacity, unit_squares)
 from germgrain.union import arrangement_measure, inclusion_exclusion_measure
 
 DISK1 = fixed_disk(1.0)
@@ -45,13 +45,14 @@ def report(num, name, passed, detail, t0):
 
 @pytest.fixture(scope="module")
 def batch64():
-    return run_batch(CFG03, 64.0, 16_000)
+    return run_batch(CFG03, 64.0, 16_000, parallelism=2)
 
 
 @pytest.fixture(scope="module")
 def clt_batches(batch64):
     from germgrain.cltstats import ReplicateBatch
-    batches = {r: run_batch(CFG03, r, 2000) for r in (8.0, 16.0, 32.0)}
+    scales = (8.0, 16.0, 32.0)
+    batches = dict(zip(scales, run_batches(CFG03, scales, 2000, parallelism=2)))
     batches[64.0] = ReplicateBatch(scale=64.0, reps=2000,
                                    window_area=batch64.window_area,
                                    functionals=batch64.functionals[:2000],
@@ -120,7 +121,7 @@ def test_criterion_03_volume_fraction(batch64):
 def test_criterion_04_miles_densities():
     t0 = time.time()
     cfg = ModelConfig(0.5, DISK1, Window((0.0, 0.0), (64.0, 64.0)), seed=MASTER_SEED + 4)
-    dv, se, _ = estimate_densities(sample(cfg, k) for k in range(2000))
+    dv, se = density_estimate(replicate_rows(cfg, density_rows, 2000, workers=2))
     want = miles_densities_2d(0.5, DISK1.moments()).as_array()
     z = np.abs(dv.as_array() - want) / se
     report(4, "Miles densities (gamma=0.5, 64x64, 2000 reps)", bool(np.all(z <= 3.0)),
@@ -140,7 +141,7 @@ def test_criterion_05_anisotropic_consistency():
     # (b) MC densities for aligned squares vs the translative prediction
     sq = unit_squares()
     cfg = ModelConfig(0.4, sq, Window((0.0, 0.0), (64.0, 64.0)), seed=MASTER_SEED + 5)
-    dv, se, _ = estimate_densities(sample(cfg, k) for k in range(500))
+    dv, se = density_estimate(replicate_rows(cfg, density_rows, 500, workers=2))
     want = miles_densities_2d(0.4, sq.moments(), isotropic=False).as_array()
     z = np.abs(dv.as_array() - want) / se
     report(5, "anisotropic consistency (aligned/isotropized squares)",
@@ -157,9 +158,10 @@ def test_criterion_06_intensity_inversion():
     rt = max(abs(g - 0.5), abs(e1 - math.pi), abs(e2 - math.pi))
     # (b) CI coverage over 50 macro replicates
     cover = 0
-    for macro in range(50):
-        cfg = ModelConfig(0.5, DISK1, Window((0.0, 0.0), (32.0, 32.0)), seed=7000 + macro)
-        dvm, _, rows = estimate_densities(sample(cfg, k) for k in range(200))
+    cfgs = [ModelConfig(0.5, DISK1, Window((0.0, 0.0), (32.0, 32.0)), seed=7000 + macro)
+            for macro in range(50)]
+    for rows in replicate_rows(cfgs, density_rows, 200, workers=2):
+        dvm, _ = density_estimate(rows)
         gm, _, _ = invert_intensity(dvm)
         gse = invert_intensity_se(dvm, np.cov(rows.T), len(rows))
         cover += abs(gm - 0.5) <= 1.96 * gse
@@ -180,7 +182,7 @@ def test_criterion_07_volume_variance():
     # (b) empirical variance at window side 100
     sv, _ = sigma_volume(0.3, DISK1)
     cfg = ModelConfig(0.3, DISK1, Window((0.0, 0.0), (100.0, 100.0)), seed=MASTER_SEED + 7)
-    batch = run_batch(cfg, 1.0, 1500)
+    batch = run_batch(cfg, 1.0, 1500, parallelism=2)
     emp = batch.functionals[:, 2].var(ddof=1) / batch.window_area
     rel_emp = abs(emp - sv) / sv
     report(7, "volume variance", rel_oracle <= 5e-5 and rel_emp <= 0.10,

@@ -19,6 +19,12 @@ CFG = {
 }
 
 
+@pytest.fixture(autouse=True)
+def _blas_env_restored(monkeypatch):
+    """main() sets OPENBLAS_NUM_THREADS when it is unset; undo that after each test."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     p = tmp_path / "cfg.json"
@@ -313,3 +319,20 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     loaded = _modules_after(estimate, tmp_path)
     assert "germgrain.moments" in loaded
     assert not loaded & {"germgrain.covariance", "concurrent.futures.process"}
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_cli_runs_blas_single_threaded_unless_set(tmp_path, monkeypatch, preset, want):
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    (tmp_path / "cfg.json").write_text(json.dumps(CFG))
+    code = ("import os\nfrom germgrain.cli import main\n"
+            "assert main(['predict', '--config', 'cfg.json', '--out', 'p.csv']) == 0\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])")
+    assert _fresh_python(code, tmp_path).splitlines()[-1] == want
+
+
+def test_import_leaves_blas_threads_unset():
+    code = ("import os, germgrain, germgrain.cli, germgrain.process\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert _fresh_python(code) == "None"

@@ -263,6 +263,24 @@ class TestCltExperiment:
         assert all(r.w1 > 0.0 for r in reports)
         assert math.isfinite(slope) and -1.0 <= rho <= 1.0
 
+    def test_reports_do_not_depend_on_parallelism(self):
+        from germgrain.cltstats import clt_experiment, run_batches
+        cfg = ModelConfig(0.3, fixed_disk(1.0), Window((0.0, 0.0), (1.0, 1.0)), seed=9)
+        scales = (3.0, 6.0, 9.0)
+        one, two = (clt_experiment(cfg, scales, 101, functional="v1", parallelism=p)
+                    for p in (1, 2))
+        assert one[1:] == two[1:]
+
+        def fields(rep):
+            return (rep.scale, rep.reps, rep.mean, rep.variance, rep.var_per_area, rep.w1,
+                    rep.ks, rep.standardized.tobytes())
+        assert [fields(a) for a in one[0]] == [fields(b) for b in two[0]]
+
+        def batch_fields(b):
+            return b.scale, b.reps, b.window_area, b.seed, b.functionals.tobytes()
+        assert ([batch_fields(b) for b in run_batches(cfg, scales, 101, parallelism=2)]
+                == [batch_fields(run_batch(cfg, r, 101)) for r in scales])
+
     def test_rejects_small_samples(self):
         from germgrain.cltstats import clt_experiment
         cfg = ModelConfig(0.3, fixed_disk(1.0), Window((0.0, 0.0), (1.0, 1.0)), seed=9)

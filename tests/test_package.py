@@ -1,14 +1,19 @@
 import importlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import germgrain
 
-# The names the package exported when its __init__ imported every module.
+# The package's public names by module: those it exported when its __init__
+# imported every module, and run_batches.
 EXPORTED = {
     "cells": ["Grains", "PlacedGrain", "TooManyGrainsError", "Window", "intersect_convex"],
     "cltstats": ["NormalityReport", "ReplicateBatch", "clt_experiment", "ks_to_normal",
-                 "multivariate_check", "normality_report", "run_batch",
+                 "multivariate_check", "normality_report", "run_batch", "run_batches",
                  "wasserstein_to_normal"],
     "covariance": ["AnisotropyError", "AssemblyError", "CovMatrix", "RhoTable",
                    "covariogram_functions", "p_polynomial", "phi_star", "rho_0i", "rho_11",
@@ -56,3 +61,17 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(germgrain, "GAUSS_LEGENDRE_24")
     with pytest.raises(ImportError):
         exec("from germgrain import no_such_name", {})
+
+
+def test_dir_lists_public_names_without_loading_them():
+    src = os.path.dirname(os.path.dirname(germgrain.__file__))
+    code = ("import json, sys, germgrain\n"
+            "names = dir(germgrain)\n"
+            "print(json.dumps([names, sorted(m for m in sys.modules if m.startswith('germgrain'))]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+    names, loaded = json.loads(out.stdout)
+    assert set(germgrain.__all__) <= set(names)
+    assert {*EXPORTED, "quadrature", "rng", "__version__"} <= set(names)
+    assert names == sorted(names)
+    assert loaded == ["germgrain"]

@@ -17,6 +17,7 @@ from germgrain.process import (EdgeEffectError, GrainDistribution, ModelConfig,
                                replicate_rows, sample, theory_capacity,
                                unit_squares, write_sample)
 from germgrain.rng import poisson_draw, replicate_rng
+from germgrain.union import ReplicateError
 
 
 class TestParamLaw:
@@ -315,6 +316,49 @@ class TestCapacity:
         # rect + rect* closed form: 4 (w + wp)(h + hp), expectation exact
         want = 4.0 * (0.3 + 0.25) * (0.3 + 0.25)
         assert mean_hit_area(d, probe) == pytest.approx(want, rel=1e-12)
+
+
+def _fails_at_9x9_replicate_7(samples):
+    """cltstats._functionals, except that replicate 7 on the window [0, 9]^2
+    fails like an engine check."""
+    for i, s in enumerate(samples):
+        if s.config.window.hi == (9.0, 9.0) and s.replicate == 7:
+            raise ReplicateError("planted failure", i)
+    return cltstats._functionals(samples)
+
+
+class TestReplicateRows:
+    CONFIGS = [ModelConfig(0.3, fixed_disk(1.0), Window((0.0, 0.0), (8.0, 8.0)), seed=3),
+               ModelConfig(0.5, unit_squares(rotate=True), Window((0.0, 0.0), (9.0, 9.0)),
+                           seed=4),
+               ModelConfig(0.2, fixed_disk(0.5), Window((-2.0, 1.0), (5.0, 6.0)), seed=3)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_needs_a_replicate_at_any_parallelism(self, workers, reps):
+        with pytest.raises(ValueError, match=rf"reps={reps}: need at least 1 replicate"):
+            replicate_rows(self.CONFIGS[0], cltstats._functionals, reps, workers)
+        with pytest.raises(ValueError, match="reps"):
+            replicate_rows(self.CONFIGS, cltstats._functionals, reps, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_configs_share_a_pool_with_unchanged_rows(self, workers):
+        reps = 7
+        want = [replicate_rows(c, cltstats._functionals, reps) for c in self.CONFIGS]
+        got = replicate_rows(self.CONFIGS, cltstats._functionals, reps, workers)
+        assert isinstance(got, list) and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == (reps, 3) and a.tobytes() == b.tobytes()
+        one = replicate_rows(tuple(self.CONFIGS[1:2]), cltstats._functionals, reps, workers)
+        assert len(one) == 1 and one[0].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_names_its_config_and_replicate(self, workers):
+        with pytest.raises(RuntimeError) as info:
+            replicate_rows(self.CONFIGS, _fails_at_9x9_replicate_7, 10, workers)
+        msg = str(info.value)
+        assert msg.startswith("replicate 7 failed (planted failure)")
+        assert "--seed 4 --window 0.0 0.0 9.0 9.0 --replicate 7" in msg
 
 
 class TestStationarity:
