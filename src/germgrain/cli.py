@@ -225,7 +225,7 @@ def _cmd_capacity(args):
     probe = shape_from_record(json.loads(args.probe))
     center = args.at
     theory = theory_capacity(cfg, probe)
-    est, se = empirical_capacity(cfg, probe, center, args.reps)
+    est, se = empirical_capacity(cfg, probe, center, args.reps, args.threads)
     _write_csv(args.out, cfg, ["theory", "estimate", "se", "reps"],
                [[theory, est, se, args.reps]],
                extra={"probe": args.probe, "at": list(center)})
@@ -296,6 +296,7 @@ def build_parser():
     sp.add_argument("--probe", required=True, help="probe shape record as JSON")
     sp.add_argument("--at", type=float, nargs=2, required=True, metavar=("X", "Y"))
     sp.add_argument("--reps", type=_positive_int, default=1000)
+    _add_threads_flag(sp)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_capacity)
 

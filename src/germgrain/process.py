@@ -431,12 +431,14 @@ def _misses(probe: PlacedGrain, samples) -> np.ndarray:
     return rows[:, 2] == 0.0
 
 
-def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int):
+def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int,
+                       workers: int = 1):
     """Fraction of replicates whose realization misses the placed probe.
 
     Returns (estimate, binomial standard error).  The probe must keep
     distance >= rmax from the window boundary, otherwise grains that could
     hit it would be missing from the realization and bias the estimate.
+    workers is replicate_rows'; the estimate does not depend on it.
     """
     cx, cy = float(center[0]), float(center[1])
     rp = circumradius(probe)
@@ -448,7 +450,7 @@ def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int
             f"probe must keep distance >= rmax={r} from the window boundary "
             f"(margin {margin:.6g}); move or shrink it")
     placed_probe = PlacedGrain((cx, cy), probe)
-    p = int(np.sum(replicate_rows(config, partial(_misses, placed_probe), reps))) / reps
+    p = int(np.sum(replicate_rows(config, partial(_misses, placed_probe), reps, workers))) / reps
     return p, math.sqrt(max(p * (1.0 - p), 1.0 / reps) / reps)
 
 

@@ -214,39 +214,56 @@ def _seg_in_poly(bd, p, j):
     flush contact (opposite directions) is outside.  hi <= lo is empty.
     Also returns the edges of j crossed at lo and at hi; at hi a coincident
     edge of j, which carries the boundary on, takes precedence.  Rows go in
-    blocks of _ROW_BLOCK, which bounds the (rows x body width) temporaries.
+    blocks of _ROW_BLOCK, which bounds the (body width x rows) temporaries.
+    They are slot-major, so every reduction over a body's edges runs along
+    the rows; numpy reduces a short inner axis many times slower.
     """
     if len(p) > _ROW_BLOCK:
         blocks = [_seg_in_poly(bd, p[i:i + _ROW_BLOCK], j[i:i + _ROW_BLOCK])
                   for i in range(0, len(p), _ROW_BLOCK)]
         return tuple(np.concatenate(c) for c in zip(*blocks))
-    h = bd.table[j]
+    # Transposed after the gather: a slot-major table indexed [:, j] would
+    # come out laid out by j, not by slot.
+    h = np.ascontiguousarray(bd.table[j].T)
     pad = h < 0
     h = np.where(pad, 0, h)
-    px, py = bd.x[p, None], bd.y[p, None]
-    f0 = np.where(pad, -1.0, bd.nx[h] * px + bd.ny[h] * py - bd.off[h])
-    f1 = np.where(pad, -1.0, bd.nx[h] * (px + bd.dx[p, None]) + bd.ny[h] * (py + bd.dy[p, None])
-                  - bd.off[h])
-    den = f1 - f0
+
+    def level(qx, qy):
+        # j's edge-line functions at the points (qx, qy), -1 on padding.
+        return np.where(pad, -1.0, bd.nx[h] * qx + bd.ny[h] * qy - bd.off[h])
+    px, py = bd.x[p], bd.y[p]
+    f0 = level(px, py)
+    den = level(px + bd.dx[p], py + bd.dy[p]) - f0
+    same = ((f0 == 0.0) & (den == 0.0) & (j < bd.body[p])
+            & (bd.nx[h] * bd.nx[p] + bd.ny[h] * bd.ny[p] > 0.0))
+    blocked = np.any((den == 0.0) & (f0 >= 0.0) & ~same, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = f0 / (f0 - f1)
+        t = f0 / -den  # -den is f0 - f1 exactly; at den == 0 t is not used
     t_in = np.where(den < 0.0, t, -np.inf)
     t_out = np.where(den > 0.0, t, np.inf)
-    lo, hi = np.max(t_in, axis=1), np.min(t_out, axis=1)
-    same = ((f0 == 0.0) & (den == 0.0) & (j < bd.body[p])[:, None]
-            & (bd.nx[h] * bd.nx[p, None] + bd.ny[h] * bd.ny[p, None] > 0.0))
-    blocked = np.any((den == 0.0) & (f0 >= 0.0) & ~same, axis=1)
+    lo, hi = np.max(t_in, axis=0), np.min(t_out, axis=0)
     # Crossing a vertex crosses both its edge lines at once; the boundary
-    # runs into the vertex along the edge that ends there.
-    rows = np.arange(len(h))[:, None]
-    nxt = (np.arange(h.shape[1]) + 1) % bd.count[j][:, None]
+    # runs into the vertex along the edge that ends there.  A body narrower
+    # than the table closes at its last edge, not at the padding after it.
+    short = np.flatnonzero(bd.count[j] < len(h))
+    last = bd.count[j[short]] - 1
+
+    def first(mask):
+        # The edge at each row's first true slot, or at slot 0.
+        out = h[0]
+        for k in range(len(h) - 1, -1, -1):
+            out = np.where(mask[k], h[k], out)
+        return out
 
     def crossed(tt, ext):
-        near = np.abs(tt - ext[:, None]) <= _EPS
-        ends = near & near[rows, nxt]
-        return h[rows[:, 0], np.argmax(np.where(ends.any(axis=1, keepdims=True), ends, near), axis=1)]
+        near = np.abs(tt - ext) <= _EPS
+        ends = np.empty_like(near)
+        ends[:-1] = near[:-1] & near[1:]
+        ends[-1] = near[-1] & near[0]
+        ends[last, short] = near[last, short] & near[0, short]
+        return first(np.where(ends.any(axis=0), ends, near))
     c_in = crossed(t_in, lo)
-    c_out = np.where(same.any(axis=1), h[rows[:, 0], np.argmax(same, axis=1)], crossed(t_out, hi))
+    c_out = np.where(same.any(axis=0), first(same), crossed(t_out, hi))
     lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
     return lo, np.where(blocked, lo, hi), c_in, c_out
 
@@ -541,7 +558,8 @@ def _cell_pairs(centres, r, group):
     end = np.where(hit, stop[k], 0)[cell_of]
     begin[:, 0] = np.arange(1, n + 1)  # in its own cell, a point pairs with those after it
     num = end - begin
-    first = np.repeat(order, num.sum(axis=1))
+    # Column by column: numpy sums a 5-wide inner axis slowly.
+    first = np.repeat(order, num[:, 0] + num[:, 1] + num[:, 2] + num[:, 3] + num[:, 4])
     num = num.ravel()
     second = np.arange(len(first)) + np.repeat(begin.ravel() - np.cumsum(num) + num, num)
     return first, order[second]

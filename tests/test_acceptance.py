@@ -102,7 +102,7 @@ def test_criterion_02_capacity_functional():
     cfg = ModelConfig(0.1, DISK1, Window((0.0, 0.0), (8.0, 8.0)), seed=MASTER_SEED)
     want = math.exp(-0.4 * math.pi)
     assert theory_capacity(cfg, Disk(1.0)) == pytest.approx(want, rel=1e-12)
-    est, se = empirical_capacity(cfg, Disk(1.0), (4.0, 4.0), 10_000)
+    est, se = empirical_capacity(cfg, Disk(1.0), (4.0, 4.0), 10_000, workers=2)
     dev = abs(est - want)
     report(2, "capacity functional", dev <= 3.0 * se,
            f"|{est:.5f} - exp(-0.4 pi) = {want:.5f}| = {dev:.5f} <= 3 s.e. = {3 * se:.5f}", t0)

@@ -143,7 +143,7 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["estimate", "clt"])
+    @pytest.mark.parametrize("command", ["estimate", "clt", "capacity"])
     @pytest.mark.parametrize("env, flag", [("abc", None), ("0", None), ("1", "0"),
                                            ("2", "-1"), ("1", "two")])
     def test_bad_threads_is_a_usage_error(self, tmp_path, cfg_file, capsys, monkeypatch,
@@ -151,6 +151,8 @@ class TestErrorPaths:
         monkeypatch.setenv("GERMGRAIN_THREADS", env)
         out = tmp_path / "o.csv"
         argv = [command, "--config", cfg_file, "--reps", "2", "--out", str(out)]
+        if command == "capacity":
+            argv += ["--probe", json.dumps({"kind": "disk", "radius": 1.0}), "--at", "4", "4"]
         with pytest.raises(SystemExit) as exc:
             main(argv + ([] if flag is None else ["--threads", flag]))
         assert exc.value.code == 2
@@ -179,6 +181,18 @@ class TestOtherSubcommands:
         est = float(rows[0]["estimate"])
         se = float(rows[0]["se"])
         assert abs(est - theory) < 4.0 * se
+
+    def test_capacity_does_not_depend_on_threads(self, tmp_path, cfg_file):
+        rows = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"c{threads}.csv"
+            assert main(["capacity", "--config", cfg_file, "--gamma", "0.2",
+                         "--probe", json.dumps({"kind": "disk", "radius": 0.5}),
+                         "--at", "6", "6", "--reps", "60", "--threads", threads,
+                         "--out", str(out)]) == 0
+            rows.append(read_rows(out)[1])
+        assert rows[0] == rows[1]
+        assert 0.0 < float(rows[0][0]["estimate"]) < 1.0
 
     def test_estimate_subcommand(self, tmp_path, cfg_file):
         out = tmp_path / "e.csv"

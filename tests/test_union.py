@@ -20,6 +20,11 @@ W = Window((-4.0, -4.0), (4.0, 4.0))
 LENS_AREA = 2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)
 
 
+def regular_polygon(n, r):
+    angles = 2.0 * math.pi * np.arange(n) / n
+    return ConvexPolygon(tuple(zip(r * np.cos(angles), r * np.sin(angles))))
+
+
 def disk(x, y, r=1.0):
     return PlacedGrain((x, y), Disk(r))
 
@@ -196,6 +201,17 @@ class TestArrangement:
         assert ar == pytest.approx(want, abs=1e-12)
         assert ar == pytest.approx(inclusion_exclusion_measure(grains, W).as_array(), abs=1e-12)
 
+    def test_window_edge_through_a_triangle_vertex_between_its_last_and_first_edges(self):
+        # The triangle's first vertex lies on the window's right edge, which
+        # enters the triangle there across its last and first edge lines at
+        # once; the boundary runs in along the last edge.  The triangle's
+        # three edges are padded to the window's four.
+        tri = [PlacedGrain((3.0, 1.0), ConvexPolygon(((0.0, 0.0), (1.0, 1.0), (-1.0, 1.0))))]
+        win = Window((-3.0, -3.0), (3.0, 3.0))
+        want = (1.0, 1.0 + math.sqrt(2.0) / 2.0, 0.5)
+        assert arrangement_measure(tri, win).as_array() == pytest.approx(want, abs=1e-12)
+        assert inclusion_exclusion_measure(tri, win).as_array() == pytest.approx(want, abs=1e-12)
+
     def test_exact_duplicates_dedupe(self):
         fv = arrangement_measure([disk(0, 0), disk(0, 0)], W)
         assert fv.as_array() == pytest.approx([1.0, math.pi, math.pi], abs=1e-12)
@@ -306,9 +322,15 @@ class TestChunks:
     # gets alone, whatever else is in the chunk
 
     WIN = Window((0.0, 0.0), (12.0, 12.0))
+    # Triangles are narrower than the window's four edges and hexagons wider,
+    # so the engine's edge table pads the bodies of both.
     LAWS = {"unit disks": fixed_disk(1.0),
             "uniform disks": GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)),
-            "rotated squares": unit_squares(rotate=True)}
+            "rotated squares": unit_squares(rotate=True),
+            "rotated triangles": GrainDistribution("fixed", shape=regular_polygon(3, 0.8),
+                                                   rotate=True),
+            "rotated hexagons": GrainDistribution("fixed", shape=regular_polygon(6, 0.6),
+                                                  rotate=True)}
 
     def samples(self, law):
         cfg = ModelConfig(0.3, law, self.WIN, seed=17)
@@ -359,7 +381,7 @@ class TestChunks:
         assert rows().tobytes() == want.tobytes()
 
     def test_pass_memory_grows_slower_than_its_chunk(self):
-        # The (rows x body width) temporaries of the edge kernels come in
+        # The (body width x rows) temporaries of the edge kernel come in
         # blocks of fixed size, so a pass over a 4-sample chunk of rotated
         # squares peaks at no more than twice the largest of its samples' own
         # passes.  tracemalloc counts numpy's buffers, deterministically.
