@@ -110,6 +110,16 @@ def _nonnegative_int(text):
     return _positive_int(text, least=0)
 
 
+def _positive_float(text):
+    try:
+        x = float(text)
+    except ValueError:
+        x = -1.0
+    if not 0.0 < x < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return x
+
+
 def _add_threads_flag(p):
     # A string default goes through type too, so a bad GERMGRAIN_THREADS is
     # a usage error like a bad --threads.
@@ -259,7 +269,7 @@ def build_parser():
     sp.add_argument("infile")
     sp.add_argument("--engine", choices=["arrangement", "inclusion-exclusion", "pixel"],
                     default="arrangement")
-    sp.add_argument("--resolution", type=float, default=16.0,
+    sp.add_argument("--resolution", type=_positive_float, default=16.0,
                     help="pixels per unit length (pixel engine)")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_measure)
@@ -283,7 +293,7 @@ def build_parser():
 
     sp = sub.add_parser("clt", help="central-limit experiment over window scales")
     _add_model_flags(sp)
-    sp.add_argument("--scales", type=float, nargs="+", default=[8, 16, 32])
+    sp.add_argument("--scales", type=_positive_float, nargs="+", default=[8, 16, 32])
     sp.add_argument("--reps", type=_positive_int, default=500)
     sp.add_argument("--functional", choices=["v0", "v1", "v2"], default="v2")
     _add_threads_flag(sp)
@@ -303,7 +313,7 @@ def build_parser():
     sp = sub.add_parser("render", help="rasterize a realization to PGM")
     _add_model_flags(sp)
     sp.add_argument("--replicate", type=_nonnegative_int, default=0)
-    sp.add_argument("--resolution", type=float, default=8.0)
+    sp.add_argument("--resolution", type=_positive_float, default=8.0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_render)
     return p

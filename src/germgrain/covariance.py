@@ -45,11 +45,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (AlignedRect, ConvexPolygon, _as_polygon_vertices,
-                       boundary_covariogram, covariogram,
+from .geometry import (AlignedRect, ConvexPolygon, _as_polygon_vertices, _compositions,
+                       boundary_covariogram, c_const, covariogram,
                        disk_boundary_covariogram, disk_covariogram,
                        intrinsic_volumes)
-from .moments import _compositions, c_const
 from .process import GrainDistribution
 from .quadrature import adaptive_quad, gauss_legendre, tanh_sinh
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -216,7 +217,7 @@ def rotate_shape(shape: GrainShape, angle: float) -> GrainShape:
 
 
 # ---------------------------------------------------------------------------
-# Intrinsic volumes, Steiner dilation, circumradius
+# Intrinsic volumes, Steiner dilation, circumradius, unit-ball constants
 # ---------------------------------------------------------------------------
 
 
@@ -238,6 +239,23 @@ def steiner_area(shape: GrainShape, r: float) -> float:
         raise ValueError(f"dilation radius must be nonnegative, got {r}")
     iv = intrinsic_volumes(shape)
     return iv.v2 + 2.0 * r * iv.v1 + math.pi * r * r
+
+
+def kappa(i: int) -> float:
+    """Volume of the i-dimensional unit ball."""
+    return math.pi ** (i / 2.0) / math.gamma(i / 2.0 + 1.0)
+
+
+def c_const(i: int, j: int) -> float:
+    """c^i_j = i! kappa_i / (j! kappa_j)."""
+    return (math.factorial(i) * kappa(i)) / (math.factorial(j) * kappa(j))
+
+
+def _compositions(total: int, parts: int, lo: int, hi: int):
+    """All tuples (m_1..m_parts) with lo <= m_i <= hi summing to total."""
+    for m in product(range(lo, hi + 1), repeat=parts):
+        if sum(m) == total:
+            yield m
 
 
 def circumradius(shape: GrainShape) -> float:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .cells import Grains
+from .geometry import _compositions, c_const, kappa
 from .process import GrainDistribution, GrainMoments, ParamLaw, chunks
 from .quadrature import legendre_rule
 from .union import arrangement_measure, edge_corrected_measure
@@ -54,27 +54,10 @@ class DensityVector:
         return np.array([self.d0, self.d1, self.d2])
 
 
-def kappa(i: int) -> float:
-    """Volume of the i-dimensional unit ball."""
-    return math.pi ** (i / 2.0) / math.gamma(i / 2.0 + 1.0)
-
-
-def c_const(i: int, j: int) -> float:
-    """c^i_j = i! kappa_i / (j! kappa_j)."""
-    return (math.factorial(i) * kappa(i)) / (math.factorial(j) * kappa(j))
-
-
 def volume_fraction(gamma: float, ev2: float) -> float:
     if gamma < 0.0 or ev2 < 0.0:
         raise ValueError("gamma and ev2 must be nonnegative")
     return 1.0 - math.exp(-gamma * ev2)
-
-
-def _compositions(total: int, parts: int, lo: int, hi: int):
-    """All tuples (m_1..m_parts) with lo <= m_i <= hi summing to total."""
-    for m in product(range(lo, hi + 1), repeat=parts):
-        if sum(m) == total:
-            yield m
 
 
 def density_general(d: int, j: int, grain_densities) -> float:

@@ -27,15 +27,15 @@ from .geometry import (AlignedRect, ConvexPolygon, Disk, GrainShape,
                        minkowski_sum_area, shape_from_record, shape_to_record)
 from .quadrature import legendre_rule
 from .rng import poisson_draw, replicate_rng
-from .union import ReplicateError, arrangement_measure
 
 FORMAT_VERSION = "germgrain-sample-1"
 
 # The replicate driver hands a functional consecutive samples until they hold
 # this many boundary primitives (Grains.count summed: one per disk, one per
 # polygon edge).  One arrangement-engine pass over a chunk pays the engine's
-# fixed cost (about 1 ms) once; past about 1300 disks the cost per grain stops
-# falling, while a pass's transient memory grows with its primitives.
+# fixed cost (a pass over 4 disks takes about 0.4 ms) once; past about 1300
+# disks the cost per grain stops falling, while a pass's transient memory
+# grows with its primitives.
 CHUNK_PRIMITIVES = 2048
 
 
@@ -421,6 +421,7 @@ def _misses(probe: PlacedGrain, samples) -> np.ndarray:
     """Whether each sample misses the probe: the grains whose circumcircle
     reaches the probe's, measured inside it in one engine pass for the
     chunk, have area 0 there."""
+    from .union import arrangement_measure  # here: covariance imports process, never the engine
     body = Grains.of([probe])
     grains = Grains.join(*(s.grains for s in samples))
     rep = np.repeat(np.arange(len(samples)), [len(s.grains) for s in samples])
@@ -479,6 +480,7 @@ def _replicate_range(config: ModelConfig, functional, lo: int, hi: int) -> list:
     A ReplicateError is re-raised naming the replicate, so that its grains
     can be dumped again with `germgrain simulate`.
     """
+    from .union import ReplicateError
     rows = []
     for chunk in chunks(sample(config, k) for k in range(lo, hi)):
         try:

@@ -173,6 +173,7 @@ class _Boundary:
         self.off = self.nx * self.x + self.ny * self.y
         self.disk = disk
         self.count = count
+        self.first = first
         self.centres = centres
         self.grains = g
         # Circumradius about the centre, for neighbour search.
@@ -182,11 +183,12 @@ class _Boundary:
         self.table = np.where(cols < count[:, None], first[:, None] + cols, -1)
         self.replicates = regions
         self.rep = np.zeros(len(g), dtype=np.int64) if rep is None else rep
+        self.prim_rep = self.rep[body]
         self.is_region = np.arange(len(g)) < regions
         self.on_region = body < regions
 
     def point(self, p, u):
-        """Point at parameter u of primitives p."""
+        """Point at parameter u of primitives p (u may stack rows of parameters)."""
         arc = self.is_arc[p]
         return (np.where(arc, self.x[p] + self.r[p] * np.cos(u), self.x[p] + u * self.dx[p]),
                 np.where(arc, self.y[p] + self.r[p] * np.sin(u), self.y[p] + u * self.dy[p]))
@@ -221,7 +223,7 @@ def _seg_in_poly(bd, p, j):
     if len(p) > _ROW_BLOCK:
         blocks = [_seg_in_poly(bd, p[i:i + _ROW_BLOCK], j[i:i + _ROW_BLOCK])
                   for i in range(0, len(p), _ROW_BLOCK)]
-        return tuple(np.concatenate(c) for c in zip(*blocks))
+        return _joined(blocks)
     # Transposed after the gather: a slot-major table indexed [:, j] would
     # come out laid out by j, not by slot.
     h = np.ascontiguousarray(bd.table[j].T)
@@ -281,7 +283,7 @@ def _seg_in_disk(bd, p, j):
     w2 = (bd.reach[j] ** 2 - cross * cross / qa) / qa
     w = np.sqrt(np.maximum(w2, 0.0))
     lo = np.maximum(tc - w, 0.0)
-    circle = bd.table[j, 0]
+    circle = bd.first[j]
     return lo, np.where(w2 > 0.0, np.minimum(tc + w, 1.0), lo), circle, circle
 
 
@@ -314,15 +316,23 @@ def _arc_outside_poly(bd, p, j):
     return np.nonzero(valid)[0], np.arctan2(ny[valid], nx[valid]) - beta, 2.0 * beta, h[valid]
 
 
+def _joined(parts):
+    """Tuples of arrays, joined field by field."""
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
 def _unwrap(p, start, width, own):
-    """Circular intervals (p, start, width, owner) as one or two intervals on [0, 2*pi]."""
+    """Circular intervals (p, start, width, owner) on [0, 2*pi], as two parts
+    to join: each interval up to 2*pi, then the pieces past 2*pi shifted back."""
     full = width >= TWO_PI - _EPS
-    a = np.where(full, 0.0, np.mod(start, TWO_PI))
+    # np.mod(start, TWO_PI) bit for bit on the starts that occur, in
+    # (-2*pi, 3*pi): both shifts are exact there, or round as np.mod does.
+    a = np.where(start >= TWO_PI, start - TWO_PI, start)
+    a = np.where(full, 0.0, np.where(a < 0.0, a + TWO_PI, a) + 0.0)
     b = np.where(full, TWO_PI, a + width)
-    wrap = b > TWO_PI
-    return (np.concatenate([p, p[wrap]]), np.concatenate([a, np.zeros(int(wrap.sum()))]),
-            np.concatenate([np.minimum(b, TWO_PI), b[wrap] - TWO_PI]),
-            np.concatenate([own, own[wrap]]))
+    wrap = np.flatnonzero(b > TWO_PI)
+    return [(p, a, np.minimum(b, TWO_PI), own),
+            (p[wrap], np.zeros(len(wrap)), b[wrap] - TWO_PI, own[wrap])]
 
 
 def _coverage(bd, p, j):
@@ -351,34 +361,37 @@ def _coverage(bd, p, j):
     if m.any():
         start, width = _arc_in_disk(bd, p[m], j[m])
         rm = reg[m]
-        circ.append((p[m], np.where(rm, start + width, start), np.where(rm, TWO_PI - width, width),
-                     bd.table[j[m], 0]))
+        if rm.any():
+            start, width = np.where(rm, start + width, start), np.where(rm, TWO_PI - width, width)
+        circ.append((p[m], start, width, bd.first[j[m]]))
     m = arc & ~jd
     if m.any():
         pm, jm = p[m], j[m]
         rows, start, width, edge = _arc_outside_poly(bd, pm, jm)
         out = reg[m][rows]
         circ.append((pm[rows[out]], start[out], width[out], edge[out]))
-        # A grain polygon covers the gaps between the merged outside arcs of
-        # its edge lines, the last gap running across 2*pi, and a circle with
-        # no outside arc lies wholly inside.  The carrier is the edge starting
-        # the run after a gap on a grain circle, and the edge ending the run
-        # before it on a region circle.
-        rp, ra, rb, oa, ob = _merge_runs(*_unwrap(rows[~out], start[~out], width[~out],
-                                                  edge[~out]))
-        head, last = _firsts(rp), _firsts(rp[::-1])[::-1]
-        first = np.flatnonzero(head)[np.cumsum(head) - 1]
-        nxt = np.where(last, first, np.arange(len(rp)) + 1)
-        gap_end = np.where(last, ra[first] + TWO_PI, ra[nxt])
-        circ.append((pm[rp], rb, gap_end - rb, np.where(on_region[m][rp], ob, oa[nxt])))
-        inside = np.flatnonzero(~reg[m] & (np.bincount(rp, minlength=len(pm)) == 0))
-        circ.append((pm[inside], np.zeros(len(inside)), np.full(len(inside), TWO_PI),
-                     np.full(len(inside), -1)))
+        # Only when a grain polygon is paired; a circle wholly inside one has no rows.
+        if not reg[m].all():
+            # A grain polygon covers the gaps between the merged outside arcs of
+            # its edge lines, the last gap running across 2*pi, and a circle with
+            # no outside arc lies wholly inside.  The carrier is the edge starting
+            # the run after a gap on a grain circle, and the edge ending the run
+            # before it on a region circle.
+            rp, ra, rb, oa, ob = _merge_runs(*_joined(_unwrap(rows[~out], start[~out],
+                                                              width[~out], edge[~out])))
+            head, last = _firsts(rp), _firsts(rp[::-1])[::-1]
+            first = np.flatnonzero(head)[np.cumsum(head) - 1]
+            nxt = np.where(last, first, np.arange(len(rp)) + 1)
+            gap_end = np.where(last, ra[first] + TWO_PI, ra[nxt])
+            circ.append((pm[rp], rb, gap_end - rb, np.where(on_region[m][rp], ob, oa[nxt])))
+            inside = np.flatnonzero(~reg[m] & (np.bincount(rp, minlength=len(pm)) == 0))
+            circ.append((pm[inside], np.zeros(len(inside)), np.full(len(inside), TWO_PI),
+                         np.full(len(inside), -1)))
     if circ:
-        lin.append(_unwrap(*(np.concatenate(c) for c in zip(*circ))))
+        lin += _unwrap(*_joined(circ))
     if not lin:
         return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64)
-    return tuple(np.concatenate(c) for c in zip(*lin))
+    return _joined(lin)
 
 
 def _firsts(ids):
@@ -419,8 +432,11 @@ def _merge_runs(pid, a, b, own):
     n = len(pid)
     if n == 0:
         return pid, a, b, own, own
-    # Segmented running maximum of b on exact integer keys.
-    key = pid.astype(np.int64) * n + _dense_rank(b)
+    # Segmented running maximum of b on a complex key, which numpy orders
+    # exactly by real part (pid), then imaginary part (b); filled in place,
+    # as pid + 1j * b takes a complex product, ten times slower.
+    key = np.empty(n, dtype=complex)
+    key.real, key.imag = pid, b
     top = np.maximum.accumulate(np.where(key == np.maximum.accumulate(key), np.arange(n), 0))
     reach = b[top]
     start = _firsts(pid)
@@ -476,8 +492,7 @@ def _measure(bd, p, j, edge_corrected):
         np.where(end_cov[bd.prev[lead]], end_own[bd.prev[lead]], -1),
         np.where(at0 & end_cov[bd.prev[rp[rr]]], -1, oa[rr])])
 
-    x0, y0 = bd.point(pp, u0)
-    x1, y1 = bd.point(pp, u1)
+    (x0, x1), (y0, y1) = bd.point(pp, np.stack([u0, u1]))
     ix, iy = bd.tangent(np.where(carrier >= 0, carrier, prev), x0, y0)
     ox, oy = bd.tangent(pp, x0, y0)
     turns = np.arctan2(ix * oy - iy * ox, ix * ox + iy * oy)
@@ -485,7 +500,7 @@ def _measure(bd, p, j, edge_corrected):
     arc = bd.is_arc[pp]
     sweep = np.where(arc, u1 - u0, 0.0)
     r = bd.r[pp]
-    rep = bd.rep[bd.body[pp]]
+    rep = bd.prim_rep[pp]
 
     def per_replicate(values):
         return np.bincount(rep, values, minlength=bd.replicates)
@@ -494,11 +509,11 @@ def _measure(bd, p, j, edge_corrected):
     v0 = (per_replicate(sweep) + per_replicate(turns)) / TWO_PI
     v1 = 0.5 * length
     if edge_corrected:
-        side = rp[rr] - bd.table[bd.body[rp[rr]], 0]
+        side = rp[rr] - bd.first[bd.body[rp[rr]]]
         cut = (side == 0) | (side == 3)
 
         def per_run(values):
-            return np.bincount(bd.rep[bd.body[rp[rr]]], values, minlength=bd.replicates)
+            return np.bincount(bd.prim_rep[rp[rr]], values, minlength=bd.replicates)
         v0 = v0 - per_run(cut) + per_run((side == 0) & at0)
         v1 = v1 - per_run(cut * (rb[rr] - ra[rr]) * np.sqrt(bd.len2[rp[rr]]))
     v0i = np.round(v0) + 0.0  # + 0.0 turns -0.0 into 0.0
@@ -521,12 +536,13 @@ def _cell_pairs(centres, r, group):
     once, including every pair of points of the same group (a nonnegative
     integer per point) less than r > 0 apart; points of two groups never pair.
 
-    A cell list: the points are binned into square cells of side at least r,
-    keyed by group, column and row, and each cell is joined with itself and
-    its four forward neighbours.  The side carries a margin for the rounding
-    of the cell coordinates, and is a large enough share of the points' span
-    (2**-30 of it for one group) that the cell key fits an int64 at any
-    scale.
+    A band sweep: points sorted by group, then by band (horizontal strips of
+    height side >= r), then by x, with positions held in units of side.  Each
+    point pairs with the points after it in its own band and with those of
+    the next band, within one side plus a margin for the rounding of the sort
+    key.  The side carries a margin for the rounding of the band coordinates,
+    and is a large enough share of the points' span (2**-30 of it for one
+    group) that the key stays below 2**62 at any scale.
     """
     n = len(centres)
     if n < 2:
@@ -537,29 +553,21 @@ def _cell_pairs(centres, r, group):
     span = max(x.max() - x0, y.max() - y0)
     bits = (61 - (int(group.max()) + 1).bit_length()) // 2
     side = max(r * (1.0 + 2.0 ** -40) + span * 2.0 ** -48, span * 2.0 ** -bits)
-    cx = np.floor((x - x0) / side).astype(np.int64)
-    cy = np.floor((y - y0) / side).astype(np.int64)
-    # A spare row and column keep every forward neighbour inside its group.
-    rows = int(cy.max()) + 2
-    key = (group * (int(cx.max()) + 2) + cx) * rows + cy
-    order = np.argsort(key, kind="stable")
+    u = (x - x0) / side
+    band = np.floor((y - y0) / side).astype(np.int64)
+    # A lane per (group, band), `width` apart in the key, past any query's
+    # reach; a spare band keeps a group's top band out of the next group.
+    width = math.floor(float(u.max())) + 4.0
+    key = (group * (int(band.max()) + 2) + band) * width + u
+    order = np.argsort(key)
     key = key[order]
-    head = _firsts(key)
-    start = np.flatnonzero(head)
-    cells, stop = key[start], np.append(start[1:], n)
-    # Each cell and its forward neighbours as ranges of sorted positions,
-    # empty where a neighbour is unoccupied; the key of (column, row + 1)
-    # never aliases an occupied cell.
-    want = cells[:, None] + np.array([0, 1, rows - 1, rows, rows + 1])
-    k = np.minimum(np.searchsorted(cells, want), len(cells) - 1)
-    hit = cells[k] == want
-    cell_of = np.cumsum(head) - 1
-    begin = np.where(hit, start[k], 0)[cell_of]
-    end = np.where(hit, stop[k], 0)[cell_of]
-    begin[:, 0] = np.arange(1, n + 1)  # in its own cell, a point pairs with those after it
-    num = end - begin
-    # Column by column: numpy sums a 5-wide inner axis slowly.
-    first = np.repeat(order, num[:, 0] + num[:, 1] + num[:, 2] + num[:, 3] + num[:, 4])
+    margin = 1.0 + float(key[-1]) * 2.0 ** -50
+    # One row of queries per bound, each row sorted: searchsorted is faster so.
+    ends = np.searchsorted(key, np.add.outer([margin, width - margin, width + margin], key))
+    # Its own band after it, then the next band.
+    begin = np.column_stack([np.arange(1, n + 1), ends[1]])
+    num = np.column_stack([ends[0], ends[2]]) - begin
+    first = np.repeat(order, num[:, 0] + num[:, 1])
     num = num.ravel()
     second = np.arange(len(first)) + np.repeat(begin.ravel() - np.cumsum(num) + num, num)
     return first, order[second]
@@ -682,8 +690,8 @@ def rasterize(grains, window: Window, resolution: float) -> np.ndarray:
     Pixel (iy, ix) is occupied when its center lies in some grain; row 0 is
     the bottom row (y increasing with row index).
     """
-    if resolution <= 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     h = 1.0 / resolution
     nx = max(1, int(round(window.width * resolution)))
     ny = max(1, int(round(window.height * resolution)))

@@ -247,6 +247,26 @@ class TestOtherSubcommands:
         assert flag in err and "integer" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("render", "--resolution", "inf"), ("render", "--resolution", "nan"),
+        ("render", "--resolution", "0"), ("measure", "--resolution", "-2"),
+        ("measure", "--resolution", "abc"), ("clt", "--scales", "-8"),
+        ("clt", "--scales", "inf"), ("clt", "--scales", "nan"), ("clt", "--scales", "0")])
+    def test_bad_scale_or_resolution_is_a_usage_error(self, tmp_path, cfg_file, capsys,
+                                                      command, flag, value):
+        out = tmp_path / "o.txt"
+        if command == "measure":
+            argv = [command, str(tmp_path / "dump.txt"), "--engine", "pixel"]
+        else:
+            argv = [command, "--config", cfg_file]
+        values = ["4", value] if command == "clt" else [value]  # clt needs two scales
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, *values, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "positive finite number" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_negative_seed_in_config_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(CFG, seed=-3)))
@@ -328,7 +348,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     run = "from germgrain.cli import main\nassert main(['{}', '--config', 'cfg.json', {}]) == 0"
     loaded = _modules_after(run.format("covariance", "'--out', 'c.csv'"), tmp_path)
     assert {"germgrain.covariance", "germgrain.quadrature"} <= loaded
-    assert not loaded & {"germgrain.cltstats", "concurrent.futures.process", "numpy.ma"}
+    assert not loaded & {"germgrain.cltstats", "germgrain.union", "concurrent.futures.process",
+                         "numpy.ma"}
     estimate = run.format("estimate", "'--reps', '4', '--threads', '1', '--out', 'e.csv'")
     loaded = _modules_after(estimate, tmp_path)
     assert "germgrain.moments" in loaded

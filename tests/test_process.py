@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from germgrain import cltstats, moments, process
+from germgrain import cltstats, moments, process, union
 from germgrain.cells import Grains, PlacedGrain, Window
 from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk,
                                 intrinsic_volumes, minkowski_sum_area,
@@ -279,13 +279,13 @@ class TestCapacity:
                 empirical_capacity(cfg, Disk(1.0), (4.0, 4.0), reps)
 
     def test_one_engine_call_per_chunk(self, monkeypatch):
-        engine = process.arrangement_measure
+        engine = union.arrangement_measure
         chunks = []
 
         def counting_engine(grains, *args, **kwargs):
             chunks.append(len(kwargs["counts"]))
             return engine(grains, *args, **kwargs)
-        monkeypatch.setattr(process, "arrangement_measure", counting_engine)
+        monkeypatch.setattr(union, "arrangement_measure", counting_engine)
         monkeypatch.setattr(process, "CHUNK_PRIMITIVES", 100)
         for grains in (fixed_disk(1.0), unit_squares(rotate=True)):
             cfg = ModelConfig(0.3, grains, Window((0, 0), (8, 8)), seed=1)

@@ -11,10 +11,10 @@ from germgrain.cells import (Grains, PlacedGrain, TooManyGrainsError, Window,
 from germgrain.geometry import AlignedRect, ConvexPolygon, Disk
 from germgrain.process import (GermGrainSample, GrainDistribution, ModelConfig,
                                ParamLaw, _misses, fixed_disk, sample, unit_squares)
-from germgrain.union import (_EPS, ReplicateError, _cell_pairs, arrangement_measure,
-                             edge_corrected_measure, inclusion_exclusion_measure,
-                             pixel_measure, rasterize, segment_coverage,
-                             write_pgm)
+from germgrain.union import (_EPS, ReplicateError, _cell_pairs, _merge_runs, _unwrap,
+                             arrangement_measure, edge_corrected_measure,
+                             inclusion_exclusion_measure, pixel_measure, rasterize,
+                             segment_coverage, write_pgm)
 
 W = Window((-4.0, -4.0), (4.0, 4.0))
 LENS_AREA = 2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)
@@ -218,7 +218,7 @@ class TestArrangement:
 
 
 class TestCellPairs:
-    # arrangement_measure keeps the cell-list candidates closer than the sum
+    # arrangement_measure keeps the band-sweep candidates closer than the sum
     # of their reaches; that set must be every such pair, found by brute force
 
     @staticmethod
@@ -308,6 +308,78 @@ class TestCellPairs:
         # far apart in one group, at the far edge of the span in the next
         self.check([[0.0, 0.0], [9.0, 9.0], [9.5, 9.0], [0.5, 0.0]], [1.0] * 4,
                    np.array([0, 0, 1, 1]))
+
+
+class TestIntervals:
+    # the engine's interval merge and circular split, against plain references
+
+    @staticmethod
+    def merge_reference(pid, a, b, own):
+        """Sort by pid, then a, then input index, and sweep: a run goes on
+        while an interval starts within _EPS of its reach; the first interval
+        starts it, the last one reaching its end ends it."""
+        runs = []
+        for i in sorted(np.flatnonzero(b - a > _EPS), key=lambda i: (pid[i], a[i], i)):
+            run = runs[-1] if runs else None
+            if run is not None and run[0] == pid[i] and a[i] <= run[2] + _EPS:
+                if b[i] >= run[2]:
+                    run[2], run[4] = b[i], own[i]
+            else:
+                runs.append([pid[i], a[i], b[i], own[i], own[i]])
+        return [np.array(c) for c in zip(*runs)] if runs else [np.zeros(0)] * 5
+
+    @pytest.mark.parametrize("pids", [3, 40, 1 << 17])
+    def test_merge_runs_matches_the_sweep(self, pids):
+        rng = np.random.default_rng(41)
+        for n in (0, 1, 2, 7, 60, 500):
+            # few distinct ends force ties in a and in b; some intervals are
+            # empty or within _EPS of it, some start just within or just
+            # beyond _EPS of another's end
+            grid = np.linspace(0.0, 1.0, 9)
+            a = rng.choice(grid, n) + rng.choice([0.0, 0.0, 0.5 * _EPS, 2.0 * _EPS], n)
+            width = rng.choice([0.0, 0.5 * _EPS, *grid[1:4]], n)
+            b = np.where(rng.random(n) < 0.8, a + width, rng.random(n))
+            pid = rng.integers(0, pids, n) + (pids > 1 << 16) * (1 << 16)
+            own = rng.permutation(n)
+            got = _merge_runs(pid, a, b, own)
+            want = self.merge_reference(pid, a, b, own)
+            for g, w in zip(got, want):
+                assert g.tolist() == w.tolist()
+
+    def test_merge_runs_tie_rules(self):
+        # tied in a: the first in input order starts the run; tied at the
+        # largest b: the last in run order ends it
+        pid = np.array([5, 5, 5, 5, 2])
+        a = np.array([0.5, 0.1, 0.1, 0.3, 0.0])
+        b = np.array([0.9, 0.9, 0.4, 0.9, 1.0])
+        got = _merge_runs(pid, a, b, np.array([10, 11, 12, 13, 14]))
+        assert [g.tolist() for g in got] == [[2, 5], [0.0, 0.1], [1.0, 0.9], [14, 11], [14, 10]]
+
+    @staticmethod
+    def unwrap_reference(p, start, width, own):
+        full = width >= union.TWO_PI - _EPS
+        a = np.where(full, 0.0, np.mod(start, union.TWO_PI))
+        b = np.where(full, union.TWO_PI, a + width)
+        wrap = b > union.TWO_PI
+        return (np.concatenate([p, p[wrap]]), np.concatenate([a, np.zeros(int(wrap.sum()))]),
+                np.concatenate([np.minimum(b, union.TWO_PI), b[wrap] - union.TWO_PI]),
+                np.concatenate([own, own[wrap]]))
+
+    def test_unwrap_matches_np_mod(self):
+        two_pi = union.TWO_PI
+        # the callers' starts lie in (-2*pi, 3*pi): edge cases, then random ones
+        edge = [-0.0, 0.0, -1e-300, 1e-300, two_pi, np.nextafter(two_pi, 0.0),
+                np.nextafter(3.0 * math.pi, 0.0), -np.nextafter(two_pi, 0.0), -math.pi, math.pi]
+        rng = np.random.default_rng(42)
+        start = np.concatenate([np.repeat(edge, 4), rng.uniform(-two_pi, 3.0 * math.pi, 400)])
+        widths = [0.0, 1.0, two_pi - 0.5 * _EPS, two_pi]  # the last two are full circles
+        width = np.concatenate([np.tile(widths, len(edge)), rng.uniform(0.0, two_pi, 400)])
+        p, own = np.arange(len(start)), rng.permutation(len(start))
+        got = [np.concatenate(c) for c in zip(*_unwrap(p, start, width, own))]
+        want = self.unwrap_reference(p, start, width, own)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert np.mod(-1e-300, two_pi) == two_pi  # rounds up: kept as an interval at 2*pi
 
 
 def _rows_of(samples):
@@ -597,3 +669,6 @@ class TestPixelEngine:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             pixel_measure([], W, resolution=0.0)
+        for bad in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                rasterize([disk(0, 0)], W, resolution=bad)
