@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import Grains
 from .process import ModelConfig, replicate_rows
 from .union import arrangement_measure
 
@@ -47,12 +46,9 @@ class ReplicateBatch:
     seed: int
 
 
-def _functionals(samples):
-    """Rows (v0, v1, v2) of a chunk of samples on their common window, in one
-    engine pass."""
-    return arrangement_measure(Grains.join(*(s.grains for s in samples)),
-                               samples[0].config.window,
-                               counts=[len(s.grains) for s in samples])
+def _functionals(chunk):
+    """Rows (v0, v1, v2) of a process.Chunk's samples, in one engine pass."""
+    return arrangement_measure(chunk.grains, chunk.window, counts=chunk.counts)
 
 
 def run_batch(config: ModelConfig, scale: float, reps: int,

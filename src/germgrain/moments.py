@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Grains
 from .geometry import _compositions, c_const, kappa
 from .process import GrainDistribution, GrainMoments, ParamLaw, chunks
 from .quadrature import legendre_rule
@@ -160,18 +159,14 @@ def ball_densities_3d(gamma: float, radius_law: ParamLaw) -> np.ndarray:
     return np.array([d3, d2, d1, d0])
 
 
-def density_rows(samples, edge_corrected: bool = True) -> np.ndarray:
-    """Densities (d0, d1, d2) of a chunk of samples on one window, measured in
-    one engine pass and divided by the window area.  The half-open tiling
+def density_rows(chunk, edge_corrected: bool = True) -> np.ndarray:
+    """Densities (d0, d1, d2) of a process.Chunk's samples, measured in one
+    engine pass and divided by the window area.  The half-open tiling
     correction (edge_corrected=True) makes them unbiased for any stationary
     model; the naive ratio carries a boundary bias of order perimeter/area,
     given exactly by local_mean_value for isotropic laws."""
-    window = samples[0].config.window
-    if any(s.config.window != window for s in samples):
-        raise ValueError("density_rows: the samples of a chunk must share one window")
     engine = edge_corrected_measure if edge_corrected else arrangement_measure
-    return engine(Grains.join(*(s.grains for s in samples)), window,
-                  counts=[len(s.grains) for s in samples]) / window.area()
+    return engine(chunk.grains, chunk.window, counts=chunk.counts) / chunk.window.area()
 
 
 def density_estimate(rows):

@@ -163,6 +163,10 @@ class GrainMoments:
     mixed: float
 
 
+# The parameter laws of each grain family; a "fixed" family has a shape instead.
+_FAMILY_LAWS = {"disk": ("radius",), "rect": ("halfwidth", "halfheight"), "fixed": ()}
+
+
 @dataclass(frozen=True)
 class GrainDistribution:
     """Law Q of the typical grain.
@@ -180,17 +184,11 @@ class GrainDistribution:
     rotate: bool = False
 
     def __post_init__(self):
-        if self.family == "disk":
-            if self.radius is None:
-                raise ValueError("disk family needs a radius law")
-        elif self.family == "rect":
-            if self.halfwidth is None or self.halfheight is None:
-                raise ValueError("rect family needs halfwidth and halfheight laws")
-        elif self.family == "fixed":
-            if self.shape is None:
-                raise ValueError("fixed family needs a shape")
-        else:
+        if self.family not in _FAMILY_LAWS:
             raise ValueError(f"unknown grain family {self.family!r}")
+        needs = _FAMILY_LAWS[self.family] or ("shape",)
+        if any(getattr(self, k) is None for k in needs):
+            raise ValueError(f"{self.family} family needs {' and '.join(needs)}")
 
     # -- descriptive properties ------------------------------------------
 
@@ -265,31 +263,18 @@ class GrainDistribution:
 
     def to_record(self) -> dict:
         rec = {"family": self.family, "rotate": self.rotate}
-        if self.family == "disk":
-            rec["radius"] = self.radius.to_record()
-        elif self.family == "rect":
-            rec["halfwidth"] = self.halfwidth.to_record()
-            rec["halfheight"] = self.halfheight.to_record()
-        else:
+        rec.update((k, getattr(self, k).to_record()) for k in _FAMILY_LAWS[self.family])
+        if self.family == "fixed":
             rec["shape"] = shape_to_record(self.shape)
         return rec
 
     @staticmethod
     def from_record(rec: dict) -> "GrainDistribution":
         family = rec["family"]
-        rotate = bool(rec.get("rotate", False))
-        if family == "disk":
-            return GrainDistribution("disk", radius=ParamLaw.from_record(rec["radius"]),
-                                     rotate=rotate)
-        if family == "rect":
-            return GrainDistribution("rect",
-                                     halfwidth=ParamLaw.from_record(rec["halfwidth"]),
-                                     halfheight=ParamLaw.from_record(rec["halfheight"]),
-                                     rotate=rotate)
-        if family == "fixed":
-            return GrainDistribution("fixed", shape=shape_from_record(rec["shape"]),
-                                     rotate=rotate)
-        raise ValueError(f"unknown grain family {family!r}")
+        shape = shape_from_record(rec["shape"]) if family == "fixed" else None
+        return GrainDistribution(family, shape=shape, rotate=bool(rec.get("rotate", False)),
+                                 **{k: ParamLaw.from_record(rec[k])
+                                    for k in _FAMILY_LAWS.get(family, ())})
 
 
 def fixed_disk(radius: float) -> GrainDistribution:
@@ -417,18 +402,17 @@ def point_coverage_probability(config: ModelConfig) -> float:
     return 1.0 - math.exp(-config.gamma * config.grains.moments().ev2)
 
 
-def _misses(probe: PlacedGrain, samples) -> np.ndarray:
-    """Whether each sample misses the probe: the grains whose circumcircle
-    reaches the probe's, measured inside it in one engine pass for the
-    chunk, have area 0 there."""
+def _misses(probe: PlacedGrain, chunk) -> np.ndarray:
+    """Whether each sample of a Chunk misses the probe: the grains whose
+    circumcircle reaches the probe's, measured inside it in one engine pass,
+    have area 0 there."""
     from .union import arrangement_measure  # here: covariance imports process, never the engine
-    body = Grains.of([probe])
-    grains = Grains.join(*(s.grains for s in samples))
-    rep = np.repeat(np.arange(len(samples)), [len(s.grains) for s in samples])
+    body, grains = Grains.of([probe]), chunk.grains
     near = np.flatnonzero(np.hypot(*(grains.centres - body.centres).T)
                           < grains.reach + body.reach)
-    rows = arrangement_measure(grains.take(near), samples[0].config.window, mask=probe,
-                               counts=np.bincount(rep[near], minlength=len(samples)))
+    rep = np.repeat(np.arange(len(chunk.counts)), chunk.counts)
+    rows = arrangement_measure(grains.take(near), chunk.window, mask=probe,
+                               counts=np.bincount(rep[near], minlength=len(chunk.counts)))
     return rows[:, 2] == 0.0
 
 
@@ -460,18 +444,38 @@ def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class Chunk:
+    """Consecutive samples on one window as the engine reads them: their
+    grains joined in order, grains per sample, window and replicate indices."""
+
+    grains: Grains
+    counts: np.ndarray
+    window: Window
+    replicates: tuple
+
+    @staticmethod
+    def of(samples) -> "Chunk":
+        window = samples[0].config.window
+        if any(s.config.window != window for s in samples):
+            raise ValueError("Chunk: the samples of a chunk must share one window")
+        return Chunk(Grains.join(*(s.grains for s in samples)),
+                     np.array([len(s.grains) for s in samples]), window,
+                     tuple(s.replicate for s in samples))
+
+
 def chunks(samples):
-    """Consecutive samples in lists, each closed once it holds CHUNK_PRIMITIVES
-    boundary primitives, or before a sample on another window."""
+    """Consecutive samples as Chunks, each closed once it holds
+    CHUNK_PRIMITIVES boundary primitives, or before a sample on another window."""
     chunk, held = [], 0
     for s in samples:
         if chunk and (held >= CHUNK_PRIMITIVES or s.config.window != chunk[0].config.window):
-            yield chunk
+            yield Chunk.of(chunk)
             chunk, held = [], 0
         chunk.append(s)
         held += int(s.grains.count.sum())
     if chunk:
-        yield chunk
+        yield Chunk.of(chunk)
 
 
 def _replicate_range(config: ModelConfig, functional, lo: int, hi: int) -> list:
@@ -486,7 +490,7 @@ def _replicate_range(config: ModelConfig, functional, lo: int, hi: int) -> list:
         try:
             rows.extend(functional(chunk))
         except ReplicateError as exc:
-            bad = chunk[exc.index].replicate
+            bad = chunk.replicates[exc.index]
             (x0, y0), (x1, y1) = config.window.lo, config.window.hi
             where = f"--seed {config.seed} --window {x0!r} {y0!r} {x1!r} {y1!r} --replicate {bad}"
             raise RuntimeError(f"replicate {bad} failed ({exc}); reproduce its grains with "
@@ -497,10 +501,9 @@ def _replicate_range(config: ModelConfig, functional, lo: int, hi: int) -> list:
 def replicate_rows(config, functional, reps: int, workers: int = 1):
     """Rows of functional over sample(config, k) for k = 0..reps-1, in replicate order.
 
-    functional takes a chunk (see chunks), a list of consecutive samples, and
-    returns one row per sample.  config may also be a sequence of configs,
-    each run for reps replicates; the result is then a list with one array
-    per config.
+    functional takes a Chunk (see chunks) and returns one row per sample.
+    config may also be a sequence of configs, each run for reps replicates;
+    the result is then a list with one array per config.
     With workers > 1 each config's replicates are split into contiguous
     ranges, one per worker, and the ranges of every config run on one
     process pool; functional must then be picklable (a module-level function
@@ -543,22 +546,24 @@ def write_sample(path, s: GermGrainSample):
 
 
 def read_sample(path) -> GermGrainSample:
-    config = None
-    replicate = 0
-    placed = []
+    """The sample of a grain dump; ValueError names the path when a header is
+    missing or wrong, or when '# count:' differs from the grain lines read."""
+    headers, placed = {}, []
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
+        for line in map(str.strip, f):
             if line.startswith("#"):
-                if line.startswith("# config:"):
-                    config = ModelConfig.from_record(json.loads(line[len("# config:"):]))
-                elif line.startswith("# replicate:"):
-                    replicate = int(line[len("# replicate:"):])
-                continue
-            xs, ys, rest = line.split(None, 2)
-            placed.append(PlacedGrain((float(xs), float(ys)), shape_from_record(json.loads(rest))))
-    if config is None:
+                key, _, value = line[1:].partition(":")
+                headers[key.strip()] = value.strip()
+            elif line:
+                xs, ys, rest = line.split(None, 2)
+                placed.append(PlacedGrain((float(xs), float(ys)),
+                                          shape_from_record(json.loads(rest))))
+    if headers.get("format") != FORMAT_VERSION:
+        raise ValueError(f"{path}: format is {headers.get('format')!r}, not {FORMAT_VERSION!r}")
+    if "config" not in headers:
         raise ValueError(f"{path}: missing '# config:' header")
-    return GermGrainSample(Grains.of(placed), config, replicate)
+    if headers.get("count") != str(len(placed)):
+        raise ValueError(f"{path}: '# count:' header is {headers.get('count')!r}, but the file "
+                         f"holds {len(placed)} grain lines (truncated?)")
+    config = ModelConfig.from_record(json.loads(headers["config"]))
+    return GermGrainSample(Grains.of(placed), config, int(headers.get("replicate", 0)))

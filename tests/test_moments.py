@@ -213,7 +213,7 @@ class TestEstimateDensities:
         cfg = ModelConfig(0.5, unit_squares(rotate=True), Window((0, 0), (8, 8)), seed=9)
         samples = [sample(cfg, k) for k in range(12)]
         estimate_densities(samples)
-        grains = [sum(len(s.grains) for s in c) for c in process.chunks(samples)]
+        grains = [len(c.grains) for c in process.chunks(samples)]
         assert len(grains) > 1
         assert [name for name, _ in calls] == ["edge", "engine"] * len(grains)
         assert [n for _, n in calls[::2]] == [n for _, n in calls[1::2]] == grains
@@ -265,7 +265,7 @@ class TestDensityRows:
                           seed=29)
         samples = [sample(cfg, k) for k in range(3)]
         samples[1] = replace(samples[1], grains=samples[1].grains.take(np.zeros(0, dtype=int)))
-        rows = density_rows(samples)
+        rows = density_rows(process.Chunk.of(samples))
         assert rows[1].tolist() == [0.0, 0.0, 0.0]
         assert rows.tobytes() == self.alone(samples, True).tobytes()
 
@@ -273,11 +273,9 @@ class TestDensityRows:
         a = ModelConfig(0.4, DISK1, Window((0.0, 0.0), (8.0, 8.0)), seed=3)
         b = ModelConfig(0.4, DISK1, Window((0.0, 0.0), (4.0, 8.0)), seed=3)
         samples = [sample(a, 0), sample(a, 1), sample(b, 0), sample(b, 1), sample(a, 2)]
-        with pytest.raises(ValueError, match="share one window"):
-            density_rows(samples[1:3])
         # chunks close where the window changes, so each sample is divided
         # by its own window's area
-        assert [len(c) for c in process.chunks(samples)] == [2, 2, 1]
+        assert [len(c.counts) for c in process.chunks(samples)] == [2, 2, 1]
         _, _, rows = estimate_densities(samples)
         assert rows.tobytes() == self.alone(samples, True).tobytes()
 

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -10,7 +12,7 @@ from germgrain.cells import Grains, PlacedGrain, Window
 from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk,
                                 intrinsic_volumes, minkowski_sum_area,
                                 rotate_shape)
-from germgrain.process import (EdgeEffectError, GrainDistribution, ModelConfig,
+from germgrain.process import (Chunk, EdgeEffectError, GrainDistribution, ModelConfig,
                                ParamLaw, _uniform_in_dilation,
                                empirical_capacity, fixed_disk, mean_hit_area,
                                point_coverage_probability, read_sample,
@@ -318,13 +320,43 @@ class TestCapacity:
         assert mean_hit_area(d, probe) == pytest.approx(want, rel=1e-12)
 
 
-def _fails_at_9x9_replicate_7(samples):
+def _fails_at_9x9_replicate_7(chunk):
     """cltstats._functionals, except that replicate 7 on the window [0, 9]^2
     fails like an engine check."""
-    for i, s in enumerate(samples):
-        if s.config.window.hi == (9.0, 9.0) and s.replicate == 7:
-            raise ReplicateError("planted failure", i)
-    return cltstats._functionals(samples)
+    if chunk.window.hi == (9.0, 9.0) and 7 in chunk.replicates:
+        raise ReplicateError("planted failure", chunk.replicates.index(7))
+    return cltstats._functionals(chunk)
+
+
+class TestChunkRecord:
+    def test_holds_the_join_of_its_samples(self):
+        cfg = ModelConfig(0.5, unit_squares(rotate=True), Window((0.0, 0.0), (8.0, 8.0)),
+                          seed=5)
+        samples = [sample(cfg, k) for k in (4, 5, 6, 9)]
+        chunk = Chunk.of(samples)
+        want = Grains.join(*(s.grains for s in samples))
+        for f in ("centres", "radius", "count", "loc"):
+            got = getattr(chunk.grains, f)
+            assert got.dtype == getattr(want, f).dtype
+            assert got.tobytes() == getattr(want, f).tobytes()
+        assert chunk.counts.tolist() == [len(s.grains) for s in samples]
+        assert chunk.window == cfg.window
+        assert chunk.replicates == (4, 5, 6, 9)
+        assert all(type(k) is int for k in chunk.replicates)
+
+    def test_an_empty_sample_counts_zero(self):
+        cfg = ModelConfig(0.3, fixed_disk(1.0), Window((0.0, 0.0), (8.0, 8.0)), seed=2)
+        samples = [sample(cfg, k) for k in range(3)]
+        samples[1] = replace(samples[1], grains=samples[1].grains.take(np.zeros(0, dtype=int)))
+        chunk = Chunk.of(samples)
+        assert chunk.counts.tolist() == [len(samples[0].grains), 0, len(samples[2].grains)]
+        assert len(chunk.grains) == int(chunk.counts.sum())
+
+    def test_never_mixes_windows(self):
+        a = ModelConfig(0.4, fixed_disk(1.0), Window((0.0, 0.0), (8.0, 8.0)), seed=3)
+        b = ModelConfig(0.4, fixed_disk(1.0), Window((0.0, 0.0), (4.0, 8.0)), seed=3)
+        with pytest.raises(ValueError, match="share one window"):
+            Chunk.of([sample(a, 1), sample(b, 0)])
 
 
 class TestReplicateRows:
@@ -426,4 +458,24 @@ class TestSampleIO:
         p = tmp_path / "bad.txt"
         p.write_text("1.0 2.0 {\"kind\": \"disk\", \"radius\": 1.0}\n")
         with pytest.raises(ValueError):
+            read_sample(p)
+
+    def dump(self, tmp_path):
+        cfg = ModelConfig(0.5, fixed_disk(1.0), Window((0, 0), (8, 8)), seed=8)
+        p = tmp_path / "dump.txt"
+        write_sample(p, sample(cfg, 0))
+        return p, p.read_text().splitlines(keepends=True)
+
+    def test_truncated_dump_rejected(self, tmp_path):
+        p, lines = self.dump(tmp_path)
+        assert len(read_sample(p).grains) == len(lines) - 4
+        p.write_text("".join(lines[:-3]))
+        with pytest.raises(ValueError, match=re.escape(str(p)) + ".*count"):
+            read_sample(p)
+
+    def test_wrong_format_rejected(self, tmp_path):
+        p, lines = self.dump(tmp_path)
+        assert lines[0] == "# format: germgrain-sample-1\n"
+        p.write_text("# format: something-else\n" + "".join(lines[1:]))
+        with pytest.raises(ValueError, match=re.escape(str(p)) + ".*format"):
             read_sample(p)

@@ -9,7 +9,7 @@ from germgrain import union
 from germgrain.cells import (Grains, PlacedGrain, TooManyGrainsError, Window,
                              intersect_convex)
 from germgrain.geometry import AlignedRect, ConvexPolygon, Disk
-from germgrain.process import (GermGrainSample, GrainDistribution, ModelConfig,
+from germgrain.process import (Chunk, GermGrainSample, GrainDistribution, ModelConfig,
                                ParamLaw, _misses, fixed_disk, sample, unit_squares)
 from germgrain.union import (_EPS, ReplicateError, _cell_pairs, _merge_runs, _unwrap,
                              arrangement_measure, edge_corrected_measure,
@@ -216,6 +216,20 @@ class TestArrangement:
         fv = arrangement_measure([disk(0, 0), disk(0, 0)], W)
         assert fv.as_array() == pytest.approx([1.0, math.pi, math.pi], abs=1e-12)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_diamond_on_the_lower_edges_of_a_larger_one(self):
+        # The smaller diamond lies inside the larger, two of its edges on the
+        # larger one's lower edges.  The engine returns (1, 4.7426, 6.0) in
+        # [-3, 3]^2 and area 6.25 in [-10, 10]^2, with no error; the oracle
+        # gives (1, 4.0355, 4.25) and area 4.5.
+        def diamond(y, s):
+            return PlacedGrain((-2.0, y), ConvexPolygon(((s, 0.0), (0.0, s), (-s, 0.0),
+                                                         (0.0, -s))))
+        grains = [diamond(0.0, 1.5), diamond(-0.5, 1.0)]
+        for win in (Window((-3.0, -3.0), (3.0, 3.0)), Window((-10.0, -10.0), (10.0, 10.0))):
+            want = inclusion_exclusion_measure(grains, win).as_array()
+            assert arrangement_measure(grains, win).as_array() == pytest.approx(want, abs=1e-9)
+
 
 class TestCellPairs:
     # arrangement_measure keeps the band-sweep candidates closer than the sum
@@ -384,9 +398,8 @@ class TestIntervals:
 
 def _rows_of(samples):
     """Chunk rows of samples on their common window."""
-    return arrangement_measure(Grains.join(*(s.grains for s in samples)),
-                               samples[0].config.window,
-                               counts=[len(s.grains) for s in samples])
+    chunk = Chunk.of(samples)
+    return arrangement_measure(chunk.grains, chunk.window, counts=chunk.counts)
 
 
 class TestChunks:
@@ -441,12 +454,11 @@ class TestChunks:
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_rows_do_not_depend_on_the_row_block(self, monkeypatch, law):
-        samples = self.samples(self.LAWS[law])[:20]
-        grains = Grains.join(*(s.grains for s in samples))
+        chunk = Chunk.of(self.samples(self.LAWS[law])[:20])
 
         def rows():
             return np.concatenate([
-                arrangement_measure(grains, self.WIN, counts=[len(s.grains) for s in samples],
+                arrangement_measure(chunk.grains, self.WIN, counts=chunk.counts,
                                     edge_corrected=corrected) for corrected in (False, True)])
         want = rows()
         monkeypatch.setattr(union, "_ROW_BLOCK", 7)
@@ -461,11 +473,11 @@ class TestChunks:
                           seed=1)
         samples = [sample(cfg, k) for k in range(4)]
 
-        def peak(chunk):
-            grains = Grains.join(*(s.grains for s in chunk))
+        def peak(samples):
+            chunk = Chunk.of(samples)
             tracemalloc.start()
             try:
-                arrangement_measure(grains, cfg.window, counts=[len(s.grains) for s in chunk],
+                arrangement_measure(chunk.grains, chunk.window, counts=chunk.counts,
                                     edge_corrected=True)
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -590,7 +602,7 @@ class TestEdgeCorrectedMeasure:
 def probe_misses(grains, probe, window=W):
     """The capacity functional's miss rule for one sample of grains."""
     cfg = ModelConfig(0.1, fixed_disk(1.0), window)
-    return bool(_misses(probe, [GermGrainSample(Grains.of(grains), cfg, 0)])[0])
+    return bool(_misses(probe, Chunk.of([GermGrainSample(Grains.of(grains), cfg, 0)]))[0])
 
 
 class TestProbeMisses:
@@ -620,7 +632,7 @@ class TestProbeMisses:
         probe = PlacedGrain((4.0, 4.0), AlignedRect(0.8, 0.5))
         samples = [sample(cfg, k) for k in range(40)]
         one_by_one = [probe_misses(s.grains, probe, cfg.window) for s in samples]
-        assert list(_misses(probe, samples)) == one_by_one
+        assert list(_misses(probe, Chunk.of(samples))) == one_by_one
         assert 0 < sum(one_by_one) < 40
 
 
