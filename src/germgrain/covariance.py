@@ -35,6 +35,12 @@ split at the profile kinks, and reports its achieved error.  Polygonal grains
 use tensor rules and, on the same-edge boundary-boundary term, a tanh-sinh
 rule (its coincident-point endpoint cannot degrade convergence); these report
 no error.
+
+Every grid -- a profile table, a tensor rule -- is evaluated in blocks of
+about _BLOCK_ELEMENTS elements (_blocks), and a polygon's covariograms on
+chunks of translations that keep their (edges x edges) work within as many
+(_expected).  So the layer's memory grows neither with the grid nor with a
+polygon's edge count, and every value equals the whole grid's bit for bit.
 """
 
 from __future__ import annotations
@@ -45,11 +51,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (AlignedRect, ConvexPolygon, _as_polygon_vertices, _compositions,
-                       boundary_covariogram, c_const, covariogram,
+from .geometry import (AlignedRect, ConvexPolygon, Disk, _as_polygon_vertices,
+                       _compositions, boundary_covariogram, c_const, covariogram,
                        disk_boundary_covariogram, disk_covariogram,
                        intrinsic_volumes)
-from .process import GrainDistribution
+from .process import GrainDistribution, fixed_disk
 from .quadrature import adaptive_quad, gauss_legendre, tanh_sinh
 
 __all__ = [
@@ -62,6 +68,11 @@ __all__ = [
 # Largest relative gap the assembly may leave to its direct derivations.
 ASSEMBLY_CHECK_TOL = 1e-6
 
+# Elements per block of a grid evaluation: 64 kB per float temporary, half
+# glibc's default mmap threshold, so temporaries reuse heap memory instead of
+# faulting in fresh pages on every block.
+_BLOCK_ELEMENTS = 1 << 13
+
 
 class AnisotropyError(ValueError):
     """An isotropic-only formula was asked of an anisotropic grain law."""
@@ -69,6 +80,50 @@ class AnisotropyError(ValueError):
 
 class AssemblyError(RuntimeError):
     """Internal cross-check of the covariance assembly failed."""
+
+
+def _blocks(n, width):
+    """Slices covering range(n), each of about _BLOCK_ELEMENTS // width rows
+    of `width` elements.
+
+    A matrix-vector product (OpenBLAS gemv) rounds an output the same in a
+    block as in the whole product only when the block starts at a multiple
+    of 4 and is not a single row.  So lengths are multiples of 4 (at least
+    4, whatever the width) and a short tail joins the last slice.
+    """
+    step = max(4, _BLOCK_ELEMENTS // width // 4 * 4)
+    starts = list(range(0, max(n - step, 0) + 1, step))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _expected(dist: GrainDistribution, covariance_function):
+    """(tx, ty) -> E covariance_function(K, t) over the law's shapes K.
+
+    A polygon's edge clip holds (edges x edges) elements per translation, so
+    its translations go in chunks of _BLOCK_ELEMENTS // edges^2.  The value
+    at each translation does not depend on the others, or on the chunking.
+    """
+    def expect(tx, ty):
+        return dist.expect_shape(lambda k: covariance_function(k, (tx, ty)))
+    if not isinstance(dist.shape, ConvexPolygon):
+        return expect
+    size = max(1, _BLOCK_ELEMENTS // len(dist.shape.vertices) ** 2)
+
+    def chunked(tx, ty):
+        tx, ty = np.broadcast_arrays(tx, ty)
+        out = np.empty(tx.shape)
+        for i in range(0, tx.size, size):
+            out.flat[i:i + size] = expect(tx.flat[i:i + size], ty.flat[i:i + size])
+        return out
+    return chunked
+
+
+def _closed_form(dist: GrainDistribution) -> GrainDistribution:
+    """A fixed disk as the disk law of that constant radius, whose profiles
+    and moments are closed forms (a disk is isotropic without rotation)."""
+    if dist.family == "fixed" and isinstance(dist.shape, Disk):
+        return fixed_disk(dist.shape.radius)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +196,23 @@ def _tabulated_profiles(dist: GrainDistribution, n_s: int, n_theta: int) -> Cova
 
     Valid for any isotropic law.  The rotation integral runs over [0, pi): the
     covariogram is even (g2_K(t) = g2_K(-t)), and the boundary covariogram,
-    which is not unless K = -K, is averaged over t and -t.
+    which is not unless K = -K, is averaged over t and -t.  The (s, theta)
+    grid goes in blocks of s rows (_blocks), so a table of n_s x n_theta
+    translations never holds more than one block of them at a time.
     """
     cutoff = 2.0 * dist.rmax
     ss = np.linspace(0.0, cutoff, n_s)
     th, wth = gauss_legendre(n_theta, 0.0, math.pi)
     wth = wth / math.pi
-    grid = np.array([np.cos(th), np.sin(th)])[:, None, :] * ss[:, None]  # (2, n_s, n_theta)
-    tab2 = dist.expect_shape(lambda k: covariogram(k, grid)) @ wth
-    tab1 = dist.expect_shape(lambda k: boundary_covariogram(k, grid)) @ wth
-    grid *= -1.0  # in place, so a second grid is never held
-    tab1 = 0.5 * (tab1 + dist.expect_shape(lambda k: boundary_covariogram(k, grid)) @ wth)
+    cov2, cov1 = _expected(dist, covariogram), _expected(dist, boundary_covariogram)
+    direction = np.array([np.cos(th), np.sin(th)])[:, None, :]
+    tab2, tab1 = np.empty(n_s), np.empty(n_s)
+    for rows in _blocks(n_s, n_theta):
+        grid = direction * ss[rows, None]  # (2, rows, n_theta)
+        tab2[rows] = cov2(*grid) @ wth
+        tab1[rows] = cov1(*grid) @ wth
+        grid *= -1.0  # in place, so a second grid is never held
+        tab1[rows] = 0.5 * (tab1[rows] + cov1(*grid) @ wth)
     # The s = 0 point of the boundary profile uses the v1 convention; replace
     # by the one-sided limit so interpolation near 0 is faithful.
     tab1[0] = dist.expect_shape(lambda k: 0.5 * intrinsic_volumes(k).v1)
@@ -169,6 +230,7 @@ def _tabulated_profiles(dist: GrainDistribution, n_s: int, n_theta: int) -> Cova
 @lru_cache(maxsize=32)
 def covariogram_functions(dist: GrainDistribution) -> CovariogramFunctions:
     """Radial covariogram profiles of an isotropic grain law."""
+    dist = _closed_form(dist)
     if dist.family == "disk":
         return _disk_profiles(dist)
     if not dist.isotropic:
@@ -184,7 +246,20 @@ def _c2_vector(dist: GrainDistribution, gamma: float):
         prof = covariogram_functions(dist)
         return lambda tx, ty: gamma * prof.g2(np.hypot(tx, ty))
 
-    return lambda tx, ty: gamma * dist.expect_shape(lambda k: covariogram(k, (tx, ty)))
+    cov2 = _expected(dist, covariogram)
+    return lambda tx, ty: gamma * cov2(tx, ty)
+
+
+def _tensor_rule(wp, wq, columns):
+    """wp @ F @ wq, where columns(cols) returns the columns cols of F.
+
+    F is built a block of columns at a time (_blocks), and wp @ F is the
+    same vector as the whole product's.
+    """
+    row = np.empty(len(wq))
+    for cols in _blocks(len(wq), len(wp)):
+        row[cols] = wp @ columns(cols)
+    return float(row @ wq)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +278,7 @@ def rho_22(gamma: float, dist: GrainDistribution):
     """integral over the plane of exp(C2(y)) - 1; (value, error estimate)."""
     if gamma == 0.0:
         return 0.0, 0.0
+    dist = _closed_form(dist)
     if dist.isotropic:
         prof = covariogram_functions(dist)
         scale = math.expm1(gamma * float(prof.g2(0.0))) * prof.cutoff ** 2
@@ -216,14 +292,15 @@ def rho_22(gamma: float, dist: GrainDistribution):
 
     def half_plane(n):
         xs, wx = gauss_legendre(n, 0.0, cutoff)
-        return 2.0 * sum(float(wx @ np.expm1(c2(*np.meshgrid(side * xs, xs, indexing="ij"))) @ wx)
-                         for side in (1.0, -1.0))
+        return 2.0 * sum(_tensor_rule(wx, wx, lambda cols: np.expm1(c2(*np.meshgrid(
+            side * xs, xs[cols], indexing="ij")))) for side in (1.0, -1.0))
     val = half_plane(96)
     return val, abs(val - half_plane(48))
 
 
 def sigma_volume(gamma: float, dist: GrainDistribution):
     """Asymptotic variance of the area: (1-p)^2 * rho(V2, V2)."""
+    dist = _closed_form(dist)
     val, err = rho_22(gamma, dist)
     q = math.exp(-gamma * dist.moments().ev2)
     return q * q * val, q * q * err
@@ -254,29 +331,29 @@ def _interior_nodes(shape, n):
     cen = verts.mean(axis=0)
     u, wu = gauss_legendre(n, 0.0, 1.0)
     pts, ws = [], []
-    for i in range(len(verts)):
-        a, b = verts[i], verts[(i + 1) % len(verts)]
+    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
         ea, eb = a - cen, b - cen
         area2 = abs(ea[0] * eb[1] - ea[1] * eb[0])
-        for ui, wi in zip(u, wu):
-            for vi, wvi in zip(u, wu):
-                x = cen + ui * ((a - cen) + vi * (b - a))
-                pts.append(x)
-                ws.append(wi * wvi * ui * area2)
-    return np.asarray(pts), np.asarray(ws)
+        pts.append(cen + u[:, None, None] * ((a - cen) + u[None, :, None] * (b - a)))
+        ws.append(np.outer(wu, wu) * u[:, None] * area2)
+    return np.concatenate(pts).reshape(-1, 2), np.concatenate(ws).ravel()
+
+
+def _differences(f, p, q):
+    """columns(cols) of the matrix f(p_i - q_j) for _tensor_rule."""
+    return lambda cols: f(p[:, 0][:, None] - q[cols, 0][None, :],
+                          p[:, 1][:, None] - q[cols, 1][None, :])
 
 
 def _boundary_body(shape, f, n=48):
     """Tensor rule for the integral of f(y - z) over (boundary x body) of a polygon."""
     pts, ws = _interior_nodes(shape, n)
+    u, wu = gauss_legendre(n, 0.0, 1.0)
     total = 0.0
     for a, b in _edges_of(shape):
-        u, wu = gauss_legendre(n, 0.0, 1.0)
         edge_pts = a[None, :] + u[:, None] * (b - a)[None, :]
         ln = math.hypot(*(b - a))
-        dx = edge_pts[:, 0][:, None] - pts[:, 0][None, :]
-        dy = edge_pts[:, 1][:, None] - pts[:, 1][None, :]
-        total += ln * float(wu @ f(dx, dy) @ ws)
+        total += ln * _tensor_rule(wu, ws, _differences(f, edge_pts, pts))
     return total
 
 
@@ -289,6 +366,7 @@ def rho_12(gamma: float, dist: GrainDistribution):
     """
     if gamma == 0.0:
         return 0.0, 0.0
+    dist = _closed_form(dist)
     if dist.family == "disk":
         prof = covariogram_functions(dist)
         c2, c1 = prof.c2(gamma), prof.c1(gamma)
@@ -332,9 +410,8 @@ def _rho11_one_body(shape, c2vec, c1vec, gamma, n=48):
             u, wu = gauss_legendre(n, 0.0, 1.0)
             p1 = a1[None, :] + u[:, None] * (b1 - a1)[None, :]
             p2 = a2[None, :] + u[:, None] * (b2 - a2)[None, :]
-            dx = p1[:, 0][:, None] - p2[:, 0][None, :]
-            dy = p1[:, 1][:, None] - p2[:, 1][None, :]
-            term_b += l1 * l2 * float(wu @ np.exp(c2vec(dx, dy)) @ wu)
+            term_b += l1 * l2 * _tensor_rule(
+                wu, wu, _differences(lambda dx, dy: np.exp(c2vec(dx, dy)), p1, p2))
     term_b *= gamma * 0.25
     return term_a + term_b
 
@@ -348,6 +425,7 @@ def rho_11(gamma: float, dist: GrainDistribution):
     """
     if gamma == 0.0:
         return 0.0, 0.0
+    dist = _closed_form(dist)
     if dist.family == "disk":
         prof = covariogram_functions(dist)
         c2, c1 = prof.c2(gamma), prof.c1(gamma)
@@ -364,8 +442,10 @@ def rho_11(gamma: float, dist: GrainDistribution):
         def c1vec(dx, dy):
             return gamma * prof.g1(np.hypot(dx, dy))
     else:
+        cov1 = _expected(dist, boundary_covariogram)
+
         def c1vec(dx, dy):
-            return gamma * dist.expect_shape(lambda k: boundary_covariogram(k, (dx, dy)))
+            return gamma * cov1(dx, dy)
     return dist.expect_shape(lambda k: _rho11_one_body(k, c2vec, c1vec, gamma)), None
 
 
@@ -374,6 +454,7 @@ def rho_0i(gamma: float, dist: GrainDistribution, i: int) -> float:
 
     i = 2 needs no isotropy; i in {0, 1} does.
     """
+    dist = _closed_form(dist)
     d = 2
     m = dist.moments()
     vbar = [gamma, gamma * m.ev1, gamma * m.ev2]
@@ -436,6 +517,7 @@ def phi_star(j: int, shape, gamma: float, dist: GrainDistribution) -> float:
     """
     if shape is None:
         return 0.0
+    dist = _closed_form(dist)
     m = dist.moments()
     p = 1.0 - math.exp(-gamma * m.ev2)
     iv = intrinsic_volumes(shape).as_array()
@@ -466,6 +548,7 @@ class CovMatrix:
 
 
 def rho_table(gamma: float, dist: GrainDistribution) -> RhoTable:
+    dist = _closed_form(dist)
     if not dist.isotropic:
         raise AnisotropyError("the full rho table requires an isotropic grain law")
     r22, e22 = rho_22(gamma, dist)
@@ -483,12 +566,13 @@ def sigma_matrix(gamma: float, dist: GrainDistribution) -> CovMatrix:
     """Assemble the 3x3 asymptotic covariance matrix for an isotropic planar
     Boolean model, verifying the assembly against the direct volume/surface
     covariance expressions and the direct Euler-volume covariance."""
+    dist = _closed_form(dist)
     if not dist.isotropic:
         raise AnisotropyError("sigma_matrix requires an isotropic grain law")
     m = dist.moments()
     v1b = gamma * m.ev1
     q = math.exp(-gamma * m.ev2)       # 1 - p
-    p = 1.0 - q
+    p = -math.expm1(-gamma * m.ev2)    # not 1 - q, which cancels at small gamma
     rho = rho_table(gamma, dist)
     r = rho.values
     pm = _p_matrix(gamma, m)

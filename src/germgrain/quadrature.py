@@ -4,8 +4,8 @@ endpoint kinks.
 
 The adaptive rule is the 21-point Gauss-Kronrod pair of QUADPACK's qk21
 (Piessens et al. 1983) with its error estimate, applied to every panel of a
-round at once: the integrand is called once per round on a (panels x 21)
-array of abscissae.
+round at once: the integrand is called on a (panels x 21) array of
+abscissae, up to _PANEL_BLOCK panels per call.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ TANH_SINH_LEVEL = 8
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
+# Panels per block of _gk21, which bounds its (panels x 21) temporaries (a
+# profile with 2048 kinks starts from 2048 panels).  Each panel's value and
+# error depend on its own row only.
+_PANEL_BLOCK = 512
+
 
 def _in_order(*columns):
     """Row sums of the stacked columns, added left to right."""
@@ -67,7 +72,12 @@ def _in_order(*columns):
 
 def _gk21(f, lo, hi):
     """qk21 on every panel [lo[i], hi[i]] (lo < hi): (values, error
-    estimates), with f evaluated once on the (panels x 21) array of abscissae."""
+    estimates), with f evaluated on the (panels x 21) array of abscissae,
+    _PANEL_BLOCK panels at a time."""
+    if len(lo) > _PANEL_BLOCK:
+        parts = [_gk21(f, lo[i:i + _PANEL_BLOCK], hi[i:i + _PANEL_BLOCK])
+                 for i in range(0, len(lo), _PANEL_BLOCK)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fv = np.asarray(f(centre[:, None] + half[:, None] * _X21), dtype=float)
     fc, left, right = fv[:, 10:11], fv[:, _PAIRS], fv[:, 20 - _PAIRS]

@@ -45,7 +45,10 @@ contact and both stay; pieces running the same way stay once, on the grain
 listed first; a grain edge on the window boundary stays and the window piece
 beneath it is dropped.  A point contact on exactly representable
 coordinates (a vertex touching another boundary) can still leave the turning
-sum off an integer, which the engine reports as an error.
+sum off an integer, which the engine reports as an error.  Exact contacts can
+also give wrong v1 and v2 with no error: a diamond lying inside a larger one,
+two of its edges on the larger one's edges, keeps those inner edges as union
+boundary.  This stands until ROADMAP item 1 is done.
 """
 
 from __future__ import annotations

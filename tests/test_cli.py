@@ -215,6 +215,18 @@ class TestOtherSubcommands:
         for key in ("rho22_quadrature", "rho12_quadrature", "rho11_quadrature"):
             assert 0.0 <= errors[key] < 1e-6
 
+    @pytest.mark.parametrize("rotate", [True, False])
+    def test_covariance_of_a_fixed_disk_is_the_disk_law(self, tmp_path, cfg_file, rotate):
+        # a fixed disk law takes the closed-form disk path, rotated or not
+        disk = tmp_path / "disk.csv"
+        fixed = tmp_path / "fixed.csv"
+        assert main(["covariance", "--config", cfg_file, "--out", str(disk)]) == 0
+        grains = json.dumps({"family": "fixed", "rotate": rotate,
+                             "shape": {"kind": "disk", "radius": 1.0}})
+        assert main(["covariance", "--config", cfg_file, "--grains", grains,
+                     "--out", str(fixed)]) == 0
+        assert read_rows(fixed)[1] == read_rows(disk)[1]
+
     def test_clt_subcommand_small(self, tmp_path, cfg_file):
         out = tmp_path / "clt.csv"
         js = tmp_path / "clt.json"

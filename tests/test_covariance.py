@@ -1,13 +1,15 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import qmc
 
+from germgrain import covariance
 from germgrain.cells import PlacedGrain, Window, clip_cell, grain_constraints, window_cell
-from germgrain.covariance import (AnisotropyError, covariogram_functions,
+from germgrain.covariance import (AnisotropyError, _blocks, covariogram_functions,
                                   p_polynomial, phi_star, rho_0i, rho_11,
                                   rho_12, rho_22, rho_table, sigma_matrix,
                                   sigma_volume)
@@ -325,6 +327,23 @@ class TestSigmaMatrix:
                      + math.exp(-GAMMA * math.pi) ** 2 * cm.rho.values[1, 2])
         assert cm.matrix[1, 2] == pytest.approx(direct_12, rel=1e-9)
 
+    @pytest.mark.parametrize("gamma", [1e-8, 1e-11, 1e-14, 1e-20])
+    @pytest.mark.parametrize("dist", [DISK1, unit_squares(rotate=True)],
+                             ids=["unit-disks", "rotated-squares"])
+    def test_assembles_at_small_intensity(self, gamma, dist):
+        # the direct (0, 2) form takes p = 1 - exp(-gamma E V2) without
+        # cancellation, so it still agrees with the assembly at tiny gamma
+        cm = sigma_matrix(gamma, dist)
+        assert cm.matrix[0, 0] / gamma == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("rotate", [True, False])
+    def test_fixed_disk_law_is_the_disk_law(self, rotate):
+        fixed = sigma_matrix(GAMMA, GrainDistribution("fixed", shape=Disk(1.0), rotate=rotate))
+        want = sigma_matrix(GAMMA, DISK1)
+        assert fixed.matrix.tobytes() == want.matrix.tobytes()
+        assert fixed.rho.values.tobytes() == want.rho.values.tobytes()
+        assert fixed.rho.errors == want.rho.errors
+
     def test_radial_symmetry_of_isotropized_profiles(self):
         # the C2 profile of an isotropic law must agree with the direct
         # rotation-averaged covariogram at any direction of the same norm
@@ -533,3 +552,48 @@ class TestTabulatedPolygonLaws:
         t0 = time.perf_counter()
         sigma_matrix(GAMMA, ROTATED_HEXAGON)
         assert time.perf_counter() - t0 <= 1.0
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n, width", [(2049, 64), (513, 1728), (2304, 48), (96, 1),
+                                          (3, 1), (13824, 10 ** 6)])
+    def test_blocks_cover_the_range_in_multiples_of_four(self, n, width):
+        blocks = _blocks(n, width)
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        step = blocks[0].stop - blocks[0].start
+        assert step % 4 == 0 or len(blocks) == 1
+        assert all(b.stop - b.start == step for b in blocks[:-1])
+        assert step <= blocks[-1].stop - blocks[-1].start < 2 * step or len(blocks) == 1
+
+    def test_values_do_not_depend_on_the_block_size(self, monkeypatch):
+        # blocks of 4 rows or columns, the smallest, and the hexagon's
+        # covariograms taken 7 translations at a time give the same bits
+        def values():
+            covariogram_functions.cache_clear()
+            cm = sigma_matrix(GAMMA, unit_squares(rotate=True))
+            prof = covariogram_functions(ROTATED_HEXAGON)
+            ss = np.linspace(0.0, prof.cutoff, 513)
+            return np.concatenate([cm.matrix.ravel(), cm.rho.values.ravel(),
+                                   prof.g2(ss), prof.g1(ss), rho_22(GAMMA, unit_squares()),
+                                   rho_12(GAMMA, unit_squares())[:1]])
+        want = values()
+        monkeypatch.setattr(covariance, "_BLOCK_ELEMENTS", 7 * 36)
+        got = values()
+        covariogram_functions.cache_clear()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dist", [unit_squares(rotate=True), ROTATED_HEXAGON],
+                             ids=["rotated-squares", "rotated-hexagon"])
+    def test_sigma_matrix_memory_is_bounded(self, dist):
+        # the profile tables and tensor rules go in fixed-size blocks, so
+        # their temporaries stay small whatever the grid (tracemalloc counts
+        # numpy's buffers, deterministically)
+        covariogram_functions.cache_clear()
+        tracemalloc.start()
+        try:
+            sigma_matrix(GAMMA, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6

@@ -1,0 +1,82 @@
+"""Seeded values of the covariance layer, for bitwise comparisons.
+
+Writes the `sigma_matrix` entries, rho values and rho quadrature errors of a
+fixed set of grain laws to one .npy file, then prints the file's SHA-256.
+Run it on two versions of the program; equal hashes mean equal values, bit
+for bit:
+
+    PYTHONPATH=src python3 tools/covariance_rows.py [out.npy]
+
+Inputs, each at gamma 0.05, 0.3 and 1.0:
+  * disks with radius uniform(0.5, 1.5) (closed-form profiles);
+  * rotated unit squares, a rotated regular hexagon of circumradius 1 and
+    rotated rects with halfwidth uniform(0.3, 0.6) and halfheight 0.5
+    (tabulated profiles and tensor rules);
+  * unrotated unit squares: rho_22 (planar tensor rule) and rho_12 (tensor
+    rule with the anisotropic covariogram), the only entries an anisotropic
+    law has.
+
+Each row holds one law and gamma: the 3 x 3 sigma matrix, the 3 x 3 rho
+table and the three rho errors (NaN where an entry reports none).  An
+unrotated-squares row holds rho_22 and rho_12 with their errors, padded with
+NaN.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import sys
+
+import numpy as np
+
+from germgrain.covariance import rho_12, rho_22, sigma_matrix
+from germgrain.geometry import ConvexPolygon
+from germgrain.process import GrainDistribution, ParamLaw, unit_squares
+
+LAWS = {
+    "uniform disks": GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)),
+    "rotated squares": unit_squares(rotate=True),
+    "rotated hexagon": GrainDistribution("fixed", shape=ConvexPolygon(tuple(
+        (math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)) for k in range(6))),
+        rotate=True),
+    "rotated uniform rects": GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.3, 0.6),
+                                               halfheight=ParamLaw.constant(0.5), rotate=True),
+}
+GAMMAS = (0.05, 0.3, 1.0)
+ERRORS = ("rho22_quadrature", "rho12_quadrature", "rho11_quadrature")
+WIDTH = 9 + 9 + len(ERRORS)
+
+
+def _number(x):
+    return np.nan if x is None else float(x)
+
+
+def rows():
+    out = []
+    for law in LAWS.values():
+        for gamma in GAMMAS:
+            cm = sigma_matrix(gamma, law)
+            out.append(np.concatenate([cm.matrix.ravel(), cm.rho.values.ravel(),
+                                       [_number(cm.rho.errors[k]) for k in ERRORS]]))
+    squares = unit_squares(rotate=False)
+    for gamma in GAMMAS:
+        row = np.full(WIDTH, np.nan)
+        row[:4] = [_number(x) for x in (*rho_22(gamma, squares), *rho_12(gamma, squares))]
+        out.append(row)
+    return np.array(out)
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    path = argv[0] if argv else "covariance_rows.npy"
+    table = rows()
+    np.save(path, table)
+    with open(path, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
+    print(f"{len(table)} rows of {table.shape[1]} values")
+    print(f"sha256 {digest}  {path}")
+
+
+if __name__ == "__main__":
+    main()
