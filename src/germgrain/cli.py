@@ -22,10 +22,6 @@ from . import __version__
 FORMAT_VERSION = "germgrain-csv-1"
 
 
-class CliError(Exception):
-    pass
-
-
 def _atomic_write(path, write):
     """Create path atomically: write(tmp) fills a temporary file in the same
     directory, which then replaces path."""
@@ -41,18 +37,12 @@ def _atomic_write(path, write):
         raise
 
 
-def _header_lines(config, extra=None):
+def _write_csv(path, config, columns, rows, extra=None):
     lines = [f"# format: {FORMAT_VERSION}", f"# version: {__version__}"]
     if config is not None:
         lines.append(f"# config: {json.dumps(config.to_record(), sort_keys=True)}")
         lines.append(f"# seed: {config.seed}")
-    for k, v in (extra or {}).items():
-        lines.append(f"# {k}: {v}")
-    return lines
-
-
-def _write_csv(path, config, columns, rows, extra=None):
-    lines = _header_lines(config, extra)
+    lines += [f"# {k}: {v}" for k, v in (extra or {}).items()]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(x if isinstance(x, str) else repr(float(x)) for x in row))
@@ -60,72 +50,44 @@ def _write_csv(path, config, columns, rows, extra=None):
     _atomic_write(path, lambda tmp: Path(tmp).write_bytes(data))
 
 
-def _config_record(args):
-    rec = {}
-    if args.config:
-        with open(args.config) as f:
-            rec = json.load(f)
-    if getattr(args, "gamma", None) is not None:
-        rec["gamma"] = args.gamma
-    if getattr(args, "seed", None) is not None:
-        rec["seed"] = args.seed
-    if getattr(args, "window", None) is not None:
-        x0, y0, x1, y1 = args.window
-        rec["window"] = {"lo": [x0, y0], "hi": [x1, y1]}
-    if getattr(args, "grains", None) is not None:
+def _config_record(args, needs=("gamma", "grains", "window")):
+    """The --config record, flags put over it; a ValueError names the needs neither gives."""
+    rec = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(rec, dict):
+        raise ValueError(f"config: expected a JSON object, got {type(rec).__name__}")
+    flags = {"gamma": args.gamma, "seed": args.seed,
+             "window": args.window and {"lo": args.window[:2], "hi": args.window[2:]}}
+    rec.update((k, v) for k, v in flags.items() if v is not None)
+    if args.grains is not None:  # a JSON null too, which the record reader refuses
         rec["grains"] = json.loads(args.grains)
+    missing = [k for k in needs if k not in rec]
+    if missing:
+        raise ValueError(f"config incomplete: missing {', '.join(missing)} (use --config or flags)")
     return rec
 
 
 def _load_config(args):
     from . import ModelConfig
-    rec = _config_record(args)
-    missing = [k for k in ("gamma", "grains", "window") if k not in rec]
-    if missing:
-        raise CliError(f"config incomplete: missing {', '.join(missing)} (give --config or flags)")
-    return ModelConfig.from_record(rec)
+    return ModelConfig.from_record(_config_record(args))
 
 
-def _add_model_flags(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--gamma", type=float, help="intensity (overrides config)")
-    p.add_argument("--seed", type=_nonnegative_int, help="master seed (overrides config)")
-    p.add_argument("--window", type=float, nargs=4, metavar=("X0", "Y0", "X1", "Y1"),
-                   help="window corners (overrides config)")
-    p.add_argument("--grains", help="grain distribution record as JSON (overrides config)")
+def _number(cast, above, kind):
+    """An argparse type: cast(text), refused unless above it and finite."""
+    def parse(text):
+        try:
+            x = cast(text)
+        except ValueError:
+            x = above
+        if not above < x < float("inf"):
+            raise argparse.ArgumentTypeError(f"expected a {kind}, got {text!r}")
+        return x
+    return parse
 
 
-def _positive_int(text, least=1):
-    try:
-        n = int(text)
-    except ValueError:
-        n = least - 1
-    if n < least:
-        kind = "positive" if least else "non-negative"
-        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
-    return n
-
-
-def _nonnegative_int(text):
-    return _positive_int(text, least=0)
-
-
-def _positive_float(text):
-    try:
-        x = float(text)
-    except ValueError:
-        x = -1.0
-    if not 0.0 < x < float("inf"):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return x
-
-
-def _add_threads_flag(p):
-    # A string default goes through type too, so a bad GERMGRAIN_THREADS is
-    # a usage error like a bad --threads.
-    p.add_argument("--threads", type=_positive_int,
-                   default=os.environ.get("GERMGRAIN_THREADS", "1"),
-                   help="process-pool width, at least 1 (env GERMGRAIN_THREADS)")
+_positive_int = _number(int, 0, "positive integer")
+_nonnegative_int = _number(int, -1, "non-negative integer")
+_positive_float = _number(float, 0.0, "positive finite number")
+_finite_float = _number(float, -float("inf"), "finite number")
 
 
 def _cmd_simulate(args):
@@ -153,23 +115,19 @@ def _cmd_measure(args):
 
 
 def _cmd_predict(args):
-    from . import GrainDistribution, miles_densities_2d
-    # gamma = 0 is a legal prediction input (all densities vanish) even
-    # though a simulation config requires gamma > 0.
+    from . import ModelConfig, miles_densities_2d
+    # gamma = 0 is a legal prediction input (all densities vanish), though a config
+    # needs gamma > 0: the record is read with gamma, and a window not given, stood in for.
     if args.gamma == 0.0:
-        grains = GrainDistribution.from_record(_config_record(args)["grains"])
-        m = grains.moments()
-        _write_csv(args.out, None, ["gamma", "ev1", "ev2", "d0", "d1", "d2"],
-                   [[0.0, m.ev1, m.ev2, 0.0, 0.0, 0.0]],
-                   extra={"isotropic": grains.isotropic})
-        print("d0=0.0 d1=0.0 d2=0.0")
-        return 0
-    cfg = _load_config(args)
-    m = cfg.grains.moments()
-    dv = miles_densities_2d(cfg.gamma, m, isotropic=cfg.grains.isotropic)
+        rec = {"window": {"lo": [0, 0], "hi": [1, 1]}, **_config_record(args, ("grains",))}
+        cfg, gamma, grains = None, 0.0, ModelConfig.from_record({**rec, "gamma": 1.0}).grains
+    else:
+        cfg = _load_config(args)
+        gamma, grains = cfg.gamma, cfg.grains
+    m = grains.moments()
+    dv = miles_densities_2d(gamma, m, isotropic=grains.isotropic)
     _write_csv(args.out, cfg, ["gamma", "ev1", "ev2", "d0", "d1", "d2"],
-               [[cfg.gamma, m.ev1, m.ev2, dv.d0, dv.d1, dv.d2]],
-               extra={"isotropic": cfg.grains.isotropic})
+               [[gamma, m.ev1, m.ev2, dv.d0, dv.d1, dv.d2]], extra={"isotropic": grains.isotropic})
     print(f"d0={dv.d0} d1={dv.d1} d2={dv.d2}")
     return 0
 
@@ -232,13 +190,12 @@ def _cmd_clt(args):
 def _cmd_capacity(args):
     from . import empirical_capacity, shape_from_record, theory_capacity
     cfg = _load_config(args)
-    probe = shape_from_record(json.loads(args.probe))
-    center = args.at
+    probe = shape_from_record(json.loads(args.probe), "probe")
     theory = theory_capacity(cfg, probe)
-    est, se = empirical_capacity(cfg, probe, center, args.reps, args.threads)
+    est, se = empirical_capacity(cfg, probe, args.at, args.reps, args.threads)
     _write_csv(args.out, cfg, ["theory", "estimate", "se", "reps"],
                [[theory, est, se, args.reps]],
-               extra={"probe": args.probe, "at": list(center)})
+               extra={"probe": args.probe, "at": list(args.at)})
     print(f"theory={theory} empirical={est} +- {se}")
     return 0
 
@@ -253,69 +210,67 @@ def _cmd_render(args):
     return 0
 
 
+def _command(sub, name, func, help, model=True, threads=False):
+    """A subcommand's parser: the model flags if it runs a model, --threads if
+    it runs a pool, --out and func."""
+    sp = sub.add_parser(name, help=help)
+    if model:
+        sp.add_argument("--config", help="JSON config file")
+        sp.add_argument("--gamma", type=float, help="intensity (overrides config)")
+        sp.add_argument("--seed", type=_nonnegative_int, help="master seed (overrides config)")
+        sp.add_argument("--window", type=_finite_float, nargs=4, metavar=("X0", "Y0", "X1", "Y1"),
+                        help="window corners (overrides config)")
+        sp.add_argument("--grains", help="grain distribution record as JSON (overrides config)")
+    if threads:
+        # A string default goes through type too, so a bad GERMGRAIN_THREADS
+        # is a usage error like a bad --threads.
+        sp.add_argument("--threads", type=_positive_int,
+                        default=os.environ.get("GERMGRAIN_THREADS", "1"),
+                        help="process-pool width, at least 1 (env GERMGRAIN_THREADS)")
+    sp.add_argument("--out", required=True)
+    sp.set_defaults(func=func)
+    return sp
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="germgrain",
                                 description="Boolean-model simulation and verification lab")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("simulate", help="sample one realization to a grain dump")
-    _add_model_flags(sp)
+    sp = _command(sub, "simulate", _cmd_simulate, "sample one realization to a grain dump")
     sp.add_argument("--replicate", type=_nonnegative_int, default=0)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("measure", help="measure (v0, v1, v2) of a grain dump")
+    sp = _command(sub, "measure", _cmd_measure, "measure (v0, v1, v2) of a grain dump", model=False)
     sp.add_argument("infile")
     sp.add_argument("--engine", choices=["arrangement", "inclusion-exclusion", "pixel"],
                     default="arrangement")
     sp.add_argument("--resolution", type=_positive_float, default=16.0,
                     help="pixels per unit length (pixel engine)")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_measure)
 
-    sp = sub.add_parser("predict", help="closed-form density predictions")
-    _add_model_flags(sp)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_predict)
+    _command(sub, "predict", _cmd_predict, "closed-form density predictions")
 
-    sp = sub.add_parser("estimate", help="estimate densities and invert the intensity")
-    _add_model_flags(sp)
+    sp = _command(sub, "estimate", _cmd_estimate, "estimate densities and invert the intensity",
+                  threads=True)
     sp.add_argument("--reps", type=_positive_int, default=100)
-    _add_threads_flag(sp)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_estimate)
 
-    sp = sub.add_parser("covariance", help="asymptotic covariance matrix")
-    _add_model_flags(sp)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_covariance)
+    _command(sub, "covariance", _cmd_covariance, "asymptotic covariance matrix")
 
-    sp = sub.add_parser("clt", help="central-limit experiment over window scales")
-    _add_model_flags(sp)
+    sp = _command(sub, "clt", _cmd_clt, "central-limit experiment over window scales", threads=True)
     sp.add_argument("--scales", type=_positive_float, nargs="+", default=[8, 16, 32])
     sp.add_argument("--reps", type=_positive_int, default=500)
     sp.add_argument("--functional", choices=["v0", "v1", "v2"], default="v2")
-    _add_threads_flag(sp)
-    sp.add_argument("--out", required=True)
     sp.add_argument("--json-out")
-    sp.set_defaults(func=_cmd_clt)
 
-    sp = sub.add_parser("capacity", help="capacity functional: theory vs empirical")
-    _add_model_flags(sp)
+    sp = _command(sub, "capacity", _cmd_capacity, "capacity functional: theory vs empirical",
+                  threads=True)
     sp.add_argument("--probe", required=True, help="probe shape record as JSON")
-    sp.add_argument("--at", type=float, nargs=2, required=True, metavar=("X", "Y"))
+    sp.add_argument("--at", type=_finite_float, nargs=2, required=True, metavar=("X", "Y"))
     sp.add_argument("--reps", type=_positive_int, default=1000)
-    _add_threads_flag(sp)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_capacity)
 
-    sp = sub.add_parser("render", help="rasterize a realization to PGM")
-    _add_model_flags(sp)
+    sp = _command(sub, "render", _cmd_render, "rasterize a realization to PGM")
     sp.add_argument("--replicate", type=_nonnegative_int, default=0)
     sp.add_argument("--resolution", type=_positive_float, default=8.0)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_render)
     return p
 
 
@@ -328,7 +283,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

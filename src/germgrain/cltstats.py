@@ -26,12 +26,6 @@ import numpy as np
 from .process import ModelConfig, replicate_rows
 from .union import arrangement_measure
 
-__all__ = [
-    "ReplicateBatch", "NormalityReport", "run_batch", "run_batches", "wasserstein_to_normal",
-    "ks_to_normal", "normality_report", "rank_correlation", "clt_experiment",
-    "multivariate_check", "DegenerateVarianceError",
-]
-
 
 class DegenerateVarianceError(RuntimeError):
     """The chosen functional has no variance to normalize by."""

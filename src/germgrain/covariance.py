@@ -52,17 +52,11 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import (AlignedRect, ConvexPolygon, Disk, _as_polygon_vertices,
-                       _compositions, boundary_covariogram, c_const, covariogram,
+                       _composition_sum, boundary_covariogram, c_const, covariogram,
                        disk_boundary_covariogram, disk_covariogram,
                        intrinsic_volumes)
 from .process import GrainDistribution, fixed_disk
 from .quadrature import adaptive_quad, gauss_legendre, tanh_sinh
-
-__all__ = [
-    "CovariogramFunctions", "RhoTable", "CovMatrix", "AnisotropyError",
-    "AssemblyError", "covariogram_functions", "sigma_volume", "rho_22",
-    "rho_12", "rho_11", "rho_0i", "p_polynomial", "phi_star", "sigma_matrix",
-]
 
 
 # Largest relative gap the assembly may leave to its direct derivations.
@@ -240,14 +234,15 @@ def covariogram_functions(dist: GrainDistribution) -> CovariogramFunctions:
     return _tabulated_profiles(dist, n_s=513, n_theta=48)
 
 
-def _c2_vector(dist: GrainDistribution, gamma: float):
-    """C2 as a function of a translation vector (anisotropic laws allowed)."""
+def _c_vector(dist: GrainDistribution, gamma: float, cov=covariogram, profile="g2"):
+    """gamma C2, or gamma C1 given boundary_covariogram and its profile "g1",
+    as a function of a translation vector (anisotropic laws allowed)."""
     if dist.isotropic:
-        prof = covariogram_functions(dist)
-        return lambda tx, ty: gamma * prof.g2(np.hypot(tx, ty))
+        g = getattr(covariogram_functions(dist), profile)
+        return lambda tx, ty: gamma * g(np.hypot(tx, ty))
 
-    cov2 = _expected(dist, covariogram)
-    return lambda tx, ty: gamma * cov2(tx, ty)
+    expected = _expected(dist, cov)
+    return lambda tx, ty: gamma * expected(tx, ty)
 
 
 def _tensor_rule(wp, wq, columns):
@@ -288,7 +283,7 @@ def rho_22(gamma: float, dist: GrainDistribution):
     # covariogram is even, g(t) = g(-t), but need not be mirror-symmetric in
     # either axis, so the quadrants [0, c]^2 and [-c, 0] x [0, c] both count.
     cutoff = 2.0 * dist.rmax
-    c2 = _c2_vector(dist, gamma)
+    c2 = _c_vector(dist, gamma)
 
     def half_plane(n):
         xs, wx = gauss_legendre(n, 0.0, cutoff)
@@ -307,12 +302,9 @@ def sigma_volume(gamma: float, dist: GrainDistribution):
 
 
 def _edges_of(shape):
-    if isinstance(shape, AlignedRect):
-        verts = _as_polygon_vertices(shape)
-    elif isinstance(shape, ConvexPolygon):
-        verts = shape.vertex_array()
-    else:
+    if isinstance(shape, Disk):
         raise TypeError(f"no edges on {shape}")
+    verts = _as_polygon_vertices(shape)
     n = len(verts)
     return [(verts[i], verts[(i + 1) % n]) for i in range(n)]
 
@@ -372,7 +364,7 @@ def rho_12(gamma: float, dist: GrainDistribution):
         c2, c1 = prof.c2(gamma), prof.c1(gamma)
         scale = math.exp(float(c2(0.0))) * float(c1(0.0)) * prof.cutoff ** 2
         return _radial_integral(prof, lambda s: np.exp(c2(s)) * c1(s), 1e-11 * scale)
-    c2vec = _c2_vector(dist, gamma)
+    c2vec = _c_vector(dist, gamma)
     return dist.expect_shape(
         lambda k: gamma * 0.5 * _boundary_body(k, lambda dx, dy: np.exp(c2vec(dx, dy)))), None
 
@@ -435,17 +427,7 @@ def rho_11(gamma: float, dist: GrainDistribution):
         term_b, err_b = dist.radius.expect(
             lambda r: _rho11_disk_boundary_term(r, c2, gamma, prof.kinks))
         return term_a + float(term_b), err_a + float(err_b)
-    c2vec = _c2_vector(dist, gamma)
-    if dist.isotropic:
-        prof = covariogram_functions(dist)
-
-        def c1vec(dx, dy):
-            return gamma * prof.g1(np.hypot(dx, dy))
-    else:
-        cov1 = _expected(dist, boundary_covariogram)
-
-        def c1vec(dx, dy):
-            return gamma * cov1(dx, dy)
+    c2vec, c1vec = _c_vector(dist, gamma), _c_vector(dist, gamma, boundary_covariogram, "g1")
     return dist.expect_shape(lambda k: _rho11_one_body(k, c2vec, c1vec, gamma)), None
 
 
@@ -464,13 +446,7 @@ def rho_0i(gamma: float, dist: GrainDistribution, i: int) -> float:
         raise AnisotropyError(f"rho(V0, V{i}) requires an isotropic grain law")
     total = 0.0
     for ell in range(1, d - i + 1):
-        inner = 0.0
-        for mm in _compositions((ell - 1) * d + i, ell, i, d - 1):
-            term = 1.0
-            for mj in mm:
-                term *= c_const(mj, d) * vbar[mj]
-            inner += term
-        total += inner / math.factorial(ell)
+        total += _composition_sum((ell - 1) * d + i, ell, i, d - 1, vbar, d) / math.factorial(ell)
     return math.exp(vbar[d]) * c_const(d, i) * total
 
 
@@ -490,13 +466,8 @@ def p_polynomial(j: int, k: int, density_inputs, d: int = 2) -> float:
         raise ValueError(f"need t_j..t_{d - 1}: {d - j} values, got {len(tv)}")
     total = 0.0
     for s in range(1, k - j + 1):
-        inner = 0.0
-        for mm in _compositions(s * d + j - k, s, j, d - 1):
-            term = 1.0
-            for mi in mm:
-                term *= c_const(mi, d) * tv[mi - j]
-            inner += term
-        total += ((-1.0) ** s / math.factorial(s)) * inner
+        total += ((-1.0) ** s / math.factorial(s)) * _composition_sum(
+            s * d + j - k, s, j, d - 1, [0.0] * j + tv, d)
     return c_const(k, j) * total
 
 

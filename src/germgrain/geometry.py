@@ -28,6 +28,8 @@ from itertools import product
 
 import numpy as np
 
+from .records import NUMBER, POINT, Record, list_of
+
 
 class DegenerateShapeError(ValueError):
     """Raised when a shape constructor receives degenerate input."""
@@ -251,11 +253,17 @@ def c_const(i: int, j: int) -> float:
     return (math.factorial(i) * kappa(i)) / (math.factorial(j) * kappa(j))
 
 
-def _compositions(total: int, parts: int, lo: int, hi: int):
-    """All tuples (m_1..m_parts) with lo <= m_i <= hi summing to total."""
+def _composition_sum(total: int, parts: int, lo: int, hi: int, values, d: int) -> float:
+    """Sum over the tuples (m_1..m_parts) with lo <= m_i <= hi summing to
+    total of prod_i c^{m_i}_d values[m_i]."""
+    out = 0.0
     for m in product(range(lo, hi + 1), repeat=parts):
         if sum(m) == total:
-            yield m
+            term = 1.0
+            for mi in m:
+                term *= c_const(mi, d) * values[mi]
+            out += term
+    return out
 
 
 def circumradius(shape: GrainShape) -> float:
@@ -414,24 +422,19 @@ def minkowski_sum_area(shape: GrainShape, probe: GrainShape) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (CLI config / grain dump records)
+# Shape records (CLI probes, fixed grain laws, grain dumps)
 # ---------------------------------------------------------------------------
 
 
+_SHAPE = Record({"disk": (Disk, [("radius", NUMBER)]),
+                 "rect": (AlignedRect, [("halfwidth", NUMBER), ("halfheight", NUMBER)]),
+                 "polygon": (ConvexPolygon, [("vertices", list_of(POINT, "a list of points"))])},
+                tag="kind")
+
+
 def shape_to_record(shape: GrainShape) -> dict:
-    if isinstance(shape, Disk):
-        return {"kind": "disk", "radius": shape.radius}
-    if isinstance(shape, AlignedRect):
-        return {"kind": "rect", "halfwidth": shape.halfwidth, "halfheight": shape.halfheight}
-    return {"kind": "polygon", "vertices": [list(v) for v in shape.vertices]}
+    return _SHAPE.write(shape)
 
 
-def shape_from_record(rec: dict) -> GrainShape:
-    kind = rec.get("kind")
-    if kind == "disk":
-        return Disk(float(rec["radius"]))
-    if kind == "rect":
-        return AlignedRect(float(rec["halfwidth"]), float(rec["halfheight"]))
-    if kind == "polygon":
-        return ConvexPolygon(tuple((float(x), float(y)) for x, y in rec["vertices"]))
-    raise ValueError(f"unknown shape kind: {kind!r}")
+def shape_from_record(rec: dict, path: str = "shape") -> GrainShape:
+    return _SHAPE(rec, path)

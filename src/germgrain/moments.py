@@ -24,17 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _compositions, c_const, kappa
+from .geometry import _composition_sum, c_const, kappa
 from .process import GrainDistribution, GrainMoments, ParamLaw, chunks
 from .quadrature import legendre_rule
 from .union import arrangement_measure, edge_corrected_measure
-
-__all__ = [
-    "DensityVector", "volume_fraction", "miles_densities_2d",
-    "ball_densities_3d", "density_rows", "density_estimate",
-    "estimate_densities", "invert_intensity", "EstimationError", "kappa",
-    "c_const", "density_general", "mixed_moment_direct",
-]
 
 
 class EstimationError(ValueError):
@@ -77,13 +70,8 @@ def density_general(d: int, j: int, grain_densities) -> float:
         return 1.0 - math.exp(-vbar[d])
     corr = 0.0
     for s in range(2, d - j + 1):
-        inner = 0.0
-        for m in _compositions((s - 1) * d + j, s, j + 1, d - 1):
-            term = 1.0
-            for mi in m:
-                term *= c_const(mi, d) * vbar[mi]
-            inner += term
-        corr += ((-1.0) ** s / math.factorial(s)) * inner
+        corr += ((-1.0) ** s / math.factorial(s)) * _composition_sum(
+            (s - 1) * d + j, s, j + 1, d - 1, vbar, d)
     return math.exp(-vbar[d]) * (vbar[j] - c_const(d, j) * corr)
 
 

@@ -22,10 +22,11 @@ from functools import partial
 import numpy as np
 
 from .cells import Grains, PlacedGrain, Window
-from .geometry import (AlignedRect, ConvexPolygon, Disk, GrainShape,
+from .geometry import (_SHAPE, AlignedRect, ConvexPolygon, Disk, GrainShape,
                        _as_polygon_vertices, circumradius, intrinsic_volumes,
-                       minkowski_sum_area, shape_from_record, shape_to_record)
+                       minkowski_sum_area, shape_to_record)
 from .quadrature import legendre_rule
+from .records import BOOLEAN, INTEGER, NUMBER, POINT, Record, list_of
 from .rng import poisson_draw, replicate_rng
 
 FORMAT_VERSION = "germgrain-sample-1"
@@ -55,6 +56,14 @@ class ParamLaw:
     kind: str
     args: tuple
 
+    def __post_init__(self):
+        try:
+            finite = math.isfinite(self.moment(4))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{self.kind} law {self.args}: its 4th moment overflows")
+
     @staticmethod
     def constant(value: float) -> "ParamLaw":
         if not (value > 0.0 and math.isfinite(value)):
@@ -73,20 +82,17 @@ class ParamLaw:
         probs = tuple(float(p) for p in probs)
         if len(values) != len(probs) or not values:
             raise ValueError("mixture needs matching nonempty values/probs")
-        if any(v <= 0.0 for v in values) or any(p < 0.0 for p in probs):
-            raise ValueError("mixture values must be positive, probs nonnegative")
+        if not (all(0.0 < v < math.inf for v in values) and all(p >= 0.0 for p in probs)):
+            raise ValueError("mixture values must be positive and finite, probs nonnegative")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError("mixture probabilities must sum to 1")
         return ParamLaw("discrete", (values, probs))
 
     def moment(self, k: int) -> float:
-        if self.kind == "constant":
-            return self.args[0] ** k
         if self.kind == "uniform":
             a, b = self.args
             return (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
-        values, probs = self.args
-        return float(sum(p * v ** k for v, p in zip(values, probs)))
+        return self.expect(lambda v: v ** k)
 
     def mean(self) -> float:
         return self.moment(1)
@@ -124,23 +130,19 @@ class ParamLaw:
         total = sum(wi * f(xi) for xi, wi in zip(xs, w)) * 0.5 * (b - a)
         return total / (b - a)
 
-    def to_record(self):
-        if self.kind == "constant":
-            return {"law": "constant", "value": self.args[0]}
-        if self.kind == "uniform":
-            return {"law": "uniform", "a": self.args[0], "b": self.args[1]}
-        return {"law": "discrete", "values": list(self.args[0]), "probs": list(self.args[1])}
+    def to_record(self) -> dict:
+        return _LAW.write(self)
 
     @staticmethod
     def from_record(rec: dict) -> "ParamLaw":
-        law = rec["law"]
-        if law == "constant":
-            return ParamLaw.constant(rec["value"])
-        if law == "uniform":
-            return ParamLaw.uniform(rec["a"], rec["b"])
-        if law == "discrete":
-            return ParamLaw.mixture(rec["values"], rec["probs"])
-        raise ValueError(f"unknown law kind {law!r}")
+        return _LAW(rec, "law")
+
+
+_NUMBERS = list_of(NUMBER, "a list of numbers")
+_LAW = Record({"constant": (ParamLaw.constant, [("value", NUMBER)]),
+               "uniform": (ParamLaw.uniform, [("a", NUMBER), ("b", NUMBER)]),
+               "discrete": (ParamLaw.mixture, [("values", _NUMBERS), ("probs", _NUMBERS)])},
+              tag="law", kind_of=lambda law: law.kind, values_of=lambda law: law.args)
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +165,6 @@ class GrainMoments:
     mixed: float
 
 
-# The parameter laws of each grain family; a "fixed" family has a shape instead.
-_FAMILY_LAWS = {"disk": ("radius",), "rect": ("halfwidth", "halfheight"), "fixed": ()}
-
-
 @dataclass(frozen=True)
 class GrainDistribution:
     """Law Q of the typical grain.
@@ -184,9 +182,9 @@ class GrainDistribution:
     rotate: bool = False
 
     def __post_init__(self):
-        if self.family not in _FAMILY_LAWS:
+        if self.family not in _GRAINS.variants:
             raise ValueError(f"unknown grain family {self.family!r}")
-        needs = _FAMILY_LAWS[self.family] or ("shape",)
+        needs = [name for name, *_ in _GRAINS.variants[self.family][1][1:]]
         if any(getattr(self, k) is None for k in needs):
             raise ValueError(f"{self.family} family needs {' and '.join(needs)}")
 
@@ -262,19 +260,19 @@ class GrainDistribution:
     # -- serialization ------------------------------------------------------
 
     def to_record(self) -> dict:
-        rec = {"family": self.family, "rotate": self.rotate}
-        rec.update((k, getattr(self, k).to_record()) for k in _FAMILY_LAWS[self.family])
-        if self.family == "fixed":
-            rec["shape"] = shape_to_record(self.shape)
-        return rec
+        return _GRAINS.write(self)
 
     @staticmethod
     def from_record(rec: dict) -> "GrainDistribution":
-        family = rec["family"]
-        shape = shape_from_record(rec["shape"]) if family == "fixed" else None
-        return GrainDistribution(family, shape=shape, rotate=bool(rec.get("rotate", False)),
-                                 **{k: ParamLaw.from_record(rec[k])
-                                    for k in _FAMILY_LAWS.get(family, ())})
+        return _GRAINS(rec, "grains")
+
+
+# Each family's fields: rotate, then its parameter laws or, for "fixed", its shape.
+_GRAINS = Record({kind: (partial(GrainDistribution, kind), [("rotate", BOOLEAN, False), *fields])
+                  for kind, fields in (("disk", [("radius", _LAW)]),
+                                       ("rect", [("halfwidth", _LAW), ("halfheight", _LAW)]),
+                                       ("fixed", [("shape", _SHAPE)]))},
+                 tag="family", kind_of=lambda grains: grains.family)
 
 
 def fixed_disk(radius: float) -> GrainDistribution:
@@ -305,15 +303,16 @@ class ModelConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     def to_record(self) -> dict:
-        return {"gamma": self.gamma, "grains": self.grains.to_record(),
-                "window": {"lo": list(self.window.lo), "hi": list(self.window.hi)},
-                "seed": self.seed}
+        return _CONFIG.write(self)
 
     @staticmethod
     def from_record(rec: dict) -> "ModelConfig":
-        win = Window(tuple(rec["window"]["lo"]), tuple(rec["window"]["hi"]))
-        return ModelConfig(float(rec["gamma"]), GrainDistribution.from_record(rec["grains"]),
-                           win, int(rec.get("seed", 0)))
+        return _CONFIG(rec)
+
+
+_CONFIG = Record({None: (ModelConfig, [
+    ("gamma", NUMBER), ("grains", _GRAINS),
+    ("window", Record({None: (Window, [("lo", POINT), ("hi", POINT)])})), ("seed", INTEGER, 0)])})
 
 
 @dataclass(frozen=True)
@@ -397,11 +396,6 @@ def theory_capacity(config: ModelConfig, probe: GrainShape) -> float:
     return math.exp(-config.gamma * mean_hit_area(config.grains, probe))
 
 
-def point_coverage_probability(config: ModelConfig) -> float:
-    """Volume fraction p = 1 - P(point uncovered)."""
-    return 1.0 - math.exp(-config.gamma * config.grains.moments().ev2)
-
-
 def _misses(probe: PlacedGrain, chunk) -> np.ndarray:
     """Whether each sample of a Chunk misses the probe: the grains whose
     circumcircle reaches the probe's, measured inside it in one engine pass,
@@ -430,7 +424,7 @@ def empirical_capacity(config: ModelConfig, probe: GrainShape, center, reps: int
     r = config.grains.rmax
     (x0, y0), (x1, y1) = config.window.lo, config.window.hi
     margin = min(cx - rp - x0, x1 - (cx + rp), cy - rp - y0, y1 - (cy + rp))
-    if margin < r:
+    if not margin >= r:  # a NaN centre too
         raise EdgeEffectError(
             f"probe must keep distance >= rmax={r} from the window boundary "
             f"(margin {margin:.6g}); move or shrink it")
@@ -545,25 +539,41 @@ def write_sample(path, s: GermGrainSample):
         f.write("\n".join(lines) + "\n")
 
 
+# A dump's grain line 'x y {shape record}' is three JSON values, read as a record.
+_GRAIN_LINE = Record({None: (lambda x, y, shape: PlacedGrain((x, y), shape),
+                             [("x", NUMBER), ("y", NUMBER), ("shape", _SHAPE)])})
+
+
+def _grain_line(text):
+    return _GRAIN_LINE(dict(zip(("x", "y", "shape"), map(json.loads, text.split(None, 2)))))
+
+
 def read_sample(path) -> GermGrainSample:
-    """The sample of a grain dump; ValueError names the path when a header is
-    missing or wrong, or when '# count:' differs from the grain lines read."""
+    """The sample of a grain dump.  A ValueError names the path (and the line
+    and field of a malformed line), also when a header is missing or wrong
+    or '# count:' differs from the grain lines read.  The format is checked
+    before the config and replicate headers are read."""
+    def read(n, text, parse, field=""):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: {field}{exc}") from None
     headers, placed = {}, []
     with open(path) as f:
-        for line in map(str.strip, f):
+        for n, line in enumerate(map(str.strip, f), 1):
             if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                headers[key.strip()] = value.strip()
+                key, _, value = map(str.strip, line[1:].partition(":"))
+                headers[key] = (n, value)
             elif line:
-                xs, ys, rest = line.split(None, 2)
-                placed.append(PlacedGrain((float(xs), float(ys)),
-                                          shape_from_record(json.loads(rest))))
-    if headers.get("format") != FORMAT_VERSION:
-        raise ValueError(f"{path}: format is {headers.get('format')!r}, not {FORMAT_VERSION!r}")
+                placed.append(read(n, line, _grain_line))
+    fmt, count = (headers.get(key, (0, None))[1] for key in ("format", "count"))
+    if fmt != FORMAT_VERSION:
+        raise ValueError(f"{path}: format is {fmt!r}, not {FORMAT_VERSION!r}")
     if "config" not in headers:
         raise ValueError(f"{path}: missing '# config:' header")
-    if headers.get("count") != str(len(placed)):
-        raise ValueError(f"{path}: '# count:' header is {headers.get('count')!r}, but the file "
+    if count != str(len(placed)):
+        raise ValueError(f"{path}: '# count:' header is {count!r}, but the file "
                          f"holds {len(placed)} grain lines (truncated?)")
-    config = ModelConfig.from_record(json.loads(headers["config"]))
-    return GermGrainSample(Grains.of(placed), config, int(headers.get("replicate", 0)))
+    config = read(*headers["config"], lambda t: ModelConfig.from_record(json.loads(t)), "config: ")
+    replicate = read(*headers.get("replicate", (0, "0")), int, "replicate: ")
+    return GermGrainSample(Grains.of(placed), config, replicate)

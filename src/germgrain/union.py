@@ -60,12 +60,6 @@ import numpy as np
 from .cells import (TWO_PI, Grains, PlacedGrain, TooManyGrainsError, Window,
                     clip_cell, grain_constraints, window_cell)
 
-__all__ = [
-    "FunctionalVector", "ReplicateError", "inclusion_exclusion_measure",
-    "arrangement_measure", "edge_corrected_measure", "segment_coverage",
-    "pixel_measure", "rasterize", "write_pgm",
-]
-
 
 class FunctionalVector:
     """(v0, v1, v2) of a polyconvex observed set: count, half perimeter, area."""

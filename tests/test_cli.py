@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import germgrain
 from germgrain.cli import main
@@ -169,6 +175,194 @@ class TestErrorPaths:
         assert out.exists()
 
 
+def _run(argv):
+    """(exit status, standard error, whether --out was written) of main(argv)
+    with --out in a fresh directory; an exception escaping main fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = os.path.join(tmp, "o.csv"), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out", out])
+        return code, err.getvalue(), os.path.exists(out)
+
+
+def _refused(argv, field):
+    code, err, wrote = _run(argv)
+    assert (code, wrote) == (1, False), err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert field in err and "Traceback" not in err, err
+
+
+DISK = {"family": "disk", "rotate": False, "radius": {"law": "constant", "value": 1.0}}
+RECT = {"family": "rect", "rotate": False, "halfwidth": {"law": "constant", "value": 0.5},
+        "halfheight": {"law": "constant", "value": 0.25}}
+PREDICT = ["predict", "--gamma", "0.5", "--window", "0", "0", "8", "8", "--grains"]
+
+
+def _with(rec, path, value):
+    """A copy of rec with the field at path (a tuple of keys) set to value."""
+    rec = copy.deepcopy(rec)
+    *parents, last = path
+    functools.reduce(dict.__getitem__, parents, rec)[last] = value
+    return rec
+
+
+class TestMalformedRecords:
+    """Records the CLI once crashed on, or ran as a silently wrong model."""
+
+    @pytest.mark.parametrize("grains, field", [
+        ({"family": "disk"}, "grains.radius"),
+        ({"family": "disk", "radius": {"law": "constant"}}, "grains.radius.value"),
+        ({"family": "disk", "radius": {"law": "uniform", "b": 2.0}}, "grains.radius.a"),
+        ({"family": "fixed", "shape": {"kind": "disk"}}, "grains.shape.radius"),
+        ({"radius": {"law": "constant", "value": 1.0}}, "grains.family"),
+        ([DISK], "grains"),
+        (_with(DISK, ("radius", "value"), "a"), "grains.radius.value"),
+        (_with(DISK, ("radius", "value"), 1e308), "grains.radius"),
+        (_with(RECT, ("rotate",), "false"), "grains.rotate"),
+        (_with(DISK, ("rotat",), True), "grains.rotat"),
+        (_with(DISK, ("radius", "value"), True), "grains.radius.value"),
+        (_with(DISK, ("radius",), {"law": "discrete", "values": [1.0, math.inf],
+                                  "probs": [0.5, 0.5]}), "grains.radius.values[1]"),
+        (_with(DISK, ("radius",), {"law": "discrete", "values": [1.0, 2.0],
+                                  "probs": [math.nan, 1.0]}), "grains.radius.probs[0]"),
+        (_with(RECT, ("halfwidth", "law"), "gauss"), "grains.halfwidth.law")])
+    def test_grain_record(self, grains, field):
+        _refused(PREDICT + [json.dumps(grains)], field)
+
+    @pytest.mark.parametrize("change, field", [
+        ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
+        ({"window": {"lo": [0, 0, 5], "hi": [8, 8]}}, "window.lo"),
+        ({"window": {"lo": [0], "hi": [8, 8]}}, "window.lo"),
+        ({"window": {"lo": [0, 0], "hi": [8, "8"]}}, "window.hi[1]"),
+        ({"window": [0, 0, 8, 8]}, "window"), ({"gamma": "0.3"}, "gamma"),
+        ({"extra": 1}, "extra")])
+    def test_config_record(self, tmp_path, change, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(CFG, **change)))
+        _refused(["predict", "--config", str(cfg)], field)
+
+    def test_config_that_is_not_an_object(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([CFG]))
+        _refused(["predict", "--config", str(cfg), "--gamma", "0.3"], "config")
+
+    def test_probe_record(self, cfg_file):
+        _refused(["capacity", "--config", cfg_file, "--probe", '{"kind": "disk"}',
+                  "--at", "6", "6", "--reps", "2"], "probe.radius")
+
+    def test_gamma_zero_needs_grains(self):
+        # --gamma 0 stays legal, but it goes through the same missing-field check
+        _refused(["predict", "--gamma", "0"], "config incomplete: missing grains")
+        assert _run(["predict", "--gamma", "0", "--grains", json.dumps(DISK)])[0] == 0
+
+    @pytest.mark.parametrize("change, field", [
+        ({"seed": 1.5}, "seed"), ({"bogus": 1}, "bogus"),
+        ({"window": {"lo": [0, 0, 5], "hi": [8, 8]}}, "window.lo"),
+        ({"grains": dict(DISK, rotat=True)}, "grains.rotat")])
+    def test_gamma_zero_reads_the_whole_config(self, tmp_path, change, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(CFG, **change)))
+        _refused(["predict", "--config", str(cfg), "--gamma", "0"], field)
+
+    def test_null_grains_flag(self, cfg_file):
+        # a JSON null is a malformed record, not an absent flag
+        _refused(["predict", "--config", cfg_file, "--grains", "null"], "grains: expected a JSON object")
+        _refused(PREDICT + ["null"], "grains: expected a JSON object, got None")
+
+
+# Valid configs, one per record kind and variant: each parameter law under a
+# disk and a rect grain law, each shape under a fixed one.
+LAWS = {"constant": {"law": "constant", "value": 1.0},
+        "uniform": {"law": "uniform", "a": 0.5, "b": 1.0},
+        "discrete": {"law": "discrete", "values": [0.5, 1.0], "probs": [0.25, 0.75]}}
+SHAPES = {"disk": {"kind": "disk", "radius": 1.0},
+          "rect": {"kind": "rect", "halfwidth": 0.5, "halfheight": 0.25},
+          "polygon": {"kind": "polygon", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}}
+BASES = json.loads(json.dumps(  # no two fields share a dict
+    [dict(CFG, grains={"family": "disk", "rotate": False, "radius": law}) for law in LAWS.values()]
+    + [dict(CFG, grains={"family": "rect", "rotate": True, "halfwidth": law,
+                         "halfheight": LAWS["constant"]}) for law in LAWS.values()]
+    + [dict(CFG, grains={"family": "fixed", "rotate": True, "shape": shape})
+       for shape in SHAPES.values()]))
+
+# Per record kind, each field's JSON type, whether it is required, and values
+# of the right type that its constructor refuses.
+FIELDS = {
+    "config": {"gamma": ("number", True, [0.0, -1.0]), "grains": ("record", True, []),
+               "window": ("record", True, []), "seed": ("integer", False, [-1])},
+    "window": {"lo": ("pair", True, [[20.0, 0.0]]), "hi": ("pair", True, [[0.0, 8.0]])},
+    "grains": {"family": ("tag", True, []), "rotate": ("boolean", False, []),
+               "radius": ("record", True, []), "halfwidth": ("record", True, []),
+               "halfheight": ("record", True, []), "shape": ("record", True, [])},
+    "law": {"law": ("tag", True, []), "value": ("number", True, [0.0, -1.0, 1e300]),
+            "a": ("number", True, [-1.0, 5.0]), "b": ("number", True, [0.1]),
+            "values": ("numbers", True, [[0.5, -1.0], [0.5]]),
+            "probs": ("numbers", True, [[0.5, 0.6], [1.25, -0.25]])},
+    "shape": {"kind": ("tag", True, []), "radius": ("number", True, [0.0, -2.0]),
+              "halfwidth": ("number", True, [0.0]), "halfheight": ("number", True, [-1.0]),
+              "vertices": ("pairs", True, [[[0, 0], [1, 0], [2, 0]], [[0, 0], [1, 0]]])},
+}
+WRONG_TYPE = {
+    "number": ["1", True, None, [1.0], {"v": 1}, math.nan, math.inf],
+    "integer": [1.5, "3", True, None],
+    "boolean": ["false", 0, 1, None],
+    "pair": [[0.0], [0.0, 0.0, 5.0], "0 0", [0.0, "a"], [0.0, True], None],
+    "numbers": ["0.5", [0.5, "a"], [True, 0.5], None, 0.5],
+    "pairs": ["x", [[0, 0], [1, 0], [1]], [[0, 0], [1, 0], "a"], None],
+    "record": [[], "x", 1, None],
+    "tag": ["blob", 1, None, True],
+}
+
+
+def _kind(rec):
+    return next((k for key, k in (("law", "law"), ("kind", "shape"), ("family", "grains"),
+                                  ("lo", "window")) if key in rec), "config")
+
+
+def _sites(rec, path=()):
+    """(path, JSON type, required, refused values) of every field of rec."""
+    for key, value in rec.items():
+        yield (path + (key,), *FIELDS[_kind(rec)][key])
+        if isinstance(value, dict):
+            yield from _sites(value, path + (key,))
+
+
+# Every field of every record kind and variant once: the config's and the
+# window's from the first config, the grain law's and below from each.
+SITES = [(cfg, *site) for i, cfg in enumerate(BASES) for site in _sites(cfg)
+         if i == 0 or site[0][0] == "grains"]
+
+
+@pytest.mark.parametrize("cfg, path, type_, required, out_of_range", SITES,
+                         ids=[f"{c['grains']['family']}-{'.'.join(p)}" for c, p, *_ in SITES])
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_malformed_record_is_one_error_line_naming_its_field(
+        cfg, path, type_, required, out_of_range, data):
+    """Drop a required field, retype a field, push one out of range or add an
+    unknown one next to it: predict exits 1 with one error line naming the
+    field's path (the refusing record's, for a range), and writes nothing."""
+    ways = ["retype", "unknown"] + ["drop"] * required + ["range"] * bool(out_of_range)
+    way = data.draw(st.sampled_from(ways))
+    field = ".".join(path)
+    if way == "drop":
+        *parents, last = path
+        bad = copy.deepcopy(cfg)
+        del functools.reduce(dict.__getitem__, parents, bad)[last]
+    elif way == "retype":
+        bad = _with(cfg, path, data.draw(st.sampled_from(WRONG_TYPE[type_])))
+    elif way == "unknown":
+        bad, field = _with(cfg, path[:-1] + ("extra",), 1), ".".join(path[:-1] + ("extra",))
+    else:
+        bad = _with(cfg, path, data.draw(st.sampled_from(out_of_range)))
+        field = ".".join(path[:-1]) or path[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "cfg.json")
+        with open(p, "w") as f:
+            json.dump(bad, f)
+        _refused(["predict", "--config", p], field)
+
+
 class TestOtherSubcommands:
     def test_capacity_matches_theory(self, tmp_path, cfg_file):
         out = tmp_path / "c.csv"
@@ -277,6 +471,24 @@ class TestOtherSubcommands:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert flag in err and "positive finite number" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, values", [
+        ("capacity", "--at", ["nan", "4"]), ("capacity", "--at", ["4", "inf"]),
+        ("capacity", "--at", ["4", "x"]), ("predict", "--window", ["0", "0", "nan", "8"]),
+        ("predict", "--window", ["0", "0", "8", "1e999"])])
+    def test_bad_position_or_window_is_a_usage_error(self, tmp_path, cfg_file, capsys,
+                                                     command, flag, values):
+        # a NaN centre used to pass the capacity probe's edge check
+        out = tmp_path / "o.csv"
+        argv = [command, "--config", cfg_file, flag, *values, "--out", str(out)]
+        if command == "capacity":
+            argv += ["--probe", json.dumps({"kind": "disk", "radius": 1.0}), "--reps", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "finite number" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_negative_seed_in_config_is_refused(self, tmp_path, capsys):

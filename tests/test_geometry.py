@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -216,9 +217,22 @@ class TestRotationAndSerialization:
             rec = shape_to_record(shape)
             assert rec["kind"] in ("disk", "rect", "polygon")
             back = shape_from_record(rec)
+            assert back == shape
+            assert shape_to_record(back) == rec
             assert intrinsic_volumes(back).as_array() == pytest.approx(
                 intrinsic_volumes(shape).as_array())
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             shape_from_record({"kind": "blob"})
+
+    @pytest.mark.parametrize("rec, message", [
+        ({"kind": "disk"}, "shape.radius: missing"),
+        ({"kind": "disk", "radius": "1"}, "shape.radius: expected a finite number"),
+        ({"kind": "rect", "halfwidth": 1.0, "halfheight": -1.0}, "shape: rect half-sides"),
+        ({"kind": "polygon", "vertices": [[0, 0], [1, 0], [1]]}, "shape.vertices[2]: expected"),
+        ({"kind": "polygon", "vertices": [[0, 0], [1, 0], [2, 0]]}, "shape: polygon must be"),
+        ([1.0], "shape: expected a JSON object")])
+    def test_malformed_record_names_its_field(self, rec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            shape_from_record(rec)

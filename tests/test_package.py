@@ -75,3 +75,11 @@ def test_dir_lists_public_names_without_loading_them():
     assert {*EXPORTED, "quadrature", "rng", "__version__"} <= set(names)
     assert names == sorted(names)
     assert loaded == ["germgrain"]
+
+
+def test_python_m_germgrain_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(germgrain.__file__))
+    out = subprocess.run([sys.executable, "-m", "germgrain", "--version"], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == germgrain.__version__

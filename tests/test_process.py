@@ -15,7 +15,7 @@ from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk,
 from germgrain.process import (Chunk, EdgeEffectError, GrainDistribution, ModelConfig,
                                ParamLaw, _uniform_in_dilation,
                                empirical_capacity, fixed_disk, mean_hit_area,
-                               point_coverage_probability, read_sample,
+                               read_sample,
                                replicate_rows, sample, theory_capacity,
                                unit_squares, write_sample)
 from germgrain.rng import poisson_draw, replicate_rng
@@ -46,6 +46,23 @@ class TestParamLaw:
             ParamLaw.mixture([1.0], [0.5])
         with pytest.raises(ValueError):
             ParamLaw.constant(0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ParamLaw.mixture([1.0, math.inf], [0.5, 0.5]),
+        lambda: ParamLaw.mixture([1.0, 2.0], [math.nan, 1.0]),
+        lambda: ParamLaw.mixture([1.0, math.nan], [0.5, 0.5])])
+    def test_mixture_needs_finite_values_and_probs(self, make):
+        # a NaN probability used to pass every check and make d0 nan
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: ParamLaw.constant(1e308), lambda: ParamLaw.constant(1e78),
+        lambda: ParamLaw.uniform(1.0, 1e70), lambda: ParamLaw.mixture([1.0, 1e100], [0.5, 0.5])])
+    def test_refuses_a_support_whose_4th_moment_overflows(self, make):
+        with pytest.raises(ValueError, match="4th moment overflows"):
+            make()
+        assert math.isfinite(ParamLaw.constant(1e76).moment(4))
 
 
 class TestPoissonDraw:
@@ -114,8 +131,34 @@ class TestGrainDistribution:
     def test_record_roundtrip(self):
         for d in (fixed_disk(1.0), unit_squares(rotate=True),
                   GrainDistribution("disk", radius=ParamLaw.mixture([0.5, 1.0], [0.3, 0.7])),
-                  GrainDistribution("fixed", shape=ConvexPolygon(((0, 0), (1, 0), (0, 1))))):
+                  GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.2, 0.5),
+                                    halfheight=ParamLaw.constant(1)),
+                  GrainDistribution("fixed", shape=ConvexPolygon(((0, 0), (1, 0), (0, 1)))),
+                  GrainDistribution("fixed", shape=AlignedRect(0.5, 1), rotate=True),
+                  GrainDistribution("fixed", shape=Disk(2.0))):
             assert GrainDistribution.from_record(d.to_record()) == d
+            rec = d.to_record()
+            assert GrainDistribution.from_record(rec).to_record() == rec
+            cfg = ModelConfig(0.5, d, Window((0, 1), (2, 3.5)), seed=7)
+            assert ModelConfig.from_record(cfg.to_record()) == cfg
+            assert ModelConfig.from_record(cfg.to_record()).to_record() == cfg.to_record()
+
+    def test_record_fields_are_typed(self):
+        rec = fixed_disk(1.0).to_record()
+        assert rec == {"family": "disk", "rotate": False,
+                       "radius": {"law": "constant", "value": 1.0}}
+        for field, value, path in [("rotate", "false", "grains.rotate"),
+                                   ("rotate", 1, "grains.rotate"),
+                                   ("radius", {"law": "constant", "value": True},
+                                    "grains.radius.value"),
+                                   ("radiuss", rec["radius"], "grains.radiuss")]:
+            with pytest.raises(ValueError, match=re.escape(path)):
+                GrainDistribution.from_record(dict(rec, **{field: value}))
+        with pytest.raises(ValueError, match="law.value: missing"):
+            ParamLaw.from_record({"law": "constant"})
+        with pytest.raises(ValueError, match="seed: expected an integer"):
+            ModelConfig.from_record({"gamma": 0.5, "grains": rec, "seed": 2.0,
+                                     "window": {"lo": [0, 0], "hi": [1, 1]}})
 
 
 class TestSampling:
@@ -243,7 +286,8 @@ class TestCapacity:
     def test_point_probe_is_volume_fraction(self):
         cfg = ModelConfig(0.7, fixed_disk(1.0), Window((0, 0), (8, 8)), seed=1)
         tiny = theory_capacity(cfg, Disk(1e-9))
-        assert tiny == pytest.approx(1.0 - point_coverage_probability(cfg), rel=1e-6)
+        p = moments.volume_fraction(cfg.gamma, cfg.grains.moments().ev2)
+        assert tiny == pytest.approx(1.0 - p, rel=1e-6)
 
     def test_unit_area_grains_point_probe(self):
         # gamma = 1, fixed unit-area grains: capacity of a point ~ e^{-1}
@@ -473,9 +517,37 @@ class TestSampleIO:
         with pytest.raises(ValueError, match=re.escape(str(p)) + ".*count"):
             read_sample(p)
 
+    @pytest.mark.parametrize("line, field", [
+        ("1.0 2.0\n", "shape: missing"), ("1.0\n", "y: missing"),
+        ('1.0 2.0 {"kind": "disk"}\n', "shape.radius: missing"),
+        ('1.0 NaN {"kind": "disk", "radius": 1.0}\n', "y: expected a finite number"),
+        ('1.0 2.0 {"kind": "disk", "radius": 1.0, "x": 0}\n', "shape.x: unknown field")])
+    def test_malformed_grain_line_named(self, tmp_path, line, field):
+        p, lines = self.dump(tmp_path)
+        p.write_text("".join(lines[:5] + [line] + lines[6:]))
+        with pytest.raises(ValueError, match=re.escape(f"{p}:6: {field}")):
+            read_sample(p)
+
+    @pytest.mark.parametrize("n, header, field", [
+        (2, "# replicate: x\n", "replicate"),
+        (1, '# config: {"gamma": 0.5}\n', "config: grains: missing")])
+    def test_malformed_header_named(self, tmp_path, n, header, field):
+        p, lines = self.dump(tmp_path)
+        p.write_text("".join(lines[:n] + [header] + lines[n + 1:]))
+        with pytest.raises(ValueError, match=re.escape(f"{p}:{n + 1}: {field}")):
+            read_sample(p)
+
     def test_wrong_format_rejected(self, tmp_path):
         p, lines = self.dump(tmp_path)
         assert lines[0] == "# format: germgrain-sample-1\n"
         p.write_text("# format: something-else\n" + "".join(lines[1:]))
         with pytest.raises(ValueError, match=re.escape(str(p)) + ".*format"):
+            read_sample(p)
+
+    def test_format_is_checked_before_the_config(self, tmp_path):
+        # another format's config need not be ours: the format error comes first
+        p, lines = self.dump(tmp_path)
+        p.write_text("".join(["# format: something-else\n", '# config: {"gamma": 0.5}\n',
+                              "# replicate: x\n"] + lines[3:]))
+        with pytest.raises(ValueError, match=re.escape(f"{p}: format is 'something-else'")):
             read_sample(p)
