@@ -34,7 +34,13 @@ integrals of the closed-form profiles; every disk-law integral is adaptive,
 split at the profile kinks, and reports its achieved error.  Polygonal grains
 use tensor rules and, on the same-edge boundary-boundary term, a tanh-sinh
 rule (its coincident-point endpoint cannot degrade convergence); these report
-no error.
+no error.  For an isotropic polygon law, rho(V1,V2) and rho(V1,V1)'s
+C1-weighted term share one boundary x body pass per shape
+(_boundary_body_term): each block of (edge point - interior node)
+differences takes one hypot, one lookup of both tabulated profiles and one
+exp, and feeds two tensor sums.
+The tabulated profiles find their grid node by division, not by np.interp's
+binary search, and give np.interp's values bit for bit (_grid_lookup).
 
 Every grid -- a profile table, a tensor rule -- is evaluated in blocks of
 about _BLOCK_ELEMENTS elements (_blocks), and a polygon's covariograms on
@@ -46,7 +52,7 @@ polygon's edge count, and every value equals the whole grid's bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -133,7 +139,12 @@ class CovariogramFunctions:
     cutoff: float
     g2: object  # array-valued callable s -> E covariogram
     g1: object  # array-valued callable s -> E boundary covariogram
+    g21: object  # s -> (g2(s), g1(s)), from one grid search for tabulated profiles
     kinks: tuple = ()  # radial abscissae where the profiles are non-smooth
+    # {gamma: {shape: one-pass boundary x body integrals}} of a polygon law
+    # (_boundary_body_term), for the latest gamma only; dropped with these profiles,
+    # so covariogram_functions.cache_clear() drops them too
+    passes: dict = field(default_factory=dict, compare=False, repr=False)
 
     def c2(self, gamma):
         return lambda s: gamma * self.g2(s)
@@ -178,11 +189,47 @@ def _radius_average(law, kernel, antiderivative):
 def _disk_profiles(dist: GrainDistribution) -> CovariogramFunctions:
     law = dist.radius
     radii = law.args[0] if law.kind == "discrete" else law.args  # atoms or (a, b)
-    return CovariogramFunctions(
-        2.0 * law.support_max(),
-        _radius_average(law, disk_covariogram, _lens_antiderivative),
-        _radius_average(law, disk_boundary_covariogram, _arc_antiderivative),
-        tuple(sorted(2.0 * r for r in radii)))
+    g2 = _radius_average(law, disk_covariogram, _lens_antiderivative)
+    g1 = _radius_average(law, disk_boundary_covariogram, _arc_antiderivative)
+    return CovariogramFunctions(2.0 * law.support_max(), g2, g1, lambda s: (g2(s), g1(s)),
+                                tuple(sorted(2.0 * r for r in radii)))
+
+
+def _grid_lookup(ss, *tables):
+    """s -> tuple of np.interp(s, ss, table, right=0.0) over the tables, bit for
+    bit, where ss = np.linspace(0, cutoff, n).
+
+    The node below s is found by division; the quotient can round across a
+    node, so the index is then corrected by at most one step.  np.interp's
+    own formula follows, with its precomputed slopes (dy / dx): a node gives
+    slope * 0 + table[j].  Padding the grid with slope-0 segments gives its
+    other cases: s < 0 reads table[0], s = cutoff table[-1], s past it 0.0
+    (and NaN reads NaN).  One index serves every table.  (A -0.0 entry would
+    read +0.0 at its node; a profile table, of nonnegative sums, has none.)
+    """
+    n, cutoff = len(ss), float(ss[-1])
+    # padded node k + 1 is grid node k; pad 0 takes s < 0, pad n + 1 s > cutoff
+    bounds = np.concatenate([[-np.inf], ss, [np.nextafter(cutoff, np.inf), np.inf]])
+    base = np.concatenate([[0.0], ss, [cutoff]])
+    padded = [(np.concatenate([[0.0], np.diff(t) / np.diff(ss), [0.0, 0.0]]),
+               np.concatenate([t[:1], t, [0.0]])) for t in tables]
+    scale = (n - 1) / cutoff
+
+    def lookup(s):
+        # clipped to finite values, so that a pad's slope 0 times s - base is 0
+        s = np.clip(s, -1.0, 2.0 * cutoff)
+        k = np.fmin(np.fmax(s * scale + 1.0, 0.0), n + 1.0).astype(np.intp)  # NaN: 0
+        k -= bounds[k] > s
+        k += bounds[k + 1] <= s
+        s -= base[k]
+        out = []
+        for slope, value in padded:
+            v = slope[k]
+            v *= s
+            v += value[k]
+            out.append(v)
+        return tuple(out)
+    return lookup
 
 
 def _tabulated_profiles(dist: GrainDistribution, n_s: int, n_theta: int) -> CovariogramFunctions:
@@ -193,6 +240,10 @@ def _tabulated_profiles(dist: GrainDistribution, n_s: int, n_theta: int) -> Cova
     which is not unless K = -K, is averaged over t and -t.  The (s, theta)
     grid goes in blocks of s rows (_blocks), so a table of n_s x n_theta
     translations never holds more than one block of them at a time.
+
+    The grid is even, so a lookup finds the node below s by division
+    (_grid_lookup), with np.interp's values bit for bit; g21 reads g2 and g1
+    at one index, for the one boundary x body pass of a polygon law.
     """
     cutoff = 2.0 * dist.rmax
     ss = np.linspace(0.0, cutoff, n_s)
@@ -211,14 +262,10 @@ def _tabulated_profiles(dist: GrainDistribution, n_s: int, n_theta: int) -> Cova
     # by the one-sided limit so interpolation near 0 is faithful.
     tab1[0] = dist.expect_shape(lambda k: 0.5 * intrinsic_volumes(k).v1)
 
-    def g2(s):
-        return np.interp(np.asarray(s, dtype=float), ss, tab2, right=0.0)
-
-    def g1(s):
-        return np.interp(np.asarray(s, dtype=float), ss, tab1, right=0.0)
-
+    g2, g1 = _grid_lookup(ss, tab2), _grid_lookup(ss, tab1)
     # Linear interpolation kinks at every interior grid node.
-    return CovariogramFunctions(cutoff, g2, g1, tuple(ss[1:-1]))
+    return CovariogramFunctions(cutoff, lambda s: g2(s)[0], lambda s: g1(s)[0],
+                                _grid_lookup(ss, tab2, tab1), tuple(ss[1:-1]))
 
 
 @lru_cache(maxsize=32)
@@ -245,16 +292,22 @@ def _c_vector(dist: GrainDistribution, gamma: float, cov=covariogram, profile="g
     return lambda tx, ty: gamma * expected(tx, ty)
 
 
-def _tensor_rule(wp, wq, columns):
-    """wp @ F @ wq, where columns(cols) returns the columns cols of F.
+def _tensor_rule(wp, wq, columns, shrink=1):
+    """[wp @ F @ wq for each F], where columns(cols) returns the columns cols
+    of every integrand's matrix F.
 
-    F is built a block of columns at a time (_blocks), and wp @ F is the
-    same vector as the whole product's.
+    The matrices are built a block of columns at a time (_blocks), and each
+    wp @ F is the same vector as the whole product's.  An integrand set that
+    holds `shrink` times a single integrand's temporaries per element takes
+    blocks `shrink` times smaller, so its temporaries fit the same budget.
     """
-    row = np.empty(len(wq))
-    for cols in _blocks(len(wq), len(wp)):
-        row[cols] = wp @ columns(cols)
-    return float(row @ wq)
+    rows = []
+    for cols in _blocks(len(wq), len(wp) * shrink):
+        for i, f in enumerate(columns(cols)):
+            if i == len(rows):
+                rows.append(np.empty(len(wq)))
+            rows[i][cols] = wp @ f
+    return [float(row @ wq) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +340,8 @@ def rho_22(gamma: float, dist: GrainDistribution):
 
     def half_plane(n):
         xs, wx = gauss_legendre(n, 0.0, cutoff)
-        return 2.0 * sum(_tensor_rule(wx, wx, lambda cols: np.expm1(c2(*np.meshgrid(
-            side * xs, xs[cols], indexing="ij")))) for side in (1.0, -1.0))
+        return 2.0 * sum(_tensor_rule(wx, wx, lambda cols: (np.expm1(c2(*np.meshgrid(
+            side * xs, xs[cols], indexing="ij"))),))[0] for side in (1.0, -1.0))
     val = half_plane(96)
     return val, abs(val - half_plane(48))
 
@@ -332,21 +385,63 @@ def _interior_nodes(shape, n):
 
 
 def _differences(f, p, q):
-    """columns(cols) of the matrix f(p_i - q_j) for _tensor_rule."""
+    """columns(cols) of the matrices f(p_i - q_j) for _tensor_rule; f returns
+    one array per integrand."""
     return lambda cols: f(p[:, 0][:, None] - q[cols, 0][None, :],
                           p[:, 1][:, None] - q[cols, 1][None, :])
 
 
-def _boundary_body(shape, f, n=48):
-    """Tensor rule for the integral of f(y - z) over (boundary x body) of a polygon."""
+def _boundary_body(shape, f, n=48, shrink=1):
+    """Tensor rule for the integral of each integrand of f(y - z) (a tuple of
+    arrays) over (boundary x body) of a polygon: one value per integrand."""
     pts, ws = _interior_nodes(shape, n)
     u, wu = gauss_legendre(n, 0.0, 1.0)
     total = 0.0
     for a, b in _edges_of(shape):
         edge_pts = a[None, :] + u[:, None] * (b - a)[None, :]
         ln = math.hypot(*(b - a))
-        total += ln * _tensor_rule(wu, ws, _differences(f, edge_pts, pts))
-    return total
+        total = total + ln * np.array(_tensor_rule(wu, ws, _differences(f, edge_pts, pts),
+                                                   shrink))
+    return total.tolist()
+
+
+# The one pass holds about twice the temporaries of a single integrand.
+_PASS_SHRINK = 2
+
+
+def _boundary_body_term(gamma, dist, shape, term):
+    """Boundary x body integral over one shape of the law of exp(C2(y - z))
+    (term 0, rho_12's) or of exp(C2(y - z)) C1(y - z) (term 1, rho_11's
+    term A).
+
+    An isotropic law computes both in one pass over the (edge point,
+    interior node) differences: one hypot, one profile lookup for g2 and g1,
+    one exp per block.  It keeps the pair with its profiles, so that rho_12
+    and rho_11 at one gamma share the pass.  An anisotropic law, which has
+    no profiles, computes the one term asked for.
+    """
+    if not dist.isotropic:
+        c2vec = _c_vector(dist, gamma)
+        if term == 0:
+            return _boundary_body(shape, lambda dx, dy: (np.exp(c2vec(dx, dy)),))[0]
+        c1vec = _c_vector(dist, gamma, boundary_covariogram, "g1")
+        return _boundary_body(
+            shape, lambda dx, dy: (np.exp(c2vec(dx, dy)) * c1vec(dx, dy),))[0]
+    prof = covariogram_functions(dist)
+    terms = prof.passes.get(gamma)
+    if terms is None:
+        prof.passes.clear()
+        terms = prof.passes[gamma] = {}
+    if shape not in terms:
+        def integrands(dx, dy):
+            c2, c1 = prof.g21(np.hypot(dx, dy))
+            c2 *= gamma
+            e = np.exp(c2, out=c2)
+            c1 *= gamma
+            c1 *= e
+            return e, c1
+        terms[shape] = _boundary_body(shape, integrands, shrink=_PASS_SHRINK)
+    return terms[shape][term]
 
 
 def rho_12(gamma: float, dist: GrainDistribution):
@@ -364,9 +459,8 @@ def rho_12(gamma: float, dist: GrainDistribution):
         c2, c1 = prof.c2(gamma), prof.c1(gamma)
         scale = math.exp(float(c2(0.0))) * float(c1(0.0)) * prof.cutoff ** 2
         return _radial_integral(prof, lambda s: np.exp(c2(s)) * c1(s), 1e-11 * scale)
-    c2vec = _c_vector(dist, gamma)
     return dist.expect_shape(
-        lambda k: gamma * 0.5 * _boundary_body(k, lambda dx, dy: np.exp(c2vec(dx, dy)))), None
+        lambda k: gamma * 0.5 * _boundary_body_term(gamma, dist, k, 0)), None
 
 
 def _rho11_disk_boundary_term(radius, c2fun, gamma, kinks):
@@ -379,11 +473,8 @@ def _rho11_disk_boundary_term(radius, c2fun, gamma, kinks):
     return gamma * math.pi * radius ** 2 * np.array([val, err])
 
 
-def _rho11_one_body(shape, c2vec, c1vec, gamma, n=48):
-    # Term A: boundary x body with the C1 factor.
-    term_a = gamma * 0.5 * _boundary_body(
-        shape, lambda dx, dy: np.exp(c2vec(dx, dy)) * c1vec(dx, dy), n)
-    # Term B: boundary x boundary, quarter weight (Phi_1 = half-length twice).
+def _rho11_boundary_term(shape, c2vec, gamma, n=48):
+    """Term B: boundary x boundary, quarter weight (Phi_1 = half-length twice)."""
     edges = _edges_of(shape)
     term_b = 0.0
     for a1, b1 in edges:
@@ -403,9 +494,8 @@ def _rho11_one_body(shape, c2vec, c1vec, gamma, n=48):
             p1 = a1[None, :] + u[:, None] * (b1 - a1)[None, :]
             p2 = a2[None, :] + u[:, None] * (b2 - a2)[None, :]
             term_b += l1 * l2 * _tensor_rule(
-                wu, wu, _differences(lambda dx, dy: np.exp(c2vec(dx, dy)), p1, p2))
-    term_b *= gamma * 0.25
-    return term_a + term_b
+                wu, wu, _differences(lambda dx, dy: (np.exp(c2vec(dx, dy)),), p1, p2))[0]
+    return term_b * (gamma * 0.25)
 
 
 def rho_11(gamma: float, dist: GrainDistribution):
@@ -414,6 +504,8 @@ def rho_11(gamma: float, dist: GrainDistribution):
     For disk laws the boundary x body term is 2 pi int exp(C2(s)) C1(s)^2 s ds
     and the boundary x boundary term a chord-angle integral per radius.
     Returns (value, error) like rho_12, a disk law's error summing both terms'.
+    A polygon law's value is E[A_K + B_K] over its shapes K: term A (boundary
+    x body) plus term B (boundary x boundary) per shape.
     """
     if gamma == 0.0:
         return 0.0, 0.0
@@ -427,8 +519,9 @@ def rho_11(gamma: float, dist: GrainDistribution):
         term_b, err_b = dist.radius.expect(
             lambda r: _rho11_disk_boundary_term(r, c2, gamma, prof.kinks))
         return term_a + float(term_b), err_a + float(err_b)
-    c2vec, c1vec = _c_vector(dist, gamma), _c_vector(dist, gamma, boundary_covariogram, "g1")
-    return dist.expect_shape(lambda k: _rho11_one_body(k, c2vec, c1vec, gamma)), None
+    c2vec = _c_vector(dist, gamma)
+    return dist.expect_shape(lambda k: gamma * 0.5 * _boundary_body_term(gamma, dist, k, 1)
+                             + _rho11_boundary_term(k, c2vec, gamma)), None
 
 
 def rho_0i(gamma: float, dist: GrainDistribution, i: int) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -267,11 +267,26 @@ class GrainDistribution:
         return _GRAINS(rec, "grains")
 
 
+def _finite_moments(shape):
+    """Refuse a fixed law's shape whose moments (E V2^2, ...) overflow, rotated
+    or not, as a parameter law whose 4th moment overflows is refused."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = all(math.isfinite(x) for rotate in (False, True) for x in astuple(
+                GrainDistribution("fixed", shape=shape, rotate=rotate).moments()))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{shape}: its moments overflow")
+
+
+_GRAIN_SHAPE = Record(_SHAPE.variants, tag="kind", check=_finite_moments)
+
 # Each family's fields: rotate, then its parameter laws or, for "fixed", its shape.
 _GRAINS = Record({kind: (partial(GrainDistribution, kind), [("rotate", BOOLEAN, False), *fields])
                   for kind, fields in (("disk", [("radius", _LAW)]),
                                        ("rect", [("halfwidth", _LAW), ("halfheight", _LAW)]),
-                                       ("fixed", [("shape", _SHAPE)]))},
+                                       ("fixed", [("shape", _GRAIN_SHAPE)]))},
                  tag="family", kind_of=lambda grains: grains.family)
 
 
@@ -370,10 +385,16 @@ def sample(config: ModelConfig, replicate: int = 0) -> GermGrainSample:
     """
     rng = replicate_rng(config.seed, replicate)
     r = config.grains.rmax
-    mean = config.gamma * config.window.dilated_area(r)
-    n = poisson_draw(rng, mean)
-    germs = _uniform_in_dilation(rng, config.window, r, n)
-    grains = replace(config.grains.sample_shapes(rng, n), centres=germs)
+    area = config.window.dilated_area(r)
+    n = poisson_draw(rng, config.gamma * area)
+    try:
+        if n > np.iinfo(np.intp).max:  # more than numpy can index: no allocation tried
+            raise MemoryError
+        germs = _uniform_in_dilation(rng, config.window, r, n)
+        grains = replace(config.grains.sample_shapes(rng, n), centres=germs)
+    except MemoryError:
+        raise ValueError(f"gamma {config.gamma} on the dilated window area {area:.6g} draws "
+                         f"{n:.6g} grains, more than memory holds") from None
     return GermGrainSample(grains=grains, config=config, replicate=replicate)
 
 

@@ -37,10 +37,12 @@ POINT = list_of(NUMBER, "a pair of numbers", 2)
 class Record:
     """One record kind.  kind_of(obj) names an object's variant (by default
     the one its class builds); values_of(obj) gives its field values (by
-    default its attributes of the fields' names)."""
+    default its attributes of the fields' names); check(obj), if given,
+    refuses a built object by a ValueError, like its constructor."""
 
-    def __init__(self, variants, tag=None, kind_of=None, values_of=None):
+    def __init__(self, variants, tag=None, kind_of=None, values_of=None, check=None):
         self.variants, self.tag, self.kind_of, self.values_of = variants, tag, kind_of, values_of
+        self.check = check
 
     def __call__(self, rec, path=""):
         def at(name):
@@ -61,7 +63,10 @@ class Record:
                 raise ValueError(f"{at(name)}: missing")
             values[name] = read(rec[name], at(name)) if name in rec else default[0]
         try:
-            return build(**values)
+            obj = build(**values)
+            if self.check:
+                self.check(obj)
+            return obj
         except ValueError as exc:
             raise (type(exc)(f"{path}: {exc}") if path else exc) from None
 

@@ -225,9 +225,21 @@ class TestMalformedRecords:
                                   "probs": [0.5, 0.5]}), "grains.radius.values[1]"),
         (_with(DISK, ("radius",), {"law": "discrete", "values": [1.0, 2.0],
                                   "probs": [math.nan, 1.0]}), "grains.radius.probs[0]"),
-        (_with(RECT, ("halfwidth", "law"), "gauss"), "grains.halfwidth.law")])
+        (_with(RECT, ("halfwidth", "law"), "gauss"), "grains.halfwidth.law"),
+        # a shape whose moments overflow, rotated or not
+        ({"family": "fixed", "shape": {"kind": "disk", "radius": 1e200}}, "grains.shape"),
+        ({"family": "fixed", "rotate": True,
+          "shape": {"kind": "rect", "halfwidth": 1e200, "halfheight": 1.0}}, "grains.shape")])
     def test_grain_record(self, grains, field):
         _refused(PREDICT + [json.dumps(grains)], field)
+
+    def test_huge_intensity_names_gamma_area_and_count(self):
+        # 1e300 fails before any allocation is tried: numpy cannot index the count
+        argv = ["simulate", "--gamma", "1e300", "--window", "0", "0", "8", "8",
+                "--grains", json.dumps(DISK)]
+        _refused(argv, "gamma 1e+300")
+        err = _run(argv)[1]
+        assert "dilated window area 99.1416" in err and "draws 9.91416e+301 grains" in err, err
 
     @pytest.mark.parametrize("change, field", [
         ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
@@ -298,8 +310,8 @@ FIELDS = {
             "a": ("number", True, [-1.0, 5.0]), "b": ("number", True, [0.1]),
             "values": ("numbers", True, [[0.5, -1.0], [0.5]]),
             "probs": ("numbers", True, [[0.5, 0.6], [1.25, -0.25]])},
-    "shape": {"kind": ("tag", True, []), "radius": ("number", True, [0.0, -2.0]),
-              "halfwidth": ("number", True, [0.0]), "halfheight": ("number", True, [-1.0]),
+    "shape": {"kind": ("tag", True, []), "radius": ("number", True, [0.0, -2.0, 1e200]),
+              "halfwidth": ("number", True, [0.0, 1e200]), "halfheight": ("number", True, [-1.0]),
               "vertices": ("pairs", True, [[[0, 0], [1, 0], [2, 0]], [[0, 0], [1, 0]]])},
 }
 WRONG_TYPE = {

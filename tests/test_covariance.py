@@ -9,7 +9,8 @@ from scipy.stats import qmc
 
 from germgrain import covariance
 from germgrain.cells import PlacedGrain, Window, clip_cell, grain_constraints, window_cell
-from germgrain.covariance import (AnisotropyError, _blocks, covariogram_functions,
+from germgrain.covariance import (AnisotropyError, _blocks, _boundary_body, _c_vector,
+                                  _grid_lookup, _rho11_boundary_term, covariogram_functions,
                                   p_polynomial, phi_star, rho_0i, rho_11,
                                   rho_12, rho_22, rho_table, sigma_matrix,
                                   sigma_volume)
@@ -554,6 +555,77 @@ class TestTabulatedPolygonLaws:
         assert time.perf_counter() - t0 <= 1.0
 
 
+class TestGridLookup:
+    """The profile lookup finds the node by division; its values are
+    np.interp's, bit for bit."""
+
+    @pytest.mark.parametrize("n", [513, 2049])
+    def test_equals_np_interp_bit_for_bit(self, n):
+        rng = np.random.default_rng(20231)
+        cutoff = 2.0 * math.hypot(0.6, 0.5)
+        ss = np.linspace(0.0, cutoff, n)
+        # rough decreasing steps, one table ending at 0 like a profile and one
+        # not, so that the cutoff node and the 0.0 past it differ
+        tables = [np.cumsum(rng.random(n)[::-1])[::-1] * scale for scale in (1e-3, 0.7)]
+        tables[0] -= tables[0][-1]
+        s = np.concatenate([
+            rng.uniform(-0.1 * cutoff, 1.2 * cutoff, 5000), ss,
+            np.nextafter(ss, np.inf), np.nextafter(ss, -np.inf),
+            [0.0, -0.0, cutoff, np.nextafter(cutoff, np.inf), 1.5 * cutoff, 1e300,
+             -1.0, -5e-324, -1e300, np.inf, -np.inf, np.nan]])
+        lookup, first = _grid_lookup(ss, *tables), _grid_lookup(ss, tables[0])
+        block = s[:len(s) // 4 * 4].reshape(-1, 4)
+        for x in (s, block, 0.3 * cutoff, np.array(0.7 * cutoff), -0.0, cutoff):
+            # one index for both tables, or a lookup of one table alone
+            for t, got in zip(tables + tables[:1], lookup(x) + first(x)):
+                want = np.interp(x, ss, t, right=0.0)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestPolygonPass:
+    """rho_12 and rho_11's term A of an isotropic polygon law come from one
+    boundary x body pass per shape, memoized with the law's profiles."""
+
+    @pytest.mark.parametrize("dist", [unit_squares(rotate=True), ROTATED_HEXAGON, ROTATED_RECTS],
+                             ids=["rotated-squares", "rotated-hexagon", "rotated-uniform-rects"])
+    @pytest.mark.parametrize("gamma", [0.05, 0.3, 1.0])
+    def test_equals_one_integrand_per_term(self, dist, gamma):
+        c2vec = _c_vector(dist, gamma)
+        c1vec = _c_vector(dist, gamma, profile="g1")
+
+        def one(k, f):
+            return gamma * 0.5 * _boundary_body(k, lambda dx, dy: (f(dx, dy),))[0]
+        want_12 = dist.expect_shape(lambda k: one(k, lambda dx, dy: np.exp(c2vec(dx, dy))))
+        want_11 = dist.expect_shape(lambda k: one(
+            k, lambda dx, dy: np.exp(c2vec(dx, dy)) * c1vec(dx, dy))
+            + _rho11_boundary_term(k, c2vec, gamma))
+        covariogram_functions.cache_clear()  # no pass of an earlier test is read
+        # rho_11 first, so that its pass is the one rho_12 reads
+        assert rho_11(gamma, dist)[0] == want_11
+        assert rho_12(gamma, dist)[0] == want_12
+
+    def test_pass_runs_once_per_gamma_and_again_after_a_clear(self, monkeypatch):
+        calls = []
+
+        def counted(shape, f, n=48, shrink=1):
+            calls.append(shape)
+            return _boundary_body(shape, f, n, shrink)
+        monkeypatch.setattr(covariance, "_boundary_body", counted)
+        dist = unit_squares(rotate=True)
+        covariogram_functions.cache_clear()
+        first = rho_12(GAMMA, dist), rho_11(GAMMA, dist)
+        assert len(calls) == 1  # one shape, one pass for both entries
+        assert (rho_12(GAMMA, dist), rho_11(GAMMA, dist)) == first
+        assert len(calls) == 1
+        rho_12(0.5, dist)
+        assert len(calls) == 2
+        assert list(covariogram_functions(dist).passes) == [0.5]  # the latest gamma only
+        covariogram_functions.cache_clear()
+        assert (rho_12(GAMMA, dist), rho_11(GAMMA, dist)) == first
+        assert len(calls) == 3
+
+
 class TestBlocks:
     @pytest.mark.parametrize("n, width", [(2049, 64), (513, 1728), (2304, 48), (96, 1),
                                           (3, 1), (13824, 10 ** 6)])
@@ -569,6 +641,12 @@ class TestBlocks:
     def test_values_do_not_depend_on_the_block_size(self, monkeypatch):
         # blocks of 4 rows or columns, the smallest, and the hexagon's
         # covariograms taken 7 translations at a time give the same bits
+        widths = []
+
+        def counted(shape, f, n=48, shrink=1):
+            widths.append(covariance._BLOCK_ELEMENTS)
+            return _boundary_body(shape, f, n, shrink)
+
         def values():
             covariogram_functions.cache_clear()
             cm = sigma_matrix(GAMMA, unit_squares(rotate=True))
@@ -577,11 +655,16 @@ class TestBlocks:
             return np.concatenate([cm.matrix.ravel(), cm.rho.values.ravel(),
                                    prof.g2(ss), prof.g1(ss), rho_22(GAMMA, unit_squares()),
                                    rho_12(GAMMA, unit_squares())[:1]])
+        monkeypatch.setattr(covariance, "_boundary_body", counted)
         want = values()
         monkeypatch.setattr(covariance, "_BLOCK_ELEMENTS", 7 * 36)
         got = values()
         covariogram_functions.cache_clear()
         assert got.tobytes() == want.tobytes()
+        # not vacuous: both runs evaluated the boundary x body rules (the
+        # rotated squares' one pass and the unrotated squares' rho_12), none
+        # read from a memo of the first run
+        assert widths == [1 << 13] * 2 + [7 * 36] * 2
 
     @pytest.mark.parametrize("dist", [unit_squares(rotate=True), ROTATED_HEXAGON],
                              ids=["rotated-squares", "rotated-hexagon"])

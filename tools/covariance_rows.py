@@ -7,6 +7,10 @@ for bit:
 
     PYTHONPATH=src python3 tools/covariance_rows.py [out.npy]
 
+Standard error gets the wall time of each law's `sigma_matrix` at each gamma,
+its profile tables included (their cache is cleared before each call, which
+moves no value); standard output only the row count and the hash.
+
 Inputs, each at gamma 0.05, 0.3 and 1.0:
   * disks with radius uniform(0.5, 1.5) (closed-form profiles);
   * rotated unit squares, a rotated regular hexagon of circumradius 1 and
@@ -27,10 +31,11 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
+import time
 
 import numpy as np
 
-from germgrain.covariance import rho_12, rho_22, sigma_matrix
+from germgrain.covariance import covariogram_functions, rho_12, rho_22, sigma_matrix
 from germgrain.geometry import ConvexPolygon
 from germgrain.process import GrainDistribution, ParamLaw, unit_squares
 
@@ -54,9 +59,13 @@ def _number(x):
 
 def rows():
     out = []
-    for law in LAWS.values():
+    for name, law in LAWS.items():
         for gamma in GAMMAS:
+            covariogram_functions.cache_clear()
+            t0 = time.perf_counter()
             cm = sigma_matrix(gamma, law)
+            print(f"{name}, gamma {gamma}: sigma_matrix {time.perf_counter() - t0:.3f} s",
+                  file=sys.stderr)
             out.append(np.concatenate([cm.matrix.ravel(), cm.rho.values.ravel(),
                                        [_number(cm.rho.errors[k]) for k in ERRORS]]))
     squares = unit_squares(rotate=False)
