@@ -10,20 +10,21 @@ __version__ = "0.1.0"
 
 # Public names by module, each imported on first access (PEP 562) like a submodule.
 _EXPORTS = {
-    "cells": "Grains PlacedGrain TooManyGrainsError Window intersect_convex",
+    "cells": "TooManyGrainsError intersect_convex",
     "cltstats": "NormalityReport ReplicateBatch clt_experiment ks_to_normal multivariate_check "
                 "normality_report run_batch run_batches wasserstein_to_normal",
     "covariance": "AnisotropyError AssemblyError CovMatrix RhoTable covariogram_functions "
                   "p_polynomial phi_star rho_0i rho_11 rho_12 rho_22 sigma_matrix sigma_volume",
-    "geometry": "AlignedRect ConvexPolygon DegenerateShapeError Disk IntrinsicVolumes2D "
-                "boundary_covariogram circumradius covariogram intrinsic_volumes "
-                "minkowski_sum_area rotate_shape shape_from_record shape_to_record steiner_area",
+    "geometry": "AlignedRect ConvexPolygon DegenerateShapeError Disk Grains IntrinsicVolumes2D "
+                "PlacedGrain Window boundary_covariogram circumradius covariogram "
+                "intrinsic_volumes minkowski_sum_area rotate_shape shape_from_record "
+                "shape_to_record steiner_area",
     "moments": "DensityVector EstimationError ball_densities_3d density_general "
                "estimate_densities invert_intensity invert_intensity_se local_mean_value "
                "miles_densities_2d mixed_moment_direct volume_fraction",
-    "process": "EdgeEffectError GermGrainSample GrainDistribution GrainMoments ModelConfig "
-               "ParamLaw empirical_capacity fixed_disk read_sample sample theory_capacity "
-               "unit_squares write_sample",
+    "model": "GrainDistribution GrainMoments ModelConfig ParamLaw fixed_disk unit_squares",
+    "process": "EdgeEffectError GermGrainSample empirical_capacity read_sample sample "
+               "theory_capacity write_sample",
     "union": "FunctionalVector ReplicateError arrangement_measure edge_corrected_measure "
              "inclusion_exclusion_measure pixel_measure rasterize segment_coverage write_pgm",
 }

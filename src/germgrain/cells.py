@@ -25,15 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (AlignedRect, Disk, GrainShape,
-                       _as_polygon_vertices, polygon_halfplanes)
+from .geometry import (TWO_PI, AlignedRect, Disk, PlacedGrain, Window, _as_polygon_vertices,
+                       polygon_halfplanes)
 
 # Coordinate epsilon for vertex identification.
 COORD_EPS = 1e-9
 # Cells with area at or below this are treated as empty (measure-zero policy).
 AREA_EPS = 1e-12
-
-TWO_PI = 2.0 * math.pi
 
 
 class TooManyGrainsError(ValueError):
@@ -286,117 +284,6 @@ def clip_chain_disk(chain, center, radius, tol=COORD_EPS):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Window:
-    """Axis-aligned rectangular sampling window."""
-
-    lo: tuple
-    hi: tuple
-
-    def __post_init__(self):
-        lo = (float(self.lo[0]), float(self.lo[1]))
-        hi = (float(self.hi[0]), float(self.hi[1]))
-        if not (lo[0] < hi[0] and lo[1] < hi[1]):
-            raise ValueError(f"window must have positive extent, got lo={lo}, hi={hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def width(self):
-        return self.hi[0] - self.lo[0]
-
-    @property
-    def height(self):
-        return self.hi[1] - self.lo[1]
-
-    def area(self):
-        return self.width * self.height
-
-    def perimeter(self):
-        return 2.0 * (self.width + self.height)
-
-    def dilated_area(self, r):
-        return self.area() + self.perimeter() * r + math.pi * r * r
-
-    def scaled(self, factor):
-        cx = 0.5 * (self.lo[0] + self.hi[0])
-        cy = 0.5 * (self.lo[1] + self.hi[1])
-        hw = 0.5 * self.width * factor
-        hh = 0.5 * self.height * factor
-        return Window((cx - hw, cy - hh), (cx + hw, cy + hh))
-
-    def chain(self):
-        (x0, y0), (x1, y1) = self.lo, self.hi
-        return [Seg((x0, y0), (x1, y0)), Seg((x1, y0), (x1, y1)),
-                Seg((x1, y1), (x0, y1)), Seg((x0, y1), (x0, y0))]
-
-    def halfplanes(self):
-        (x0, y0), (x1, y1) = self.lo, self.hi
-        return [((1.0, 0.0), x1), ((-1.0, 0.0), -x0),
-                ((0.0, 1.0), y1), ((0.0, -1.0), -y0)]
-
-
-@dataclass(frozen=True)
-class PlacedGrain:
-    center: tuple
-    shape: GrainShape
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-
-
-@dataclass(frozen=True, eq=False)
-class Grains:
-    """Placed grains as arrays, the form sampling produces and the engines read.
-
-    centres (n, 2); radius (n,), a disk's radius or 0 for a polygon; count
-    (n,), vertices per grain; loc (count.sum(), 2), the grains' local
-    counterclockwise vertices stacked in grain order, one zero row for a disk.
-    """
-
-    centres: np.ndarray
-    radius: np.ndarray
-    count: np.ndarray
-    loc: np.ndarray
-
-    def __len__(self):
-        return len(self.centres)
-
-    @property
-    def reach(self) -> np.ndarray:
-        """Circumradius of each grain about its centre."""
-        first = np.cumsum(self.count) - self.count
-        hyp = np.hypot(self.loc[:, 0], self.loc[:, 1])
-        return (np.maximum.reduceat(hyp, first) if len(self) else hyp) + self.radius
-
-    def rows(self, idx) -> np.ndarray:
-        """Indices into loc of the vertices of grains idx, in that order."""
-        count = self.count[idx]
-        first = np.cumsum(self.count) - self.count
-        return np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count - first[idx], count)
-
-    def take(self, idx) -> "Grains":
-        return Grains(self.centres[idx], self.radius[idx], self.count[idx], self.loc[self.rows(idx)])
-
-    @staticmethod
-    def join(*parts) -> "Grains":
-        return Grains(*(np.concatenate([getattr(g, f) for g in parts])
-                        for f in ("centres", "radius", "count", "loc")))
-
-    @staticmethod
-    def of(grains) -> "Grains":
-        """A Grains unchanged, or the arrays of a sequence of PlacedGrain."""
-        if isinstance(grains, Grains):
-            return grains
-        grains = list(grains)
-        outlines = [np.zeros((1, 2)) if isinstance(g.shape, Disk) else _as_polygon_vertices(g.shape)
-                    for g in grains]
-        return Grains(np.array([g.center for g in grains], dtype=float).reshape(-1, 2),
-                      np.array([getattr(g.shape, "radius", 0.0) for g in grains], dtype=float),
-                      np.array([len(o) for o in outlines], dtype=np.int64),
-                      np.concatenate(outlines) if grains else np.zeros((0, 2)))
-
-
 def grain_constraints(grain: PlacedGrain):
     """Constraints of a placed grain: ('h', normal, offset) and ('d', center, radius)."""
     cx, cy = grain.center
@@ -472,7 +359,11 @@ def clip_cell(cell: ConvexCell, constraints) -> ConvexCell | None:
 
 
 def window_cell(window: Window) -> ConvexCell:
-    return ConvexCell(window.chain(), [("h", n, off) for n, off in window.halfplanes()])
+    (x0, y0), (x1, y1) = window.lo, window.hi
+    chain = [Seg((x0, y0), (x1, y0)), Seg((x1, y0), (x1, y1)),
+             Seg((x1, y1), (x0, y1)), Seg((x0, y1), (x0, y0))]
+    return ConvexCell(chain, [("h", (1.0, 0.0), x1), ("h", (-1.0, 0.0), -x0),
+                              ("h", (0.0, 1.0), y1), ("h", (0.0, -1.0), -y0)])
 
 
 def intersect_convex(grains, window: Window, cap: int = 20):

@@ -23,7 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .process import ModelConfig, replicate_rows
+from .model import ModelConfig
+from .process import replicate_rows
+# A module global that the code calls through: benchmarks/layers.py traces it
+# by replacing it here.
 from .union import arrangement_measure
 
 

@@ -61,7 +61,7 @@ from .geometry import (AlignedRect, ConvexPolygon, Disk, _as_polygon_vertices,
                        _composition_sum, boundary_covariogram, c_const, covariogram,
                        disk_boundary_covariogram, disk_covariogram,
                        intrinsic_volumes)
-from .process import GrainDistribution, fixed_disk
+from .model import GrainDistribution, fixed_disk
 from .quadrature import adaptive_quad, gauss_legendre, tanh_sinh
 
 

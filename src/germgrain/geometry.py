@@ -6,7 +6,9 @@ enclosing circle sits at the origin.  On top of them this module provides the
 planar intrinsic volumes (Euler characteristic, half perimeter, area), Steiner
 dilation areas, set covariograms, boundary covariograms and Minkowski-sum
 areas -- the single-grain quantities every mean-value and covariance formula
-of the Boolean model is built from.
+of the Boolean model is built from -- and the types that place grains:
+the rectangular Window, a PlacedGrain, and Grains, the arrays of placed
+grains that sampling produces and every engine reads.
 
 Covariograms are array-valued for every family.  Disks and aligned
 rectangles have closed forms; a polygon's two covariograms come from one
@@ -29,6 +31,8 @@ from itertools import product
 import numpy as np
 
 from .records import NUMBER, POINT, Record, list_of
+
+TWO_PI = 2.0 * math.pi
 
 
 class DegenerateShapeError(ValueError):
@@ -80,17 +84,20 @@ class ConvexPolygon:
         arr = np.asarray(verts, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise DegenerateShapeError("polygon vertices must be finite")
-        # Normalize orientation before convexity checking.
-        if _shoelace(arr) < 0.0:
-            arr = arr[::-1]
-        scale = float(np.max(np.abs(arr))) or 1.0
-        n = len(arr)
-        for i in range(n):
-            a, b, c = arr[i], arr[(i + 1) % n], arr[(i + 2) % n]
-            cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-            if cross <= 1e-12 * scale * scale:
-                raise DegenerateShapeError(
-                    "polygon must be strictly convex with no three collinear vertices")
+        # Huge coordinates may overflow these products, silently: a grain law
+        # refuses the shape where its moments overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Normalize orientation before convexity checking.
+            if _shoelace(arr) < 0.0:
+                arr = arr[::-1]
+            scale = float(np.max(np.abs(arr))) or 1.0
+            n = len(arr)
+            for i in range(n):
+                a, b, c = arr[i], arr[(i + 1) % n], arr[(i + 2) % n]
+                cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+                if cross <= 1e-12 * scale * scale:
+                    raise DegenerateShapeError(
+                        "polygon must be strictly convex with no three collinear vertices")
         center, _ = smallest_enclosing_circle(arr)
         arr = arr - center
         object.__setattr__(self, "vertices", tuple((float(x), float(y)) for x, y in arr))
@@ -438,3 +445,109 @@ def shape_to_record(shape: GrainShape) -> dict:
 
 def shape_from_record(rec: dict, path: str = "shape") -> GrainShape:
     return _SHAPE(rec, path)
+
+
+# ---------------------------------------------------------------------------
+# Windows and placed grains
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Window:
+    """Axis-aligned rectangular sampling window."""
+
+    lo: tuple
+    hi: tuple
+
+    def __post_init__(self):
+        lo = (float(self.lo[0]), float(self.lo[1]))
+        hi = (float(self.hi[0]), float(self.hi[1]))
+        if not (lo[0] < hi[0] and lo[1] < hi[1]):
+            raise ValueError(f"window must have positive extent, got lo={lo}, hi={hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    @property
+    def width(self):
+        return self.hi[0] - self.lo[0]
+
+    @property
+    def height(self):
+        return self.hi[1] - self.lo[1]
+
+    def area(self):
+        return self.width * self.height
+
+    def perimeter(self):
+        return 2.0 * (self.width + self.height)
+
+    def dilated_area(self, r):
+        return self.area() + self.perimeter() * r + math.pi * r * r
+
+    def scaled(self, factor):
+        cx = 0.5 * (self.lo[0] + self.hi[0])
+        cy = 0.5 * (self.lo[1] + self.hi[1])
+        hw = 0.5 * self.width * factor
+        hh = 0.5 * self.height * factor
+        return Window((cx - hw, cy - hh), (cx + hw, cy + hh))
+
+
+@dataclass(frozen=True)
+class PlacedGrain:
+    center: tuple
+    shape: GrainShape
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+
+
+@dataclass(frozen=True, eq=False)
+class Grains:
+    """Placed grains as arrays, the form sampling produces and the engines read.
+
+    centres (n, 2); radius (n,), a disk's radius or 0 for a polygon; count
+    (n,), vertices per grain; loc (count.sum(), 2), the grains' local
+    counterclockwise vertices stacked in grain order, one zero row for a disk.
+    """
+
+    centres: np.ndarray
+    radius: np.ndarray
+    count: np.ndarray
+    loc: np.ndarray
+
+    def __len__(self):
+        return len(self.centres)
+
+    @property
+    def reach(self) -> np.ndarray:
+        """Circumradius of each grain about its centre."""
+        first = np.cumsum(self.count) - self.count
+        hyp = np.hypot(self.loc[:, 0], self.loc[:, 1])
+        return (np.maximum.reduceat(hyp, first) if len(self) else hyp) + self.radius
+
+    def rows(self, idx) -> np.ndarray:
+        """Indices into loc of the vertices of grains idx, in that order."""
+        count = self.count[idx]
+        first = np.cumsum(self.count) - self.count
+        return np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count - first[idx], count)
+
+    def take(self, idx) -> "Grains":
+        return Grains(self.centres[idx], self.radius[idx], self.count[idx], self.loc[self.rows(idx)])
+
+    @staticmethod
+    def join(*parts) -> "Grains":
+        return Grains(*(np.concatenate([getattr(g, f) for g in parts])
+                        for f in ("centres", "radius", "count", "loc")))
+
+    @staticmethod
+    def of(grains) -> "Grains":
+        """A Grains unchanged, or the arrays of a sequence of PlacedGrain."""
+        if isinstance(grains, Grains):
+            return grains
+        grains = list(grains)
+        outlines = [np.zeros((1, 2)) if isinstance(g.shape, Disk) else _as_polygon_vertices(g.shape)
+                    for g in grains]
+        return Grains(np.array([g.center for g in grains], dtype=float).reshape(-1, 2),
+                      np.array([getattr(g.shape, "radius", 0.0) for g in grains], dtype=float),
+                      np.array([len(o) for o in outlines], dtype=np.int64),
+                      np.concatenate(outlines) if grains else np.zeros((0, 2)))

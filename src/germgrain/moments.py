@@ -25,8 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _composition_sum, c_const, kappa
-from .process import GrainDistribution, GrainMoments, ParamLaw, chunks
+from .model import GrainDistribution, GrainMoments, ParamLaw
+from .process import chunks
 from .quadrature import legendre_rule
+# Module globals that the code calls through: benchmarks/layers.py traces
+# them by replacing them here, so they stay imported at module level.
 from .union import arrangement_measure, edge_corrected_measure
 
 

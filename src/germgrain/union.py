@@ -1,7 +1,8 @@
 """Functionals (v0, v1, v2) of a union of placed grains clipped to a window.
 
-The exact and raster engines read grains as cells.Grains arrays; a sequence
-of PlacedGrain is converted at entry.  Three engines compute the same quantity:
+The exact and raster engines read grains as geometry.Grains arrays; a
+sequence of PlacedGrain is converted at entry.  Three engines compute the
+same quantity:
 
   * inclusion_exclusion_measure -- the additive-extension oracle over
     PlacedGrain: a signed sum of intersection-cell functionals over all
@@ -57,8 +58,7 @@ import math
 
 import numpy as np
 
-from .cells import (TWO_PI, Grains, PlacedGrain, TooManyGrainsError, Window,
-                    clip_cell, grain_constraints, window_cell)
+from .geometry import TWO_PI, Grains, PlacedGrain, Window
 
 
 class FunctionalVector:
@@ -98,6 +98,8 @@ class ReplicateError(RuntimeError):
 
 def inclusion_exclusion_measure(grains, window: Window, cap: int = 18) -> FunctionalVector:
     """Additive extension of (v0, v1, v2) to the union via inclusion-exclusion."""
+    # Imported here: only this oracle needs cells, and no Monte Carlo command loads it.
+    from .cells import TooManyGrainsError, clip_cell, grain_constraints, window_cell
     base = window_cell(window)
     cons = []
     for g in grains:

@@ -12,17 +12,16 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from germgrain.cells import PlacedGrain, Window, intersect_convex
+from germgrain.cells import intersect_convex
 from germgrain.cltstats import multivariate_check, normality_report, run_batch, run_batches
 from germgrain.covariance import (rho_22, sigma_matrix, sigma_volume)
-from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk,
-                                disk_covariogram, intrinsic_volumes,
-                                steiner_area)
+from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk, PlacedGrain, Window,
+                                disk_covariogram, intrinsic_volumes, steiner_area)
+from germgrain.model import ModelConfig, fixed_disk, unit_squares
 from germgrain.moments import (density_estimate, density_rows, invert_intensity,
                                invert_intensity_se, miles_densities_2d,
                                mixed_moment_direct, volume_fraction)
-from germgrain.process import (ModelConfig, empirical_capacity, fixed_disk,
-                               replicate_rows, theory_capacity, unit_squares)
+from germgrain.process import empirical_capacity, replicate_rows, theory_capacity
 from germgrain.union import arrangement_measure, inclusion_exclusion_measure
 
 DISK1 = fixed_disk(1.0)

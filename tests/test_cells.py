@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from germgrain.cells import (PlacedGrain, TooManyGrainsError, Window,
-                             intersect_convex)
-from germgrain.geometry import AlignedRect, ConvexPolygon, Disk
+from germgrain.cells import TooManyGrainsError, intersect_convex
+from germgrain.geometry import AlignedRect, ConvexPolygon, Disk, PlacedGrain, Window
 
 W = Window((-4.0, -4.0), (4.0, 4.0))
 LENS_AREA = 2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -87,7 +88,8 @@ class TestSimulateMeasure:
                      "--out", str(dump)]) == 0
         assert main(["measure", str(dump), "--out", str(out)]) == 0
         _, rows = read_rows(out)
-        from germgrain.process import ModelConfig, sample
+        from germgrain.model import ModelConfig
+        from germgrain.process import sample
         from germgrain.union import arrangement_measure
         cfg = ModelConfig.from_record(CFG)
         s = sample(cfg, 3)
@@ -229,17 +231,25 @@ class TestMalformedRecords:
         # a shape whose moments overflow, rotated or not
         ({"family": "fixed", "shape": {"kind": "disk", "radius": 1e200}}, "grains.shape"),
         ({"family": "fixed", "rotate": True,
-          "shape": {"kind": "rect", "halfwidth": 1e200, "halfheight": 1.0}}, "grains.shape")])
+          "shape": {"kind": "rect", "halfwidth": 1e200, "halfheight": 1.0}}, "grains.shape"),
+        ({"family": "fixed", "shape": {"kind": "polygon",
+                                       "vertices": [[0, 0], [1e160, 0], [0, 1e160]]}},
+         "grains.shape")])
     def test_grain_record(self, grains, field):
-        _refused(PREDICT + [json.dumps(grains)], field)
+        # A warning would print ahead of the one error line: here it raises instead.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _refused(PREDICT + [json.dumps(grains)], field)
 
-    def test_huge_intensity_names_gamma_area_and_count(self):
-        # 1e300 fails before any allocation is tried: numpy cannot index the count
-        argv = ["simulate", "--gamma", "1e300", "--window", "0", "0", "8", "8",
+    @pytest.mark.parametrize("gamma, count", [("1e300", "9.91416e+301"), ("1e308", "inf")])
+    def test_huge_intensity_names_gamma_area_and_count(self, gamma, count):
+        # Both fail before any allocation is tried: numpy cannot index the count, and
+        # at 1e308 gamma times the area overflows before a count is drawn.
+        argv = ["simulate", "--gamma", gamma, "--window", "0", "0", "8", "8",
                 "--grains", json.dumps(DISK)]
-        _refused(argv, "gamma 1e+300")
+        _refused(argv, f"gamma {float(gamma)}")
         err = _run(argv)[1]
-        assert "dilated window area 99.1416" in err and "draws 9.91416e+301 grains" in err, err
+        assert "dilated window area 99.1416" in err and f"draws {count} grains" in err, err
 
     @pytest.mark.parametrize("change, field", [
         ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
@@ -583,13 +593,20 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     run = "from germgrain.cli import main\nassert main(['{}', '--config', 'cfg.json', {}]) == 0"
     loaded = _modules_after(run.format("covariance", "'--out', 'c.csv'"), tmp_path)
-    assert {"germgrain.covariance", "germgrain.quadrature"} <= loaded
-    assert not loaded & {"germgrain.cltstats", "germgrain.union", "concurrent.futures.process",
-                         "numpy.ma"}
+    # the theory layer alone: no sampler, engine or oracle
+    assert {m for m in loaded if m.startswith("germgrain")} == {
+        "germgrain", "germgrain.cli", "germgrain.covariance", "germgrain.geometry",
+        "germgrain.model", "germgrain.quadrature", "germgrain.records"}
+    assert not loaded & {"germgrain.cells", "germgrain.rng", "germgrain.process",
+                         "germgrain.union", "germgrain.moments", "germgrain.cltstats",
+                         "concurrent.futures.process", "numpy.ma"}
     estimate = run.format("estimate", "'--reps', '4', '--threads', '1', '--out', 'e.csv'")
     loaded = _modules_after(estimate, tmp_path)
     assert "germgrain.moments" in loaded
-    assert not loaded & {"germgrain.covariance", "concurrent.futures.process"}
+    assert not loaded & {"germgrain.covariance", "germgrain.cells", "concurrent.futures.process"}
+    clt = run.format("clt", "'--scales', '1', '2', '--reps', '100', '--out', 'clt.csv'")
+    loaded = _modules_after(clt, tmp_path)
+    assert "germgrain.cltstats" in loaded and "germgrain.cells" not in loaded
 
 
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from germgrain import cltstats, process
-from germgrain.cells import Grains, PlacedGrain, Window
 from germgrain.cltstats import (DegenerateVarianceError, _ndtr, _ndtri,
                                 ks_to_normal, normality_report,
                                 rank_correlation, run_batch,
                                 wasserstein_to_normal)
-from germgrain.geometry import ConvexPolygon
+from germgrain.geometry import ConvexPolygon, Grains, PlacedGrain, Window
+from germgrain.model import ModelConfig, fixed_disk
 from germgrain.moments import volume_fraction
-from germgrain.process import GermGrainSample, ModelConfig, fixed_disk
+from germgrain.process import GermGrainSample
 
 
 class TestWasserstein:

@@ -8,16 +8,16 @@ from scipy.integrate import quad
 from scipy.stats import qmc
 
 from germgrain import covariance
-from germgrain.cells import PlacedGrain, Window, clip_cell, grain_constraints, window_cell
+from germgrain.cells import clip_cell, grain_constraints, window_cell
 from germgrain.covariance import (AnisotropyError, _blocks, _boundary_body, _c_vector,
                                   _grid_lookup, _rho11_boundary_term, covariogram_functions,
                                   p_polynomial, phi_star, rho_0i, rho_11,
                                   rho_12, rho_22, rho_table, sigma_matrix,
                                   sigma_volume)
-from germgrain.geometry import (ConvexPolygon, Disk, covariogram, disk_covariogram,
-                                intrinsic_volumes)
-from germgrain.process import (GrainDistribution, ModelConfig, ParamLaw,
-                               fixed_disk, sample, unit_squares)
+from germgrain.geometry import (ConvexPolygon, Disk, PlacedGrain, Window, covariogram,
+                                disk_covariogram, intrinsic_volumes)
+from germgrain.model import GrainDistribution, ModelConfig, ParamLaw, fixed_disk, unit_squares
+from germgrain.process import sample
 from germgrain.quadrature import gauss_legendre
 from germgrain.union import arrangement_measure
 

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from germgrain import moments, process, union
-from germgrain.cells import Window
-from germgrain.geometry import AlignedRect
+from germgrain.geometry import AlignedRect, Window
+from germgrain.model import GrainDistribution, ModelConfig, ParamLaw, fixed_disk, unit_squares
 from germgrain.moments import (DensityVector, EstimationError,
                                ball_densities_3d, c_const, density_general,
                                density_rows, estimate_densities, invert_intensity,
                                invert_intensity_se, kappa, local_mean_value,
                                miles_densities_2d, mixed_moment_direct,
                                volume_fraction)
-from germgrain.process import (GrainDistribution, ModelConfig, ParamLaw,
-                               fixed_disk, replicate_rows, sample, unit_squares)
+from germgrain.process import replicate_rows, sample
 from germgrain.rng import replicate_rng
 
 DISK1 = fixed_disk(1.0)

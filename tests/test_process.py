@@ -8,16 +8,12 @@ import pytest
 from scipy.stats import chi2
 
 from germgrain import cltstats, moments, process, union
-from germgrain.cells import Grains, PlacedGrain, Window
-from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk,
-                                intrinsic_volumes, minkowski_sum_area,
-                                rotate_shape)
-from germgrain.process import (Chunk, EdgeEffectError, GrainDistribution, ModelConfig,
-                               ParamLaw, _uniform_in_dilation,
-                               empirical_capacity, fixed_disk, mean_hit_area,
-                               read_sample,
-                               replicate_rows, sample, theory_capacity,
-                               unit_squares, write_sample)
+from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk, Grains, PlacedGrain, Window,
+                                intrinsic_volumes, minkowski_sum_area, rotate_shape)
+from germgrain.model import GrainDistribution, ModelConfig, ParamLaw, fixed_disk, unit_squares
+from germgrain.process import (Chunk, EdgeEffectError, _uniform_in_dilation, empirical_capacity,
+                               mean_hit_area, read_sample, replicate_rows, sample, theory_capacity,
+                               write_sample)
 from germgrain.rng import poisson_draw, replicate_rng
 from germgrain.union import ReplicateError
 

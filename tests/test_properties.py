@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germgrain.cells import PlacedGrain, Window, intersect_convex
+from germgrain.cells import intersect_convex
 from germgrain.cltstats import normality_report, run_batch
-from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk,
-                                boundary_covariogram, circumradius,
-                                covariogram, intrinsic_volumes,
+from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk, PlacedGrain, Window,
+                                boundary_covariogram, circumradius, covariogram, intrinsic_volumes,
                                 minkowski_sum_area, rotate_shape, steiner_area)
-from germgrain.process import ModelConfig, fixed_disk, sample
+from germgrain.model import ModelConfig, fixed_disk
+from germgrain.process import sample
 from germgrain.union import arrangement_measure, segment_coverage
 
 finite = dict(allow_nan=False, allow_infinity=False)

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from germgrain import union
-from germgrain.cells import (Grains, PlacedGrain, TooManyGrainsError, Window,
-                             intersect_convex)
-from germgrain.geometry import AlignedRect, ConvexPolygon, Disk
-from germgrain.process import (Chunk, GermGrainSample, GrainDistribution, ModelConfig,
-                               ParamLaw, _misses, fixed_disk, sample, unit_squares)
+from germgrain.cells import TooManyGrainsError, intersect_convex
+from germgrain.geometry import AlignedRect, ConvexPolygon, Disk, Grains, PlacedGrain, Window
+from germgrain.model import GrainDistribution, ModelConfig, ParamLaw, fixed_disk, unit_squares
+from germgrain.process import Chunk, GermGrainSample, _misses, sample
 from germgrain.union import (_EPS, ReplicateError, _cell_pairs, _merge_runs, _unwrap,
                              arrangement_measure, edge_corrected_measure,
                              inclusion_exclusion_measure, pixel_measure, rasterize,

@@ -37,7 +37,7 @@ import numpy as np
 
 from germgrain.covariance import covariogram_functions, rho_12, rho_22, sigma_matrix
 from germgrain.geometry import ConvexPolygon
-from germgrain.process import GrainDistribution, ParamLaw, unit_squares
+from germgrain.model import GrainDistribution, ParamLaw, unit_squares
 
 LAWS = {
     "uniform disks": GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)),

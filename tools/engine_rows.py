@@ -30,10 +30,9 @@ import sys
 
 import numpy as np
 
-from germgrain.cells import Grains, PlacedGrain, Window
-from germgrain.geometry import AlignedRect, ConvexPolygon, Disk
-from germgrain.process import (GrainDistribution, ModelConfig, ParamLaw, fixed_disk, sample,
-                               unit_squares)
+from germgrain.geometry import AlignedRect, ConvexPolygon, Disk, Grains, PlacedGrain, Window
+from germgrain.model import GrainDistribution, ModelConfig, ParamLaw, fixed_disk, unit_squares
+from germgrain.process import sample
 from germgrain.union import ReplicateError, arrangement_measure
 
 
