@@ -29,40 +29,36 @@ verifies itself against them and refuses to return on disagreement.
 Quadrature domains are exact (never truncated): every integrand factor
 vanishes beyond the covariogram cutoff.  As z = y - t lies in K exactly when
 y lies in K + t, a boundary x body integral of f(y-z) is 2 int f(t) g1_K(t) dt,
-so for disk laws rho(V1,V2) and the C1-weighted term of rho(V1,V1) are radial
-integrals of the closed-form profiles; every disk-law integral is adaptive,
-split at the profile kinks, and reports its achieved error.  Polygonal grains
-use tensor rules and, on the same-edge boundary-boundary term, a tanh-sinh
-rule (its coincident-point endpoint cannot degrade convergence); these report
-no error.  For an isotropic polygon law, rho(V1,V2) and rho(V1,V1)'s
-C1-weighted term share one boundary x body pass per shape
-(_boundary_body_term): each block of (edge point - interior node)
-differences takes one hypot, one lookup of both tabulated profiles and one
-exp, and feeds two tensor sums.
-The tabulated profiles find their grid node by division, not by np.interp's
-binary search, and give np.interp's values bit for bit (_grid_lookup).
+so for every isotropic law rho(V1,V2) and the C1-weighted term of rho(V1,V1)
+are radial integrals of the profiles, like rho(V2,V2): adaptive, split at the
+profile kinks, each reporting its error.  Disk laws have closed-form
+profiles; other isotropic laws tabulate theirs, exact at the nodes and
+linear between them, and add to a reported error the gap to the integral of
+every other node.  A polygon law's boundary x boundary term and an
+anisotropic law's integrals use tensor rules (tanh-sinh on the same-edge
+term), which report no error.
 
 Every grid -- a profile table, a tensor rule -- is evaluated in blocks of
 about _BLOCK_ELEMENTS elements (_blocks), and a polygon's covariograms on
 chunks of translations that keep their (edges x edges) work within as many
-(_expected).  So the layer's memory grows neither with the grid nor with a
-polygon's edge count, and every value equals the whole grid's bit for bit.
+(_expected, _shape_profiles).  So the layer's memory grows neither with the
+grid nor with a polygon's edge count, and no value depends on the blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .geometry import (AlignedRect, ConvexPolygon, Disk, _as_polygon_vertices,
-                       _composition_sum, boundary_covariogram, c_const, covariogram,
-                       disk_boundary_covariogram, disk_covariogram,
-                       intrinsic_volumes)
+                       _composition_sum, boundary_covariogram, c_const, circumradius,
+                       covariogram, disk_boundary_covariogram, disk_covariogram,
+                       intrinsic_volumes, polygon_halfplanes)
 from .model import GrainDistribution, fixed_disk
-from .quadrature import adaptive_quad, gauss_legendre, tanh_sinh
+from .quadrature import adaptive_quad, gauss_legendre, legendre_rule, tanh_sinh
 
 
 # Largest relative gap the assembly may leave to its direct derivations.
@@ -139,18 +135,8 @@ class CovariogramFunctions:
     cutoff: float
     g2: object  # array-valued callable s -> E covariogram
     g1: object  # array-valued callable s -> E boundary covariogram
-    g21: object  # s -> (g2(s), g1(s)), from one grid search for tabulated profiles
     kinks: tuple = ()  # radial abscissae where the profiles are non-smooth
-    # {gamma: {shape: one-pass boundary x body integrals}} of a polygon law
-    # (_boundary_body_term), for the latest gamma only; dropped with these profiles,
-    # so covariogram_functions.cache_clear() drops them too
-    passes: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def c2(self, gamma):
-        return lambda s: gamma * self.g2(s)
-
-    def c1(self, gamma):
-        return lambda s: gamma * self.g1(s)
+    coarse: "CovariogramFunctions | None" = None  # a table's every other node
 
 
 def _lens_antiderivative(r, c):
@@ -191,28 +177,24 @@ def _disk_profiles(dist: GrainDistribution) -> CovariogramFunctions:
     radii = law.args[0] if law.kind == "discrete" else law.args  # atoms or (a, b)
     g2 = _radius_average(law, disk_covariogram, _lens_antiderivative)
     g1 = _radius_average(law, disk_boundary_covariogram, _arc_antiderivative)
-    return CovariogramFunctions(2.0 * law.support_max(), g2, g1, lambda s: (g2(s), g1(s)),
+    return CovariogramFunctions(2.0 * law.support_max(), g2, g1,
                                 tuple(sorted(2.0 * r for r in radii)))
 
 
-def _grid_lookup(ss, *tables):
-    """s -> tuple of np.interp(s, ss, table, right=0.0) over the tables, bit for
-    bit, where ss = np.linspace(0, cutoff, n).
+def _grid_lookup(ss, table):
+    """s -> np.interp(s, ss, table, right=0.0), bit for bit, on an even grid
+    ss from 0 to cutoff.
 
-    The node below s is found by division; the quotient can round across a
-    node, so the index is then corrected by at most one step.  np.interp's
-    own formula follows, with its precomputed slopes (dy / dx): a node gives
-    slope * 0 + table[j].  Padding the grid with slope-0 segments gives its
-    other cases: s < 0 reads table[0], s = cutoff table[-1], s past it 0.0
-    (and NaN reads NaN).  One index serves every table.  (A -0.0 entry would
-    read +0.0 at its node; a profile table, of nonnegative sums, has none.)
-    """
+    The node below s is found by division, then corrected by at most one
+    step (the quotient can round across a node); np.interp's formula follows
+    with its precomputed slopes.  Slope-0 pads give the other cases: s < 0
+    reads table[0], s = cutoff table[-1], s past it 0.0, NaN NaN."""
     n, cutoff = len(ss), float(ss[-1])
     # padded node k + 1 is grid node k; pad 0 takes s < 0, pad n + 1 s > cutoff
     bounds = np.concatenate([[-np.inf], ss, [np.nextafter(cutoff, np.inf), np.inf]])
     base = np.concatenate([[0.0], ss, [cutoff]])
-    padded = [(np.concatenate([[0.0], np.diff(t) / np.diff(ss), [0.0, 0.0]]),
-               np.concatenate([t[:1], t, [0.0]])) for t in tables]
+    slope = np.concatenate([[0.0], np.diff(table) / np.diff(ss), [0.0, 0.0]])
+    value = np.concatenate([table[:1], table, [0.0]])
     scale = (n - 1) / cutoff
 
     def lookup(s):
@@ -222,50 +204,91 @@ def _grid_lookup(ss, *tables):
         k -= bounds[k] > s
         k += bounds[k + 1] <= s
         s -= base[k]
-        out = []
-        for slope, value in padded:
-            v = slope[k]
-            v *= s
-            v += value[k]
-            out.append(v)
-        return tuple(out)
+        v = slope[k]
+        v *= s
+        v += value[k]
+        return v
     return lookup
 
 
-def _tabulated_profiles(dist: GrainDistribution, n_s: int, n_theta: int) -> CovariogramFunctions:
-    """Rotation-averaged profiles on a dense radial grid (linear interpolation).
+# Gauss-Legendre nodes per angle panel of a tabulated profile.
+_PANEL_NODES = 8
 
-    Valid for any isotropic law.  The rotation integral runs over [0, pi): the
-    covariogram is even (g2_K(t) = g2_K(-t)), and the boundary covariogram,
-    which is not unless K = -K, is averaged over t and -t.  The (s, theta)
-    grid goes in blocks of s rows (_blocks), so a table of n_s x n_theta
-    translations never holds more than one block of them at a time.
 
-    The grid is even, so a lookup finds the node below s by division
-    (_grid_lookup), with np.interp's values bit for bit; g21 reads g2 and g1
-    at one index, for the one boundary x body pass of a polygon law.
+def _angle_panels(verts, s):
+    """(row, lo, hi): the panels of [0, pi] at radius s[row] on which the
+    covariograms of the polygon K at t = s u(theta) keep one form.
+
+    A form changes where a vertex of K + t or K - t crosses an edge line of
+    K: theta = phi_j +- arccos(d_ij / s) mod pi, with d_ij = c_j - n_j . v_i
+    the depth of vertex i inside edge line j (none where d_ij > s or s = 0).
+    The d_ij = 0 splits are the edge directions, where g1 jumps.  Splits
+    closer than 1e-12 count as one.
     """
+    normals, offsets = polygon_halfplanes(verts)
+    depth = np.maximum(offsets[:, None] - normals @ verts.T, 0.0).ravel()
+    phi = np.repeat(np.mod(np.arctan2(normals[:, 1], normals[:, 0]), math.pi), len(verts))
+    ratio = np.divide(depth, s[:, None], out=np.full((len(s), len(depth)), 2.0),
+                      where=s[:, None] > 0.0)
+    turn = np.arccos(np.where(ratio <= 1.0, ratio, np.nan))  # NaN: no split
+    up, down = phi + turn, phi - turn  # mod pi: phi is in [0, pi), turn in [0, pi/2]
+    zeros = np.zeros((len(s), 1))
+    splits = np.concatenate([zeros, up - math.pi * (up >= math.pi),
+                             down + math.pi * (down < 0.0), zeros + math.pi], axis=1)
+    splits[:, 1:-1][splits[:, 1:-1] >= math.pi - 1e-12] = 0.0
+    splits.sort(axis=1)  # NaN last
+    keep = np.diff(splits, axis=1, prepend=-1.0) > 1e-12
+    row, ends = np.nonzero(keep)[0], splits[keep]
+    panel = row[1:] == row[:-1]  # consecutive kept splits of one radius
+    return row[1:][panel], ends[:-1][panel], ends[1:][panel]
+
+
+def _shape_profiles(shape, ss):
+    """(2, len(ss)): one shape's covariogram and boundary covariogram (over t
+    and -t), averaged over rotation at the radii ss, exact to rounding: each
+    panel of _angle_panels takes _PANEL_NODES Gauss-Legendre nodes.  Panels
+    are built a block of radii at a time (_blocks) and evaluated in runs of
+    whole radii, a run per _BLOCK_ELEMENTS of work (edges^2 per node for a
+    polygon), each radius summed in node order (np.bincount)."""
+    verts = _as_polygon_vertices(shape)
+    out = np.zeros((2, len(ss)))
+    n = int(np.searchsorted(ss, 2.0 * circumradius(shape)))  # beyond, both vanish
+    work = _PANEL_NODES * (len(verts) ** 2 if isinstance(shape, ConvexPolygon) else 1)
+    x, w = legendre_rule(_PANEL_NODES)
+    for rows in _blocks(n, 2 * len(verts) ** 2 + 2):
+        row, lo, hi = _angle_panels(verts, ss[rows])
+        row += rows.start
+        first = np.flatnonzero(np.diff(row, prepend=-1))  # each radius's first panel
+        cuts = first[np.flatnonzero(np.diff(first * work // _BLOCK_ELEMENTS, prepend=-1))]
+        for run in map(slice, cuts, [*cuts[1:], len(row)]):
+            half = 0.5 * (hi[run] - lo[run])
+            theta = (half[:, None] * x + 0.5 * (lo[run] + hi[run])[:, None]).ravel()
+            weight = (half[:, None] * w).ravel() / math.pi
+            radius = np.repeat(row[run], _PANEL_NODES)
+            t = ss[radius] * np.array([np.cos(theta), np.sin(theta)])
+            radius -= row[run.start]  # every radius has a panel: one sum per radius
+            g2, g1 = (np.bincount(radius, weight * f(shape, t))
+                      for f in (covariogram, boundary_covariogram))
+            t *= -1.0
+            g1 += np.bincount(radius, weight * boundary_covariogram(shape, t))
+            out[:, row[run.start]:row[run.stop - 1] + 1] = g2, 0.5 * g1
+    out[1, 0] = 0.5 * intrinsic_volumes(shape).v1  # g1's limit at 0, not the v1 convention
+    return out
+
+
+def _tabulated_profiles(dist: GrainDistribution, n_s: int) -> CovariogramFunctions:
+    """Rotation-averaged profiles of any isotropic law on an even grid of
+    n_s (odd) radii, exact at the nodes and linear between them, with the
+    profiles of every other node as `coarse`."""
     cutoff = 2.0 * dist.rmax
     ss = np.linspace(0.0, cutoff, n_s)
-    th, wth = gauss_legendre(n_theta, 0.0, math.pi)
-    wth = wth / math.pi
-    cov2, cov1 = _expected(dist, covariogram), _expected(dist, boundary_covariogram)
-    direction = np.array([np.cos(th), np.sin(th)])[:, None, :]
-    tab2, tab1 = np.empty(n_s), np.empty(n_s)
-    for rows in _blocks(n_s, n_theta):
-        grid = direction * ss[rows, None]  # (2, rows, n_theta)
-        tab2[rows] = cov2(*grid) @ wth
-        tab1[rows] = cov1(*grid) @ wth
-        grid *= -1.0  # in place, so a second grid is never held
-        tab1[rows] = 0.5 * (tab1[rows] + cov1(*grid) @ wth)
-    # The s = 0 point of the boundary profile uses the v1 convention; replace
-    # by the one-sided limit so interpolation near 0 is faithful.
-    tab1[0] = dist.expect_shape(lambda k: 0.5 * intrinsic_volumes(k).v1)
+    tab2, tab1 = dist.expect_shape(lambda k: _shape_profiles(k, ss))
 
-    g2, g1 = _grid_lookup(ss, tab2), _grid_lookup(ss, tab1)
-    # Linear interpolation kinks at every interior grid node.
-    return CovariogramFunctions(cutoff, lambda s: g2(s)[0], lambda s: g1(s)[0],
-                                _grid_lookup(ss, tab2, tab1), tuple(ss[1:-1]))
+    def profiles(step, coarse=None):
+        grid = ss[::step]  # linear interpolation kinks at every interior node
+        return CovariogramFunctions(cutoff, _grid_lookup(grid, tab2[::step]),
+                                    _grid_lookup(grid, tab1[::step]), tuple(grid[1:-1]), coarse)
+    return profiles(1, profiles(2))
 
 
 @lru_cache(maxsize=32)
@@ -276,38 +299,26 @@ def covariogram_functions(dist: GrainDistribution) -> CovariogramFunctions:
         return _disk_profiles(dist)
     if not dist.isotropic:
         raise AnisotropyError("radial covariogram profiles need an isotropic law")
-    if dist.family == "rect":
-        return _tabulated_profiles(dist, n_s=2049, n_theta=64)
-    return _tabulated_profiles(dist, n_s=513, n_theta=48)
+    return _tabulated_profiles(dist, n_s=2049 if dist.family == "rect" else 513)
 
 
-def _c_vector(dist: GrainDistribution, gamma: float, cov=covariogram, profile="g2"):
-    """gamma C2, or gamma C1 given boundary_covariogram and its profile "g1",
-    as a function of a translation vector (anisotropic laws allowed)."""
+def _c_vector(dist: GrainDistribution, gamma: float):
+    """gamma C2 as a function of a translation vector (any law)."""
     if dist.isotropic:
-        g = getattr(covariogram_functions(dist), profile)
-        return lambda tx, ty: gamma * g(np.hypot(tx, ty))
+        g2 = covariogram_functions(dist).g2
+        return lambda tx, ty: gamma * g2(np.hypot(tx, ty))
 
-    expected = _expected(dist, cov)
+    expected = _expected(dist, covariogram)
     return lambda tx, ty: gamma * expected(tx, ty)
 
 
-def _tensor_rule(wp, wq, columns, shrink=1):
-    """[wp @ F @ wq for each F], where columns(cols) returns the columns cols
-    of every integrand's matrix F.
-
-    The matrices are built a block of columns at a time (_blocks), and each
-    wp @ F is the same vector as the whole product's.  An integrand set that
-    holds `shrink` times a single integrand's temporaries per element takes
-    blocks `shrink` times smaller, so its temporaries fit the same budget.
-    """
-    rows = []
-    for cols in _blocks(len(wq), len(wp) * shrink):
-        for i, f in enumerate(columns(cols)):
-            if i == len(rows):
-                rows.append(np.empty(len(wq)))
-            rows[i][cols] = wp @ f
-    return [float(row @ wq) for row in rows]
+def _tensor_rule(wp, wq, columns):
+    """wp @ F @ wq, F built a block of columns at a time (_blocks) by
+    columns(cols); each wp @ F is the same vector as the whole product's."""
+    row = np.empty(len(wq))
+    for cols in _blocks(len(wq), len(wp)):
+        row[cols] = wp @ columns(cols)
+    return float(row @ wq)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +333,16 @@ def _radial_integral(prof: CovariogramFunctions, f, epsabs):
     return 2.0 * math.pi * val, 2.0 * math.pi * err
 
 
+def _profile_integral(prof: CovariogramFunctions, integrand, epsabs):
+    """_radial_integral of f = integrand(prof), with an error that covers the
+    profiles too: a tabulated profile adds |I(table) - I(every other node)|,
+    which bounds what linear interpolation between its nodes leaves out."""
+    val, err = _radial_integral(prof, integrand(prof), epsabs)
+    if prof.coarse is not None:
+        err += abs(val - _radial_integral(prof.coarse, integrand(prof.coarse), epsabs)[0])
+    return val, err
+
+
 def rho_22(gamma: float, dist: GrainDistribution):
     """integral over the plane of exp(C2(y)) - 1; (value, error estimate)."""
     if gamma == 0.0:
@@ -330,8 +351,8 @@ def rho_22(gamma: float, dist: GrainDistribution):
     if dist.isotropic:
         prof = covariogram_functions(dist)
         scale = math.expm1(gamma * float(prof.g2(0.0))) * prof.cutoff ** 2
-        return _radial_integral(prof, lambda s: np.expm1(gamma * prof.g2(s)),
-                                1e-10 * max(scale, 1e-6))
+        return _profile_integral(prof, lambda p: lambda s: np.expm1(gamma * p.g2(s)),
+                                 1e-10 * max(scale, 1e-6))
     # Anisotropic: tensor integral over the upper half-plane, doubled.  A
     # covariogram is even, g(t) = g(-t), but need not be mirror-symmetric in
     # either axis, so the quadrants [0, c]^2 and [-c, 0] x [0, c] both count.
@@ -340,8 +361,8 @@ def rho_22(gamma: float, dist: GrainDistribution):
 
     def half_plane(n):
         xs, wx = gauss_legendre(n, 0.0, cutoff)
-        return 2.0 * sum(_tensor_rule(wx, wx, lambda cols: (np.expm1(c2(*np.meshgrid(
-            side * xs, xs[cols], indexing="ij"))),))[0] for side in (1.0, -1.0))
+        return 2.0 * sum(_tensor_rule(wx, wx, lambda cols: np.expm1(c2(*np.meshgrid(
+            side * xs, xs[cols], indexing="ij")))) for side in (1.0, -1.0))
     val = half_plane(96)
     return val, abs(val - half_plane(48))
 
@@ -355,11 +376,8 @@ def sigma_volume(gamma: float, dist: GrainDistribution):
 
 
 def _edges_of(shape):
-    if isinstance(shape, Disk):
-        raise TypeError(f"no edges on {shape}")
     verts = _as_polygon_vertices(shape)
-    n = len(verts)
-    return [(verts[i], verts[(i + 1) % n]) for i in range(n)]
+    return list(zip(verts, np.roll(verts, -1, axis=0)))
 
 
 def _interior_nodes(shape, n):
@@ -385,82 +403,41 @@ def _interior_nodes(shape, n):
 
 
 def _differences(f, p, q):
-    """columns(cols) of the matrices f(p_i - q_j) for _tensor_rule; f returns
-    one array per integrand."""
+    """columns(cols) of the matrix f(p_i - q_j) for _tensor_rule."""
     return lambda cols: f(p[:, 0][:, None] - q[cols, 0][None, :],
                           p[:, 1][:, None] - q[cols, 1][None, :])
 
 
-def _boundary_body(shape, f, n=48, shrink=1):
-    """Tensor rule for the integral of each integrand of f(y - z) (a tuple of
-    arrays) over (boundary x body) of a polygon: one value per integrand."""
+def _boundary_body(shape, f, n=48):
+    """Tensor rule for the integral of f(y - z) over (boundary x body) of a
+    polygon (an anisotropic law's; an isotropic one's is radial)."""
     pts, ws = _interior_nodes(shape, n)
     u, wu = gauss_legendre(n, 0.0, 1.0)
     total = 0.0
     for a, b in _edges_of(shape):
         edge_pts = a[None, :] + u[:, None] * (b - a)[None, :]
         ln = math.hypot(*(b - a))
-        total = total + ln * np.array(_tensor_rule(wu, ws, _differences(f, edge_pts, pts),
-                                                   shrink))
-    return total.tolist()
-
-
-# The one pass holds about twice the temporaries of a single integrand.
-_PASS_SHRINK = 2
-
-
-def _boundary_body_term(gamma, dist, shape, term):
-    """Boundary x body integral over one shape of the law of exp(C2(y - z))
-    (term 0, rho_12's) or of exp(C2(y - z)) C1(y - z) (term 1, rho_11's
-    term A).
-
-    An isotropic law computes both in one pass over the (edge point,
-    interior node) differences: one hypot, one profile lookup for g2 and g1,
-    one exp per block.  It keeps the pair with its profiles, so that rho_12
-    and rho_11 at one gamma share the pass.  An anisotropic law, which has
-    no profiles, computes the one term asked for.
-    """
-    if not dist.isotropic:
-        c2vec = _c_vector(dist, gamma)
-        if term == 0:
-            return _boundary_body(shape, lambda dx, dy: (np.exp(c2vec(dx, dy)),))[0]
-        c1vec = _c_vector(dist, gamma, boundary_covariogram, "g1")
-        return _boundary_body(
-            shape, lambda dx, dy: (np.exp(c2vec(dx, dy)) * c1vec(dx, dy),))[0]
-    prof = covariogram_functions(dist)
-    terms = prof.passes.get(gamma)
-    if terms is None:
-        prof.passes.clear()
-        terms = prof.passes[gamma] = {}
-    if shape not in terms:
-        def integrands(dx, dy):
-            c2, c1 = prof.g21(np.hypot(dx, dy))
-            c2 *= gamma
-            e = np.exp(c2, out=c2)
-            c1 *= gamma
-            c1 *= e
-            return e, c1
-        terms[shape] = _boundary_body(shape, integrands, shrink=_PASS_SHRINK)
-    return terms[shape][term]
+        total = total + ln * _tensor_rule(wu, ws, _differences(f, edge_pts, pts))
+    return total
 
 
 def rho_12(gamma: float, dist: GrainDistribution):
-    """integral of exp(C2(y-z)) against the boundary x body measure M_{1,2}.
-
-    For disk laws this is 2 pi int exp(C2(s)) C1(s) s ds.  Returns (value,
-    error): the adaptive quadrature's achieved error, or None for the fixed
-    tensor rule of polygonal grains, which gives no error estimate.
-    """
+    """integral of exp(C2(y-z)) against the boundary x body measure M_{1,2}:
+    2 pi int exp(C2(s)) C1(s) s ds for an isotropic law, with an error as
+    rho_22's; a tensor rule per shape, with error None, otherwise."""
     if gamma == 0.0:
         return 0.0, 0.0
     dist = _closed_form(dist)
-    if dist.family == "disk":
+    if dist.isotropic:
         prof = covariogram_functions(dist)
-        c2, c1 = prof.c2(gamma), prof.c1(gamma)
-        scale = math.exp(float(c2(0.0))) * float(c1(0.0)) * prof.cutoff ** 2
-        return _radial_integral(prof, lambda s: np.exp(c2(s)) * c1(s), 1e-11 * scale)
-    return dist.expect_shape(
-        lambda k: gamma * 0.5 * _boundary_body_term(gamma, dist, k, 0)), None
+        scale = (math.exp(float(gamma * prof.g2(0.0))) * float(gamma * prof.g1(0.0))
+                 * prof.cutoff ** 2)
+        return _profile_integral(
+            prof, lambda p: lambda s: np.exp(gamma * p.g2(s)) * (gamma * p.g1(s)),
+            1e-11 * scale)
+    c2vec = _c_vector(dist, gamma)
+    return dist.expect_shape(lambda k: gamma * 0.5 * _boundary_body(
+        k, lambda dx, dy: np.exp(c2vec(dx, dy)))), None
 
 
 def _rho11_disk_boundary_term(radius, c2fun, gamma, kinks):
@@ -494,34 +471,37 @@ def _rho11_boundary_term(shape, c2vec, gamma, n=48):
             p1 = a1[None, :] + u[:, None] * (b1 - a1)[None, :]
             p2 = a2[None, :] + u[:, None] * (b2 - a2)[None, :]
             term_b += l1 * l2 * _tensor_rule(
-                wu, wu, _differences(lambda dx, dy: (np.exp(c2vec(dx, dy)),), p1, p2))[0]
+                wu, wu, _differences(lambda dx, dy: np.exp(c2vec(dx, dy)), p1, p2))
     return term_b * (gamma * 0.25)
 
 
 def rho_11(gamma: float, dist: GrainDistribution):
-    """Both boundary-measure integrals of rho(V1, V1).
+    """Both boundary-measure integrals of rho(V1, V1): (value, error).
 
-    For disk laws the boundary x body term is 2 pi int exp(C2(s)) C1(s)^2 s ds
-    and the boundary x boundary term a chord-angle integral per radius.
-    Returns (value, error) like rho_12, a disk law's error summing both terms'.
-    A polygon law's value is E[A_K + B_K] over its shapes K: term A (boundary
-    x body) plus term B (boundary x boundary) per shape.
+    Term A (boundary x body) of an isotropic law is
+    2 pi int exp(C2(s)) C1(s)^2 s ds.  Term B (boundary x boundary) is a
+    chord-angle integral per radius for a disk law, whose error sums both
+    terms', and a tensor rule per shape otherwise, with error None.
     """
     if gamma == 0.0:
         return 0.0, 0.0
     dist = _closed_form(dist)
+    if not dist.isotropic:
+        c2vec, c1vec = _c_vector(dist, gamma), _expected(dist, boundary_covariogram)
+        return dist.expect_shape(lambda k: gamma * 0.5 * _boundary_body(
+            k, lambda dx, dy: np.exp(c2vec(dx, dy)) * (gamma * c1vec(dx, dy)))
+            + _rho11_boundary_term(k, c2vec, gamma)), None
+    prof = covariogram_functions(dist)
+    c2, c1 = (lambda s: gamma * prof.g2(s)), (lambda s: gamma * prof.g1(s))
+    scale = math.exp(float(c2(0.0))) * float(c1(0.0)) ** 2 * prof.cutoff ** 2
+    term_a, err_a = _radial_integral(prof, lambda s: np.exp(c2(s)) * c1(s) ** 2,
+                                     1e-11 * scale)
     if dist.family == "disk":
-        prof = covariogram_functions(dist)
-        c2, c1 = prof.c2(gamma), prof.c1(gamma)
-        scale = math.exp(float(c2(0.0))) * float(c1(0.0)) ** 2 * prof.cutoff ** 2
-        term_a, err_a = _radial_integral(prof, lambda s: np.exp(c2(s)) * c1(s) ** 2,
-                                         1e-11 * scale)
         term_b, err_b = dist.radius.expect(
             lambda r: _rho11_disk_boundary_term(r, c2, gamma, prof.kinks))
         return term_a + float(term_b), err_a + float(err_b)
     c2vec = _c_vector(dist, gamma)
-    return dist.expect_shape(lambda k: gamma * 0.5 * _boundary_body_term(gamma, dist, k, 1)
-                             + _rho11_boundary_term(k, c2vec, gamma)), None
+    return term_a + dist.expect_shape(lambda k: _rho11_boundary_term(k, c2vec, gamma)), None
 
 
 def rho_0i(gamma: float, dist: GrainDistribution, i: int) -> float:

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .geometry import (_SHAPE, AlignedRect, ConvexPolygon, Disk, Grains, GrainShape,
-                       PlacedGrain, Window, circumradius, intrinsic_volumes,
+                       PlacedGrain, Window, _shoelace, circumradius, intrinsic_volumes,
                        minkowski_sum_area, shape_to_record)
 # benchmarks/layers.py reads GrainDistribution and ModelConfig from this module.
 from .model import GrainDistribution, ModelConfig
@@ -267,12 +267,16 @@ def replicate_rows(config, functional, reps: int, workers: int = 1):
 
 
 def write_sample(path, s: GermGrainSample):
+    """A grain dump that read_sample reads back to the same arrays, bit for bit."""
     lines = [f"# format: {FORMAT_VERSION}",
              f"# config: {json.dumps(s.config.to_record(), sort_keys=True)}",
              f"# replicate: {s.replicate}",
              f"# count: {len(s.grains)}"]
-    for g in s.placed:
-        lines.append(f"{g.center[0]!r} {g.center[1]!r} {json.dumps(shape_to_record(g.shape))}")
+    for g, verts in zip(s.placed, np.split(s.grains.loc, np.cumsum(s.grains.count)[:-1])):
+        rec = shape_to_record(g.shape)
+        if "vertices" in rec:  # as drawn, not as ConvexPolygon re-centres them
+            rec["vertices"] = verts.tolist()
+        lines.append(f"{g.center[0]!r} {g.center[1]!r} {json.dumps(rec)}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -283,7 +287,13 @@ _GRAIN_LINE = Record({None: (lambda x, y, shape: PlacedGrain((x, y), shape),
 
 
 def _grain_line(text):
-    return _GRAIN_LINE(dict(zip(("x", "y", "shape"), map(json.loads, text.split(None, 2)))))
+    """(PlacedGrain, local vertices): a polygon's as written, counterclockwise
+    (its ConvexPolygon validates them, but re-centres them)."""
+    rec = dict(zip(("x", "y", "shape"), map(json.loads, text.split(None, 2))))
+    grain = _GRAIN_LINE(rec)
+    verts = (np.array(rec["shape"]["vertices"], dtype=float)
+             if isinstance(grain.shape, ConvexPolygon) else Grains.of([grain]).loc)
+    return grain, verts[::-1] if _shoelace(verts) < 0.0 else verts
 
 
 def read_sample(path) -> GermGrainSample:
@@ -296,22 +306,24 @@ def read_sample(path) -> GermGrainSample:
             return parse(text)
         except ValueError as exc:
             raise ValueError(f"{path}:{n}: {field}{exc}") from None
-    headers, placed = {}, []
+    headers, parsed = {}, []
     with open(path) as f:
         for n, line in enumerate(map(str.strip, f), 1):
             if line.startswith("#"):
                 key, _, value = map(str.strip, line[1:].partition(":"))
                 headers[key] = (n, value)
             elif line:
-                placed.append(read(n, line, _grain_line))
+                parsed.append(read(n, line, _grain_line))
     fmt, count = (headers.get(key, (0, None))[1] for key in ("format", "count"))
     if fmt != FORMAT_VERSION:
         raise ValueError(f"{path}: format is {fmt!r}, not {FORMAT_VERSION!r}")
     if "config" not in headers:
         raise ValueError(f"{path}: missing '# config:' header")
-    if count != str(len(placed)):
+    if count != str(len(parsed)):
         raise ValueError(f"{path}: '# count:' header is {count!r}, but the file "
-                         f"holds {len(placed)} grain lines (truncated?)")
+                         f"holds {len(parsed)} grain lines (truncated?)")
     config = read(*headers["config"], lambda t: ModelConfig.from_record(json.loads(t)), "config: ")
     replicate = read(*headers.get("replicate", (0, "0")), int, "replicate: ")
-    return GermGrainSample(Grains.of(placed), config, replicate)
+    placed, outlines = zip(*parsed) if parsed else ((), (np.zeros((0, 2)),))
+    return GermGrainSample(replace(Grains.of(placed), loc=np.concatenate(outlines)), config,
+                           replicate)

@@ -4,15 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 from scipy.stats import qmc
 
 from germgrain import covariance
 from germgrain.cells import clip_cell, grain_constraints, window_cell
-from germgrain.covariance import (AnisotropyError, _blocks, _boundary_body, _c_vector,
-                                  _grid_lookup, _rho11_boundary_term, covariogram_functions,
-                                  p_polynomial, phi_star, rho_0i, rho_11,
-                                  rho_12, rho_22, rho_table, sigma_matrix,
+from germgrain.covariance import (AnisotropyError, _blocks, _boundary_body, _grid_lookup,
+                                  covariogram_functions, p_polynomial, phi_star, rho_0i,
+                                  rho_11, rho_12, rho_22, rho_table, sigma_matrix,
                                   sigma_volume)
 from germgrain.geometry import (ConvexPolygon, Disk, PlacedGrain, Window, covariogram,
                                 disk_covariogram, intrinsic_volumes)
@@ -496,16 +495,18 @@ ROTATED_RECTS = GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.3, 0.6),
 
 class TestRhoPins:
     """rho tables at gamma 0.3.  The uniform disks' entries are the scipy quad
-    oracle of their closed-form profiles (see TestDiskLawOracle); the rotated
-    squares' are values of the scalar-profile code, their (2, 2) entry the
-    exact integral of the tabulated profile (see
+    oracle of their closed-form profiles (see TestDiskLawOracle).  The
+    rotated squares' are the program's values, 2.4e-7 (2, 2), 5.0e-6 (1, 2)
+    and 4.6e-7 (1, 1) relative above the closed-form oracle of
+    TestRotatedSquaresOracle, within its bounds; their (2, 2) entry is also
+    the exact integral of the tabulated profile (see
     test_tabulated_rho22_is_the_table_integral)."""
 
     @pytest.mark.parametrize("dist, want", [
         (GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)),
          {(2, 2): 5.647374053497943, (1, 2): 5.352324283178176, (1, 1): 6.094202066668875}),
         (unit_squares(rotate=True),
-         {(1, 1): 1.4296019531550195, (1, 2): 0.6645379019212775, (2, 2): 0.3210757711056572}),
+         {(1, 1): 1.4296182580409225, (1, 2): 0.6645460951298946, (2, 2): 0.32110299168323314}),
     ], ids=["uniform-disks", "rotated-squares"])
     def test_rho_table(self, dist, want):
         values = rho_table(GAMMA, dist).values
@@ -527,13 +528,86 @@ class TestRhoPins:
         assert rho_22(GAMMA, dist)[0] == pytest.approx(oracle, rel=1e-12)
 
 
+def _square_g2(s):
+    """Matheron's rotation-averaged covariogram of the unit square."""
+    if s <= 1.0:
+        return 1.0 - 4.0 * s / math.pi + s * s / math.pi
+    if s >= math.sqrt(2.0):
+        return 0.0
+    a, b = math.acos(1.0 / s), math.asin(1.0 / s)
+    return 2.0 / math.pi * ((b - a) - 1.0 + 2.0 * math.sqrt(s * s - 1.0) - 0.5 * s * s)
+
+
+def _square_g1(s):
+    """Rotation-averaged boundary covariogram of the unit square (the
+    average over theta of the half-length of the square's boundary inside
+    its translate by s u(theta))."""
+    if s <= 1.0:
+        return 1.0 - 2.0 * s / math.pi
+    if s >= math.sqrt(2.0):
+        return 0.0
+    a, b = math.acos(1.0 / s), math.asin(1.0 / s)
+    return 2.0 / math.pi * ((b - a) - s * (math.sin(b) - math.sin(a)))
+
+
+def _square_rho_oracle(gamma):
+    """(rho22, rho12, rho11) of rotated unit squares by scipy quad of the
+    closed-form profiles, split at their kink s = 1, and rho11's boundary x
+    boundary term by quad and dblquad over its 16 ordered edge pairs: 4 of
+    one edge with itself, 8 adjacent and 4 opposite."""
+    tol = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+
+    def plane(f):
+        return 2.0 * math.pi * sum(quad(lambda s: f(s) * s, lo, hi, **tol)[0]
+                                   for lo, hi in ((0.0, 1.0), (1.0, math.sqrt(2.0))))
+
+    def e(s):
+        return math.exp(gamma * _square_g2(s))
+    same = 2.0 * quad(lambda s: (1.0 - s) * e(s), 0.0, 1.0, **tol)[0]
+    adjacent = dblquad(lambda v, u: e(math.hypot(u, v)), 0.0, 1.0, 0.0, 1.0,
+                       epsabs=0.0, epsrel=1e-12)[0]
+    opposite = dblquad(lambda v, u: e(math.hypot(u - v, 1.0)), 0.0, 1.0, 0.0, 1.0,
+                       epsabs=0.0, epsrel=1e-12)[0]
+    term_b = 0.25 * gamma * (4.0 * same + 8.0 * adjacent + 4.0 * opposite)
+    return (plane(lambda s: math.expm1(gamma * _square_g2(s))),
+            plane(lambda s: e(s) * gamma * _square_g1(s)),
+            plane(lambda s: e(s) * (gamma * _square_g1(s)) ** 2) + term_b)
+
+
+class TestRotatedSquaresOracle:
+    """Rotated unit squares against closed forms that share no code with the
+    program's tables and rules."""
+
+    def test_profiles_are_exact_at_the_table_nodes(self):
+        prof = covariogram_functions(unit_squares(rotate=True))
+        ss = np.linspace(0.0, prof.cutoff, 2049)
+        np.testing.assert_allclose(prof.g2(ss), [_square_g2(s) for s in ss],
+                                   rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(prof.g1(ss), [_square_g1(s) for s in ss],
+                                   rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.3, 1.0])
+    def test_rho_table_matches_oracle(self, gamma):
+        table = rho_table(gamma, unit_squares(rotate=True))
+        bounds = {"rho22": 1e-6, "rho12": 1e-5, "rho11": 2e-6}
+        for (i, j), name, want in zip(((2, 2), (1, 2), (1, 1)), bounds,
+                                      _square_rho_oracle(gamma)):
+            got, err = table.values[i, j], table.errors[f"{name}_quadrature"]
+            assert abs(got - want) <= bounds[name] * want
+            if name != "rho11":  # its boundary x boundary tensor rule reports none
+                assert abs(got - want) <= err
+        assert table.errors["rho11_quadrature"] is None
+
+
 class TestTabulatedPolygonLaws:
     @pytest.mark.parametrize("dist", [ROTATED_HEXAGON, ROTATED_RECTS],
                              ids=["rotated-hexagon", "rotated-uniform-rects"])
     def test_sigma_matrix_is_positive_definite(self, dist):
         cm = sigma_matrix(GAMMA, dist)
         assert np.all(np.linalg.eigvalsh(cm.matrix) > 0.0)
-        assert 0.0 <= cm.rho.errors["rho22_quadrature"] < 1e-12
+        # the error covers the table's interpolation, so it is not rounding
+        for name, (i, j) in (("rho22", (2, 2)), ("rho12", (1, 2))):
+            assert 0.0 < cm.rho.errors[f"{name}_quadrature"] < 1e-4 * cm.rho.values[i, j]
 
     def test_rotated_triangle_does_not_see_its_base_orientation(self):
         # the rotation group holds theta + pi, so a shape and its turn by pi
@@ -548,6 +622,16 @@ class TestTabulatedPolygonLaws:
             np.testing.assert_allclose(g(ss), h(ss), rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(rho_table(GAMMA, dists[0]).values,
                                    rho_table(GAMMA, dists[1]).values, rtol=1e-14, atol=0.0)
+
+    def test_rotated_hexagon_does_not_see_its_base_orientation(self):
+        # the angle panels split where the covariograms change form, so the
+        # tables are exact at their nodes whatever the base orientation
+        turned = GrainDistribution("fixed", shape=ConvexPolygon(tuple(
+            (math.cos(0.3 + k * math.pi / 3.0), math.sin(0.3 + k * math.pi / 3.0))
+            for k in range(6))), rotate=True)
+        base, other = sigma_matrix(GAMMA, ROTATED_HEXAGON), sigma_matrix(GAMMA, turned)
+        np.testing.assert_allclose(other.matrix, base.matrix, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(other.rho.values, base.rho.values, rtol=1e-12, atol=0.0)
 
     def test_rotated_hexagon_takes_under_a_second(self):
         t0 = time.perf_counter()
@@ -573,57 +657,14 @@ class TestGridLookup:
             np.nextafter(ss, np.inf), np.nextafter(ss, -np.inf),
             [0.0, -0.0, cutoff, np.nextafter(cutoff, np.inf), 1.5 * cutoff, 1e300,
              -1.0, -5e-324, -1e300, np.inf, -np.inf, np.nan]])
-        lookup, first = _grid_lookup(ss, *tables), _grid_lookup(ss, tables[0])
         block = s[:len(s) // 4 * 4].reshape(-1, 4)
-        for x in (s, block, 0.3 * cutoff, np.array(0.7 * cutoff), -0.0, cutoff):
-            # one index for both tables, or a lookup of one table alone
-            for t, got in zip(tables + tables[:1], lookup(x) + first(x)):
-                want = np.interp(x, ss, t, right=0.0)
+        # each table, and its every other node as a profile's coarse table
+        for grid, t in [(ss[::step], t[::step]) for t in tables for step in (1, 2)]:
+            lookup = _grid_lookup(grid, t)
+            for x in (s, block, 0.3 * cutoff, np.array(0.7 * cutoff), -0.0, cutoff):
+                got, want = lookup(x), np.interp(x, grid, t, right=0.0)
                 assert np.shape(got) == np.shape(want)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
-class TestPolygonPass:
-    """rho_12 and rho_11's term A of an isotropic polygon law come from one
-    boundary x body pass per shape, memoized with the law's profiles."""
-
-    @pytest.mark.parametrize("dist", [unit_squares(rotate=True), ROTATED_HEXAGON, ROTATED_RECTS],
-                             ids=["rotated-squares", "rotated-hexagon", "rotated-uniform-rects"])
-    @pytest.mark.parametrize("gamma", [0.05, 0.3, 1.0])
-    def test_equals_one_integrand_per_term(self, dist, gamma):
-        c2vec = _c_vector(dist, gamma)
-        c1vec = _c_vector(dist, gamma, profile="g1")
-
-        def one(k, f):
-            return gamma * 0.5 * _boundary_body(k, lambda dx, dy: (f(dx, dy),))[0]
-        want_12 = dist.expect_shape(lambda k: one(k, lambda dx, dy: np.exp(c2vec(dx, dy))))
-        want_11 = dist.expect_shape(lambda k: one(
-            k, lambda dx, dy: np.exp(c2vec(dx, dy)) * c1vec(dx, dy))
-            + _rho11_boundary_term(k, c2vec, gamma))
-        covariogram_functions.cache_clear()  # no pass of an earlier test is read
-        # rho_11 first, so that its pass is the one rho_12 reads
-        assert rho_11(gamma, dist)[0] == want_11
-        assert rho_12(gamma, dist)[0] == want_12
-
-    def test_pass_runs_once_per_gamma_and_again_after_a_clear(self, monkeypatch):
-        calls = []
-
-        def counted(shape, f, n=48, shrink=1):
-            calls.append(shape)
-            return _boundary_body(shape, f, n, shrink)
-        monkeypatch.setattr(covariance, "_boundary_body", counted)
-        dist = unit_squares(rotate=True)
-        covariogram_functions.cache_clear()
-        first = rho_12(GAMMA, dist), rho_11(GAMMA, dist)
-        assert len(calls) == 1  # one shape, one pass for both entries
-        assert (rho_12(GAMMA, dist), rho_11(GAMMA, dist)) == first
-        assert len(calls) == 1
-        rho_12(0.5, dist)
-        assert len(calls) == 2
-        assert list(covariogram_functions(dist).passes) == [0.5]  # the latest gamma only
-        covariogram_functions.cache_clear()
-        assert (rho_12(GAMMA, dist), rho_11(GAMMA, dist)) == first
-        assert len(calls) == 3
 
 
 class TestBlocks:
@@ -643,9 +684,9 @@ class TestBlocks:
         # covariograms taken 7 translations at a time give the same bits
         widths = []
 
-        def counted(shape, f, n=48, shrink=1):
+        def counted(shape, f, n=48):
             widths.append(covariance._BLOCK_ELEMENTS)
-            return _boundary_body(shape, f, n, shrink)
+            return _boundary_body(shape, f, n)
 
         def values():
             covariogram_functions.cache_clear()
@@ -661,10 +702,9 @@ class TestBlocks:
         got = values()
         covariogram_functions.cache_clear()
         assert got.tobytes() == want.tobytes()
-        # not vacuous: both runs evaluated the boundary x body rules (the
-        # rotated squares' one pass and the unrotated squares' rho_12), none
-        # read from a memo of the first run
-        assert widths == [1 << 13] * 2 + [7 * 36] * 2
+        # not vacuous: both runs evaluated the boundary x body rule of the
+        # unrotated squares' rho_12 (an isotropic law takes the radial path)
+        assert widths == [1 << 13, 7 * 36]
 
     @pytest.mark.parametrize("dist", [unit_squares(rotate=True), ROTATED_HEXAGON],
                              ids=["rotated-squares", "rotated-hexagon"])

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import replace
@@ -493,6 +494,49 @@ class TestSampleIO:
             again = tmp_path / "again.txt"
             write_sample(again, s2)
             assert again.read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize("law", [
+        fixed_disk(1.0), GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)),
+        unit_squares(rotate=True),
+        GrainDistribution("fixed", shape=ConvexPolygon(tuple(
+            (0.8 * math.cos(2.0 * math.pi * k / 3), 0.8 * math.sin(2.0 * math.pi * k / 3))
+            for k in range(3))), rotate=True),
+        GrainDistribution("fixed", shape=ConvexPolygon(tuple(
+            (0.6 * math.cos(2.0 * math.pi * k / 6), 0.6 * math.sin(2.0 * math.pi * k / 6))
+            for k in range(6))), rotate=True),
+        GrainDistribution("fixed", shape=ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.3, 0.9))),
+                          rotate=True),
+    ], ids=["unit-disks", "uniform-disks", "rotated-squares", "rotated-triangles",
+            "rotated-hexagons", "rotated-fixed-triangle"])
+    def test_dump_reproduces_its_replicate_bit_for_bit(self, tmp_path, law):
+        # a ConvexPolygon re-centres its vertices, so a dump written or read
+        # through one would move a rotated triangle's vertices by ~1e-15
+        cfg = ModelConfig(0.3, law, Window((0.0, 0.0), (16.0, 16.0)), seed=1)
+        samples = [sample(cfg, k) for k in range(4)]
+        p = tmp_path / "dump.txt"
+        read = []
+        for s in samples:
+            write_sample(p, s)
+            read.append(read_sample(p))
+        for s, s2 in zip(samples, read):
+            for field in ("centres", "radius", "count", "loc"):
+                assert getattr(s2.grains, field).tobytes() == getattr(s.grains, field).tobytes()
+        chunks = [Chunk.of(batch) for batch in (samples, read)]
+        rows = [union.arrangement_measure(c.grains, c.window, counts=c.counts) for c in chunks]
+        assert rows[1].tobytes() == rows[0].tobytes()
+
+    def test_polygon_read_as_written_counterclockwise(self, tmp_path):
+        # a hand-written clockwise triangle, not centred on its circumcircle:
+        # the engines get its vertices where the file puts them, reordered
+        cfg = ModelConfig(0.3, unit_squares(), Window((0.0, 0.0), (4.0, 4.0)), seed=1)
+        tri = [[0.0, 0.0], [0.3, 0.9], [1.0, 0.0]]
+        p = tmp_path / "dump.txt"
+        p.write_text("# format: germgrain-sample-1\n"
+                     f"# config: {json.dumps(cfg.to_record())}\n# count: 1\n"
+                     f"2.0 2.0 {json.dumps({'kind': 'polygon', 'vertices': tri})}\n")
+        grains = read_sample(p).grains
+        assert grains.loc.tolist() == tri[::-1]
+        assert union.arrangement_measure(grains, cfg.window).v2 == pytest.approx(0.45)
 
     def test_missing_header_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"

@@ -9,13 +9,16 @@ for bit:
 
 Standard error gets the wall time of each law's `sigma_matrix` at each gamma,
 its profile tables included (their cache is cleared before each call, which
-moves no value); standard output only the row count and the hash.
+moves no value), and the largest relative gap between the rows of the two
+hexagons, which are one isotropic law; standard output only the row count
+and the hash.
 
 Inputs, each at gamma 0.05, 0.3 and 1.0:
   * disks with radius uniform(0.5, 1.5) (closed-form profiles);
-  * rotated unit squares, a rotated regular hexagon of circumradius 1 and
-    rotated rects with halfwidth uniform(0.3, 0.6) and halfheight 0.5
-    (tabulated profiles and tensor rules);
+  * rotated unit squares, a rotated regular hexagon of circumradius 1, the
+    same hexagon at base angle 0.3, and rotated rects with halfwidth
+    uniform(0.3, 0.6) and halfheight 0.5 (profile tables, exact at their
+    nodes, and the boundary x boundary tensor rule);
   * unrotated unit squares: rho_22 (planar tensor rule) and rho_12 (tensor
     rule with the anisotropic covariogram), the only entries an anisotropic
     law has.
@@ -39,12 +42,20 @@ from germgrain.covariance import covariogram_functions, rho_12, rho_22, sigma_ma
 from germgrain.geometry import ConvexPolygon
 from germgrain.model import GrainDistribution, ParamLaw, unit_squares
 
+
+def rotated_hexagon(base):
+    """The isotropic law of a regular hexagon of circumradius 1, a vertex at
+    angle `base`."""
+    return GrainDistribution("fixed", shape=ConvexPolygon(tuple(
+        (math.cos(base + k * math.pi / 3.0), math.sin(base + k * math.pi / 3.0))
+        for k in range(6))), rotate=True)
+
+
 LAWS = {
     "uniform disks": GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)),
     "rotated squares": unit_squares(rotate=True),
-    "rotated hexagon": GrainDistribution("fixed", shape=ConvexPolygon(tuple(
-        (math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)) for k in range(6))),
-        rotate=True),
+    "rotated hexagon": rotated_hexagon(0.0),
+    "rotated hexagon at base angle 0.3": rotated_hexagon(0.3),
     "rotated uniform rects": GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.3, 0.6),
                                                halfheight=ParamLaw.constant(0.5), rotate=True),
 }
@@ -80,6 +91,11 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     path = argv[0] if argv else "covariance_rows.npy"
     table = rows()
+    hexagons = [table[i * len(GAMMAS):(i + 1) * len(GAMMAS), :WIDTH - len(ERRORS)]
+                for i, name in enumerate(LAWS) if name.startswith("rotated hexagon")]
+    gap = np.max(np.abs(hexagons[0] - hexagons[1]) / np.abs(hexagons[0]))
+    print(f"rotated hexagon rows at base angles 0 and 0.3: largest relative gap {gap:.2e}",
+          file=sys.stderr)
     np.save(path, table)
     with open(path, "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
