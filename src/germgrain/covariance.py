@@ -32,17 +32,20 @@ y lies in K + t, a boundary x body integral of f(y-z) is 2 int f(t) g1_K(t) dt,
 so for every isotropic law rho(V1,V2) and the C1-weighted term of rho(V1,V1)
 are radial integrals of the profiles, like rho(V2,V2): adaptive, split at the
 profile kinks, each reporting its error.  Disk laws have closed-form
-profiles; other isotropic laws tabulate theirs, exact at the nodes and
-linear between them, and add to a reported error the gap to the integral of
-every other node.  A polygon law's boundary x boundary term and an
-anisotropic law's integrals use tensor rules (tanh-sinh on the same-edge
-term), which report no error.
+profiles, and rho(V1,V1)'s boundary x boundary term is one adaptive integral
+over the chord angle with the radius average inside.  Other isotropic laws
+tabulate their profiles, exact at the nodes (a rect's from closed forms, a
+polygon's from Gauss-Legendre angle panels) and linear between them, and
+add to a reported error the gap to the integral of every other node.  A
+tabulated law's boundary x boundary term and an anisotropic law's integrals
+use tensor rules (tanh-sinh on the same-edge term), which report no error.
 
-Every grid -- a profile table, a tensor rule -- is evaluated in blocks of
-about _BLOCK_ELEMENTS elements (_blocks), and a polygon's covariograms on
-chunks of translations that keep their (edges x edges) work within as many
-(_expected, _shape_profiles).  So the layer's memory grows neither with the
-grid nor with a polygon's edge count, and no value depends on the blocks.
+Every grid -- a profile table, a tensor rule, the disk laws' (chord angles x
+radii) -- is evaluated in blocks of about _BLOCK_ELEMENTS elements
+(_blocks), and a polygon's covariograms on chunks of translations that keep
+their (edges x edges) work within as many (_expected, _shape_profiles).  So
+the layer's memory grows neither with the grid nor with a polygon's edge
+count, and no value depends on the blocks.
 """
 
 from __future__ import annotations
@@ -63,6 +66,12 @@ from .quadrature import adaptive_quad, gauss_legendre, legendre_rule, tanh_sinh
 
 # Largest relative gap the assembly may leave to its direct derivations.
 ASSEMBLY_CHECK_TOL = 1e-6
+
+# Largest gamma E V2 the rho integrals, and so sigma_matrix, take.  Past it, sigma's
+# factor (1 - p)^2 = exp(-2 gamma E V2) is no longer a normal double (and
+# exp(C2(0)) = exp(gamma E V2) overflows past 709); the uncovered fraction
+# exp(-gamma E V2) is then below e^-354, which no desk experiment resolves.
+MAX_MEAN_COVERAGE = 354.0
 
 # Elements per block of a grid evaluation: 64 kB per float temporary, half
 # glibc's default mmap threshold, so temporaries reuse heap memory instead of
@@ -112,6 +121,15 @@ def _expected(dist: GrainDistribution, covariance_function):
             out.flat[i:i + size] = expect(tx.flat[i:i + size], ty.flat[i:i + size])
         return out
     return chunked
+
+
+def _check_mean_coverage(gamma, dist: GrainDistribution):
+    """Refuse gamma E V2 above MAX_MEAN_COVERAGE with a ValueError naming both."""
+    ev2 = dist.moments().ev2
+    if not gamma * ev2 <= MAX_MEAN_COVERAGE:
+        raise ValueError(f"gamma {gamma!r} and E v2 {ev2!r} give gamma E v2 = {gamma * ev2:.6g}, "
+                         f"above the covariance's limit {MAX_MEAN_COVERAGE:g}: past it, the "
+                         f"squared uncovered fraction exp(-2 gamma E v2) is not a normal double")
 
 
 def _closed_form(dist: GrainDistribution) -> GrainDistribution:
@@ -244,16 +262,16 @@ def _angle_panels(verts, s):
 
 
 def _shape_profiles(shape, ss):
-    """(2, len(ss)): one shape's covariogram and boundary covariogram (over t
-    and -t), averaged over rotation at the radii ss, exact to rounding: each
+    """(2, len(ss)): one polygon's covariogram and boundary covariogram (over
+    t and -t), averaged over rotation at the radii ss, exact to rounding: each
     panel of _angle_panels takes _PANEL_NODES Gauss-Legendre nodes.  Panels
     are built a block of radii at a time (_blocks) and evaluated in runs of
-    whole radii, a run per _BLOCK_ELEMENTS of work (edges^2 per node for a
-    polygon), each radius summed in node order (np.bincount)."""
+    whole radii, a run per _BLOCK_ELEMENTS of work (edges^2 per node), each
+    radius summed in node order (np.bincount)."""
     verts = _as_polygon_vertices(shape)
     out = np.zeros((2, len(ss)))
     n = int(np.searchsorted(ss, 2.0 * circumradius(shape)))  # beyond, both vanish
-    work = _PANEL_NODES * (len(verts) ** 2 if isinstance(shape, ConvexPolygon) else 1)
+    work = _PANEL_NODES * len(verts) ** 2
     x, w = legendre_rule(_PANEL_NODES)
     for rows in _blocks(n, 2 * len(verts) ** 2 + 2):
         row, lo, hi = _angle_panels(verts, ss[rows])
@@ -276,13 +294,38 @@ def _shape_profiles(shape, ss):
     return out
 
 
+def _rect_profiles(rect, ss):
+    """(2, len(ss)): _shape_profiles of an aligned rect, from closed forms.
+
+    With sides a = 2w, b = 2h and t = s u(theta), theta in [0, pi/2], the
+    rect and its translate by t overlap only for theta in (alpha, beta),
+    alpha = arccos(min(1, a/s)), beta = arcsin(min(1, b/s)): in area
+    (a - s cos)(b - s sin), and the rect's boundary inside the translate is
+    a + b - s cos - s sin long (g1 takes half).  By symmetry, the averages over
+    [0, pi/2] are those over rotation (Matheron's rotation-averaged
+    covariogram of a rectangle).
+    """
+    a, b = 2.0 * rect.halfwidth, 2.0 * rect.halfheight
+    cos_a = np.divide(a, ss, out=np.ones_like(ss), where=ss > a)
+    sin_b = np.divide(b, ss, out=np.ones_like(ss), where=ss > b)
+    alpha, beta = np.arccos(cos_a), np.arcsin(sin_b)
+    span, sin_a, cos_b = beta - alpha, np.sin(alpha), np.cos(beta)
+    g2 = (2.0 / math.pi) * (a * b * span - a * ss * (cos_a - cos_b) - b * ss * (sin_b - sin_a)
+                            + 0.5 * ss * ss * (sin_b * sin_b - sin_a * sin_a))
+    g1 = (1.0 / math.pi) * ((a + b) * span - ss * (cos_a - cos_b + sin_b - sin_a))
+    out = np.where((span > 0.0) & (ss < 2.0 * circumradius(rect)), np.array([g2, g1]), 0.0)
+    out[1, 0] = 0.5 * intrinsic_volumes(rect).v1  # as _shape_profiles
+    return out
+
+
 def _tabulated_profiles(dist: GrainDistribution, n_s: int) -> CovariogramFunctions:
     """Rotation-averaged profiles of any isotropic law on an even grid of
     n_s (odd) radii, exact at the nodes and linear between them, with the
     profiles of every other node as `coarse`."""
     cutoff = 2.0 * dist.rmax
     ss = np.linspace(0.0, cutoff, n_s)
-    tab2, tab1 = dist.expect_shape(lambda k: _shape_profiles(k, ss))
+    tab2, tab1 = dist.expect_shape(lambda k: (
+        _rect_profiles if isinstance(k, AlignedRect) else _shape_profiles)(k, ss))
 
     def profiles(step, coarse=None):
         grid = ss[::step]  # linear interpolation kinks at every interior node
@@ -348,6 +391,7 @@ def rho_22(gamma: float, dist: GrainDistribution):
     if gamma == 0.0:
         return 0.0, 0.0
     dist = _closed_form(dist)
+    _check_mean_coverage(gamma, dist)
     if dist.isotropic:
         prof = covariogram_functions(dist)
         scale = math.expm1(gamma * float(prof.g2(0.0))) * prof.cutoff ** 2
@@ -428,6 +472,7 @@ def rho_12(gamma: float, dist: GrainDistribution):
     if gamma == 0.0:
         return 0.0, 0.0
     dist = _closed_form(dist)
+    _check_mean_coverage(gamma, dist)
     if dist.isotropic:
         prof = covariogram_functions(dist)
         scale = (math.exp(float(gamma * prof.g2(0.0))) * float(gamma * prof.g1(0.0))
@@ -440,14 +485,29 @@ def rho_12(gamma: float, dist: GrainDistribution):
         k, lambda dx, dy: np.exp(c2vec(dx, dy)))), None
 
 
-def _rho11_disk_boundary_term(radius, c2fun, gamma, kinks):
-    """rho11's boundary x boundary term for one radius: (value, error).  Points
-    at chord angle psi are 2 r sin(psi/2) apart, so [0, pi] is taken twice."""
-    chord_kinks = [2.0 * math.asin(k / (2.0 * radius)) for k in kinks if k < 2.0 * radius]
-    scale = math.exp(float(c2fun(0.0))) * math.pi
-    val, err = adaptive_quad(lambda psi: np.exp(c2fun(2.0 * radius * np.sin(0.5 * psi))),
-                             0.0, math.pi, epsabs=1e-11 * scale, points=chord_kinks)
-    return gamma * math.pi * radius ** 2 * np.array([val, err])
+def _disk_boundary_term(law, c2, kinks):
+    """rho11's boundary x boundary term of a disk law: (value, error).
+
+    Points of a radius-r circle at chord angle psi are 2 r sin(psi/2) apart,
+    so [0, pi] is taken twice: the term is gamma pi E[r^2 int_0^pi
+    exp(C2(2 r sin(psi/2))) dpsi].  It is one adaptive integral over psi
+    with the radius average (law.rule) inside, kinked wherever a radius's
+    chord crosses a profile kink; the (abscissae x radii) grid goes in
+    blocks (_blocks).  gamma is left to the caller.
+    """
+    radii, probs = law.rule()
+    weights = probs * radii * radii
+
+    def pairs(psi):
+        half_chord = np.sin(0.5 * psi).ravel()
+        out = np.empty(half_chord.size)
+        for rows in _blocks(half_chord.size, len(radii)):
+            out[rows] = np.exp(c2(2.0 * radii * half_chord[rows, None])) @ weights
+        return out.reshape(np.shape(psi))
+    chord_kinks = [2.0 * math.asin(k / (2.0 * r)) for r in radii for k in kinks if k < 2.0 * r]
+    val, err = adaptive_quad(pairs, 0.0, math.pi, epsabs=1e-11 * math.pi * float(pairs(0.0)),
+                             points=chord_kinks)
+    return math.pi * val, math.pi * err
 
 
 def _rho11_boundary_term(shape, c2vec, gamma, n=48):
@@ -479,13 +539,14 @@ def rho_11(gamma: float, dist: GrainDistribution):
     """Both boundary-measure integrals of rho(V1, V1): (value, error).
 
     Term A (boundary x body) of an isotropic law is
-    2 pi int exp(C2(s)) C1(s)^2 s ds.  Term B (boundary x boundary) is a
-    chord-angle integral per radius for a disk law, whose error sums both
-    terms', and a tensor rule per shape otherwise, with error None.
+    2 pi int exp(C2(s)) C1(s)^2 s ds.  Term B (boundary x boundary) is one
+    chord-angle integral for a disk law (_disk_boundary_term), whose error
+    sums both terms', and a tensor rule per shape otherwise, with error None.
     """
     if gamma == 0.0:
         return 0.0, 0.0
     dist = _closed_form(dist)
+    _check_mean_coverage(gamma, dist)
     if not dist.isotropic:
         c2vec, c1vec = _c_vector(dist, gamma), _expected(dist, boundary_covariogram)
         return dist.expect_shape(lambda k: gamma * 0.5 * _boundary_body(
@@ -497,9 +558,8 @@ def rho_11(gamma: float, dist: GrainDistribution):
     term_a, err_a = _radial_integral(prof, lambda s: np.exp(c2(s)) * c1(s) ** 2,
                                      1e-11 * scale)
     if dist.family == "disk":
-        term_b, err_b = dist.radius.expect(
-            lambda r: _rho11_disk_boundary_term(r, c2, gamma, prof.kinks))
-        return term_a + float(term_b), err_a + float(err_b)
+        term_b, err_b = _disk_boundary_term(dist.radius, c2, prof.kinks)
+        return term_a + gamma * term_b, err_a + gamma * err_b
     c2vec = _c_vector(dist, gamma)
     return term_a + dist.expect_shape(lambda k: _rho11_boundary_term(k, c2vec, gamma)), None
 
@@ -609,7 +669,11 @@ def rho_table(gamma: float, dist: GrainDistribution) -> RhoTable:
 def sigma_matrix(gamma: float, dist: GrainDistribution) -> CovMatrix:
     """Assemble the 3x3 asymptotic covariance matrix for an isotropic planar
     Boolean model, verifying the assembly against the direct volume/surface
-    covariance expressions and the direct Euler-volume covariance."""
+    covariance expressions and the direct Euler-volume covariance.
+
+    Refuses gamma E v2 above MAX_MEAN_COVERAGE (ValueError), and any rho or
+    sigma entry that is not finite (AssemblyError), which the relative
+    cross-checks would pass."""
     dist = _closed_form(dist)
     if not dist.isotropic:
         raise AnisotropyError("sigma_matrix requires an isotropic grain law")
@@ -630,6 +694,9 @@ def sigma_matrix(gamma: float, dist: GrainDistribution) -> CovMatrix:
             sig[i, j] = q * q * acc
     sig = 0.5 * (sig + sig.T)
 
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(sig))):
+        raise AssemblyError(f"non-finite covariance at gamma {gamma!r}: rho table {r.tolist()}, "
+                            f"sigma {sig.tolist()}")
     # The volume/surface and Euler/volume covariances have independent
     # direct derivations; any disagreement is an assembly bug.
     direct_12 = -q * q * v1b * r[2, 2] + q * q * r[1, 2]

@@ -110,6 +110,17 @@ class ParamLaw:
         total = sum(wi * f(xi) for xi, wi in zip(xs, w)) * 0.5 * (b - a)
         return total / (b - a)
 
+    def rule(self):
+        """(values, probabilities) of expect's nodes as arrays: the atoms, or
+        the Gauss-Legendre(24) nodes on [a, b]."""
+        if self.kind == "constant":
+            return np.array(self.args), np.ones(1)
+        if self.kind == "discrete":
+            return tuple(np.array(v) for v in self.args)
+        a, b = self.args
+        x, w = legendre_rule(24)
+        return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * w
+
     def to_record(self) -> dict:
         return _LAW.write(self)
 

@@ -213,8 +213,9 @@ def chunks(samples):
 def _replicate_range(config: ModelConfig, functional, lo: int, hi: int) -> list:
     """The rows of functional over the samples k = lo..hi-1, a chunk at a time.
 
-    A ReplicateError is re-raised naming the replicate, so that its grains
-    can be dumped again with `germgrain simulate`.
+    A ReplicateError is re-raised naming the replicate, with a `germgrain
+    simulate` command line that dumps its grains again as given: the model's
+    own flags, shell-quoted, and an output file.
     """
     from .union import ReplicateError
     rows = []
@@ -222,11 +223,15 @@ def _replicate_range(config: ModelConfig, functional, lo: int, hi: int) -> list:
         try:
             rows.extend(functional(chunk))
         except ReplicateError as exc:
+            import shlex  # only a failure needs it
             bad = chunk.replicates[exc.index]
             (x0, y0), (x1, y1) = config.window.lo, config.window.hi
-            where = f"--seed {config.seed} --window {x0!r} {y0!r} {x1!r} {y1!r} --replicate {bad}"
+            grains = shlex.quote(json.dumps(config.grains.to_record(), sort_keys=True))
+            line = (f"germgrain simulate --gamma {config.gamma!r} --grains {grains} "
+                    f"--seed {config.seed} --window {x0!r} {y0!r} {x1!r} {y1!r} "
+                    f"--replicate {bad} --out replicate-{bad}.txt")
             raise RuntimeError(f"replicate {bad} failed ({exc}); reproduce its grains with "
-                               f"germgrain simulate --config <config> {where}") from exc
+                               f"{line}") from exc
     return rows
 
 

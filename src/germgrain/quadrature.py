@@ -132,10 +132,40 @@ def adaptive_quad(f, a, b, epsabs, epsrel=1e-10, limit=200, points=None):
     return val, err
 
 
+def _legval(x, c):
+    """The Legendre series with coefficients c (low degree first) at x, by
+    numpy's legval: the same Clenshaw steps in the same order."""
+    c0, c1 = (c[-2], c[-1]) if len(c) > 1 else (c[0], 0.0)
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def legendre_rule(n):
-    """Gauss-Legendre nodes and weights on [-1, 1]; made once per n, read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [-1, 1]; made once per n, read-only.
+
+    numpy's leggauss step for step, bit for bit, without loading
+    numpy.polynomial, whose import every process would pay for: the
+    eigenvalues of the symmetric companion matrix of L_n, one Newton step,
+    weights from L_n' and L_{n-1} scaled to sum 2, and both made symmetric.
+    """
+    c = [0.0] * n + [1.0]
+    # L_n' = sum of (2k + 1) L_k over k = n - 1, n - 3, ...: legder's coefficients
+    derivative = [2.0 * k + 1.0 if (n - k) % 2 else 0.0 for k in range(n)]
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    companion = np.zeros((n, n))
+    companion.flat[1::n + 1] = companion.flat[n::n + 1] = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(companion)
+    dy, df = _legval(x, c), _legval(x, derivative)
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1.0 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

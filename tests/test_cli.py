@@ -197,6 +197,9 @@ def _refused(argv, field):
 DISK = {"family": "disk", "rotate": False, "radius": {"law": "constant", "value": 1.0}}
 RECT = {"family": "rect", "rotate": False, "halfwidth": {"law": "constant", "value": 0.5},
         "halfheight": {"law": "constant", "value": 0.25}}
+ROTATED_SQUARES = {"family": "rect", "rotate": True,
+                   "halfwidth": {"law": "constant", "value": 0.5},
+                   "halfheight": {"law": "constant", "value": 0.5}}
 PREDICT = ["predict", "--gamma", "0.5", "--window", "0", "0", "8", "8", "--grains"]
 
 
@@ -250,6 +253,25 @@ class TestMalformedRecords:
         _refused(argv, f"gamma {float(gamma)}")
         err = _run(argv)[1]
         assert "dilated window area 99.1416" in err and f"draws {count} grains" in err, err
+
+    @pytest.mark.parametrize("grains, gamma, refused", [
+        (DISK, "110", False), (DISK, "120", True), (DISK, "225", True), (DISK, "230", True),
+        (ROTATED_SQUARES, "230", False), (ROTATED_SQUARES, "400", True)],
+        ids=["disks-110", "disks-120", "disks-225", "disks-230", "squares-230", "squares-400"])
+    def test_covariance_refuses_a_mean_coverage_past_its_limit(self, grains, gamma, refused):
+        # Past gamma E v2 = 354 the uncovered fraction squared is no normal double
+        # (unit disks: E v2 = pi; unit squares: 1), and the integrals underflow to
+        # 0, to NaN or overflow: one error line, no warning, and no output file.
+        argv = ["covariance", "--gamma", gamma, "--window", "0", "0", "8", "8",
+                "--grains", json.dumps(grains)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if refused:
+                ev2 = math.pi if grains is DISK else 1.0
+                _refused(argv, f"gamma {float(gamma)} and E v2 {ev2!r}")
+                assert "limit 354" in _run(argv)[1]
+            else:
+                assert _run(argv) == (0, "", True)
 
     @pytest.mark.parametrize("change, field", [
         ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
@@ -599,7 +621,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         "germgrain.model", "germgrain.quadrature", "germgrain.records"}
     assert not loaded & {"germgrain.cells", "germgrain.rng", "germgrain.process",
                          "germgrain.union", "germgrain.moments", "germgrain.cltstats",
-                         "concurrent.futures.process", "numpy.ma"}
+                         "concurrent.futures.process", "numpy.ma", "numpy.polynomial"}
     estimate = run.format("estimate", "'--reps', '4', '--threads', '1', '--out', 'e.csv'")
     loaded = _modules_after(estimate, tmp_path)
     assert "germgrain.moments" in loaded

@@ -9,12 +9,13 @@ from scipy.stats import qmc
 
 from germgrain import covariance
 from germgrain.cells import clip_cell, grain_constraints, window_cell
-from germgrain.covariance import (AnisotropyError, _blocks, _boundary_body, _grid_lookup,
-                                  covariogram_functions, p_polynomial, phi_star, rho_0i,
-                                  rho_11, rho_12, rho_22, rho_table, sigma_matrix,
-                                  sigma_volume)
-from germgrain.geometry import (ConvexPolygon, Disk, PlacedGrain, Window, covariogram,
-                                disk_covariogram, intrinsic_volumes)
+from germgrain.covariance import (AnisotropyError, AssemblyError, RhoTable, _blocks,
+                                  _boundary_body, _grid_lookup, _rect_profiles,
+                                  _shape_profiles, covariogram_functions, p_polynomial,
+                                  phi_star, rho_0i, rho_11, rho_12, rho_22, rho_table,
+                                  sigma_matrix, sigma_volume)
+from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk, PlacedGrain, Window,
+                                covariogram, disk_covariogram, intrinsic_volumes)
 from germgrain.model import GrainDistribution, ModelConfig, ParamLaw, fixed_disk, unit_squares
 from germgrain.process import sample
 from germgrain.quadrature import gauss_legendre
@@ -327,6 +328,24 @@ class TestSigmaMatrix:
                      + math.exp(-GAMMA * math.pi) ** 2 * cm.rho.values[1, 2])
         assert cm.matrix[1, 2] == pytest.approx(direct_12, rel=1e-9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rho_is_refused(self, monkeypatch, bad):
+        # a NaN passes every relative cross-check (each comparison is false)
+        table = rho_table(GAMMA, DISK1)
+        values = table.values.copy()
+        values[1, 1] = bad
+        monkeypatch.setattr(covariance, "rho_table", lambda gamma, dist: RhoTable(values, {}))
+        with pytest.raises(AssemblyError, match="non-finite covariance at gamma 0.3"):
+            sigma_matrix(GAMMA, DISK1)
+
+    @pytest.mark.parametrize("gamma, dist", [(113.0, DISK1), (354.5, unit_squares(rotate=True))])
+    def test_refuses_a_mean_coverage_past_the_limit(self, gamma, dist):
+        with pytest.raises(ValueError, match=f"gamma {gamma!r} and E v2"):
+            sigma_matrix(gamma, dist)
+        for rho in (rho_22, rho_12, rho_11):
+            with pytest.raises(ValueError, match="above the covariance's limit 354"):
+                rho(gamma, dist)
+
     @pytest.mark.parametrize("gamma", [1e-8, 1e-11, 1e-14, 1e-20])
     @pytest.mark.parametrize("dist", [DISK1, unit_squares(rotate=True)],
                              ids=["unit-disks", "rotated-squares"])
@@ -491,6 +510,7 @@ ROTATED_HEXAGON = GrainDistribution("fixed", shape=ConvexPolygon(tuple(
     (math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)) for k in range(6))), rotate=True)
 ROTATED_RECTS = GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.3, 0.6),
                                   halfheight=ParamLaw.constant(0.5), rotate=True)
+UNIFORM_DISKS = GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5))
 
 
 class TestRhoPins:
@@ -503,7 +523,7 @@ class TestRhoPins:
     test_tabulated_rho22_is_the_table_integral)."""
 
     @pytest.mark.parametrize("dist, want", [
-        (GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)),
+        (UNIFORM_DISKS,
          {(2, 2): 5.647374053497943, (1, 2): 5.352324283178176, (1, 1): 6.094202066668875}),
         (unit_squares(rotate=True),
          {(1, 1): 1.4296182580409225, (1, 2): 0.6645460951298946, (2, 2): 0.32110299168323314}),
@@ -599,6 +619,19 @@ class TestRotatedSquaresOracle:
         assert table.errors["rho11_quadrature"] is None
 
 
+class TestRectProfiles:
+    """A rect law's tables come from closed forms, which agree with the
+    angle panels of a polygon's tables at every node."""
+
+    @pytest.mark.parametrize("w, h, cutoff", [
+        (0.5, 0.5, math.sqrt(2.0)), (0.35, 0.15, 2.0 * math.hypot(0.35, 0.15)),
+        *[(w, 0.5, 2.0 * ROTATED_RECTS.rmax) for w in ROTATED_RECTS.halfwidth.rule()[0]]])
+    def test_closed_forms_are_the_angle_panels_at_the_nodes(self, w, h, cutoff):
+        rect, ss = AlignedRect(w, h), np.linspace(0.0, cutoff, 2049)
+        np.testing.assert_allclose(_rect_profiles(rect, ss), _shape_profiles(rect, ss),
+                                   rtol=0.0, atol=1e-14)
+
+
 class TestTabulatedPolygonLaws:
     @pytest.mark.parametrize("dist", [ROTATED_HEXAGON, ROTATED_RECTS],
                              ids=["rotated-hexagon", "rotated-uniform-rects"])
@@ -681,7 +714,9 @@ class TestBlocks:
 
     def test_values_do_not_depend_on_the_block_size(self, monkeypatch):
         # blocks of 4 rows or columns, the smallest, and the hexagon's
-        # covariograms taken 7 translations at a time give the same bits
+        # covariograms taken 7 translations at a time give the same bits;
+        # so does the uniform disks' boundary x boundary term, 8 chord
+        # angles x 24 radii at a time
         widths = []
 
         def counted(shape, f, n=48):
@@ -695,7 +730,8 @@ class TestBlocks:
             ss = np.linspace(0.0, prof.cutoff, 513)
             return np.concatenate([cm.matrix.ravel(), cm.rho.values.ravel(),
                                    prof.g2(ss), prof.g1(ss), rho_22(GAMMA, unit_squares()),
-                                   rho_12(GAMMA, unit_squares())[:1]])
+                                   rho_12(GAMMA, unit_squares())[:1],
+                                   rho_11(GAMMA, UNIFORM_DISKS)])
         monkeypatch.setattr(covariance, "_boundary_body", counted)
         want = values()
         monkeypatch.setattr(covariance, "_BLOCK_ELEMENTS", 7 * 36)

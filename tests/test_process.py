@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import shlex
 from dataclasses import replace
 from functools import partial
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from germgrain import cltstats, moments, process, union
+from germgrain import cli, cltstats, moments, process, union
 from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk, Grains, PlacedGrain, Window,
                                 intrinsic_volumes, minkowski_sum_area, rotate_shape)
 from germgrain.model import GrainDistribution, ModelConfig, ParamLaw, fixed_disk, unit_squares
@@ -426,12 +427,21 @@ class TestReplicateRows:
         assert len(one) == 1 and one[0].tobytes() == want[1].tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failure_names_its_config_and_replicate(self, workers):
+    def test_failure_names_its_config_and_replicate(self, workers, tmp_path, monkeypatch):
         with pytest.raises(RuntimeError) as info:
             replicate_rows(self.CONFIGS, _fails_at_9x9_replicate_7, 10, workers)
         msg = str(info.value)
         assert msg.startswith("replicate 7 failed (planted failure)")
         assert "--seed 4 --window 0.0 0.0 9.0 9.0 --replicate 7" in msg
+        # the printed line runs as it stands and dumps the failing replicate's grains
+        line = msg.split("reproduce its grains with ")[1]
+        assert line.startswith("germgrain simulate ") and "<" not in line
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(shlex.split(line)[1:]) == 0
+        dumped, want = read_sample(tmp_path / "replicate-7.txt"), sample(self.CONFIGS[1], 7)
+        assert dumped.config == self.CONFIGS[1] and dumped.replicate == 7
+        for f in ("centres", "radius", "count", "loc"):
+            assert getattr(dumped.grains, f).tobytes() == getattr(want.grains, f).tobytes()
 
 
 class TestStationarity:

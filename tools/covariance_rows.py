@@ -14,11 +14,14 @@ hexagons, which are one isotropic law; standard output only the row count
 and the hash.
 
 Inputs, each at gamma 0.05, 0.3 and 1.0:
-  * disks with radius uniform(0.5, 1.5) (closed-form profiles);
-  * rotated unit squares, a rotated regular hexagon of circumradius 1, the
-    same hexagon at base angle 0.3, and rotated rects with halfwidth
-    uniform(0.3, 0.6) and halfheight 0.5 (profile tables, exact at their
-    nodes, and the boundary x boundary tensor rule);
+  * disks with radius uniform(0.5, 1.5) (closed-form profiles, and one
+    chord-angle integral, the radius average inside, for rho11's boundary x
+    boundary term);
+  * rotated unit squares and rotated rects with halfwidth uniform(0.3, 0.6)
+    and halfheight 0.5 (profile tables filled from closed forms), a rotated
+    regular hexagon of circumradius 1 and the same hexagon at base angle 0.3
+    (profile tables from angle panels); each table is exact at its nodes,
+    and each law takes the boundary x boundary tensor rule;
   * unrotated unit squares: rho_22 (planar tensor rule) and rho_12 (tensor
     rule with the anisotropic covariogram), the only entries an anisotropic
     law has.
