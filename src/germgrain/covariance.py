@@ -570,6 +570,7 @@ def rho_0i(gamma: float, dist: GrainDistribution, i: int) -> float:
     i = 2 needs no isotropy; i in {0, 1} does.
     """
     dist = _closed_form(dist)
+    _check_mean_coverage(gamma, dist)
     d = 2
     m = dist.moments()
     vbar = [gamma, gamma * m.ev1, gamma * m.ev2]

@@ -218,6 +218,14 @@ def _seg_in_poly(bd, p, j):
     blocks of _ROW_BLOCK, which bounds the (body width x rows) temporaries.
     They are slot-major, so every reduction over a body's edges runs along
     the rows; numpy reduces a short inner axis many times slower.
+
+    A block gathers j's edge lines once and releases them once f0, den and
+    the same-direction test exist.  Only a block that holds a tie (an edge
+    on one of j's edge lines, or a crossing at a vertex) or a body narrower
+    than the table does the work that resolves it; a block without one
+    would have found every tie and padding mask all false.  Either way each
+    row's values come from that row's own entries, so no row depends on
+    what else its block holds.
     """
     if len(p) > _ROW_BLOCK:
         blocks = [_seg_in_poly(bd, p[i:i + _ROW_BLOCK], j[i:i + _ROW_BLOCK])
@@ -226,27 +234,41 @@ def _seg_in_poly(bd, p, j):
     # Transposed after the gather: a slot-major table indexed [:, j] would
     # come out laid out by j, not by slot.
     h = np.ascontiguousarray(bd.table[j].T)
-    pad = h < 0
-    h = np.where(pad, 0, h)
+    # A body narrower than the table closes at its last edge, not at the
+    # padding after it, whose edge-line functions read -1.
+    short = np.flatnonzero(bd.count[j] < len(h))
+    if len(short):
+        pad = h < 0
+        h = np.where(pad, 0, h)
+    nx, ny, off = bd.nx[h], bd.ny[h], bd.off[h]
 
     def level(qx, qy):
-        # j's edge-line functions at the points (qx, qy), -1 on padding.
-        return np.where(pad, -1.0, bd.nx[h] * qx + bd.ny[h] * qy - bd.off[h])
+        # j's edge-line functions at the points (qx, qy), summed in place
+        # for fewer (slots x rows) temporaries: the same arithmetic.
+        f = nx * qx
+        f += ny * qy
+        f -= off
+        return f
     px, py = bd.x[p], bd.y[p]
     f0 = level(px, py)
-    den = level(px + bd.dx[p], py + bd.dy[p]) - f0
-    same = ((f0 == 0.0) & (den == 0.0) & (j < bd.body[p])
-            & (bd.nx[h] * bd.nx[p] + bd.ny[h] * bd.ny[p] > 0.0))
-    blocked = np.any((den == 0.0) & (f0 >= 0.0) & ~same, axis=0)
+    den = level(px + bd.dx[p], py + bd.dy[p])
+    if len(short):
+        f0[pad] = -1.0
+        den[pad] = -1.0
+    den -= f0
+    flat = den == 0.0
+    tie = flat & (f0 == 0.0)
+    same = None
+    if tie.any():
+        same = tie & (j < bd.body[p]) & (nx * bd.nx[p] + ny * bd.ny[p] > 0.0)
+        flat &= ~same
+    del nx, ny, off, tie
+    blocked = np.any(flat & (f0 >= 0.0), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = f0 / -den  # -den is f0 - f1 exactly; at den == 0 t is not used
     t_in = np.where(den < 0.0, t, -np.inf)
     t_out = np.where(den > 0.0, t, np.inf)
     lo, hi = np.max(t_in, axis=0), np.min(t_out, axis=0)
-    # Crossing a vertex crosses both its edge lines at once; the boundary
-    # runs into the vertex along the edge that ends there.  A body narrower
-    # than the table closes at its last edge, not at the padding after it.
-    short = np.flatnonzero(bd.count[j] < len(h))
     last = bd.count[j[short]] - 1
 
     def first(mask):
@@ -257,14 +279,20 @@ def _seg_in_poly(bd, p, j):
         return out
 
     def crossed(tt, ext):
+        # Crossing a vertex crosses both its edge lines at once; the boundary
+        # runs into the vertex along the edge that ends there.
         near = np.abs(tt - ext) <= _EPS
         ends = np.empty_like(near)
         ends[:-1] = near[:-1] & near[1:]
         ends[-1] = near[-1] & near[0]
-        ends[last, short] = near[last, short] & near[0, short]
-        return first(np.where(ends.any(axis=0), ends, near))
+        if len(short):
+            ends[last, short] = near[last, short] & near[0, short]
+        any_end = ends.any(axis=0)
+        return first(np.where(any_end, ends, near) if any_end.any() else near)
     c_in = crossed(t_in, lo)
-    c_out = np.where(same.any(axis=0), first(same), crossed(t_out, hi))
+    c_out = crossed(t_out, hi)
+    if same is not None:
+        c_out = np.where(same.any(axis=0), first(same), c_out)
     lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
     return lo, np.where(blocked, lo, hi), c_in, c_out
 

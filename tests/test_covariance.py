@@ -345,6 +345,9 @@ class TestSigmaMatrix:
         for rho in (rho_22, rho_12, rho_11):
             with pytest.raises(ValueError, match="above the covariance's limit 354"):
                 rho(gamma, dist)
+        for i in range(3):
+            with pytest.raises(ValueError, match="above the covariance's limit 354"):
+                rho_0i(gamma, dist, i)
 
     @pytest.mark.parametrize("gamma", [1e-8, 1e-11, 1e-14, 1e-20])
     @pytest.mark.parametrize("dist", [DISK1, unit_squares(rotate=True)],

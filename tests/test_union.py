@@ -451,13 +451,50 @@ class TestChunks:
         singles = np.concatenate([_rows_of([sample(win_cfg, k)]) for k in range(60)])
         assert one.tobytes() == singles.tobytes()
 
-    @pytest.mark.parametrize("law", sorted(LAWS))
-    def test_rows_do_not_depend_on_the_row_block(self, monkeypatch, law):
-        chunk = Chunk.of(self.samples(self.LAWS[law])[:20])
+    GRID = "exact-grid rects and diamonds"
+
+    @staticmethod
+    def grid_chunk():
+        """The rect and diamond sets of tools/engine_rows.py on seed 5 that
+        measure without raising, as one chunk.  Their edges lie on each
+        other's edge lines and meet at vertices, so the edge kernel's ties
+        turn up in some row blocks and not in others."""
+        window = Window((-3.0, -3.0), (3.0, 3.0))
+
+        def shape(rng, kind):
+            if kind == "rects":
+                return AlignedRect(0.5 * int(rng.integers(1, 4)), 0.5 * int(rng.integers(1, 4)))
+            s = 0.5 * int(rng.integers(1, 5))
+            return ConvexPolygon(((s, 0.0), (0.0, s), (-s, 0.0), (0.0, -s)))
+
+        def measures(g):
+            try:
+                for corrected in (False, True):
+                    arrangement_measure(g, window, edge_corrected=corrected)
+            except ReplicateError:
+                return False
+            return True
+        parts = []
+        for kind in ("rects", "diamonds"):
+            rng = np.random.default_rng(5)
+            parts += [Grains.of([PlacedGrain((0.5 * int(rng.integers(-6, 7)),
+                                              0.5 * int(rng.integers(-6, 7))), shape(rng, kind))
+                                 for _ in range(int(rng.integers(1, 6)))])
+                      for _ in range(200)]
+        parts = [g for g in parts if measures(g)]
+        return Grains.join(*parts), window, [len(g) for g in parts]
+
+    @pytest.mark.parametrize("case", sorted(LAWS) + [GRID])
+    def test_rows_do_not_depend_on_the_row_block(self, monkeypatch, case):
+        if case == self.GRID:
+            grains, window, counts = self.grid_chunk()
+        else:
+            chunk = Chunk.of(self.samples(self.LAWS[case])[:20])
+            grains, window, counts = chunk.grains, self.WIN, chunk.counts
 
         def rows():
             return np.concatenate([
-                arrangement_measure(chunk.grains, self.WIN, counts=chunk.counts,
+                arrangement_measure(grains, window, counts=counts,
                                     edge_corrected=corrected) for corrected in (False, True)])
         want = rows()
         monkeypatch.setattr(union, "_ROW_BLOCK", 7)
