@@ -1,11 +1,11 @@
 """Exact convex cells bounded by line segments and circular arcs.
 
-A cell is the intersection of a rectangular window with any number of placed
-disks, aligned rectangles and convex polygons.  Its boundary is kept as an
-ordered counterclockwise chain of primitives (segments and arcs), built by
-clipping the window chain sequentially against each constraint:
+A cell is the intersection of a rectangular window with any number of grains
+(Grains rows: disks and convex polygons).  Its boundary is kept as an ordered
+counterclockwise chain of primitives (segments and arcs), built by clipping
+the window chain sequentially against each constraint:
 
-  * halfplane clip (rect and polygon edges) -- the removed part of a convex
+  * halfplane clip (polygon edges) -- the removed part of a convex
     chain is one contiguous run, closed with a single chord;
   * disk clip -- the chain may enter and leave the circle several times, and
     every gap is closed with the counterclockwise arc of the clipping circle.
@@ -23,10 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import (TWO_PI, AlignedRect, Disk, PlacedGrain, Window, _as_polygon_vertices,
-                       polygon_halfplanes)
+from .geometry import TWO_PI, Grains, Window, polygon_halfplanes
 
 # Coordinate epsilon for vertex identification.
 COORD_EPS = 1e-9
@@ -284,18 +281,11 @@ def clip_chain_disk(chain, center, radius, tol=COORD_EPS):
 # ---------------------------------------------------------------------------
 
 
-def grain_constraints(grain: PlacedGrain):
-    """Constraints of a placed grain: ('h', normal, offset) and ('d', center, radius)."""
-    cx, cy = grain.center
-    shape = grain.shape
-    if isinstance(shape, Disk):
-        return [("d", (cx, cy), shape.radius)]
-    if isinstance(shape, AlignedRect):
-        w, h = shape.halfwidth, shape.halfheight
-        return [("h", (1.0, 0.0), cx + w), ("h", (-1.0, 0.0), -(cx - w)),
-                ("h", (0.0, 1.0), cy + h), ("h", (0.0, -1.0), -(cy - h))]
-    verts = _as_polygon_vertices(shape) + np.array([cx, cy])
-    normals, offsets = polygon_halfplanes(verts)
+def grain_constraints(centre, radius, loc):
+    """Constraints of a Grains row: ('d', center, radius), or ('h', normal, offset) per edge."""
+    if radius > 0.0:
+        return [("d", (float(centre[0]), float(centre[1])), float(radius))]
+    normals, offsets = polygon_halfplanes(centre + loc)
     return [("h", (float(n[0]), float(n[1])), float(off)) for n, off in zip(normals, offsets)]
 
 
@@ -373,13 +363,13 @@ def intersect_convex(grains, window: Window, cap: int = 20):
     of the intersection cell and cell is the ConvexCell (None when empty).
     Raises TooManyGrainsError beyond the cap -- never silent truncation.
     """
-    grains = list(grains)
+    grains = Grains.of(grains)
     if not 1 <= len(grains) <= cap:
         raise TooManyGrainsError(
             f"intersect_convex accepts 1..{cap} grains, got {len(grains)}")
     cell = window_cell(window)
-    for g in grains:
-        cell = clip_cell(cell, grain_constraints(g))
+    for row in grains:
+        cell = clip_cell(cell, grain_constraints(*row))
         if cell is None:
             return (0.0, 0.0, 0.0), None
     return cell.functionals(), cell

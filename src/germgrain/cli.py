@@ -105,7 +105,7 @@ def _cmd_measure(args):
     if args.engine == "arrangement":
         fv = arrangement_measure(s.grains, s.config.window)
     elif args.engine == "inclusion-exclusion":
-        fv = inclusion_exclusion_measure(s.placed, s.config.window)
+        fv = inclusion_exclusion_measure(s.grains, s.config.window)
     else:
         fv = pixel_measure(s.grains, s.config.window, args.resolution)
     _write_csv(args.out, s.config, ["engine", "replicate", "v0", "v1", "v2"],

@@ -38,7 +38,9 @@ tabulate their profiles, exact at the nodes (a rect's from closed forms, a
 polygon's from Gauss-Legendre angle panels) and linear between them, and
 add to a reported error the gap to the integral of every other node.  A
 tabulated law's boundary x boundary term and an anisotropic law's integrals
-use tensor rules (tanh-sinh on the same-edge term), which report no error.
+use tensor rules (tanh-sinh on the same-edge term), which report no error
+except rho(V2,V2)'s, a 96- against a 48-node rule over the covariogram's
+support box.
 
 Every grid -- a profile table, a tensor rule, the disk laws' (chord angles x
 radii) -- is evaluated in blocks of about _BLOCK_ELEMENTS elements
@@ -399,14 +401,18 @@ def rho_22(gamma: float, dist: GrainDistribution):
                                  1e-10 * max(scale, 1e-6))
     # Anisotropic: tensor integral over the upper half-plane, doubled.  A
     # covariogram is even, g(t) = g(-t), but need not be mirror-symmetric in
-    # either axis, so the quadrants [0, c]^2 and [-c, 0] x [0, c] both count.
-    cutoff = 2.0 * dist.rmax
+    # either axis, so the quadrants [0, cx] x [0, cy] and [-cx, 0] x [0, cy]
+    # both count.  The box is the covariogram's support, the extent of K - K
+    # (twice the largest half-sides, or the shape's extent), so no panel
+    # holds its edge.
+    cx, cy = ((2.0 * dist.halfwidth.support_max(), 2.0 * dist.halfheight.support_max())
+              if dist.family == "rect" else np.ptp(_as_polygon_vertices(dist.shape), axis=0))
     c2 = _c_vector(dist, gamma)
 
     def half_plane(n):
-        xs, wx = gauss_legendre(n, 0.0, cutoff)
-        return 2.0 * sum(_tensor_rule(wx, wx, lambda cols: np.expm1(c2(*np.meshgrid(
-            side * xs, xs[cols], indexing="ij")))) for side in (1.0, -1.0))
+        (xs, wx), (ys, wy) = gauss_legendre(n, 0.0, cx), gauss_legendre(n, 0.0, cy)
+        return 2.0 * sum(_tensor_rule(wx, wy, lambda cols: np.expm1(c2(*np.meshgrid(
+            side * xs, ys[cols], indexing="ij")))) for side in (1.0, -1.0))
     val = half_plane(96)
     return val, abs(val - half_plane(48))
 

@@ -518,6 +518,10 @@ class Grains:
     def __len__(self):
         return len(self.centres)
 
+    def __iter__(self):
+        """Each grain's row: (centre, radius, local vertices)."""
+        return zip(self.centres, self.radius, np.split(self.loc, np.cumsum(self.count)[:-1]))
+
     @property
     def reach(self) -> np.ndarray:
         """Circumradius of each grain about its centre."""
@@ -540,14 +544,21 @@ class Grains:
                         for f in ("centres", "radius", "count", "loc")))
 
     @staticmethod
+    def stack(rows) -> "Grains":
+        """The Grains of a sequence of rows."""
+        centres, radius, outlines = tuple(zip(*rows)) or ((), (), ())
+        return Grains(np.array(centres, dtype=float).reshape(-1, 2), np.array(radius, dtype=float),
+                      np.array([len(o) for o in outlines], dtype=np.int64),
+                      np.concatenate([np.zeros((0, 2)), *outlines]))
+
+    @staticmethod
     def of(grains) -> "Grains":
         """A Grains unchanged, or the arrays of a sequence of PlacedGrain."""
-        if isinstance(grains, Grains):
-            return grains
-        grains = list(grains)
-        outlines = [np.zeros((1, 2)) if isinstance(g.shape, Disk) else _as_polygon_vertices(g.shape)
-                    for g in grains]
-        return Grains(np.array([g.center for g in grains], dtype=float).reshape(-1, 2),
-                      np.array([getattr(g.shape, "radius", 0.0) for g in grains], dtype=float),
-                      np.array([len(o) for o in outlines], dtype=np.int64),
-                      np.concatenate(outlines) if grains else np.zeros((0, 2)))
+        return grains if isinstance(grains, Grains) else Grains.stack(
+            (g.center, *_row_of(g.shape)) for g in grains)
+
+
+def _row_of(shape):
+    """A shape's radius and local vertices, as a Grains row holds them."""
+    return ((shape.radius, np.zeros((1, 2))) if isinstance(shape, Disk)
+            else (0.0, _as_polygon_vertices(shape)))

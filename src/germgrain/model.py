@@ -17,9 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .geometry import (_SHAPE, AlignedRect, Disk, Grains, GrainShape, Window,
-                       _as_polygon_vertices, circumradius, intrinsic_volumes,
-                       minkowski_sum_area)
+from .geometry import (_SHAPE, AlignedRect, Disk, Grains, GrainShape, Window, _row_of,
+                       circumradius, intrinsic_volumes, minkowski_sum_area)
 from .quadrature import legendre_rule
 from .records import BOOLEAN, INTEGER, NUMBER, POINT, Record, list_of
 
@@ -238,8 +237,7 @@ class GrainDistribution:
             h = self.halfheight.sample(rng, n)
             radius, loc = 0.0, np.stack([w, h, -w, h, -w, -h, w, -h], axis=1).reshape(n, 4, 2)
         else:
-            radius = self.shape.radius if isinstance(self.shape, Disk) else 0.0
-            verts = np.zeros((1, 2)) if radius else _as_polygon_vertices(self.shape)
+            radius, verts = _row_of(self.shape)
             loc = np.broadcast_to(verts, (n,) + verts.shape)
         if self.rotate and self.family != "disk":
             angles = rng.uniform(0.0, 2.0 * math.pi, size=n)

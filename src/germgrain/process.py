@@ -18,8 +18,8 @@ from functools import partial
 import numpy as np
 
 from .geometry import (_SHAPE, AlignedRect, ConvexPolygon, Disk, Grains, GrainShape,
-                       PlacedGrain, Window, _shoelace, circumradius, intrinsic_volumes,
-                       minkowski_sum_area, shape_to_record)
+                       PlacedGrain, Window, _row_of, _shoelace, circumradius,
+                       intrinsic_volumes, minkowski_sum_area)
 # benchmarks/layers.py reads GrainDistribution and ModelConfig from this module.
 from .model import GrainDistribution, ModelConfig
 from .records import NUMBER, Record
@@ -47,9 +47,8 @@ class EdgeEffectError(ValueError):
 
 @dataclass(frozen=True)
 class GermGrainSample:
-    """One realization: its grains as arrays, which every engine reads, the
-    model and the replicate index.  `placed` builds PlacedGrain objects on
-    demand, for the inclusion-exclusion oracle and grain dumps."""
+    """One realization: its grains as arrays (the only form that the engines,
+    the oracle and grain dumps read), the model and the replicate index."""
 
     grains: Grains
     config: ModelConfig
@@ -57,9 +56,9 @@ class GermGrainSample:
 
     @property
     def placed(self) -> tuple:
-        """The grains as PlacedGrain: a disk, an unrotated rect or the law's own
-        shape, and a ConvexPolygon for a rotated grain."""
-        g, law = self.grains, self.config.grains
+        """The grains as PlacedGrain, a view for tests and benchmarks/layers.py only:
+        a disk, an unrotated rect or the law's shape, else a ConvexPolygon."""
+        law = self.config.grains
 
         def shape(r, v):
             if r > 0.0:
@@ -67,8 +66,7 @@ class GermGrainSample:
             if law.rotate:
                 return ConvexPolygon(tuple(map(tuple, v)))
             return AlignedRect(*v[0]) if law.family == "rect" else law.shape
-        return tuple(PlacedGrain(c, shape(r, v)) for c, r, v in
-                     zip(g.centres, g.radius, np.split(g.loc, np.cumsum(g.count)[:-1])))
+        return tuple(PlacedGrain(c, shape(r, v)) for c, r, v in self.grains)
 
 
 def _uniform_in_dilation(rng, window: Window, r: float, n: int) -> np.ndarray:
@@ -273,32 +271,35 @@ def replicate_rows(config, functional, reps: int, workers: int = 1):
 
 def write_sample(path, s: GermGrainSample):
     """A grain dump that read_sample reads back to the same arrays, bit for bit."""
+    law = s.config.grains
+    rects = not law.rotate and (law.family == "rect" or isinstance(law.shape, AlignedRect))
     lines = [f"# format: {FORMAT_VERSION}",
              f"# config: {json.dumps(s.config.to_record(), sort_keys=True)}",
              f"# replicate: {s.replicate}",
              f"# count: {len(s.grains)}"]
-    for g, verts in zip(s.placed, np.split(s.grains.loc, np.cumsum(s.grains.count)[:-1])):
-        rec = shape_to_record(g.shape)
-        if "vertices" in rec:  # as drawn, not as ConvexPolygon re-centres them
-            rec["vertices"] = verts.tolist()
-        lines.append(f"{g.center[0]!r} {g.center[1]!r} {json.dumps(rec)}")
+    for (x, y), r, v in s.grains:
+        rec = ({"kind": "disk", "radius": float(r)} if r > 0.0 else
+               {"kind": "rect", "halfwidth": float(v[0, 0]), "halfheight": float(v[0, 1])}
+               if rects else {"kind": "polygon", "vertices": v.tolist()})
+        lines.append(f"{float(x)!r} {float(y)!r} {json.dumps(rec)}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
 # A dump's grain line 'x y {shape record}' is three JSON values, read as a record.
-_GRAIN_LINE = Record({None: (lambda x, y, shape: PlacedGrain((x, y), shape),
+_GRAIN_LINE = Record({None: (lambda x, y, shape: ((x, y), shape),
                              [("x", NUMBER), ("y", NUMBER), ("shape", _SHAPE)])})
 
 
 def _grain_line(text):
-    """(PlacedGrain, local vertices): a polygon's as written, counterclockwise
-    (its ConvexPolygon validates them, but re-centres them)."""
+    """The row of a grain line, its shape validated: a polygon's vertices as
+    written, counterclockwise (its ConvexPolygon re-centres them)."""
     rec = dict(zip(("x", "y", "shape"), map(json.loads, text.split(None, 2))))
-    grain = _GRAIN_LINE(rec)
-    verts = (np.array(rec["shape"]["vertices"], dtype=float)
-             if isinstance(grain.shape, ConvexPolygon) else Grains.of([grain]).loc)
-    return grain, verts[::-1] if _shoelace(verts) < 0.0 else verts
+    centre, shape = _GRAIN_LINE(rec)
+    radius, verts = _row_of(shape)
+    if isinstance(shape, ConvexPolygon):
+        verts = np.array(rec["shape"]["vertices"], dtype=float)
+    return centre, radius, verts[::-1] if _shoelace(verts) < 0.0 else verts
 
 
 def read_sample(path) -> GermGrainSample:
@@ -329,6 +330,4 @@ def read_sample(path) -> GermGrainSample:
                          f"holds {len(parsed)} grain lines (truncated?)")
     config = read(*headers["config"], lambda t: ModelConfig.from_record(json.loads(t)), "config: ")
     replicate = read(*headers.get("replicate", (0, "0")), int, "replicate: ")
-    placed, outlines = zip(*parsed) if parsed else ((), (np.zeros((0, 2)),))
-    return GermGrainSample(replace(Grains.of(placed), loc=np.concatenate(outlines)), config,
-                           replicate)
+    return GermGrainSample(Grains.stack(parsed), config, replicate)

@@ -1,13 +1,12 @@
 """Functionals (v0, v1, v2) of a union of placed grains clipped to a window.
 
-The exact and raster engines read grains as geometry.Grains arrays; a
-sequence of PlacedGrain is converted at entry.  Three engines compute the
-same quantity:
+Every engine reads grains as geometry.Grains arrays; a sequence of
+PlacedGrain is converted at entry.  Three engines compute the same quantity:
 
-  * inclusion_exclusion_measure -- the additive-extension oracle over
-    PlacedGrain: a signed sum of intersection-cell functionals over all
-    nonempty grain subsets, with depth-first pruning (supersets of an empty
-    intersection stay empty).  Exponential; capped at 18 grains.
+  * inclusion_exclusion_measure -- the additive-extension oracle: a signed
+    sum of intersection-cell functionals over all nonempty grain subsets,
+    with depth-first pruning (supersets of an empty intersection stay
+    empty).  Exponential; capped at 18 grains.
 
   * arrangement_measure -- exact polynomial-time engine over boundary
     intervals, one path for every grain type and one pass for a whole chunk
@@ -102,8 +101,8 @@ def inclusion_exclusion_measure(grains, window: Window, cap: int = 18) -> Functi
     from .cells import TooManyGrainsError, clip_cell, grain_constraints, window_cell
     base = window_cell(window)
     cons = []
-    for g in grains:
-        gc = grain_constraints(g)
+    for row in Grains.of(grains):
+        gc = grain_constraints(*row)
         if clip_cell(base, gc) is not None:
             cons.append(gc)
     if len(cons) > cap:

@@ -223,7 +223,7 @@ class TestRho01SeriesOracle:
         def v1_intersection(translations):
             cell = window_cell(bigw)
             for p in [(0.0, 0.0)] + list(translations):
-                cell = clip_cell(cell, grain_constraints(PlacedGrain(p, Disk(1.0))))
+                cell = clip_cell(cell, grain_constraints(p, 1.0, np.zeros((1, 2))))
                 if cell is None:
                     return 0.0
             return cell.functionals()[1]
@@ -620,6 +620,18 @@ class TestRotatedSquaresOracle:
             if name != "rho11":  # its boundary x boundary tensor rule reports none
                 assert abs(got - want) <= err
         assert table.errors["rho11_quadrature"] is None
+
+
+class TestUnrotatedSquaresOracle:
+    """Unrotated unit squares: C2(t) = gamma (1 - |tx|)(1 - |ty|) on the
+    support [-1, 1]^2, so rho22 = 4 int int expm1(gamma u v) over [0, 1]^2."""
+
+    def test_rho22_matches_closed_form(self):
+        want = 4.0 * dblquad(lambda v, u: math.expm1(GAMMA * u * v), 0.0, 1.0, 0.0, 1.0,
+                             epsabs=0.0, epsrel=1e-13)[0]
+        got, err = rho_22(GAMMA, unit_squares())
+        assert got == pytest.approx(want, rel=1e-12)
+        assert abs(got - want) <= err + 1e-15 * want
 
 
 class TestRectProfiles:

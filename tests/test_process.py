@@ -264,20 +264,28 @@ class TestArrayDraw:
             assert np.max(np.abs(s.grains.loc - want.loc), initial=0.0) <= tol
             assert s.placed == ref
 
-    def test_hot_path_builds_no_grain_objects(self, monkeypatch):
+    def test_hot_path_builds_no_grain_objects(self, monkeypatch, tmp_path):
         disks = ModelConfig(0.3, fixed_disk(1.0), Window((0.0, 0.0), (16.0, 16.0)), seed=3)
         probe = PlacedGrain((8.0, 8.0), Disk(1.5))
         squares = ModelConfig(0.5, unit_squares(rotate=True),
                               Window((0.0, 0.0), (16.0, 16.0)), seed=4)
+        triangles = GrainDistribution("fixed", shape=ConvexPolygon(
+            ((0.0, 0.0), (1.0, 0.0), (0.3, 0.9))), rotate=True)
+        dumped = ModelConfig(0.3, triangles, Window((0.0, 0.0), (16.0, 16.0)), seed=1)
+        few = ModelConfig(0.3, triangles, Window((0.0, 0.0), (4.0, 4.0)), seed=1)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a per-grain object was built")
-        for cls in (Disk, ConvexPolygon, PlacedGrain):
+        for cls in (Disk, AlignedRect, ConvexPolygon, PlacedGrain):
             monkeypatch.setattr(cls, "__init__", refuse)
         assert replicate_rows(disks, cltstats._functionals, 3).shape == (3, 3)
         assert replicate_rows(squares, moments.density_rows, 3).shape == (3, 3)
         misses = replicate_rows(disks, partial(process._misses, probe), 3)
         assert misses.shape == (3,) and misses.dtype == bool
+        write_sample(tmp_path / "dump.txt", sample(dumped, 0))
+        s = sample(few, 0)
+        assert 1 <= len(s.grains) <= 18
+        assert union.inclusion_exclusion_measure(s.grains, few.window).v0 >= 1.0
 
 
 class TestCapacity:

@@ -7,9 +7,10 @@ import pytest
 
 from germgrain import union
 from germgrain.cells import TooManyGrainsError, intersect_convex
-from germgrain.geometry import AlignedRect, ConvexPolygon, Disk, Grains, PlacedGrain, Window
+from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk, Grains, PlacedGrain, Window,
+                                polygon_halfplanes)
 from germgrain.model import GrainDistribution, ModelConfig, ParamLaw, fixed_disk, unit_squares
-from germgrain.process import Chunk, GermGrainSample, _misses, sample
+from germgrain.process import Chunk, GermGrainSample, _misses, sample, write_sample
 from germgrain.union import (_EPS, ReplicateError, _cell_pairs, _merge_runs, _unwrap,
                              arrangement_measure, edge_corrected_measure,
                              inclusion_exclusion_measure, pixel_measure, rasterize,
@@ -77,6 +78,50 @@ class TestInclusionExclusion:
         grains += [disk(100.0 + k, 0.0) for k in range(15)]  # miss the window
         fv = inclusion_exclusion_measure(grains, W)
         assert fv.v0 == 1.0
+
+
+class TestOracleReadsGrainsRows:
+    """The oracle measures a sample's Grains rows, the arrays every other
+    engine reads; a ConvexPolygon would re-centre a rotated grain's vertices."""
+
+    LAW = GrainDistribution("fixed", shape=ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.3, 0.9))),
+                            rotate=True)
+
+    def test_constraints_are_the_halfplanes_of_each_row(self, monkeypatch):
+        from germgrain import cells
+        cfg = ModelConfig(0.3, self.LAW, Window((0.0, 0.0), (16.0, 16.0)), seed=1)
+        constraints = cells.grain_constraints
+        moved = 0
+        for k in range(20):
+            s, seen = sample(cfg, k), []
+            monkeypatch.setattr(cells, "grain_constraints",
+                                lambda *row: seen.append(constraints(*row)) or seen[-1])
+            with pytest.raises(TooManyGrainsError):
+                union.inclusion_exclusion_measure(s.grains, cfg.window)
+            monkeypatch.undo()
+            assert len(seen) == len(s.grains)
+            for got, (centre, _, loc), g in zip(seen, s.grains, s.placed):
+                normals, offsets = polygon_halfplanes(centre + loc)
+                assert {c[0] for c in got} == {"h"}
+                assert np.array([c[1] for c in got]).tobytes() == normals.tobytes()
+                assert np.array([c[2] for c in got]).tobytes() == offsets.tobytes()
+                recentred = polygon_halfplanes(g.shape.vertex_array() + g.center)
+                moved += any(a.tobytes() != b.tobytes()
+                             for a, b in zip(recentred, (normals, offsets)))
+        assert moved  # the object view would have measured other grains
+
+    def test_measure_command_returns_the_in_process_row(self, tmp_path):
+        from germgrain.cli import main
+        cfg = ModelConfig(0.3, self.LAW, Window((0.0, 0.0), (4.0, 4.0)), seed=1)
+        dump, out = tmp_path / "dump.txt", tmp_path / "row.csv"
+        for k in range(20):
+            s = sample(cfg, k)
+            write_sample(dump, s)
+            assert main(["measure", str(dump), "--engine", "inclusion-exclusion",
+                         "--out", str(out)]) == 0
+            row = [float(x) for x in out.read_text().splitlines()[-1].split(",")[2:]]
+            want = inclusion_exclusion_measure(s.grains, cfg.window).as_array()
+            assert np.array(row).tobytes() == want.tobytes()
 
 
 class TestArrangement:

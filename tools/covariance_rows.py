@@ -22,9 +22,11 @@ Inputs, each at gamma 0.05, 0.3 and 1.0:
     regular hexagon of circumradius 1 and the same hexagon at base angle 0.3
     (profile tables from angle panels); each table is exact at its nodes,
     and each law takes the boundary x boundary tensor rule;
-  * unrotated unit squares: rho_22 (planar tensor rule) and rho_12 (tensor
-    rule with the anisotropic covariogram), the only entries an anisotropic
-    law has.
+  * unrotated unit squares: rho_22 (a planar tensor rule over the
+    covariogram's support box, [-1, 1] x [0, 1], doubled) and rho_12 (a
+    boundary x body tensor rule with the anisotropic covariogram).  rho_11
+    has a value for an anisotropic law too (a tensor rule that reports no
+    error), which the table leaves out; sigma_matrix refuses the law.
 
 Each row holds one law and gamma: the 3 x 3 sigma matrix, the 3 x 3 rho
 table and the three rho errors (NaN where an entry reports none).  An
