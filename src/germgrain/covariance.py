@@ -28,22 +28,21 @@ verifies itself against them and refuses to return on disagreement.
 
 Quadrature domains are exact (never truncated): every integrand factor
 vanishes beyond the covariogram cutoff.  As z = y - t lies in K exactly when
-y lies in K + t, a boundary x body integral of f(y-z) is 2 int f(t) g1_K(t) dt,
-so for every isotropic law rho(V1,V2) and the C1-weighted term of rho(V1,V1)
-are radial integrals of the profiles, like rho(V2,V2): adaptive, split at the
-profile kinks, each reporting its error.  Disk laws have closed-form
-profiles, and rho(V1,V1)'s boundary x boundary term is one adaptive integral
-over the chord angle with the radius average inside.  Other isotropic laws
-tabulate their profiles, exact at the nodes (a rect's from closed forms, a
-polygon's from Gauss-Legendre angle panels) and linear between them, and
-add to a reported error the gap to the integral of every other node.  A
-tabulated law's boundary x boundary term and an anisotropic law's integrals
-use tensor rules (tanh-sinh on the same-edge term), which report no error
-except rho(V2,V2)'s, a 96- against a 48-node rule over the covariogram's
-support box.
+y lies in K + t, a boundary x body integral of f(y-z) is 2 int f(t) g1_K(t) dt
+for any law, so rho(V2,V2), rho(V1,V2) and the C1-weighted term of
+rho(V1,V1) integrate F(C2(t), C1(t)) over the plane.  An isotropic law takes
+them as radial integrals of its profiles, adaptive and split at their kinks.
+Disk laws have closed-form profiles; other isotropic laws tabulate theirs,
+exact at the nodes (a rect's from closed forms, a polygon's from angle
+panels) and linear between them, and add to the error the gap to the
+integral of every other node.  An anisotropic law takes one Gauss-Legendre
+rule on panels that follow the lines where C2 kinks and C1 jumps
+(_plane_integral), with the gap to half as many nodes as its error.
+rho(V1,V1)'s boundary x boundary term is one adaptive chord-angle integral
+for a disk law, and otherwise a tensor rule per edge pair that reports none.
 
-Every grid -- a profile table, a tensor rule, the disk laws' (chord angles x
-radii) -- is evaluated in blocks of about _BLOCK_ELEMENTS elements
+Every grid -- a profile table, a plane or tensor rule, the disk laws' (chord
+angles x radii) -- is evaluated in blocks of about _BLOCK_ELEMENTS elements
 (_blocks), and a polygon's covariograms on chunks of translations that keep
 their (edges x edges) work within as many (_expected, _shape_profiles).  So
 the layer's memory grows neither with the grid nor with a polygon's edge
@@ -347,16 +346,6 @@ def covariogram_functions(dist: GrainDistribution) -> CovariogramFunctions:
     return _tabulated_profiles(dist, n_s=2049 if dist.family == "rect" else 513)
 
 
-def _c_vector(dist: GrainDistribution, gamma: float):
-    """gamma C2 as a function of a translation vector (any law)."""
-    if dist.isotropic:
-        g2 = covariogram_functions(dist).g2
-        return lambda tx, ty: gamma * g2(np.hypot(tx, ty))
-
-    expected = _expected(dist, covariogram)
-    return lambda tx, ty: gamma * expected(tx, ty)
-
-
 def _tensor_rule(wp, wq, columns):
     """wp @ F @ wq, F built a block of columns at a time (_blocks) by
     columns(cols); each wp @ F is the same vector as the whole product's."""
@@ -388,33 +377,88 @@ def _profile_integral(prof: CovariogramFunctions, integrand, epsabs):
     return val, err
 
 
+# Gauss-Legendre nodes per panel of the plane rule (its error: the gap to half as many).
+_PLANE_NODES = 16
+
+
+def _rect_plane(dist: GrainDistribution, gamma, F, n):
+    """The plane rule of a rect law: Cartesian panels on the quadrant, split
+    at every 2w node of the halfwidth rule and 2h node of the halfheight
+    rule, taken four times (C2 and C1 are even in each axis).  The half-sides
+    are independent, so C2 = gamma E(2w - |x|)+ E(2h - |y|)+ and
+    C1 = gamma/2 (E 1{|x| < 2w} E(2h - |y|)+ + E(2w - |x|)+ E 1{|y| < 2h})."""
+    def side(law):
+        half_sides, probs = law.rule()
+        ends = np.unique(np.append(0.0, 2.0 * half_sides))
+        x, w = gauss_legendre(n, ends[:-1, None], ends[1:, None])  # (panels, n)
+        reach = 2.0 * half_sides - x.reshape(-1, 1)  # (nodes, atoms)
+        return w.ravel(), np.maximum(reach, 0.0) @ probs, (reach > 0.0) @ probs
+    (wx, cov_x, in_x), (wy, cov_y, in_y) = side(dist.halfwidth), side(dist.halfheight)
+    return 4.0 * _tensor_rule(wx, wy, lambda cols: F(
+        gamma * np.outer(cov_x, cov_y[cols]),
+        0.5 * gamma * (np.outer(in_x, cov_y[cols]) + np.outer(cov_x, in_y[cols]))))
+
+
+def _polar_plane(dist: GrainDistribution, gamma, F, n):
+    """The plane rule of a fixed shape K: polar panels over all angles (C1 is
+    not even unless K is centrally symmetric), split at the directions of the
+    vertex differences: the edge directions, where C1 jumps, and the corners
+    of K - K.  A ray splits where it crosses a line n_j . t = +-d_ij, at
+    r = d_ij / |n_j . u| (d_ij the depth of vertex i inside edge line j, as in
+    _angle_panels), and ends on K - K's boundary, min_j width_j / |n_j . u|.
+    Rays go a block at a time (_blocks), each summed in node order."""
+    verts = _as_polygon_vertices(dist.shape)
+    normals, offsets = polygon_halfplanes(verts)
+    depth = offsets[:, None] - normals @ verts.T  # (edges, vertices)
+    width = depth.max(axis=1)
+    tol = 1e-12 * width.max()
+    edge, vertex = np.nonzero(depth > tol)
+    diff = verts[:, None] - verts  # (0, 0) among them: 0 is a split
+    angles = np.mod(np.arctan2(diff[..., 1], diff[..., 0]).ravel(), 2.0 * math.pi)
+    angles = np.sort(np.append(angles[angles < 2.0 * math.pi - 1e-12], 2.0 * math.pi))
+    ends = angles[np.diff(angles, prepend=-1.0) > 1e-12]
+    theta, wt = (a.ravel() for a in gauss_legendre(n, ends[:-1, None], ends[1:, None]))
+    u = np.array([np.cos(theta), np.sin(theta)])
+    c2, c1 = _expected(dist, covariogram), _expected(dist, boundary_covariogram)
+    rays = np.empty(len(theta))
+    for rows in _blocks(len(theta), n * (len(edge) + 1)):
+        proj = np.abs(normals @ u[:, rows]).T  # (rays, edges)
+        with np.errstate(divide="ignore"):
+            end = np.min(width / proj, axis=1)[:, None]
+            cross = np.minimum(depth[edge, vertex] / proj[:, edge], end)
+        splits = np.sort(np.concatenate([np.zeros_like(end), cross, end], axis=1), axis=1)
+        keep = np.diff(splits, axis=1, prepend=-1.0) > tol
+        row, cuts = np.nonzero(keep)[0], splits[keep]
+        panel = row[1:] == row[:-1]  # consecutive kept splits of one ray
+        row = row[1:][panel]
+        r, w = gauss_legendre(n, cuts[:-1][panel, None], cuts[1:][panel, None])
+        tx, ty = r * u[0, rows][row, None], r * u[1, rows][row, None]
+        f = F(gamma * c2(tx, ty), gamma * c1(tx, ty)) * (w * r)
+        rays[rows] = np.bincount(np.repeat(row, n), f.ravel(), minlength=len(proj))
+    return float(rays @ wt)
+
+
+def _plane_integral(dist: GrainDistribution, gamma, F):
+    """int F(C2(t), C1(t)) dt over the plane for an anisotropic law, from
+    _PLANE_NODES nodes per panel: (value, its gap to half as many nodes).
+    The panels follow the lines where C2 kinks and C1 jumps."""
+    rule = _rect_plane if dist.family == "rect" else _polar_plane
+    val = rule(dist, gamma, F, _PLANE_NODES)
+    return val, abs(val - rule(dist, gamma, F, _PLANE_NODES // 2))
+
+
 def rho_22(gamma: float, dist: GrainDistribution):
     """integral over the plane of exp(C2(y)) - 1; (value, error estimate)."""
     if gamma == 0.0:
         return 0.0, 0.0
     dist = _closed_form(dist)
     _check_mean_coverage(gamma, dist)
-    if dist.isotropic:
-        prof = covariogram_functions(dist)
-        scale = math.expm1(gamma * float(prof.g2(0.0))) * prof.cutoff ** 2
-        return _profile_integral(prof, lambda p: lambda s: np.expm1(gamma * p.g2(s)),
-                                 1e-10 * max(scale, 1e-6))
-    # Anisotropic: tensor integral over the upper half-plane, doubled.  A
-    # covariogram is even, g(t) = g(-t), but need not be mirror-symmetric in
-    # either axis, so the quadrants [0, cx] x [0, cy] and [-cx, 0] x [0, cy]
-    # both count.  The box is the covariogram's support, the extent of K - K
-    # (twice the largest half-sides, or the shape's extent), so no panel
-    # holds its edge.
-    cx, cy = ((2.0 * dist.halfwidth.support_max(), 2.0 * dist.halfheight.support_max())
-              if dist.family == "rect" else np.ptp(_as_polygon_vertices(dist.shape), axis=0))
-    c2 = _c_vector(dist, gamma)
-
-    def half_plane(n):
-        (xs, wx), (ys, wy) = gauss_legendre(n, 0.0, cx), gauss_legendre(n, 0.0, cy)
-        return 2.0 * sum(_tensor_rule(wx, wy, lambda cols: np.expm1(c2(*np.meshgrid(
-            side * xs, ys[cols], indexing="ij")))) for side in (1.0, -1.0))
-    val = half_plane(96)
-    return val, abs(val - half_plane(48))
+    if not dist.isotropic:
+        return _plane_integral(dist, gamma, lambda c2, c1: np.expm1(c2))
+    prof = covariogram_functions(dist)
+    scale = math.expm1(gamma * float(prof.g2(0.0))) * prof.cutoff ** 2
+    return _profile_integral(prof, lambda p: lambda s: np.expm1(gamma * p.g2(s)),
+                             1e-10 * max(scale, 1e-6))
 
 
 def sigma_volume(gamma: float, dist: GrainDistribution):
@@ -425,56 +469,10 @@ def sigma_volume(gamma: float, dist: GrainDistribution):
     return q * q * val, q * q * err
 
 
-def _edges_of(shape):
-    verts = _as_polygon_vertices(shape)
-    return list(zip(verts, np.roll(verts, -1, axis=0)))
-
-
-def _interior_nodes(shape, n):
-    """Gauss-Legendre nodes and weights covering the interior of a convex shape."""
-    if isinstance(shape, AlignedRect):
-        xs, wx = gauss_legendre(n, -shape.halfwidth, shape.halfwidth)
-        ys, wy = gauss_legendre(n, -shape.halfheight, shape.halfheight)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        W = np.outer(wx, wy)
-        return np.column_stack([X.ravel(), Y.ravel()]), W.ravel()
-    # Convex polygon: fan triangulation from the centroid, tensor rule per
-    # triangle mapped from the unit square with the Duffy transform.
-    verts = shape.vertex_array()
-    cen = verts.mean(axis=0)
-    u, wu = gauss_legendre(n, 0.0, 1.0)
-    pts, ws = [], []
-    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
-        ea, eb = a - cen, b - cen
-        area2 = abs(ea[0] * eb[1] - ea[1] * eb[0])
-        pts.append(cen + u[:, None, None] * ((a - cen) + u[None, :, None] * (b - a)))
-        ws.append(np.outer(wu, wu) * u[:, None] * area2)
-    return np.concatenate(pts).reshape(-1, 2), np.concatenate(ws).ravel()
-
-
-def _differences(f, p, q):
-    """columns(cols) of the matrix f(p_i - q_j) for _tensor_rule."""
-    return lambda cols: f(p[:, 0][:, None] - q[cols, 0][None, :],
-                          p[:, 1][:, None] - q[cols, 1][None, :])
-
-
-def _boundary_body(shape, f, n=48):
-    """Tensor rule for the integral of f(y - z) over (boundary x body) of a
-    polygon (an anisotropic law's; an isotropic one's is radial)."""
-    pts, ws = _interior_nodes(shape, n)
-    u, wu = gauss_legendre(n, 0.0, 1.0)
-    total = 0.0
-    for a, b in _edges_of(shape):
-        edge_pts = a[None, :] + u[:, None] * (b - a)[None, :]
-        ln = math.hypot(*(b - a))
-        total = total + ln * _tensor_rule(wu, ws, _differences(f, edge_pts, pts))
-    return total
-
-
 def rho_12(gamma: float, dist: GrainDistribution):
-    """integral of exp(C2(y-z)) against the boundary x body measure M_{1,2}:
-    2 pi int exp(C2(s)) C1(s) s ds for an isotropic law, with an error as
-    rho_22's; a tensor rule per shape, with error None, otherwise."""
+    """integral of exp(C2(y-z)) against the boundary x body measure M_{1,2},
+    which is int exp(C2(t)) C1(t) dt: 2 pi int exp(C2(s)) C1(s) s ds for an
+    isotropic law, the plane rule otherwise; with an error as rho_22's."""
     if gamma == 0.0:
         return 0.0, 0.0
     dist = _closed_form(dist)
@@ -486,9 +484,7 @@ def rho_12(gamma: float, dist: GrainDistribution):
         return _profile_integral(
             prof, lambda p: lambda s: np.exp(gamma * p.g2(s)) * (gamma * p.g1(s)),
             1e-11 * scale)
-    c2vec = _c_vector(dist, gamma)
-    return dist.expect_shape(lambda k: gamma * 0.5 * _boundary_body(
-        k, lambda dx, dy: np.exp(c2vec(dx, dy)))), None
+    return _plane_integral(dist, gamma, lambda c2, c1: np.exp(c2) * c1)
 
 
 def _disk_boundary_term(law, c2, kinks):
@@ -516,58 +512,60 @@ def _disk_boundary_term(law, c2, kinks):
     return math.pi * val, math.pi * err
 
 
-def _rho11_boundary_term(shape, c2vec, gamma, n=48):
-    """Term B: boundary x boundary, quarter weight (Phi_1 = half-length twice)."""
-    edges = _edges_of(shape)
+def _rho11_boundary_term(shape, g2vec, gamma, n=48):
+    """Term B: boundary x boundary, quarter weight (Phi_1 = half-length
+    twice), a tensor rule per pair of edges; g2vec(tx, ty) = C2 / gamma."""
+    verts = _as_polygon_vertices(shape)
+    edges = list(zip(verts, np.roll(verts, -1, axis=0)))
+    u, wu = gauss_legendre(n, 0.0, 1.0)
     term_b = 0.0
-    for a1, b1 in edges:
+    for i, (a1, b1) in enumerate(edges):
         l1 = math.hypot(*(b1 - a1))
-        for a2, b2 in edges:
-            l2 = math.hypot(*(b2 - a2))
-            if np.array_equal(a1, a2) and np.array_equal(b1, b2):
+        p1 = a1 + u[:, None] * (b1 - a1)
+        for j, (a2, b2) in enumerate(edges):
+            if i == j:
                 # Same edge: reduce to 2 * int_0^l (l - s) f(s) ds, tanh-sinh
                 # grading at the coincident-point end s = 0.
                 d_hat = (b1 - a1) / l1
 
                 def f(s):
-                    return (l1 - s) * np.exp(c2vec(d_hat[0] * s, d_hat[1] * s))
+                    return (l1 - s) * np.exp(gamma * g2vec(d_hat[0] * s, d_hat[1] * s))
                 term_b += 2.0 * tanh_sinh(f, 0.0, l1)
                 continue
-            u, wu = gauss_legendre(n, 0.0, 1.0)
-            p1 = a1[None, :] + u[:, None] * (b1 - a1)[None, :]
-            p2 = a2[None, :] + u[:, None] * (b2 - a2)[None, :]
-            term_b += l1 * l2 * _tensor_rule(
-                wu, wu, _differences(lambda dx, dy: np.exp(c2vec(dx, dy)), p1, p2))
+            p2 = a2 + u[:, None] * (b2 - a2)
+            term_b += l1 * math.hypot(*(b2 - a2)) * _tensor_rule(wu, wu, lambda cols: np.exp(
+                gamma * g2vec(p1[:, 0, None] - p2[cols, 0], p1[:, 1, None] - p2[cols, 1])))
     return term_b * (gamma * 0.25)
 
 
 def rho_11(gamma: float, dist: GrainDistribution):
     """Both boundary-measure integrals of rho(V1, V1): (value, error).
 
-    Term A (boundary x body) of an isotropic law is
-    2 pi int exp(C2(s)) C1(s)^2 s ds.  Term B (boundary x boundary) is one
-    chord-angle integral for a disk law (_disk_boundary_term), whose error
-    sums both terms', and a tensor rule per shape otherwise, with error None.
+    Term A (boundary x body) is int exp(C2(t)) C1(t)^2 dt, as rho_12.  Term B
+    (boundary x boundary) is one chord-angle integral for a disk law
+    (_disk_boundary_term), whose error sums both terms', and a tensor rule per
+    shape otherwise, with error None.
     """
     if gamma == 0.0:
         return 0.0, 0.0
     dist = _closed_form(dist)
     _check_mean_coverage(gamma, dist)
-    if not dist.isotropic:
-        c2vec, c1vec = _c_vector(dist, gamma), _expected(dist, boundary_covariogram)
-        return dist.expect_shape(lambda k: gamma * 0.5 * _boundary_body(
-            k, lambda dx, dy: np.exp(c2vec(dx, dy)) * (gamma * c1vec(dx, dy)))
-            + _rho11_boundary_term(k, c2vec, gamma)), None
-    prof = covariogram_functions(dist)
-    c2, c1 = (lambda s: gamma * prof.g2(s)), (lambda s: gamma * prof.g1(s))
-    scale = math.exp(float(c2(0.0))) * float(c1(0.0)) ** 2 * prof.cutoff ** 2
-    term_a, err_a = _radial_integral(prof, lambda s: np.exp(c2(s)) * c1(s) ** 2,
-                                     1e-11 * scale)
-    if dist.family == "disk":
-        term_b, err_b = _disk_boundary_term(dist.radius, c2, prof.kinks)
-        return term_a + gamma * term_b, err_a + gamma * err_b
-    c2vec = _c_vector(dist, gamma)
-    return term_a + dist.expect_shape(lambda k: _rho11_boundary_term(k, c2vec, gamma)), None
+    if dist.isotropic:
+        prof = covariogram_functions(dist)
+        c2, c1 = (lambda s: gamma * prof.g2(s)), (lambda s: gamma * prof.g1(s))
+        scale = math.exp(float(c2(0.0))) * float(c1(0.0)) ** 2 * prof.cutoff ** 2
+        term_a, err_a = _radial_integral(prof, lambda s: np.exp(c2(s)) * c1(s) ** 2,
+                                         1e-11 * scale)
+        if dist.family == "disk":
+            term_b, err_b = _disk_boundary_term(dist.radius, c2, prof.kinks)
+            return term_a + gamma * term_b, err_a + gamma * err_b
+
+        def g2vec(tx, ty):
+            return prof.g2(np.hypot(tx, ty))
+    else:
+        term_a = _plane_integral(dist, gamma, lambda c2, c1: np.exp(c2) * c1 * c1)[0]
+        g2vec = _expected(dist, covariogram)
+    return term_a + dist.expect_shape(lambda k: _rho11_boundary_term(k, g2vec, gamma)), None
 
 
 def rho_0i(gamma: float, dist: GrainDistribution, i: int) -> float:

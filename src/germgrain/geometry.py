@@ -25,7 +25,7 @@ that makes the Steiner expansion read
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -67,15 +67,14 @@ class AlignedRect:
 
 @dataclass(frozen=True)
 class ConvexPolygon:
-    """Strictly convex polygon, counterclockwise, circumcenter at the origin.
-
-    Vertices passed to the constructor are re-centered on the center of their
-    smallest enclosing circle; orientation is normalized to counterclockwise.
-    Fewer than 3 vertices, repeated/collinear vertices or reflex turns are
-    construction errors, never silent.
-    """
+    """Strictly convex polygon, its vertices as given in counterclockwise order
+    (a clockwise list is reversed), so that its record rebuilds an equal one.
+    vertex_array(), which every computation reads, re-centres them once on
+    their smallest enclosing circle (read-only).  Fewer than 3 vertices,
+    repeated/collinear vertices or reflex turns are construction errors."""
 
     vertices: tuple  # tuple of (x, y) float pairs
+    _centred: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = [(float(x), float(y)) for x, y in self.vertices]
@@ -98,12 +97,13 @@ class ConvexPolygon:
                 if cross <= 1e-12 * scale * scale:
                     raise DegenerateShapeError(
                         "polygon must be strictly convex with no three collinear vertices")
-        center, _ = smallest_enclosing_circle(arr)
-        arr = arr - center
         object.__setattr__(self, "vertices", tuple((float(x), float(y)) for x, y in arr))
+        centred = arr - smallest_enclosing_circle(arr)[0]
+        centred.flags.writeable = False
+        object.__setattr__(self, "_centred", centred)
 
     def vertex_array(self) -> np.ndarray:
-        return np.asarray(self.vertices, dtype=float)
+        return self._centred
 
 
 GrainShape = Disk | AlignedRect | ConvexPolygon

@@ -18,8 +18,8 @@ from functools import partial
 import numpy as np
 
 from .geometry import (_SHAPE, AlignedRect, ConvexPolygon, Disk, Grains, GrainShape,
-                       PlacedGrain, Window, _row_of, _shoelace, circumradius,
-                       intrinsic_volumes, minkowski_sum_area)
+                       PlacedGrain, Window, _row_of, circumradius, intrinsic_volumes,
+                       minkowski_sum_area)
 # benchmarks/layers.py reads GrainDistribution and ModelConfig from this module.
 from .model import GrainDistribution, ModelConfig
 from .records import NUMBER, Record
@@ -293,13 +293,12 @@ _GRAIN_LINE = Record({None: (lambda x, y, shape: ((x, y), shape),
 
 def _grain_line(text):
     """The row of a grain line, its shape validated: a polygon's vertices as
-    written, counterclockwise (its ConvexPolygon re-centres them)."""
+    written, counterclockwise."""
     rec = dict(zip(("x", "y", "shape"), map(json.loads, text.split(None, 2))))
     centre, shape = _GRAIN_LINE(rec)
-    radius, verts = _row_of(shape)
     if isinstance(shape, ConvexPolygon):
-        verts = np.array(rec["shape"]["vertices"], dtype=float)
-    return centre, radius, verts[::-1] if _shoelace(verts) < 0.0 else verts
+        return centre, 0.0, np.array(shape.vertices)
+    return (centre, *_row_of(shape))
 
 
 def read_sample(path) -> GermGrainSample:

@@ -10,15 +10,15 @@ from scipy.stats import qmc
 from germgrain import covariance
 from germgrain.cells import clip_cell, grain_constraints, window_cell
 from germgrain.covariance import (AnisotropyError, AssemblyError, RhoTable, _blocks,
-                                  _boundary_body, _grid_lookup, _rect_profiles,
+                                  _grid_lookup, _plane_integral, _rect_profiles,
                                   _shape_profiles, covariogram_functions, p_polynomial,
                                   phi_star, rho_0i, rho_11, rho_12, rho_22, rho_table,
                                   sigma_matrix, sigma_volume)
 from germgrain.geometry import (AlignedRect, ConvexPolygon, Disk, PlacedGrain, Window,
-                                covariogram, disk_covariogram, intrinsic_volumes)
+                                boundary_covariogram, covariogram, disk_covariogram,
+                                intrinsic_volumes)
 from germgrain.model import GrainDistribution, ModelConfig, ParamLaw, fixed_disk, unit_squares
 from germgrain.process import sample
-from germgrain.quadrature import gauss_legendre
 from germgrain.union import arrangement_measure
 
 DISK1 = fixed_disk(1.0)
@@ -120,32 +120,34 @@ class TestSigmaVolumeOracle:
                                                                (0.0, 1.0))))
 
     def test_asymmetric_law_small_gamma_limit(self):
+        # rho22 = gamma v2^2 + gamma^2/2 int g^2 + O(gamma^3), with
+        # int g^2 = 1/20 for this triangle (scipy, _triangle_integral)
         g = 1e-6
         val, err = rho_22(g, self.TRIANGLE)
-        assert val == pytest.approx(g * 0.25, rel=1e-3)  # gamma * v2^2
-        assert abs(val - g * 0.25) <= err
+        want = g * 0.25 + g * g / 40.0
+        assert val == pytest.approx(want, rel=1e-3)
+        assert abs(val - want) <= err
 
-    def test_asymmetric_law_matches_four_quadrant_oracle(self):
-        # a dense 400-node Gauss-Legendre rule in each of the four quadrants
-        c = 2.0 * self.TRIANGLE.rmax
-        xs, w = gauss_legendre(400, 0.0, c)
-        oracle = sum(float(w @ np.expm1(GAMMA * covariogram(
-            self.TRIANGLE.shape, np.meshgrid(sx * xs, sy * xs, indexing="ij"))) @ w)
-            for sx in (1.0, -1.0) for sy in (1.0, -1.0))
+    def test_asymmetric_law_matches_closed_form_covariogram(self):
+        # scipy on the closed-form covariogram L^2 / 2, split at the line
+        # tx + ty = 0 where it kinks (and at the axes)
+        oracle, oracle_err = _triangle_integral(lambda c2, c1: math.expm1(GAMMA * c2))
         val, err = rho_22(GAMMA, self.TRIANGLE)
-        assert abs(val - oracle) <= err
-        assert val == pytest.approx(oracle, rel=2e-4)
+        assert abs(val - oracle) <= err + oracle_err + 1e-15 * oracle
+        assert val == pytest.approx(oracle, rel=1e-12)
 
     def test_polygon_law_matches_rect_law(self):
-        # The unit square as a polygon runs the edge-clip covariogram through
-        # the same 96-node tensor rule over the same cutoff as the rect's
-        # closed form.
+        # The unit square as a polygon takes the polar plane rule and the
+        # edge-clip covariogram, the rect law Cartesian panels and closed
+        # forms; each error covers its gap to the closed form.
         square = ConvexPolygon(((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)))
         polygon, rect = GrainDistribution("fixed", shape=square), unit_squares()
-        for f in (rho_22, sigma_volume):
+        want = _unrotated_squares_rho22(GAMMA)
+        q = math.exp(-GAMMA * rect.moments().ev2)
+        for f, exact in ((rho_22, want), (sigma_volume, q * q * want)):
             (pv, pe), (rv, re) = f(GAMMA, polygon), f(GAMMA, rect)
             assert pv == pytest.approx(rv, rel=1e-12)
-            assert pe == pytest.approx(re, rel=1e-12)
+            assert pe >= abs(pv - exact) and re >= abs(rv - exact)
 
 
 @pytest.fixture(scope="module")
@@ -622,16 +624,182 @@ class TestRotatedSquaresOracle:
         assert table.errors["rho11_quadrature"] is None
 
 
-class TestUnrotatedSquaresOracle:
-    """Unrotated unit squares: C2(t) = gamma (1 - |tx|)(1 - |ty|) on the
-    support [-1, 1]^2, so rho22 = 4 int int expm1(gamma u v) over [0, 1]^2."""
+def _unrotated_squares_rho22(gamma):
+    """rho22 of unrotated unit squares: C2(t) = gamma (1 - |tx|)(1 - |ty|) on
+    the support [-1, 1]^2, so rho22 = 4 int int expm1(gamma u v) over [0, 1]^2."""
+    return 4.0 * dblquad(lambda v, u: math.expm1(gamma * u * v), 0.0, 1.0, 0.0, 1.0,
+                         epsabs=0.0, epsrel=1e-13)[0]
 
+
+class TestUnrotatedSquaresOracle:
     def test_rho22_matches_closed_form(self):
-        want = 4.0 * dblquad(lambda v, u: math.expm1(GAMMA * u * v), 0.0, 1.0, 0.0, 1.0,
-                             epsabs=0.0, epsrel=1e-13)[0]
+        want = _unrotated_squares_rho22(GAMMA)
         got, err = rho_22(GAMMA, unit_squares())
         assert got == pytest.approx(want, rel=1e-12)
         assert abs(got - want) <= err + 1e-15 * want
+
+
+def _unrotated_squares_rho12(gamma):
+    """4 ((e^gamma - 1) / gamma - 1): on the quadrant C2 = gamma u v and
+    C1 = gamma (u + v) / 2 with u = 1 - tx, v = 1 - ty, and
+    int exp(gamma u v) gamma u dv = e^(gamma u) - 1.  Summed as the series
+    4 sum_k gamma^k / (k + 1)!, which does not cancel at small gamma."""
+    return 4.0 * math.fsum(gamma ** k / math.factorial(k + 1) for k in range(1, 40))
+
+
+def _unrotated_squares_rho11(gamma):
+    """rho11 of unrotated unit squares by scipy.  Term A is
+    4 int int exp(gamma u v) (gamma (u + v) / 2)^2 over [0, 1]^2.  Term B is
+    gamma / 4 times the boundary x boundary integral of exp(C2(y - z)) over
+    the 16 ordered edge pairs: an edge with itself
+    2 int (1 - s) exp(gamma (1 - s)) ds, 8 adjacent pairs
+    int int exp(gamma a b), and 4 opposite pairs 1, as C2 vanishes at
+    |ty| = 1."""
+    tol = dict(epsabs=0.0, epsrel=1e-13)
+    term_a = 4.0 * dblquad(lambda v, u: math.exp(gamma * u * v) * (0.5 * gamma * (u + v)) ** 2,
+                           0.0, 1.0, 0.0, 1.0, **tol)[0]
+    same = 2.0 * quad(lambda s: (1.0 - s) * math.exp(gamma * (1.0 - s)), 0.0, 1.0, **tol)[0]
+    adjacent = dblquad(lambda b, a: math.exp(gamma * a * b), 0.0, 1.0, 0.0, 1.0, **tol)[0]
+    return term_a + 0.25 * gamma * (4.0 * same + 8.0 * adjacent + 4.0)
+
+
+def _triangle_fields(tx, ty):
+    """(g2, g1) of the right triangle (0, 0), (1, 0), (0, 1) in closed form.
+    K and K + t meet in a right isosceles triangle of legs
+    L = min(1, 1 + tx + ty) - max(0, tx) - max(0, ty), of area L^2 / 2.  Of
+    K's boundary, the leg on y = 0 lies partly inside K + t where ty < 0, the
+    leg on x = 0 where tx < 0, and the hypotenuse where tx + ty > 0."""
+    top = min(1.0, 1.0 + tx + ty)
+    legs = max(top - max(0.0, tx) - max(0.0, ty), 0.0)
+    inside = ((ty < 0.0) * max(top - max(0.0, tx), 0.0)
+              + (tx < 0.0) * max(top - max(0.0, ty), 0.0)
+              + (tx + ty > 0.0) * math.sqrt(2.0) * max(min(1.0, 1.0 - ty) - max(0.0, tx), 0.0))
+    return 0.5 * legs * legs, 0.5 * inside
+
+
+def _triangle_integral(f):
+    """int f(g2(t), g1(t)) dt over the plane for the right triangle, by scipy
+    dblquad: (value, error).  The lines tx = 0, ty = 0 and tx + ty = 0, where
+    the closed forms change branch, cut the support K - K (the hexagon of
+    the vertices below) into six triangles on which the integrand is smooth."""
+    corners = [(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, -1.0)]
+    val = err = 0.0
+    for (px, py), (qx, qy) in zip(corners, corners[1:] + corners[:1]):
+        v, e = dblquad(lambda b, a: f(*_triangle_fields(a * px + b * qx, a * py + b * qy)),
+                       0.0, 1.0, 0.0, lambda a: 1.0 - a, epsabs=0.0, epsrel=1e-13)
+        val, err = val + abs(px * qy - py * qx) * v, err + abs(px * qy - py * qx) * e
+    return val, err
+
+
+HEXAGON = GrainDistribution("fixed", shape=ROTATED_HEXAGON.shape)
+UNIFORM_RECTS = GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.3, 0.6),
+                                  halfheight=ParamLaw.constant(0.5))
+ANISOTROPIC = {"unrotated-squares": unit_squares(), "uniform-rects": UNIFORM_RECTS,
+               "hexagon": HEXAGON, "right-triangle": TestSigmaVolumeOracle.TRIANGLE}
+
+
+def _hexagon_integral(f):
+    """int f(g2(t), g1(t)) dt over the plane for the regular hexagon of
+    circumradius 1 with a vertex on the x axis, by nested scipy quad in polar
+    coordinates: (value, error).  Its covariograms have the hexagon's 12
+    symmetries, so the plane is 12 times the sector 0 <= theta <= pi/6.
+    Each ray is split where it crosses a line n . t = a or 2a (a the apothem,
+    n the edge normals at pi/6, pi/2 and 5 pi/6), where g2 kinks and g1
+    jumps, and ends on the boundary of K - K, r = 2a / cos(theta - pi/6)."""
+    shape, a = HEXAGON.shape, math.sqrt(3.0) / 2.0
+    tol = dict(epsabs=0.0, limit=200)
+
+    def ray(theta):
+        u = (math.cos(theta), math.sin(theta))
+        end = 2.0 * a / math.cos(theta - math.pi / 6.0)
+        cross = [d / abs(math.cos(theta - phi)) for d in (a, 2.0 * a)
+                 for phi in (math.pi / 6.0, math.pi / 2.0, 5.0 * math.pi / 6.0)]
+        return quad(lambda r: r * f(covariogram(shape, (r * u[0], r * u[1])),
+                                    boundary_covariogram(shape, (r * u[0], r * u[1]))),
+                    0.0, end, points=[r for r in cross if r < end], epsrel=1e-13, **tol)[0]
+    val, err = quad(ray, 0.0, math.pi / 6.0, epsrel=1e-12, **tol)
+    return 12.0 * val, 12.0 * err
+
+
+def _uniform_rects_integral(f):
+    """int f(g2(t), g1(t)) dt over the plane for UNIFORM_RECTS, by nested
+    scipy quad over the quadrant, taken four times: (value, error).  g2 and
+    g1 average the closed forms of AlignedRect(w, 0.5) over the halfwidth
+    law's expectation rule (its nodes w and weights), and kink at every 2w."""
+    w, p = UNIFORM_RECTS.halfwidth.rule()
+
+    def fields(x, y):
+        reach = float(np.maximum(2.0 * w - x, 0.0) @ p)
+        return reach * (1.0 - y), 0.5 * (float((2.0 * w > x) @ p) * (1.0 - y) + reach)
+    val, err = quad(lambda x: quad(lambda y: f(*fields(x, y)), 0.0, 1.0, epsabs=0.0,
+                                   epsrel=1e-13)[0],
+                    0.0, 2.0 * w.max(), points=2.0 * w, epsabs=0.0, epsrel=1e-12, limit=200)
+    return 4.0 * val, 4.0 * err
+
+
+_REFERENCES = {"uniform-rects": _uniform_rects_integral, "hexagon": _hexagon_integral,
+               "right-triangle": _triangle_integral}
+
+
+def _count_plane_blocks(monkeypatch):
+    """The list that gets _BLOCK_ELEMENTS at each block the plane rule evaluates."""
+    blocks, plane_integral = [], _plane_integral
+
+    def counted(dist, gamma, F):
+        def block(c2, c1):
+            blocks.append(covariance._BLOCK_ELEMENTS)
+            return F(c2, c1)
+        return plane_integral(dist, gamma, block)
+    monkeypatch.setattr(covariance, "_plane_integral", counted)
+    return blocks
+
+
+class TestAnisotropicPlaneRule:
+    """An anisotropic law's rho22, rho12 and rho11 term A are plane integrals
+    of the fields C2 and C1, by one rule on panels that follow their kinks,
+    with an error from half as many nodes."""
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.3, 1.0])
+    def test_unrotated_squares_match_closed_forms(self, gamma):
+        assert rho_12(gamma, unit_squares())[0] == pytest.approx(
+            _unrotated_squares_rho12(gamma), rel=1e-12)
+        assert rho_11(gamma, unit_squares())[0] == pytest.approx(
+            _unrotated_squares_rho11(gamma), rel=1e-12)
+
+    @pytest.mark.parametrize("name", _REFERENCES)
+    def test_other_laws_match_scipy_within_their_errors(self, name):
+        dist = ANISOTROPIC[name]
+        for f, integrand in ((rho_22, lambda c2, c1: math.expm1(GAMMA * c2)),
+                             (rho_12, lambda c2, c1: math.exp(GAMMA * c2) * GAMMA * c1)):
+            want, want_err = _REFERENCES[name](integrand)
+            got, err = f(GAMMA, dist)
+            assert abs(got - want) <= err + want_err + 1e-15 * want, f.__name__
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("name", ANISOTROPIC)
+    def test_errors_are_small_numbers(self, name, gamma):
+        for f in (rho_22, rho_12):
+            val, err = f(gamma, ANISOTROPIC[name])
+            assert isinstance(err, float) and err <= 1e-6 * val
+
+    def test_hexagon_entries_keep_their_time_limits(self):
+        for f, limit in ((rho_22, 0.5), (rho_12, 0.5), (rho_11, 1.0)):
+            t0 = time.perf_counter()
+            f(GAMMA, HEXAGON)
+            assert time.perf_counter() - t0 <= limit, f.__name__
+
+    def test_polar_values_do_not_depend_on_the_block_size(self, monkeypatch):
+        # 4 rays a block against whole angle panels: the same bits
+        blocks = _count_plane_blocks(monkeypatch)
+
+        def values():
+            return np.array([f(GAMMA, d) for d in (HEXAGON, ANISOTROPIC["right-triangle"])
+                             for f in (rho_22, rho_12)])
+        want, default = values(), len(blocks)
+        monkeypatch.setattr(covariance, "_BLOCK_ELEMENTS", 7 * 36)
+        got = values()
+        assert got.tobytes() == want.tobytes()
+        assert len(blocks) - default > 2 * default
 
 
 class TestRectProfiles:
@@ -732,11 +900,7 @@ class TestBlocks:
         # covariograms taken 7 translations at a time give the same bits;
         # so does the uniform disks' boundary x boundary term, 8 chord
         # angles x 24 radii at a time
-        widths = []
-
-        def counted(shape, f, n=48):
-            widths.append(covariance._BLOCK_ELEMENTS)
-            return _boundary_body(shape, f, n)
+        blocks = _count_plane_blocks(monkeypatch)
 
         def values():
             covariogram_functions.cache_clear()
@@ -747,15 +911,15 @@ class TestBlocks:
                                    prof.g2(ss), prof.g1(ss), rho_22(GAMMA, unit_squares()),
                                    rho_12(GAMMA, unit_squares())[:1],
                                    rho_11(GAMMA, UNIFORM_DISKS)])
-        monkeypatch.setattr(covariance, "_boundary_body", counted)
         want = values()
         monkeypatch.setattr(covariance, "_BLOCK_ELEMENTS", 7 * 36)
         got = values()
         covariogram_functions.cache_clear()
         assert got.tobytes() == want.tobytes()
-        # not vacuous: both runs evaluated the boundary x body rule of the
-        # unrotated squares' rho_12 (an isotropic law takes the radial path)
-        assert widths == [1 << 13, 7 * 36]
+        # not vacuous: both runs evaluated the plane rule of the unrotated
+        # squares' rho_22 and rho_12, at _PLANE_NODES and half as many (an
+        # isotropic law takes the radial path)
+        assert blocks == [1 << 13] * 4 + [7 * 36] * 4
 
     @pytest.mark.parametrize("dist", [unit_squares(rotate=True), ROTATED_HEXAGON],
                              ids=["rotated-squares", "rotated-hexagon"])

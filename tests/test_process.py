@@ -609,3 +609,60 @@ class TestSampleIO:
                               "# replicate: x\n"] + lines[3:]))
         with pytest.raises(ValueError, match=re.escape(f"{p}: format is 'something-else'")):
             read_sample(p)
+
+
+def _seeded_law(seed):
+    """A grain law of family (seed mod 5) with parameters drawn from seed:
+    disk, rect, fixed disk, fixed rect or fixed polygon, each parameter law
+    constant, uniform or a mixture, rotated or not.  A polygon has 3 to 8
+    vertices, up to 1e6 across, centred up to 1e6 from the origin, listed
+    clockwise or counterclockwise."""
+    rng = np.random.default_rng(seed)
+
+    def law():
+        a = rng.uniform(0.1, 1.0)
+        return (ParamLaw.constant(a), ParamLaw.uniform(a, a + rng.uniform(0.1, 1.0)),
+                ParamLaw.mixture(rng.uniform(0.1, 1.0, 3), [0.2, 0.3, 0.5]))[rng.integers(3)]
+    rotate, kind = bool(rng.integers(2)), seed % 5
+    if kind == 0:
+        return GrainDistribution("disk", radius=law())
+    if kind == 1:
+        return GrainDistribution("rect", halfwidth=law(), halfheight=law(), rotate=rotate)
+    if kind == 2:
+        return GrainDistribution("fixed", shape=Disk(rng.uniform(0.1, 1.0)), rotate=rotate)
+    if kind == 3:
+        return GrainDistribution("fixed", shape=AlignedRect(*rng.uniform(0.1, 1.0, 2)),
+                                 rotate=rotate)
+    n, size = rng.integers(3, 9), 10.0 ** rng.uniform(-1.0, 6.0)
+    gaps = rng.uniform(0.2, 1.0, n)
+    angles = np.cumsum(gaps) / gaps.sum() * 2.0 * math.pi + rng.uniform(0.0, 2.0 * math.pi)
+    centre = rng.uniform(-1e6, 1e6, 2) * rng.integers(2)
+    ellipse = np.column_stack([np.cos(angles), rng.uniform(0.3, 1.0) * np.sin(angles)])
+    verts = centre + size * ellipse
+    return GrainDistribution("fixed", shape=ConvexPolygon(tuple(
+        map(tuple, verts[::-1] if rng.integers(2) else verts))), rotate=rotate)
+
+
+class TestRecordFixedPoints:
+    """A config, the config its record rebuilds and the config of its dump
+    are one config: equal, drawing the same grains bit for bit, and dumping
+    the same bytes."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_config_survives_its_record_and_its_dump(self, tmp_path, seed):
+        law = _seeded_law(seed)
+        side = 8.0 * law.rmax
+        window = Window((-side, 2.0 * side), (side, 3.0 * side))
+        cfg = ModelConfig(6.0 / window.dilated_area(law.rmax), law, window, seed=seed)
+        back = ModelConfig.from_record(json.loads(json.dumps(cfg.to_record())))
+        assert back == cfg and back.to_record() == cfg.to_record()
+        s = sample(cfg, 3)
+        for field in ("centres", "radius", "count", "loc"):
+            assert getattr(sample(back, 3).grains, field).tobytes() == \
+                getattr(s.grains, field).tobytes()
+        p, again = tmp_path / "dump.txt", tmp_path / "again.txt"
+        write_sample(p, s)
+        read = read_sample(p)
+        assert read.config == cfg
+        write_sample(again, read)
+        assert again.read_bytes() == p.read_bytes()

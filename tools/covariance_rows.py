@@ -7,11 +7,11 @@ for bit:
 
     PYTHONPATH=src python3 tools/covariance_rows.py [out.npy]
 
-Standard error gets the wall time of each law's `sigma_matrix` at each gamma,
-its profile tables included (their cache is cleared before each call, which
-moves no value), and the largest relative gap between the rows of the two
-hexagons, which are one isotropic law; standard output only the row count
-and the hash.
+Standard error gets the wall time of each isotropic law's `sigma_matrix` at
+each gamma, its profile tables included (their cache is cleared before each
+call, which moves no value), the wall time of each anisotropic rho entry,
+and the largest relative gap between the rows of the two hexagons, which are
+one isotropic law; standard output only the row count and the hash.
 
 Inputs, each at gamma 0.05, 0.3 and 1.0:
   * disks with radius uniform(0.5, 1.5) (closed-form profiles, and one
@@ -22,16 +22,17 @@ Inputs, each at gamma 0.05, 0.3 and 1.0:
     regular hexagon of circumradius 1 and the same hexagon at base angle 0.3
     (profile tables from angle panels); each table is exact at its nodes,
     and each law takes the boundary x boundary tensor rule;
-  * unrotated unit squares: rho_22 (a planar tensor rule over the
-    covariogram's support box, [-1, 1] x [0, 1], doubled) and rho_12 (a
-    boundary x body tensor rule with the anisotropic covariogram).  rho_11
-    has a value for an anisotropic law too (a tensor rule that reports no
-    error), which the table leaves out; sigma_matrix refuses the law.
+  * anisotropic laws, which sigma_matrix refuses: unrotated unit squares,
+    unrotated rects with halfwidth uniform(0.3, 0.6) and halfheight 0.5 (the
+    plane rule's Cartesian panels), the unrotated regular hexagon of
+    circumradius 1 and the right triangle (0, 0), (1, 0), (0, 1) (its polar
+    panels).  rho_11's boundary x boundary term is the tensor rule, so its
+    error is None.
 
-Each row holds one law and gamma: the 3 x 3 sigma matrix, the 3 x 3 rho
-table and the three rho errors (NaN where an entry reports none).  An
-unrotated-squares row holds rho_22 and rho_12 with their errors, padded with
-NaN.
+Each isotropic row holds one law and gamma: the 3 x 3 sigma matrix, the
+3 x 3 rho table and the three rho errors (NaN where an entry reports none).
+An anisotropic row holds rho_22, rho_12 and rho_11, each followed by its
+error, padded with NaN.
 """
 
 from __future__ import annotations
@@ -43,26 +44,34 @@ import time
 
 import numpy as np
 
-from germgrain.covariance import covariogram_functions, rho_12, rho_22, sigma_matrix
+from germgrain.covariance import covariogram_functions, rho_11, rho_12, rho_22, sigma_matrix
 from germgrain.geometry import ConvexPolygon
 from germgrain.model import GrainDistribution, ParamLaw, unit_squares
 
 
-def rotated_hexagon(base):
-    """The isotropic law of a regular hexagon of circumradius 1, a vertex at
-    angle `base`."""
+def hexagon(base, rotate=True):
+    """The law of a regular hexagon of circumradius 1, a vertex at angle
+    `base`, isotropic unless `rotate` is False."""
     return GrainDistribution("fixed", shape=ConvexPolygon(tuple(
         (math.cos(base + k * math.pi / 3.0), math.sin(base + k * math.pi / 3.0))
-        for k in range(6))), rotate=True)
+        for k in range(6))), rotate=rotate)
 
 
 LAWS = {
     "uniform disks": GrainDistribution("disk", radius=ParamLaw.uniform(0.5, 1.5)),
     "rotated squares": unit_squares(rotate=True),
-    "rotated hexagon": rotated_hexagon(0.0),
-    "rotated hexagon at base angle 0.3": rotated_hexagon(0.3),
+    "rotated hexagon": hexagon(0.0),
+    "rotated hexagon at base angle 0.3": hexagon(0.3),
     "rotated uniform rects": GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.3, 0.6),
                                                halfheight=ParamLaw.constant(0.5), rotate=True),
+}
+ANISOTROPIC = {
+    "unrotated squares": unit_squares(rotate=False),
+    "unrotated uniform rects": GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.3, 0.6),
+                                                 halfheight=ParamLaw.constant(0.5)),
+    "unrotated hexagon": hexagon(0.0, rotate=False),
+    "right triangle": GrainDistribution("fixed", shape=ConvexPolygon(((0.0, 0.0), (1.0, 0.0),
+                                                                     (0.0, 1.0)))),
 }
 GAMMAS = (0.05, 0.3, 1.0)
 ERRORS = ("rho22_quadrature", "rho12_quadrature", "rho11_quadrature")
@@ -84,11 +93,15 @@ def rows():
                   file=sys.stderr)
             out.append(np.concatenate([cm.matrix.ravel(), cm.rho.values.ravel(),
                                        [_number(cm.rho.errors[k]) for k in ERRORS]]))
-    squares = unit_squares(rotate=False)
-    for gamma in GAMMAS:
-        row = np.full(WIDTH, np.nan)
-        row[:4] = [_number(x) for x in (*rho_22(gamma, squares), *rho_12(gamma, squares))]
-        out.append(row)
+    for name, law in ANISOTROPIC.items():
+        for gamma in GAMMAS:
+            row = np.full(WIDTH, np.nan)
+            for k, entry in enumerate((rho_22, rho_12, rho_11)):
+                t0 = time.perf_counter()
+                row[2 * k:2 * k + 2] = [_number(x) for x in entry(gamma, law)]
+                print(f"{name}, gamma {gamma}: {entry.__name__} "
+                      f"{time.perf_counter() - t0:.3f} s", file=sys.stderr)
+            out.append(row)
     return np.array(out)
 
 
