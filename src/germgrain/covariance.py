@@ -39,12 +39,13 @@ integral of every other node.  An anisotropic law takes one Gauss-Legendre
 rule on panels that follow the lines where C2 kinks and C1 jumps
 (_plane_integral), with the gap to half as many nodes as its error.
 rho(V1,V1)'s boundary x boundary term is one adaptive chord-angle integral
-for a disk law, and otherwise a tensor rule per edge pair that reports none.
+for a disk law, and otherwise a Gauss-Legendre rule per edge pair, whose
+error is the plane rule's (_edge_pairs).
 
 Every grid -- a profile table, a plane or tensor rule, the disk laws' (chord
 angles x radii) -- is evaluated in blocks of about _BLOCK_ELEMENTS elements
 (_blocks), and a polygon's covariograms on chunks of translations that keep
-their (edges x edges) work within as many (_expected, _shape_profiles).  So
+their (edges x edges) work within as many (_chunked, _shape_profiles).  So
 the layer's memory grows neither with the grid nor with a polygon's edge
 count, and no value depends on the blocks.
 """
@@ -57,12 +58,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (AlignedRect, ConvexPolygon, Disk, _as_polygon_vertices,
+from .geometry import (AlignedRect, Disk, _as_polygon_vertices,
                        _composition_sum, boundary_covariogram, c_const, circumradius,
                        covariogram, disk_boundary_covariogram, disk_covariogram,
                        intrinsic_volumes, polygon_halfplanes)
 from .model import GrainDistribution, fixed_disk
-from .quadrature import adaptive_quad, gauss_legendre, legendre_rule, tanh_sinh
+from .quadrature import adaptive_quad, gauss_legendre, legendre_rule
 
 
 # Largest relative gap the assembly may leave to its direct derivations.
@@ -102,24 +103,30 @@ def _blocks(n, width):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _expected(dist: GrainDistribution, covariance_function):
-    """(tx, ty) -> E covariance_function(K, t) over the law's shapes K.
+def _side_fields(law, x):
+    """(E(2s - |x|)+, E 1{|x| < 2s}) at the abscissae x (any shape) over a
+    rect law's half-side s, summed over law.rule()'s nodes: the factors of
+    the law's fields, as its half-sides are independent."""
+    half_sides, probs = law.rule()
+    reach = 2.0 * half_sides - np.abs(x)[..., None]
+    return np.maximum(reach, 0.0) @ probs, (reach > 0.0) @ probs
+
+
+def _chunked(shape, covariance_function):
+    """(tx, ty) -> covariance_function(shape, t).
 
     A polygon's edge clip holds (edges x edges) elements per translation, so
     its translations go in chunks of _BLOCK_ELEMENTS // edges^2.  The value
     at each translation does not depend on the others, or on the chunking.
     """
-    def expect(tx, ty):
-        return dist.expect_shape(lambda k: covariance_function(k, (tx, ty)))
-    if not isinstance(dist.shape, ConvexPolygon):
-        return expect
-    size = max(1, _BLOCK_ELEMENTS // len(dist.shape.vertices) ** 2)
+    size = max(1, _BLOCK_ELEMENTS // len(_as_polygon_vertices(shape)) ** 2)
 
     def chunked(tx, ty):
         tx, ty = np.broadcast_arrays(tx, ty)
         out = np.empty(tx.shape)
         for i in range(0, tx.size, size):
-            out.flat[i:i + size] = expect(tx.flat[i:i + size], ty.flat[i:i + size])
+            out.flat[i:i + size] = covariance_function(shape, (tx.flat[i:i + size],
+                                                               ty.flat[i:i + size]))
         return out
     return chunked
 
@@ -360,20 +367,18 @@ def _tensor_rule(wp, wq, columns):
 # ---------------------------------------------------------------------------
 
 
-def _radial_integral(prof: CovariogramFunctions, f, epsabs):
-    """2 pi int f(s) s ds over [0, cutoff], split at the kinks: (value, error)."""
-    val, err = adaptive_quad(lambda s: f(s) * s, 0.0, prof.cutoff, epsabs=epsabs,
-                             points=prof.kinks)
-    return 2.0 * math.pi * val, 2.0 * math.pi * err
-
-
 def _profile_integral(prof: CovariogramFunctions, integrand, epsabs):
-    """_radial_integral of f = integrand(prof), with an error that covers the
-    profiles too: a tabulated profile adds |I(table) - I(every other node)|,
-    which bounds what linear interpolation between its nodes leaves out."""
-    val, err = _radial_integral(prof, integrand(prof), epsabs)
+    """2 pi int f(s) s ds over [0, cutoff] for f = integrand(prof), split at
+    the kinks: (value, error).  A tabulated profile adds to the error
+    |I(table) - I(every other node)|, which bounds what linear interpolation
+    between its nodes leaves out."""
+    def radial(p):
+        f = integrand(p)
+        val, err = adaptive_quad(lambda s: f(s) * s, 0.0, p.cutoff, epsabs=epsabs, points=p.kinks)
+        return 2.0 * math.pi * val, 2.0 * math.pi * err
+    val, err = radial(prof)
     if prof.coarse is not None:
-        err += abs(val - _radial_integral(prof.coarse, integrand(prof.coarse), epsabs)[0])
+        err += abs(val - radial(prof.coarse)[0])
     return val, err
 
 
@@ -388,11 +393,9 @@ def _rect_plane(dist: GrainDistribution, gamma, F, n):
     are independent, so C2 = gamma E(2w - |x|)+ E(2h - |y|)+ and
     C1 = gamma/2 (E 1{|x| < 2w} E(2h - |y|)+ + E(2w - |x|)+ E 1{|y| < 2h})."""
     def side(law):
-        half_sides, probs = law.rule()
-        ends = np.unique(np.append(0.0, 2.0 * half_sides))
+        ends = np.unique(np.append(0.0, 2.0 * law.rule()[0]))
         x, w = gauss_legendre(n, ends[:-1, None], ends[1:, None])  # (panels, n)
-        reach = 2.0 * half_sides - x.reshape(-1, 1)  # (nodes, atoms)
-        return w.ravel(), np.maximum(reach, 0.0) @ probs, (reach > 0.0) @ probs
+        return (w.ravel(), *_side_fields(law, x.ravel()))
     (wx, cov_x, in_x), (wy, cov_y, in_y) = side(dist.halfwidth), side(dist.halfheight)
     return 4.0 * _tensor_rule(wx, wy, lambda cols: F(
         gamma * np.outer(cov_x, cov_y[cols]),
@@ -419,7 +422,7 @@ def _polar_plane(dist: GrainDistribution, gamma, F, n):
     ends = angles[np.diff(angles, prepend=-1.0) > 1e-12]
     theta, wt = (a.ravel() for a in gauss_legendre(n, ends[:-1, None], ends[1:, None]))
     u = np.array([np.cos(theta), np.sin(theta)])
-    c2, c1 = _expected(dist, covariogram), _expected(dist, boundary_covariogram)
+    c2, c1 = _chunked(dist.shape, covariogram), _chunked(dist.shape, boundary_covariogram)
     rays = np.empty(len(theta))
     for rows in _blocks(len(theta), n * (len(edge) + 1)):
         proj = np.abs(normals @ u[:, rows]).T  # (rays, edges)
@@ -438,13 +441,19 @@ def _polar_plane(dist: GrainDistribution, gamma, F, n):
     return float(rays @ wt)
 
 
+def _with_gap(rule, n):
+    """(rule(n), error): the gap to rule(n // 2), floored at 4 ulps of the
+    value for its rounding, which the gap misses where both agree to the bit."""
+    val = rule(n)
+    return val, max(abs(val - rule(n // 2)), 4.0 * math.ulp(val))
+
+
 def _plane_integral(dist: GrainDistribution, gamma, F):
     """int F(C2(t), C1(t)) dt over the plane for an anisotropic law, from
-    _PLANE_NODES nodes per panel: (value, its gap to half as many nodes).
-    The panels follow the lines where C2 kinks and C1 jumps."""
+    _PLANE_NODES nodes per panel, with its error (_with_gap).  The panels
+    follow the lines where C2 kinks and C1 jumps."""
     rule = _rect_plane if dist.family == "rect" else _polar_plane
-    val = rule(dist, gamma, F, _PLANE_NODES)
-    return val, abs(val - rule(dist, gamma, F, _PLANE_NODES // 2))
+    return _with_gap(lambda n: rule(dist, gamma, F, n), _PLANE_NODES)
 
 
 def rho_22(gamma: float, dist: GrainDistribution):
@@ -512,60 +521,70 @@ def _disk_boundary_term(law, c2, kinks):
     return math.pi * val, math.pi * err
 
 
-def _rho11_boundary_term(shape, g2vec, gamma, n=48):
-    """Term B: boundary x boundary, quarter weight (Phi_1 = half-length
-    twice), a tensor rule per pair of edges; g2vec(tx, ty) = C2 / gamma."""
-    verts = _as_polygon_vertices(shape)
-    edges = list(zip(verts, np.roll(verts, -1, axis=0)))
-    u, wu = gauss_legendre(n, 0.0, 1.0)
-    term_b = 0.0
-    for i, (a1, b1) in enumerate(edges):
-        l1 = math.hypot(*(b1 - a1))
-        p1 = a1 + u[:, None] * (b1 - a1)
-        for j, (a2, b2) in enumerate(edges):
-            if i == j:
-                # Same edge: reduce to 2 * int_0^l (l - s) f(s) ds, tanh-sinh
-                # grading at the coincident-point end s = 0.
-                d_hat = (b1 - a1) / l1
+# Gauss-Legendre nodes per edge of rho11's term B (its error: the gap to half as many).
+_EDGE_NODES = 48
 
-                def f(s):
-                    return (l1 - s) * np.exp(gamma * g2vec(d_hat[0] * s, d_hat[1] * s))
-                term_b += 2.0 * tanh_sinh(f, 0.0, l1)
-                continue
-            p2 = a2 + u[:, None] * (b2 - a2)
-            term_b += l1 * math.hypot(*(b2 - a2)) * _tensor_rule(wu, wu, lambda cols: np.exp(
-                gamma * g2vec(p1[:, 0, None] - p2[cols, 0], p1[:, 1, None] - p2[cols, 1])))
-    return term_b * (gamma * 0.25)
+
+def _edge_pairs(shape, gamma, g2, n):
+    """int int exp(gamma g2(y - z)) over pairs of boundary points y, z of the
+    polygon K, from n Gauss-Legendre nodes per edge.  g2 is even, so edges
+    i < j take 2 l_i l_j times a tensor rule, and an edge of vector e and
+    length l paired with itself 2 l^2 int_0^1 (1 - u) exp(gamma g2(u e)) du,
+    whose integrand is smooth at the coincident end u = 0."""
+    verts = _as_polygon_vertices(shape)
+    edges = np.roll(verts, -1, axis=0) - verts
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    u, wu = gauss_legendre(n, 0.0, 1.0)
+    points = verts[:, None] + u[:, None] * edges[:, None]  # (edges, n, 2)
+    total = 0.0
+    for i, (p, e, length) in enumerate(zip(points, edges, lengths)):
+        along = np.exp(gamma * g2(u * e[0], u * e[1]))
+        total += 2.0 * length * length * (wu @ ((1.0 - u) * along))
+        for q, other in zip(points[i + 1:], lengths[i + 1:]):
+            total += 2.0 * length * other * _tensor_rule(wu, wu, lambda cols: np.exp(
+                gamma * g2(p[:, 0, None] - q[cols, 0], p[:, 1, None] - q[cols, 1])))
+    return total
 
 
 def rho_11(gamma: float, dist: GrainDistribution):
     """Both boundary-measure integrals of rho(V1, V1): (value, error).
 
     Term A (boundary x body) is int exp(C2(t)) C1(t)^2 dt, as rho_12.  Term B
-    (boundary x boundary) is one chord-angle integral for a disk law
-    (_disk_boundary_term), whose error sums both terms', and a tensor rule per
-    shape otherwise, with error None.
+    (boundary x boundary), gamma/4 times int int exp(C2(y - z)) over pairs of
+    boundary points (Phi_1 is half the length), is one chord-angle integral
+    for a disk law (_disk_boundary_term) and otherwise the edge-pair rule
+    (_edge_pairs, _with_gap), a tabulated law adding its table's gap to the
+    error as _profile_integral does.  The error sums both terms'.
     """
     if gamma == 0.0:
         return 0.0, 0.0
     dist = _closed_form(dist)
     _check_mean_coverage(gamma, dist)
-    if dist.isotropic:
-        prof = covariogram_functions(dist)
-        c2, c1 = (lambda s: gamma * prof.g2(s)), (lambda s: gamma * prof.g1(s))
-        scale = math.exp(float(c2(0.0))) * float(c1(0.0)) ** 2 * prof.cutoff ** 2
-        term_a, err_a = _radial_integral(prof, lambda s: np.exp(c2(s)) * c1(s) ** 2,
-                                         1e-11 * scale)
-        if dist.family == "disk":
-            term_b, err_b = _disk_boundary_term(dist.radius, c2, prof.kinks)
-            return term_a + gamma * term_b, err_a + gamma * err_b
 
-        def g2vec(tx, ty):
-            return prof.g2(np.hypot(tx, ty))
-    else:
-        term_a = _plane_integral(dist, gamma, lambda c2, c1: np.exp(c2) * c1 * c1)[0]
-        g2vec = _expected(dist, covariogram)
-    return term_a + dist.expect_shape(lambda k: _rho11_boundary_term(k, g2vec, gamma)), None
+    def term_b(g2, n=_EDGE_NODES):  # g2 = C2 / gamma
+        return 0.25 * gamma * float(dist.expect_shape(lambda k: _edge_pairs(k, gamma, g2, n)))
+
+    def radial(p):
+        return lambda tx, ty: p.g2(np.hypot(tx, ty))
+
+    def rect(tx, ty):
+        return _side_fields(dist.halfwidth, tx)[0] * _side_fields(dist.halfheight, ty)[0]
+    if not dist.isotropic:
+        term_a, err_a = _plane_integral(dist, gamma, lambda c2, c1: np.exp(c2) * c1 * c1)
+        g2 = rect if dist.family == "rect" else _chunked(dist.shape, covariogram)
+        b, err_b = _with_gap(lambda n: term_b(g2, n), _EDGE_NODES)
+        return term_a + b, err_a + err_b
+    prof = covariogram_functions(dist)
+    scale = (math.exp(float(gamma * prof.g2(0.0))) * float(gamma * prof.g1(0.0)) ** 2
+             * prof.cutoff ** 2)
+    term_a, err_a = _profile_integral(
+        prof, lambda p: lambda s: np.exp(gamma * p.g2(s)) * (gamma * p.g1(s)) ** 2,
+        1e-11 * scale)
+    if dist.family == "disk":
+        b, err_b = _disk_boundary_term(dist.radius, lambda s: gamma * prof.g2(s), prof.kinks)
+        return term_a + gamma * b, err_a + gamma * err_b
+    b, err_b = _with_gap(lambda n: term_b(radial(prof), n), _EDGE_NODES)
+    return term_a + b, err_a + err_b + abs(b - term_b(radial(prof.coarse)))
 
 
 def rho_0i(gamma: float, dist: GrainDistribution, i: int) -> float:

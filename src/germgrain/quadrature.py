@@ -1,6 +1,5 @@
 """Quadrature helpers: an adaptive Gauss-Kronrod rule for array-valued
-integrands, Gauss-Legendre tensors and a tanh-sinh rule for integrands with
-endpoint kinks.
+integrands and Gauss-Legendre rules.
 
 The adaptive rule is the 21-point Gauss-Kronrod pair of QUADPACK's qk21
 (Piessens et al. 1983) with its error estimate, applied to every panel of a
@@ -52,9 +51,6 @@ _X21 = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 # qk21 adds the centre first, then the Gauss pairs, then the Kronrod-only
 # pairs; keeping that order makes a panel's value bit-for-bit qk21's.
 _PAIRS = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
-
-# Refinement level of tanh_sinh: step 1/32, 243 nodes on the real line.
-TANH_SINH_LEVEL = 8
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -175,18 +171,3 @@ def gauss_legendre(n, a, b):
     x, w = legendre_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
-
-def tanh_sinh(f, a, b):
-    """Tanh-sinh rule on [a, b] with step 2^-(TANH_SINH_LEVEL - 3); nodes pile
-    up at both endpoints, so endpoint kinks and integrable singularities
-    converge fast.  f must be vectorized."""
-    h = 1.0 / 2 ** (TANH_SINH_LEVEL - 3)
-    k = np.arange(-int(3.8 / h), int(3.8 / h) + 1)
-    t = k * h
-    half_pi = 0.5 * math.pi
-    u = np.tanh(half_pi * np.sinh(t))
-    w = half_pi * np.cosh(t) / np.cosh(half_pi * np.sinh(t)) ** 2 * h
-    mid, span = 0.5 * (a + b), 0.5 * (b - a)
-    x = mid + span * u
-    inside = (x > a) & (x < b)
-    return float(np.dot(w[inside], f(x[inside])) * span)

@@ -24,7 +24,8 @@ PlacedGrain is converted at entry.  Three engines compute the same quantity:
     (Gauss-Bonnet: swept arc angle plus the turn at each piece's start,
     divided by 2*pi).  Each turn is read from the primitive bounding the
     covering interval that ends there, or from the body's own vertex, so no
-    endpoints are matched.  All geometry is window-centred.  In a chunk,
+    endpoints are matched.  All geometry is window-centred and scaled by a
+    power of two to a window side in [1/2, 1), exactly.  In a chunk,
     bodies of two replicates never pair, each replicate has its own region,
     and each row is summed over its own pieces only.  The half-open tiling
     correction reads the covered runs of the top and right window edges from
@@ -610,7 +611,10 @@ def arrangement_measure(grains, window: Window, mask: PlacedGrain | None = None,
 
     grains is a Grains or a sequence of PlacedGrain.  `mask` optionally
     replaces the observation region by one convex body, which must lie inside
-    the window.  All geometry is computed in window-centred coordinates.
+    the window.  All geometry is computed in window-centred coordinates,
+    scaled by a power of two to a window side in [1/2, 1).  So grains and
+    window scaled by 2^k give (v0, 2^k v1, 4^k v2) bit for bit, and a v1 or
+    v2 beyond the double range raises ReplicateError.
 
     With `counts`, grains is a chunk of len(counts) replicates, counts[r]
     grains of replicate r after those of the replicates before it, each
@@ -635,9 +639,13 @@ def _chunk_rows(grains: Grains, window: Window, mask, counts, edge_corrected):
                          f"not the {len(grains)} grains")
     if not len(grains):
         return np.zeros((len(counts), 3))
-    window_region = _window_region(window)
+    # The engine runs on a window of longer side in [1/2, 1): scaling by a
+    # power of two is exact, and products of coordinates stay normal doubles
+    # whatever the window's scale.  v1 and v2 are scaled back at the end.
+    e = math.frexp(max(window.width, window.height))[1]
+    grains, window_region = _scaled(grains, -e), _scaled(_window_region(window), -e)
     origin = window_region.centres[0]
-    region = window_region if mask is None else Grains.of([mask])
+    region = window_region if mask is None else _scaled(Grains.of([mask]), -e)
     if mask is not None and np.any(np.abs(region.centres[0] - origin + region.loc)
                                    + region.radius > window_region.loc[0]):
         raise ValueError("arrangement_measure: the mask must lie inside the window")
@@ -660,8 +668,21 @@ def _chunk_rows(grains: Grains, window: Window, mask, counts, edge_corrected):
     a, b = key // n + m, key % n + m
     edge = np.flatnonzero(bd.level(0, x, y) > -reach)
     regions, edge = rep[edge], edge + m
-    return _measure(bd, *_expand(bd, np.concatenate([a, b, edge, regions]),
+    rows = _measure(bd, *_expand(bd, np.concatenate([a, b, edge, regions]),
                                  np.concatenate([b, a, regions, edge])), edge_corrected)
+    with np.errstate(over="ignore"):
+        rows[:, 1], rows[:, 2] = np.ldexp(rows[:, 1], e), np.ldexp(rows[:, 2], 2 * e)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if len(bad):
+        raise ReplicateError(f"(v0, v1, v2) = {tuple(rows[bad[0]].tolist())} is not finite "
+                             f"on a window of scale 2^{e}", int(bad[0]))
+    return rows
+
+
+def _scaled(grains: Grains, k) -> Grains:
+    """The grains scaled by 2^k, exactly (barring overflow and underflow)."""
+    return Grains(np.ldexp(grains.centres, k), np.ldexp(grains.radius, k), grains.count,
+                  np.ldexp(grains.loc, k))
 
 
 # ---------------------------------------------------------------------------

@@ -531,7 +531,7 @@ class TestRhoPins:
         (UNIFORM_DISKS,
          {(2, 2): 5.647374053497943, (1, 2): 5.352324283178176, (1, 1): 6.094202066668875}),
         (unit_squares(rotate=True),
-         {(1, 1): 1.4296182580409225, (1, 2): 0.6645460951298946, (2, 2): 0.32110299168323314}),
+         {(1, 1): 1.4296182582943278, (1, 2): 0.6645460951298946, (2, 2): 0.32110299168323314}),
     ], ids=["uniform-disks", "rotated-squares"])
     def test_rho_table(self, dist, want):
         values = rho_table(GAMMA, dist).values
@@ -619,9 +619,7 @@ class TestRotatedSquaresOracle:
                                       _square_rho_oracle(gamma)):
             got, err = table.values[i, j], table.errors[f"{name}_quadrature"]
             assert abs(got - want) <= bounds[name] * want
-            if name != "rho11":  # its boundary x boundary tensor rule reports none
-                assert abs(got - want) <= err
-        assert table.errors["rho11_quadrature"] is None
+            assert abs(got - want) <= err
 
 
 def _unrotated_squares_rho22(gamma):
@@ -741,6 +739,61 @@ _REFERENCES = {"uniform-rects": _uniform_rects_integral, "hexagon": _hexagon_int
                "right-triangle": _triangle_integral}
 
 
+def _hexagon_boundary_pairs(gamma):
+    """int int exp(gamma g2(y - z)) over pairs of boundary points y, z of
+    HEXAGON, by scipy: (value, error).  g2 has the hexagon's symmetries, so
+    its 36 ordered edge pairs are 6 of an edge e with itself, each
+    2 int_0^1 (1 - u) exp(gamma g2(u e)) du, and 12 adjacent, 12 second-
+    neighbour and 6 opposite pairs, each a dblquad over the edges' unit
+    parameters."""
+    verts = np.array(HEXAGON.shape.vertices)
+    edges = np.roll(verts, -1, axis=0) - verts
+    tol = dict(epsabs=0.0, epsrel=1e-12)
+
+    def e(t):
+        return math.exp(gamma * covariogram(HEXAGON.shape, tuple(t)))
+    parts = [quad(lambda u: (1.0 - u) * e(u * edges[0]), 0.0, 1.0, limit=200, **tol)]
+    parts += [dblquad(lambda v, u: e(verts[0] + u * edges[0] - verts[j] - v * edges[j]),
+                      0.0, 1.0, 0.0, 1.0, **tol) for j in (1, 2, 3)]
+    return tuple(float(np.dot([12.0, 12.0, 12.0, 6.0], x)) for x in zip(*parts))
+
+
+def _uniform_rects_boundary_pairs(gamma):
+    """int int exp(C2(y - z)) over pairs of boundary points y, z for
+    UNIFORM_RECTS by scipy, averaged over the halfwidth rule's nodes w:
+    (value, error).  C2(t) = gamma F(|tx|) (1 - |ty|)+ with
+    F(x) = E(2w' - x)+ over the halfwidth law, kinked at every 2w'.  Of the
+    16 ordered edge pairs of AlignedRect(w, 0.5):
+      * a side of length 2w with itself: 2 int_0^2w (2w - r) exp(gamma F(r)) dr;
+      * a side of length 1 with itself: 2 int_0^1 (1 - r) exp(gamma F(0) (1 - r)) dr;
+      * the two long sides, 1 apart: (2w)^2, as C2 vanishes there;
+      * the two short sides, 2w apart: 2 int_0^1 (1 - r) exp(gamma F(2w) (1 - r)) dr;
+      * 8 adjacent pairs: int_0^2w int_0^1 exp(gamma F(a) b) db da, whose
+        inner integral is expm1(c) / c with c = gamma F(a)."""
+    nodes, probs = UNIFORM_RECTS.halfwidth.rule()
+    tol = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+
+    def F(x):
+        return float(np.maximum(2.0 * nodes - x, 0.0) @ probs)
+
+    def side(c):
+        return quad(lambda r: 2.0 * (1.0 - r) * math.exp(c * (1.0 - r)), 0.0, 1.0, **tol)
+
+    def pairs(w):
+        kinks = 2.0 * nodes[nodes < w]
+        parts = [quad(lambda r: 2.0 * (2.0 * w - r) * math.exp(gamma * F(r)), 0.0, 2.0 * w,
+                      points=kinks, **tol),
+                 side(gamma * F(0.0)), side(gamma * F(2.0 * w)), ((2.0 * w) ** 2, 0.0),
+                 quad(lambda a: math.expm1(gamma * F(a)) / (gamma * F(a)), 0.0, 2.0 * w,
+                      points=kinks, **tol)]
+        return [float(np.dot([2.0, 2.0, 2.0, 2.0, 8.0], x)) for x in zip(*parts)]
+    return tuple(probs @ np.array([pairs(w) for w in nodes]))
+
+
+_BOUNDARY_PAIRS = {"uniform-rects": _uniform_rects_boundary_pairs,
+                   "hexagon": _hexagon_boundary_pairs}
+
+
 def _count_plane_blocks(monkeypatch):
     """The list that gets _BLOCK_ELEMENTS at each block the plane rule evaluates."""
     blocks, plane_integral = [], _plane_integral
@@ -775,6 +828,22 @@ class TestAnisotropicPlaneRule:
             got, err = f(GAMMA, dist)
             assert abs(got - want) <= err + want_err + 1e-15 * want, f.__name__
 
+    @pytest.mark.parametrize("name", _BOUNDARY_PAIRS)
+    def test_rho11_matches_scipy_within_its_error(self, name):
+        # term A is a plane integral, term B gamma/4 times the boundary pairs'
+        area, area_err = _REFERENCES[name](lambda c2, c1: math.exp(GAMMA * c2) * (GAMMA * c1) ** 2)
+        pairs, pairs_err = _BOUNDARY_PAIRS[name](GAMMA)
+        want = area + 0.25 * GAMMA * pairs
+        got, err = rho_11(GAMMA, ANISOTROPIC[name])
+        assert abs(got - want) <= err + area_err + 0.25 * GAMMA * pairs_err + 1e-15 * want
+
+    def test_error_covers_the_rounding_of_the_value(self):
+        # the rect law's 16- and 8-node rules agree to the last bit, which
+        # its 32-node rule does not
+        val, err = rho_22(GAMMA, UNIFORM_RECTS)
+        finer = covariance._rect_plane(UNIFORM_RECTS, GAMMA, lambda c2, c1: np.expm1(c2), 32)
+        assert val != finer and abs(val - finer) <= err
+
     @pytest.mark.parametrize("gamma", [0.05, 0.3, 1.0])
     @pytest.mark.parametrize("name", ANISOTROPIC)
     def test_errors_are_small_numbers(self, name, gamma):
@@ -802,6 +871,18 @@ class TestAnisotropicPlaneRule:
         assert len(blocks) - default > 2 * default
 
 
+LAW_KINDS = {"disks": UNIFORM_DISKS, "rects": UNIFORM_RECTS, "rotated-rects": ROTATED_RECTS,
+             "polygon": HEXAGON, "rotated-polygon": ROTATED_HEXAGON}
+
+
+@pytest.mark.parametrize("dist", LAW_KINDS.values(), ids=LAW_KINDS.keys())
+def test_rho_entries_are_two_finite_floats(dist):
+    for f in (rho_22, rho_12, rho_11):
+        value, err = f(GAMMA, dist)
+        assert type(value) is float and type(err) is float, f.__name__
+        assert math.isfinite(value) and 0.0 < err < math.inf, f.__name__
+
+
 class TestRectProfiles:
     """A rect law's tables come from closed forms, which agree with the
     angle panels of a polygon's tables at every node."""
@@ -822,7 +903,7 @@ class TestTabulatedPolygonLaws:
         cm = sigma_matrix(GAMMA, dist)
         assert np.all(np.linalg.eigvalsh(cm.matrix) > 0.0)
         # the error covers the table's interpolation, so it is not rounding
-        for name, (i, j) in (("rho22", (2, 2)), ("rho12", (1, 2))):
+        for name, (i, j) in (("rho22", (2, 2)), ("rho12", (1, 2)), ("rho11", (1, 1))):
             assert 0.0 < cm.rho.errors[f"{name}_quadrature"] < 1e-4 * cm.rho.values[i, j]
 
     def test_rotated_triangle_does_not_see_its_base_orientation(self):

@@ -370,10 +370,10 @@ class TestCapacity:
         assert mean_hit_area(d, probe) == pytest.approx(want, rel=1e-12)
 
 
-def _fails_at_9x9_replicate_7(chunk):
-    """cltstats._functionals, except that replicate 7 on the window [0, 9]^2
-    fails like an engine check."""
-    if chunk.window.hi == (9.0, 9.0) and 7 in chunk.replicates:
+def _fails_at_replicate_7(window, chunk):
+    """cltstats._functionals, except that replicate 7 on `window` fails like
+    an engine check."""
+    if chunk.window == window and 7 in chunk.replicates:
         raise ReplicateError("planted failure", chunk.replicates.index(7))
     return cltstats._functionals(chunk)
 
@@ -434,20 +434,31 @@ class TestReplicateRows:
         one = replicate_rows(tuple(self.CONFIGS[1:2]), cltstats._functionals, reps, workers)
         assert len(one) == 1 and one[0].tobytes() == want[1].tobytes()
 
+    # a fixed polygon law: the printed command has to carry its vertices
+    TRIANGLES = ModelConfig(0.3, GrainDistribution("fixed", shape=ConvexPolygon(tuple(
+        (0.8 * math.cos(a), 0.8 * math.sin(a)) for a in (0.5, 0.5 + 2.0 * math.pi / 3.0,
+                                                         0.5 + 4.0 * math.pi / 3.0))),
+        rotate=True), Window((0.0, 0.0), (10.0, 7.0)), seed=6)
+
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failure_names_its_config_and_replicate(self, workers, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("failing", [1, 3], ids=["rotated-squares", "rotated-triangles"])
+    def test_failure_names_its_config_and_replicate(self, workers, failing, tmp_path,
+                                                     monkeypatch):
+        configs = self.CONFIGS + [self.TRIANGLES]
+        cfg = configs[failing]
         with pytest.raises(RuntimeError) as info:
-            replicate_rows(self.CONFIGS, _fails_at_9x9_replicate_7, 10, workers)
+            replicate_rows(configs, partial(_fails_at_replicate_7, cfg.window), 10, workers)
         msg = str(info.value)
         assert msg.startswith("replicate 7 failed (planted failure)")
-        assert "--seed 4 --window 0.0 0.0 9.0 9.0 --replicate 7" in msg
+        (x0, y0), (x1, y1) = cfg.window.lo, cfg.window.hi
+        assert f"--seed {cfg.seed} --window {x0} {y0} {x1} {y1} --replicate 7" in msg
         # the printed line runs as it stands and dumps the failing replicate's grains
         line = msg.split("reproduce its grains with ")[1]
         assert line.startswith("germgrain simulate ") and "<" not in line
         monkeypatch.chdir(tmp_path)
         assert cli.main(shlex.split(line)[1:]) == 0
-        dumped, want = read_sample(tmp_path / "replicate-7.txt"), sample(self.CONFIGS[1], 7)
-        assert dumped.config == self.CONFIGS[1] and dumped.replicate == 7
+        dumped, want = read_sample(tmp_path / "replicate-7.txt"), sample(cfg, 7)
+        assert dumped.config == cfg and dumped.replicate == 7
         for f in ("centres", "radius", "count", "loc"):
             assert getattr(dumped.grains, f).tobytes() == getattr(want.grains, f).tobytes()
 

@@ -1,6 +1,7 @@
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -577,6 +578,34 @@ class TestChunks:
         assert str(info.value).startswith("non-integer Euler characteristic")
         # it leaves a worker process whole
         assert pickle.loads(pickle.dumps(info.value)).index == 3
+
+    @pytest.mark.parametrize("law", ["unit disks", "rotated squares"])
+    def test_rows_scale_with_the_window(self, law):
+        # the engine measures on a window scaled to a side in [1/2, 1), so
+        # grains and window scaled by 2^k give (v0, 2^k v1, 4^k v2) bit for
+        # bit, with no numpy warning, until v2 leaves the double range
+        chunk = Chunk.of([sample(ModelConfig(0.3, self.LAWS[law], self.WIN, seed=3), r)
+                          for r in range(10)])
+        g = chunk.grains
+
+        def rows(k, corrected):
+            grains = Grains(np.ldexp(g.centres, k), np.ldexp(g.radius, k), g.count,
+                            np.ldexp(g.loc, k))
+            window = Window(np.ldexp(self.WIN.lo, k), np.ldexp(self.WIN.hi, k))
+            return arrangement_measure(grains, window, counts=chunk.counts,
+                                       edge_corrected=corrected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for corrected in (False, True):
+                want = rows(0, corrected)
+                assert np.all(want[:, 2] > 0.0)
+                for k in (-1000, -600, -300, -40, 40, 300, 500):
+                    got = rows(k, corrected)
+                    assert got[:, 0].tobytes() == want[:, 0].tobytes()
+                    assert got[:, 1].tobytes() == np.ldexp(want[:, 1], k).tobytes()
+                    assert got[:, 2].tobytes() == np.ldexp(want[:, 2], 2 * k).tobytes()
+                with pytest.raises(ReplicateError, match="is not finite"):
+                    rows(511, corrected)
 
     def test_counts_must_cover_the_grains(self):
         g = Grains.of([disk(1.0, 1.0), disk(2.0, 2.0)])

@@ -21,18 +21,17 @@ Inputs, each at gamma 0.05, 0.3 and 1.0:
     and halfheight 0.5 (profile tables filled from closed forms), a rotated
     regular hexagon of circumradius 1 and the same hexagon at base angle 0.3
     (profile tables from angle panels); each table is exact at its nodes,
-    and each law takes the boundary x boundary tensor rule;
+    and each law takes the edge-pair rule for rho11's boundary x boundary
+    term;
   * anisotropic laws, which sigma_matrix refuses: unrotated unit squares,
-    unrotated rects with halfwidth uniform(0.3, 0.6) and halfheight 0.5 (the
-    plane rule's Cartesian panels), the unrotated regular hexagon of
-    circumradius 1 and the right triangle (0, 0), (1, 0), (0, 1) (its polar
-    panels).  rho_11's boundary x boundary term is the tensor rule, so its
-    error is None.
+    unrotated rects with halfwidth uniform(0.3, 0.6) and halfheight 0.5, or
+    uniform(0.2, 0.7) (the plane rule's Cartesian panels), the unrotated
+    regular hexagon of circumradius 1 and the right triangle (0, 0), (1, 0),
+    (0, 1) (its polar panels); each takes the edge-pair rule too.
 
 Each isotropic row holds one law and gamma: the 3 x 3 sigma matrix, the
-3 x 3 rho table and the three rho errors (NaN where an entry reports none).
-An anisotropic row holds rho_22, rho_12 and rho_11, each followed by its
-error, padded with NaN.
+3 x 3 rho table and the three rho errors.  An anisotropic row holds rho_22,
+rho_12 and rho_11, each followed by its error, padded with NaN.
 """
 
 from __future__ import annotations
@@ -69,6 +68,8 @@ ANISOTROPIC = {
     "unrotated squares": unit_squares(rotate=False),
     "unrotated uniform rects": GrainDistribution("rect", halfwidth=ParamLaw.uniform(0.3, 0.6),
                                                  halfheight=ParamLaw.constant(0.5)),
+    "unrotated rects, both sides uniform": GrainDistribution(
+        "rect", halfwidth=ParamLaw.uniform(0.3, 0.6), halfheight=ParamLaw.uniform(0.2, 0.7)),
     "unrotated hexagon": hexagon(0.0, rotate=False),
     "right triangle": GrainDistribution("fixed", shape=ConvexPolygon(((0.0, 0.0), (1.0, 0.0),
                                                                      (0.0, 1.0)))),
@@ -76,10 +77,6 @@ ANISOTROPIC = {
 GAMMAS = (0.05, 0.3, 1.0)
 ERRORS = ("rho22_quadrature", "rho12_quadrature", "rho11_quadrature")
 WIDTH = 9 + 9 + len(ERRORS)
-
-
-def _number(x):
-    return np.nan if x is None else float(x)
 
 
 def rows():
@@ -92,13 +89,13 @@ def rows():
             print(f"{name}, gamma {gamma}: sigma_matrix {time.perf_counter() - t0:.3f} s",
                   file=sys.stderr)
             out.append(np.concatenate([cm.matrix.ravel(), cm.rho.values.ravel(),
-                                       [_number(cm.rho.errors[k]) for k in ERRORS]]))
+                                       [cm.rho.errors[k] for k in ERRORS]]))
     for name, law in ANISOTROPIC.items():
         for gamma in GAMMAS:
             row = np.full(WIDTH, np.nan)
             for k, entry in enumerate((rho_22, rho_12, rho_11)):
                 t0 = time.perf_counter()
-                row[2 * k:2 * k + 2] = [_number(x) for x in entry(gamma, law)]
+                row[2 * k:2 * k + 2] = entry(gamma, law)
                 print(f"{name}, gamma {gamma}: {entry.__name__} "
                       f"{time.perf_counter() - t0:.3f} s", file=sys.stderr)
             out.append(row)
