@@ -25,8 +25,8 @@ _EXPORTS = {
     "model": "GrainDistribution GrainMoments ModelConfig ParamLaw fixed_disk unit_squares",
     "process": "EdgeEffectError GermGrainSample empirical_capacity read_sample sample "
                "theory_capacity write_sample",
-    "union": "FunctionalVector ReplicateError arrangement_measure edge_corrected_measure "
-             "inclusion_exclusion_measure pixel_measure rasterize segment_coverage write_pgm",
+    "union": "ReplicateError arrangement_measure edge_corrected_measure "
+             "inclusion_exclusion_measure pixel_measure rasterize write_pgm",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

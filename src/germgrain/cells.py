@@ -15,7 +15,10 @@ area by Green's theorem, v1 as half the chain length, v0 = 1.
 
 Degenerate tangencies are resolved by the deterministic convention that
 measure-zero intersections count as empty: any cell whose area ends up below
-the coincidence tolerance reports Empty.
+the coincidence tolerance reports Empty.  The tolerances are absolute: the
+inclusion-exclusion oracle clips on union's normalized frame (a window side
+in [1/2, 1), centred on the window), where they are relative to the window;
+intersect_convex clips in the caller's coordinates.
 """
 
 from __future__ import annotations

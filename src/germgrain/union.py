@@ -1,12 +1,16 @@
 """Functionals (v0, v1, v2) of a union of placed grains clipped to a window.
 
 Every engine reads grains as geometry.Grains arrays; a sequence of
-PlacedGrain is converted at entry.  Three engines compute the same quantity:
+PlacedGrain is converted at entry, and every engine returns (v0, v1, v2) as
+a geometry.IntrinsicVolumes2D (a chunk's rows as an array).  Three engines
+compute the same quantity:
 
   * inclusion_exclusion_measure -- the additive-extension oracle: a signed
     sum of intersection-cell functionals over all nonempty grain subsets,
     with depth-first pruning (supersets of an empty intersection stay
-    empty).  Exponential; capped at 18 grains.
+    empty).  Exponential; capped at 18 grains.  It measures on the
+    arrangement engine's frame (_normalized), so the cells' tolerances are
+    relative to the window.
 
   * arrangement_measure -- exact polynomial-time engine over boundary
     intervals, one path for every grain type and one pass for a whole chunk
@@ -24,8 +28,8 @@ PlacedGrain is converted at entry.  Three engines compute the same quantity:
     (Gauss-Bonnet: swept arc angle plus the turn at each piece's start,
     divided by 2*pi).  Each turn is read from the primitive bounding the
     covering interval that ends there, or from the body's own vertex, so no
-    endpoints are matched.  All geometry is window-centred and scaled by a
-    power of two to a window side in [1/2, 1), exactly.  In a chunk,
+    endpoints are matched.  All geometry is scaled by a power of two to a
+    window side in [1/2, 1), exactly, and window-centred.  In a chunk,
     bodies of two replicates never pair, each replicate has its own region,
     and each row is summed over its own pieces only.  The half-open tiling
     correction reads the covered runs of the top and right window edges from
@@ -58,24 +62,7 @@ import math
 
 import numpy as np
 
-from .geometry import TWO_PI, Grains, PlacedGrain, Window
-
-
-class FunctionalVector:
-    """(v0, v1, v2) of a polyconvex observed set: count, half perimeter, area."""
-
-    __slots__ = ("v0", "v1", "v2")
-
-    def __init__(self, v0, v1, v2):
-        self.v0 = float(v0)
-        self.v1 = float(v1)
-        self.v2 = float(v2)
-
-    def as_array(self):
-        return np.array([self.v0, self.v1, self.v2])
-
-    def __repr__(self):
-        return f"FunctionalVector(v0={self.v0}, v1={self.v1}, v2={self.v2})"
+from .geometry import TWO_PI, Grains, IntrinsicVolumes2D, PlacedGrain, Window
 
 
 class ReplicateError(RuntimeError):
@@ -96,13 +83,16 @@ class ReplicateError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def inclusion_exclusion_measure(grains, window: Window, cap: int = 18) -> FunctionalVector:
-    """Additive extension of (v0, v1, v2) to the union via inclusion-exclusion."""
+def inclusion_exclusion_measure(grains, window: Window, cap: int = 18) -> IntrinsicVolumes2D:
+    """Additive extension of (v0, v1, v2) to the union via inclusion-exclusion,
+    measured on arrangement_measure's scaled, window-centred frame."""
     # Imported here: only this oracle needs cells, and no Monte Carlo command loads it.
     from .cells import TooManyGrainsError, clip_cell, grain_constraints, window_cell
-    base = window_cell(window)
+    grains, region, e = _normalized(Grains.of(grains), window)
+    hw, hh = region.loc[0]
+    base = window_cell(Window((-hw, -hh), (hw, hh)))
     cons = []
-    for row in Grains.of(grains):
+    for row in grains:
         gc = grain_constraints(*row)
         if clip_cell(base, gc) is not None:
             cons.append(gc)
@@ -122,7 +112,8 @@ def inclusion_exclusion_measure(grains, window: Window, cap: int = 18) -> Functi
             recurse(sub, j + 1, size + 1)
 
     recurse(base, 0, 0)
-    return FunctionalVector(*total)
+    v0, v1, v2 = total.tolist()
+    return IntrinsicVolumes2D(v0, math.ldexp(v1, e), math.ldexp(v2, 2 * e))
 
 
 # ---------------------------------------------------------------------------
@@ -138,20 +129,19 @@ _ROW_BLOCK = 2048
 
 
 class _Boundary:
-    """Boundary primitives of convex bodies in local coordinates.
+    """Boundary primitives of convex bodies.
 
     The first `regions` bodies are observation regions, one for each
-    replicate of a chunk (or the probe segment of segment_coverage); the
-    rest are grains.  rep gives the replicate of each body, region r being
-    replicate r's (one replicate by default).  A primitive is either a full
-    counterclockwise circle, parameterized by angle over [0, 2*pi], or a
-    directed edge x + u*d, u in [0, 1], with outward unit normal n and offset
-    n.x.  Polygon edges run counterclockwise, so each body keeps its interior
-    on the left.
+    replicate of a chunk; the rest are grains.  rep gives the replicate of
+    each body, region r being replicate r's (one replicate by default).  A
+    primitive is either a full counterclockwise circle, parameterized by
+    angle over [0, 2*pi], or a directed edge x + u*d, u in [0, 1], with
+    outward unit normal n and offset n.x.  Polygon edges run
+    counterclockwise, so each body keeps its interior on the left.
     """
 
-    def __init__(self, g: Grains, origin=(0.0, 0.0), regions=1, rep=None):
-        centres, count = g.centres - origin, g.count
+    def __init__(self, g: Grains, regions=1, rep=None):
+        centres, count = g.centres, g.count
         disk = g.radius > 0.0
         first = np.cumsum(count) - count
         body = np.repeat(np.arange(len(g)), count)
@@ -551,13 +541,6 @@ def _measure(bd, p, j, edge_corrected):
     return np.column_stack([v0i, v1, area])
 
 
-def _window_region(window: Window) -> Grains:
-    (x0, y0), (x1, y1) = window.lo, window.hi
-    hw, hh = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
-    return Grains(np.array([[0.5 * (x0 + x1), 0.5 * (y0 + y1)]]), np.zeros(1), np.array([4]),
-                  np.array([[hw, hh], [-hw, hh], [-hw, -hh], [hw, -hh]]))
-
-
 def _cell_pairs(centres, r, group):
     """Candidate pairs of points as index arrays (i, j), each unordered pair
     once, including every pair of points of the same group (a nonnegative
@@ -629,7 +612,7 @@ def arrangement_measure(grains, window: Window, mask: PlacedGrain | None = None,
     grains = Grains.of(grains)
     rows = _chunk_rows(grains, window, mask, [len(grains)] if counts is None else counts,
                        edge_corrected)
-    return rows if counts is not None else FunctionalVector(*rows[0])
+    return rows if counts is not None else IntrinsicVolumes2D(*rows[0].tolist())
 
 
 def _chunk_rows(grains: Grains, window: Window, mask, counts, edge_corrected):
@@ -639,20 +622,15 @@ def _chunk_rows(grains: Grains, window: Window, mask, counts, edge_corrected):
                          f"not the {len(grains)} grains")
     if not len(grains):
         return np.zeros((len(counts), 3))
-    # The engine runs on a window of longer side in [1/2, 1): scaling by a
-    # power of two is exact, and products of coordinates stay normal doubles
-    # whatever the window's scale.  v1 and v2 are scaled back at the end.
-    e = math.frexp(max(window.width, window.height))[1]
-    grains, window_region = _scaled(grains, -e), _scaled(_window_region(window), -e)
-    origin = window_region.centres[0]
-    region = window_region if mask is None else _scaled(Grains.of([mask]), -e)
-    if mask is not None and np.any(np.abs(region.centres[0] - origin + region.loc)
+    grains, window_region, e = _normalized(grains, window)
+    region = window_region if mask is None else _normalized(Grains.of([mask]), window)[0]
+    if mask is not None and np.any(np.abs(region.centres[0] + region.loc)
                                    + region.radius > window_region.loc[0]):
         raise ValueError("arrangement_measure: the mask must lie inside the window")
     # Bodies 0..m-1 are the replicates' regions, all alike; the grains follow.
     m = len(counts)
     rep = np.repeat(np.arange(m), counts)
-    bd = _Boundary(Grains.join(region.take(np.zeros(m, dtype=np.int64)), grains), origin, m,
+    bd = _Boundary(Grains.join(region.take(np.zeros(m, dtype=np.int64)), grains), m,
                    np.concatenate([np.arange(m), rep]))
 
     # Grain pairs of one replicate whose circumcircles overlap cover each
@@ -679,39 +657,25 @@ def _chunk_rows(grains: Grains, window: Window, mask, counts, edge_corrected):
     return rows
 
 
-def _scaled(grains: Grains, k) -> Grains:
-    """The grains scaled by 2^k, exactly (barring overflow and underflow)."""
-    return Grains(np.ldexp(grains.centres, k), np.ldexp(grains.radius, k), grains.count,
-                  np.ldexp(grains.loc, k))
+def _normalized(grains: Grains, window: Window):
+    """(grains, window region, e) on the frame of every exact measurement:
+    scaled by 2^-e to a window of longer side in [1/2, 1), then centred on
+    the window.  The scaling is exact and keeps products of coordinates
+    normal doubles whatever the window's scale; v1 and v2 scale back by 2^e
+    and 4^e."""
+    e = math.frexp(max(window.width, window.height))[1]
+    (x0, y0), (x1, y1) = window.lo, window.hi
+    centre = np.ldexp([0.5 * (x0 + x1), 0.5 * (y0 + y1)], -e)
+    hw, hh = np.ldexp([0.5 * (x1 - x0), 0.5 * (y1 - y0)], -e)
+    region = Grains(np.zeros((1, 2)), np.zeros(1), np.array([4]),
+                    np.array([[hw, hh], [-hw, hh], [-hw, -hh], [hw, -hh]]))
+    return (Grains(np.ldexp(grains.centres, -e) - centre, np.ldexp(grains.radius, -e),
+                   grains.count, np.ldexp(grains.loc, -e)), region, e)
 
 
 # ---------------------------------------------------------------------------
 # Edge-corrected (half-open tiling) measurement
 # ---------------------------------------------------------------------------
-
-
-def segment_coverage(grains, a, b):
-    """Occupied part of the segment [a, b] under the union of grains.
-
-    Returns (piece count, total length); the pieces are the maximal occupied
-    intervals, a one-dimensional polyconvex set with v0 = count, v1 = length.
-    The segment is covered by the grains' open interiors, in coordinates
-    relative to a.
-    """
-    grains = Grains.of(grains)
-    a = np.asarray(a, dtype=float)
-    dx, dy = np.asarray(b, dtype=float) - a
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("segment_coverage: the segment has zero length")
-    # The segment is body 0, paired with the grains whose circumcircle reaches it.
-    cx, cy = (grains.centres - a).T
-    t = np.clip((cx * dx + cy * dy) / (dx * dx + dy * dy), 0.0, 1.0)
-    near = np.flatnonzero(np.hypot(t * dx - cx, t * dy - cy) < grains.reach)
-    segment = Grains(a[None], np.zeros(1), np.array([2]), np.array([[0.0, 0.0], [dx, dy]]))
-    bd = _Boundary(Grains.join(segment, grains.take(near)), a)
-    _, u0, u1, _, _ = _merge_runs(*_coverage(bd, np.zeros(len(near), dtype=np.int64),
-                                             np.arange(1, len(near) + 1)))
-    return len(u0), float(np.sum(u1 - u0)) * math.hypot(dx, dy)
 
 
 def edge_corrected_measure(grains, window: Window, counts=None):
@@ -759,7 +723,7 @@ def rasterize(grains, window: Window, resolution: float) -> np.ndarray:
     return img
 
 
-def pixel_measure(grains, window: Window, resolution: float) -> FunctionalVector:
+def pixel_measure(grains, window: Window, resolution: float) -> IntrinsicVolumes2D:
     """Approximate (v0, v1, v2) from 2x2 pixel-configuration counts."""
     img = rasterize(grains, window, resolution)
     h = 1.0 / resolution
@@ -774,7 +738,7 @@ def pixel_measure(grains, window: Window, resolution: float) -> FunctionalVector
     n3 = cnt[7] + cnt[11] + cnt[13] + cnt[14]
     nd = cnt[6] + cnt[9]
     v0 = (float(n1) - float(n3) - 2.0 * float(nd)) / 4.0
-    return FunctionalVector(v0, v1, v2)
+    return IntrinsicVolumes2D(v0, v1, v2)
 
 
 def write_pgm(path, img: np.ndarray):

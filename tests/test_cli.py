@@ -110,6 +110,37 @@ class TestSimulateMeasure:
             vals[engine] = [float(rows[0][k]) for k in ("v0", "v1", "v2")]
         assert vals["arrangement"] == pytest.approx(vals["inclusion-exclusion"], abs=1e-9)
 
+    def test_engines_agree_on_a_window_scaled_by_2_to_the_minus_40(self, tmp_path):
+        # both exact engines measure on the window scaled to a side in
+        # [1/2, 1), so the oracle's tolerances do not swallow a tiny window
+        from germgrain.geometry import Grains, Window
+        from germgrain.model import GrainDistribution, ModelConfig, ParamLaw, fixed_disk
+        from germgrain.process import GermGrainSample, sample, write_sample
+
+        def squares(h):
+            return GrainDistribution("rect", halfwidth=ParamLaw.constant(h),
+                                     halfheight=ParamLaw.constant(h), rotate=True)
+        win = Window((0.0, 0.0), (4.0, 4.0))
+        tiny = Window(np.ldexp(win.lo, -40), np.ldexp(win.hi, -40))
+        dump = tmp_path / "dump.txt"
+        for law, tiny_law in ((fixed_disk(1.0), fixed_disk(2.0 ** -40)),
+                              (squares(0.5), squares(2.0 ** -41))):
+            g = sample(ModelConfig(0.3, law, win, seed=3), 0).grains
+            write_sample(dump, GermGrainSample(
+                Grains(np.ldexp(g.centres, -40), np.ldexp(g.radius, -40), g.count,
+                       np.ldexp(g.loc, -40)),
+                ModelConfig(0.3 * 4.0 ** 40, tiny_law, tiny, seed=3), 0))
+            vals = {}
+            for engine in ("arrangement", "inclusion-exclusion"):
+                out = tmp_path / f"{engine}.csv"
+                assert main(["measure", str(dump), "--engine", engine, "--out", str(out)]) == 0
+                _, rows = read_rows(out)
+                vals[engine] = [float(rows[0][k]) for k in ("v0", "v1", "v2")]
+            ar, ie = vals["arrangement"], vals["inclusion-exclusion"]
+            assert ar[2] > 0.0
+            assert ie[0] == ar[0]
+            assert ie[1:] == pytest.approx(ar[1:], rel=1e-12, abs=0.0)
+
 
 class TestErrorPaths:
     def test_malformed_config_no_partial_output(self, tmp_path):

@@ -30,9 +30,8 @@ EXPORTED = {
               "unit_squares"],
     "process": ["EdgeEffectError", "GermGrainSample", "empirical_capacity", "read_sample",
                 "sample", "theory_capacity", "write_sample"],
-    "union": ["FunctionalVector", "ReplicateError", "arrangement_measure",
-              "edge_corrected_measure", "inclusion_exclusion_measure", "pixel_measure",
-              "rasterize", "segment_coverage", "write_pgm"],
+    "union": ["ReplicateError", "arrangement_measure", "edge_corrected_measure",
+              "inclusion_exclusion_measure", "pixel_measure", "rasterize", "write_pgm"],
 }
 PAIRS = [(module, name) for module, names in EXPORTED.items() for name in names]
 

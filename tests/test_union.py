@@ -14,20 +14,38 @@ from germgrain.model import GrainDistribution, ModelConfig, ParamLaw, fixed_disk
 from germgrain.process import Chunk, GermGrainSample, _misses, sample, write_sample
 from germgrain.union import (_EPS, ReplicateError, _cell_pairs, _merge_runs, _unwrap,
                              arrangement_measure, edge_corrected_measure,
-                             inclusion_exclusion_measure, pixel_measure, rasterize,
-                             segment_coverage, write_pgm)
+                             inclusion_exclusion_measure, pixel_measure, rasterize, write_pgm)
 
 W = Window((-4.0, -4.0), (4.0, 4.0))
 LENS_AREA = 2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)
 
 
-def regular_polygon(n, r):
-    angles = 2.0 * math.pi * np.arange(n) / n
+def regular_polygon(n, r, turn=0.0):
+    angles = turn + 2.0 * math.pi * np.arange(n) / n
     return ConvexPolygon(tuple(zip(r * np.cos(angles), r * np.sin(angles))))
 
 
 def disk(x, y, r=1.0):
     return PlacedGrain((x, y), Disk(r))
+
+
+class _Outline:
+    """A convex polygon given by its local vertices, as a Grains row holds
+    them: ConvexPolygon refuses vertices as small as 2^-600, whose cross
+    products underflow in its convexity test."""
+
+    def __init__(self, verts):
+        self.verts = verts
+
+    def vertex_array(self):
+        return self.verts
+
+
+def scaled(grains, window, k):
+    """Grains and window scaled by 2^k, exactly."""
+    return (Grains(np.ldexp(grains.centres, k), np.ldexp(grains.radius, k), grains.count,
+                   np.ldexp(grains.loc, k)),
+            Window(np.ldexp(window.lo, k), np.ldexp(window.hi, k)))
 
 
 def random_grains(rng, n, box=3.6, shapes="mixed"):
@@ -101,12 +119,15 @@ class TestOracleReadsGrainsRows:
                 union.inclusion_exclusion_measure(s.grains, cfg.window)
             monkeypatch.undo()
             assert len(seen) == len(s.grains)
-            for got, (centre, _, loc), g in zip(seen, s.grains, s.placed):
+            # the oracle measures on the engine's scaled, window-centred frame
+            rows = union._normalized(s.grains, cfg.window)[0]
+            views = union._normalized(Grains.of(s.placed), cfg.window)[0]
+            for got, (centre, _, loc), (vc, _, vloc) in zip(seen, rows, views):
                 normals, offsets = polygon_halfplanes(centre + loc)
                 assert {c[0] for c in got} == {"h"}
                 assert np.array([c[1] for c in got]).tobytes() == normals.tobytes()
                 assert np.array([c[2] for c in got]).tobytes() == offsets.tobytes()
-                recentred = polygon_halfplanes(g.shape.vertex_array() + g.center)
+                recentred = polygon_halfplanes(vc + vloc)
                 moved += any(a.tobytes() != b.tobytes()
                              for a, b in zip(recentred, (normals, offsets)))
         assert moved  # the object view would have measured other grains
@@ -582,35 +603,74 @@ class TestChunks:
     @pytest.mark.parametrize("law", ["unit disks", "rotated squares"])
     def test_rows_scale_with_the_window(self, law):
         # the engine measures on a window scaled to a side in [1/2, 1), so
-        # grains and window scaled by 2^k give (v0, 2^k v1, 4^k v2) bit for
-        # bit, with no numpy warning, until v2 leaves the double range
+        # grains, window and mask scaled by 2^k give (v0, 2^k v1, 4^k v2)
+        # bit for bit, with no numpy warning, until v2 leaves the double range
         chunk = Chunk.of([sample(ModelConfig(0.3, self.LAWS[law], self.WIN, seed=3), r)
                           for r in range(10)])
-        g = chunk.grains
+        hexagon = regular_polygon(6, 5.0, 0.3).vertex_array()
 
-        def rows(k, corrected):
-            grains = Grains(np.ldexp(g.centres, k), np.ldexp(g.radius, k), g.count,
-                            np.ldexp(g.loc, k))
-            window = Window(np.ldexp(self.WIN.lo, k), np.ldexp(self.WIN.hi, k))
-            return arrangement_measure(grains, window, counts=chunk.counts,
-                                       edge_corrected=corrected)
+        def rows(k, observation):
+            # plain, edge-corrected, and the masks of tools/engine_rows.py
+            kw = [{}, {"edge_corrected": True},
+                  {"mask": PlacedGrain(np.ldexp((6.25, 5.5), k), Disk(math.ldexp(4.5, k)))},
+                  {"mask": PlacedGrain(np.ldexp((5.5, 6.25), k), _Outline(np.ldexp(hexagon, k)))}]
+            return arrangement_measure(*scaled(chunk.grains, self.WIN, k), counts=chunk.counts,
+                                       **kw[observation])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for corrected in (False, True):
-                want = rows(0, corrected)
+            for observation in range(4):
+                want = rows(0, observation)
                 assert np.all(want[:, 2] > 0.0)
                 for k in (-1000, -600, -300, -40, 40, 300, 500):
-                    got = rows(k, corrected)
+                    got = rows(k, observation)
                     assert got[:, 0].tobytes() == want[:, 0].tobytes()
                     assert got[:, 1].tobytes() == np.ldexp(want[:, 1], k).tobytes()
                     assert got[:, 2].tobytes() == np.ldexp(want[:, 2], 2 * k).tobytes()
                 with pytest.raises(ReplicateError, match="is not finite"):
-                    rows(511, corrected)
+                    rows(511, observation)
 
     def test_counts_must_cover_the_grains(self):
         g = Grains.of([disk(1.0, 1.0), disk(2.0, 2.0)])
         with pytest.raises(ValueError, match="counts"):
             arrangement_measure(g, self.WIN, counts=[1])
+
+
+class TestOracleFrame:
+    # the oracle measures on the arrangement engine's frame, scaled to a
+    # window side in [1/2, 1) and centred on the window, so the cells'
+    # tolerances are relative to the window
+
+    @pytest.mark.parametrize("law", ["unit disks", "rotated squares"])
+    def test_rows_scale_with_the_window(self, law):
+        win = Window((0.0, 0.0), (4.0, 4.0))
+        cfg = ModelConfig(0.3, TestChunks.LAWS[law], win, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for r in range(10):
+                g = sample(cfg, r).grains
+                want = inclusion_exclusion_measure(g, win)
+                assert want.v2 > 0.0
+                for k in (-1000, -600, -300, -40, 40, 300, 500):
+                    got = inclusion_exclusion_measure(*scaled(g, win, k)).as_array()
+                    assert got.tobytes() == np.array([want.v0, math.ldexp(want.v1, k),
+                                                      math.ldexp(want.v2, 2 * k)]).tobytes()
+
+    def test_matches_the_engine_far_from_the_origin(self):
+        win = Window((1000.0, 1000.0), (1004.0, 1004.0))
+        measured = 0
+        for law in TestChunks.LAWS.values():
+            cfg = ModelConfig(0.3, law, win, seed=17)
+            for r in range(40):
+                g = sample(cfg, r).grains
+                try:
+                    ie = inclusion_exclusion_measure(g, win).as_array()
+                except TooManyGrainsError:
+                    continue
+                ar = arrangement_measure(g, win).as_array()
+                assert ie[0] == ar[0]
+                assert ie[1:] == pytest.approx(ar[1:], rel=1e-13, abs=0.0)
+                measured += 1
+        assert measured > 150
 
 
 class TestEdgeCorrectedMeasure:
@@ -646,16 +706,6 @@ class TestEdgeCorrectedMeasure:
             assert tiles[0] == whole[0]
             assert tiles[1:] == pytest.approx(whole[1:], rel=1e-9)
 
-    def test_segment_coverage_counts(self):
-        n, ln = segment_coverage([disk(0, 0), disk(3, 0), PlacedGrain((1.5, 0), AlignedRect(0.2, 0.2))],
-                                 (-4.0, 0.0), (4.0, 0.0))
-        assert n == 3
-        assert ln == pytest.approx(2.0 + 2.0 + 0.4, rel=1e-12)
-
-    def test_zero_length_segment_is_an_error(self):
-        with pytest.raises(ValueError, match="zero length"):
-            segment_coverage([disk(0, 0)], (0.5, 0.5), (0.5, 0.5))
-
     def test_one_boundary_per_call(self, monkeypatch):
         built = []
 
@@ -672,13 +722,53 @@ class TestEdgeCorrectedMeasure:
             arrangement_measure([disk(0, 0)], W, mask=disk(0.0, 0.0, 2.0), edge_corrected=True)
 
     @staticmethod
-    def _separate_parts(grains, window):
-        """The correction from its parts: the full window, segment coverage of
-        the top and right edges, and the far corner in some grain's interior."""
+    def _covered_pieces(grains, a, b):
+        """(pieces, length) of the segment [a, b] inside the union of the
+        grains' open interiors, in Python floats: each grain's parameter
+        interval (a disk's chord from the quadratic, a polygon's clip against
+        its edge halfplanes), then a merge of the open intervals."""
+        (ax, ay), (bx, by) = a, b
+        dx, dy = bx - ax, by - ay
+        spans = []
+        for (cx, cy), r, loc in grains:
+            fx, fy, r = float(ax - cx), float(ay - cy), float(r)
+            if r > 0.0:
+                qa, qb, qc = dx * dx + dy * dy, fx * dx + fy * dy, fx * fx + fy * fy - r * r
+                disc = qb * qb - qa * qc
+                if disc <= 0.0:
+                    continue
+                lo, hi = (-qb - math.sqrt(disc)) / qa, (-qb + math.sqrt(disc)) / qa
+            else:
+                lo, hi = 0.0, 1.0
+                verts = loc.tolist()
+                for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1]):
+                    nx, ny = qy - py, px - qx  # outward normal of the edge p -> q
+                    f0, df = nx * (fx - px) + ny * (fy - py), nx * dx + ny * dy
+                    if df < 0.0:
+                        lo = max(lo, -f0 / df)
+                    elif df > 0.0:
+                        hi = min(hi, -f0 / df)
+                    elif f0 >= 0.0:
+                        hi = lo
+            lo, hi = max(lo, 0.0), min(hi, 1.0)
+            if hi > lo:
+                spans.append([lo, hi])
+        runs = []
+        for lo, hi in sorted(spans):
+            if runs and lo < runs[-1][1]:
+                runs[-1][1] = max(runs[-1][1], hi)
+            else:
+                runs.append([lo, hi])
+        return len(runs), sum(hi - lo for lo, hi in runs) * math.hypot(dx, dy)
+
+    @classmethod
+    def _separate_parts(cls, grains, window):
+        """The correction from its parts: the full window, coverage of the top
+        and right edges, and the far corner in some grain's interior."""
         full = arrangement_measure(grains, window).as_array()
         (x0, y0), (x1, y1) = window.lo, window.hi
-        n_top, l_top = segment_coverage(grains, (x0, y1), (x1, y1))
-        n_right, l_right = segment_coverage(grains, (x1, y0), (x1, y1))
+        n_top, l_top = cls._covered_pieces(grains, (x0, y1), (x1, y1))
+        n_right, l_right = cls._covered_pieces(grains, (x1, y0), (x1, y1))
         g = Grains.of(grains)
         corner = False
         for k in range(len(g)):
