@@ -430,7 +430,7 @@ def _polar_plane(dist: GrainDistribution, gamma, F, n):
             end = np.min(width / proj, axis=1)[:, None]
             cross = np.minimum(depth[edge, vertex] / proj[:, edge], end)
         splits = np.sort(np.concatenate([np.zeros_like(end), cross, end], axis=1), axis=1)
-        keep = np.diff(splits, axis=1, prepend=-1.0) > tol
+        keep = np.diff(splits, axis=1, prepend=-np.inf) > tol
         row, cuts = np.nonzero(keep)[0], splits[keep]
         panel = row[1:] == row[:-1]  # consecutive kept splits of one ray
         row = row[1:][panel]
@@ -466,8 +466,7 @@ def rho_22(gamma: float, dist: GrainDistribution):
         return _plane_integral(dist, gamma, lambda c2, c1: np.expm1(c2))
     prof = covariogram_functions(dist)
     scale = math.expm1(gamma * float(prof.g2(0.0))) * prof.cutoff ** 2
-    return _profile_integral(prof, lambda p: lambda s: np.expm1(gamma * p.g2(s)),
-                             1e-10 * max(scale, 1e-6))
+    return _profile_integral(prof, lambda p: lambda s: np.expm1(gamma * p.g2(s)), 1e-10 * scale)
 
 
 def sigma_volume(gamma: float, dist: GrainDistribution):

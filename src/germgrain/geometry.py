@@ -15,6 +15,11 @@ rectangles have closed forms; a polygon's two covariograms come from one
 Cyrus-Beck clip of its edges against the halfplanes of its translates,
 evaluated for all translations at once.
 
+Every tie is decided relative to the shape, a polygon's on its vertices
+scaled exactly by a power of two to a largest |coordinate| in [1/2, 1).  So a
+shape scaled by 2^k re-centres as 2^k times itself, and its covariograms scale
+by 4^k and 2^k, bit for bit.
+
 Convention: for a convex body K in the plane, v0(K) = 1, v1(K) is HALF the
 perimeter and v2(K) is the area.  The half-perimeter normalization is the one
 that makes the Steiner expansion read
@@ -83,22 +88,19 @@ class ConvexPolygon:
         arr = np.asarray(verts, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise DegenerateShapeError("polygon vertices must be finite")
-        # Huge coordinates may overflow these products, silently: a grain law
-        # refuses the shape where its moments overflow.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Normalize orientation before convexity checking.
-            if _shoelace(arr) < 0.0:
-                arr = arr[::-1]
-            scale = float(np.max(np.abs(arr))) or 1.0
-            n = len(arr)
-            for i in range(n):
-                a, b, c = arr[i], arr[(i + 1) % n], arr[(i + 2) % n]
-                cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-                if cross <= 1e-12 * scale * scale:
-                    raise DegenerateShapeError(
-                        "polygon must be strictly convex with no three collinear vertices")
+        # Tested on the vertices scaled by 2^-e, where no product under- or overflows.
+        e = math.frexp(float(np.max(np.abs(arr))))[1]
+        unit = np.ldexp(arr, -e)
+        if _shoelace(unit) < 0.0:
+            arr, unit = arr[::-1], unit[::-1]
+        n = len(arr)
+        for i in range(n):
+            a, b, c = unit[i], unit[(i + 1) % n], unit[(i + 2) % n]
+            if (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) <= 1e-12:
+                raise DegenerateShapeError(
+                    "polygon must be strictly convex with no three collinear vertices")
         object.__setattr__(self, "vertices", tuple((float(x), float(y)) for x, y in arr))
-        centred = arr - smallest_enclosing_circle(arr)[0]
+        centred = arr - np.ldexp(smallest_enclosing_circle(unit)[0], e)
         centred.flags.writeable = False
         object.__setattr__(self, "_centred", centred)
 
@@ -157,7 +159,7 @@ def _circumcircle(a, b, c):
     bx, by = b
     cx, cy = c
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if abs(d) < 1e-14 * (abs(ax) + abs(bx) + abs(cx) + 1.0) ** 2:
+    if abs(d) < 1e-14 * (abs(ax) + abs(bx) + abs(cx)) ** 2:
         return None
     ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
           + (cx * cx + cy * cy) * (ay - by)) / d
@@ -170,7 +172,7 @@ def _circumcircle(a, b, c):
 def smallest_enclosing_circle(points: np.ndarray):
     """Smallest enclosing circle of a point set (Welzl-style, exact contract).
 
-    Returns (center, radius).  Ties at machine precision are accepted.
+    Returns (center, radius), deciding ties to 1e-12 of the largest |coordinate|.
     """
     pts = [tuple(map(float, p)) for p in np.asarray(points, dtype=float)]
 
@@ -182,8 +184,7 @@ def smallest_enclosing_circle(points: np.ndarray):
         return ((0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])),
                 0.5 * math.hypot(a[0] - b[0], a[1] - b[1]))
 
-    scale = max(1.0, max(abs(v) for p in pts for v in p))
-    tol = 1e-12 * scale
+    tol = 1e-12 * max(abs(v) for p in pts for v in p)
 
     def trivial(boundary):
         if not boundary:
@@ -325,7 +326,7 @@ def _edge_spans(verts: np.ndarray, tx, ty):
     "on the line" are decided to 1e-12 of the polygon's scale.
     """
     normals, offsets = polygon_halfplanes(verts)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(verts))))
+    tol = 1e-12 * float(np.max(np.abs(verts)))
     # f_ij(s) = a_ij + s*b_ij is the signed distance of edge i's point s
     # outside halfplane j of K + t.
     shift = np.multiply.outer(tx, normals[:, 0]) + np.multiply.outer(ty, normals[:, 1])
@@ -392,7 +393,7 @@ def boundary_covariogram(shape: GrainShape, t):
         e = np.roll(verts, -1, axis=0) - verts
         span, flush = _edge_spans(verts, tx, ty)
         val = 0.5 * np.sum(np.where(flush, 0.0, span) * np.hypot(e[:, 0], e[:, 1]), axis=-1)
-    return np.where(d <= 1e-15 * max(1.0, R), intrinsic_volumes(shape).v1,
+    return np.where(d <= 1e-15 * R, intrinsic_volumes(shape).v1,
                     np.where(d >= 2.0 * R, 0.0, val))[()]
 
 

@@ -99,9 +99,9 @@ def adaptive_quad(f, a, b, epsabs, epsrel=1e-10, limit=200, points=None):
     then bisects every panel whose error is at least a quarter of the worst,
     until the summed error meets max(epsabs, epsrel * |value|) or `limit`
     bisections are spent.  Raises QuadratureError when the achieved error is
-    more than 100 times that tolerance.
+    more than 100 times that tolerance.  epsabs, relative to the caller's
+    integral, must be > 0: nothing floors it, so the rule scales with f.
     """
-    epsabs = max(epsabs, 1e-14)
     cuts = np.asarray(points if points is not None else (), dtype=float)
     cuts = np.array(sorted({a, b, *cuts[(cuts > a) & (cuts < b)].tolist()}), dtype=float)
     lo, hi = cuts[:-1], cuts[1:]

@@ -883,6 +883,41 @@ def test_rho_entries_are_two_finite_floats(dist):
         assert math.isfinite(value) and 0.0 < err < math.inf, f.__name__
 
 
+def scaled_laws(k):
+    """Unit and uniform(0.5, 1.5) disks, unit squares and the triangle (0, 0),
+    (1, 0), (0.3, 0.9), the last two unrotated and rotated, with every length
+    times 2^k, exactly."""
+    half = ParamLaw.constant(math.ldexp(0.5, k))
+    triangle = ConvexPolygon(tuple(map(tuple, np.ldexp([(0.0, 0.0), (1.0, 0.0), (0.3, 0.9)], k))))
+    return {"unit disks": fixed_disk(math.ldexp(1.0, k)),
+            "uniform disks": GrainDistribution("disk", radius=ParamLaw.uniform(
+                math.ldexp(0.5, k), math.ldexp(1.5, k))),
+            "squares": GrainDistribution("rect", halfwidth=half, halfheight=half),
+            "rotated squares": GrainDistribution("rect", halfwidth=half, halfheight=half,
+                                                 rotate=True),
+            "triangle": GrainDistribution("fixed", shape=triangle),
+            "rotated triangle": GrainDistribution("fixed", shape=triangle, rotate=True)}
+
+
+@pytest.mark.parametrize("k", [-300, -40, 40, 200])
+def test_rho_entries_scale_with_the_grains(k):
+    # lengths times 2^k and gamma times 4^-k keep gamma E v2, and scale rho_22,
+    # rho_12 and rho_11 and their errors by 4^k, 2^k and 1, bit for bit.  A
+    # uniform radius law's closed-form profiles take logarithms of lengths,
+    # so its values agree to 1e-14 relative, and its errors, differences of
+    # two rules, to 1e-4.
+    unit, laws = scaled_laws(0), scaled_laws(k)
+    for name, dist in laws.items():
+        for f, power in ((rho_22, 2), (rho_12, 1), (rho_11, 0)):
+            value, err = (math.ldexp(x, power * k) for x in f(GAMMA, unit[name]))
+            got = f(math.ldexp(GAMMA, -2 * k), dist)
+            if name == "uniform disks":
+                assert got == (pytest.approx(value, rel=1e-14, abs=0.0),
+                               pytest.approx(err, rel=1e-4, abs=0.0)), f.__name__
+            else:
+                assert got == (value, err), (name, f.__name__)
+
+
 class TestRectProfiles:
     """A rect law's tables come from closed forms, which agree with the
     angle panels of a polygon's tables at every node."""

@@ -201,6 +201,51 @@ class TestValidation:
         assert intrinsic_volumes(p).v2 == pytest.approx(0.5)
 
 
+def random_polygons(count=100, seed=36):
+    """Seeded strictly convex polygons of 3-7 vertices, off the origin: jittered
+    angles on a circle, stretched, turned and moved, so re-centring moves them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(3, 8))
+        theta = 2.0 * math.pi * (np.arange(n) + 0.8 * rng.uniform(size=n)) / n
+        c, s = np.cos(rng.uniform(0.0, math.pi)), np.sin(rng.uniform(0.0, math.pi))
+        stretch = np.diag(rng.uniform(0.3, 1.5, 2)) @ np.array([[c, s], [-s, c]])
+        out.append(np.column_stack([np.cos(theta), np.sin(theta)]) @ stretch
+                   + rng.uniform(-3.0, 3.0, 2))
+    return out
+
+
+def scaled_polygon(verts, k):
+    return ConvexPolygon(tuple(map(tuple, np.ldexp(verts, k))))
+
+
+class TestScale:
+    # a polygon decides its ties relative to its own size, on its vertices
+    # scaled by a power of two, so scaled by 2^k it builds and re-centres as
+    # 2^k times itself, and its covariograms scale by 4^k and 2^k, bit for bit
+    POLYGONS = random_polygons()
+
+    def test_polygons_build_and_recentre_at_every_scale(self):
+        for verts in self.POLYGONS:
+            unit = scaled_polygon(verts, 0).vertex_array()
+            for k in (-1000, -600, -300, -40, 40, 300, 500):
+                got = scaled_polygon(verts, k).vertex_array()
+                assert got.tobytes() == np.ldexp(unit, k).tobytes(), k
+
+    def test_covariograms_scale_with_the_polygon(self):
+        u = np.column_stack([(0.0, 0.0), np.random.default_rng(7).uniform(-1.0, 1.0, (2, 40))])
+        for verts in self.POLYGONS:
+            unit = scaled_polygon(verts, 0)
+            t = 2.0 * circumradius(unit) * u
+            g2, g1 = covariogram(unit, t), boundary_covariogram(unit, t)
+            assert np.count_nonzero(g2) > 1 and np.count_nonzero(g1) > 1
+            for k in (-300, -40, 40, 300):
+                shape, tk = scaled_polygon(verts, k), np.ldexp(t, k)
+                assert covariogram(shape, tk).tobytes() == np.ldexp(g2, 2 * k).tobytes(), k
+                assert boundary_covariogram(shape, tk).tobytes() == np.ldexp(g1, k).tobytes(), k
+
+
 class TestRotationAndSerialization:
     def test_rotate_square_becomes_polygon(self):
         r = rotate_shape(UNIT_SQUARE, 0.3)

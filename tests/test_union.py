@@ -29,18 +29,6 @@ def disk(x, y, r=1.0):
     return PlacedGrain((x, y), Disk(r))
 
 
-class _Outline:
-    """A convex polygon given by its local vertices, as a Grains row holds
-    them: ConvexPolygon refuses vertices as small as 2^-600, whose cross
-    products underflow in its convexity test."""
-
-    def __init__(self, verts):
-        self.verts = verts
-
-    def vertex_array(self):
-        return self.verts
-
-
 def scaled(grains, window, k):
     """Grains and window scaled by 2^k, exactly."""
     return (Grains(np.ldexp(grains.centres, k), np.ldexp(grains.radius, k), grains.count,
@@ -607,13 +595,14 @@ class TestChunks:
         # bit for bit, with no numpy warning, until v2 leaves the double range
         chunk = Chunk.of([sample(ModelConfig(0.3, self.LAWS[law], self.WIN, seed=3), r)
                           for r in range(10)])
-        hexagon = regular_polygon(6, 5.0, 0.3).vertex_array()
+        hexagon = regular_polygon(6, 5.0, 0.3).vertices
 
         def rows(k, observation):
             # plain, edge-corrected, and the masks of tools/engine_rows.py
             kw = [{}, {"edge_corrected": True},
                   {"mask": PlacedGrain(np.ldexp((6.25, 5.5), k), Disk(math.ldexp(4.5, k)))},
-                  {"mask": PlacedGrain(np.ldexp((5.5, 6.25), k), _Outline(np.ldexp(hexagon, k)))}]
+                  {"mask": PlacedGrain(np.ldexp((5.5, 6.25), k),
+                                       ConvexPolygon(tuple(map(tuple, np.ldexp(hexagon, k)))))}]
             return arrangement_measure(*scaled(chunk.grains, self.WIN, k), counts=chunk.counts,
                                        **kw[observation])
         with warnings.catch_warnings():
@@ -628,6 +617,29 @@ class TestChunks:
                     assert got[:, 2].tobytes() == np.ldexp(want[:, 2], 2 * k).tobytes()
                 with pytest.raises(ReplicateError, match="is not finite"):
                     rows(511, observation)
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["fixed", "rotated"])
+    def test_a_scaled_model_draws_and_measures_scaled_grains(self, rotate):
+        # a triangle law with every length times 2^k and gamma times 4^-k draws
+        # 2^k times the grains of the unit model and measures (v0, 2^k v1,
+        # 4^k v2), bit for bit
+        triangle = [(0.2, 0.1), (1.3, 0.0), (0.5, 1.1)]
+
+        def model(k):
+            law = GrainDistribution("fixed", shape=ConvexPolygon(tuple(map(
+                tuple, np.ldexp(triangle, k)))), rotate=rotate)
+            win = Window(np.ldexp(self.WIN.lo, k), np.ldexp(self.WIN.hi, k))
+            cfg = ModelConfig(math.ldexp(0.3, -2 * k), law, win, seed=3)
+            chunk = Chunk.of([sample(cfg, r) for r in range(10)])
+            return chunk.grains, arrangement_measure(chunk.grains, chunk.window, counts=chunk.counts)
+        grains, rows = model(0)
+        assert np.all(rows[:, 2] > 0.0)
+        for k in (-300, -40, 40, 300):
+            got, got_rows = model(k)
+            assert got.count.tobytes() == grains.count.tobytes()
+            for field in ("centres", "radius", "loc"):
+                assert getattr(got, field).tobytes() == np.ldexp(getattr(grains, field), k).tobytes()
+            assert got_rows.tobytes() == np.ldexp(rows, [0, k, 2 * k]).tobytes()
 
     def test_counts_must_cover_the_grains(self):
         g = Grains.of([disk(1.0, 1.0), disk(2.0, 2.0)])
