@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -207,36 +207,6 @@ def _disk_profiles(dist: GrainDistribution) -> CovariogramFunctions:
                                 tuple(sorted(2.0 * r for r in radii)))
 
 
-def _grid_lookup(ss, table):
-    """s -> np.interp(s, ss, table, right=0.0), bit for bit, on an even grid
-    ss from 0 to cutoff.
-
-    The node below s is found by division, then corrected by at most one
-    step (the quotient can round across a node); np.interp's formula follows
-    with its precomputed slopes.  Slope-0 pads give the other cases: s < 0
-    reads table[0], s = cutoff table[-1], s past it 0.0, NaN NaN."""
-    n, cutoff = len(ss), float(ss[-1])
-    # padded node k + 1 is grid node k; pad 0 takes s < 0, pad n + 1 s > cutoff
-    bounds = np.concatenate([[-np.inf], ss, [np.nextafter(cutoff, np.inf), np.inf]])
-    base = np.concatenate([[0.0], ss, [cutoff]])
-    slope = np.concatenate([[0.0], np.diff(table) / np.diff(ss), [0.0, 0.0]])
-    value = np.concatenate([table[:1], table, [0.0]])
-    scale = (n - 1) / cutoff
-
-    def lookup(s):
-        # clipped to finite values, so that a pad's slope 0 times s - base is 0
-        s = np.clip(s, -1.0, 2.0 * cutoff)
-        k = np.fmin(np.fmax(s * scale + 1.0, 0.0), n + 1.0).astype(np.intp)  # NaN: 0
-        k -= bounds[k] > s
-        k += bounds[k + 1] <= s
-        s -= base[k]
-        v = slope[k]
-        v *= s
-        v += value[k]
-        return v
-    return lookup
-
-
 # Gauss-Legendre nodes per angle panel of a tabulated profile.
 _PANEL_NODES = 8
 
@@ -337,8 +307,8 @@ def _tabulated_profiles(dist: GrainDistribution, n_s: int) -> CovariogramFunctio
 
     def profiles(step, coarse=None):
         grid = ss[::step]  # linear interpolation kinks at every interior node
-        return CovariogramFunctions(cutoff, _grid_lookup(grid, tab2[::step]),
-                                    _grid_lookup(grid, tab1[::step]), tuple(grid[1:-1]), coarse)
+        g2, g1 = (partial(np.interp, xp=grid, fp=t[::step], right=0.0) for t in (tab2, tab1))
+        return CovariogramFunctions(cutoff, g2, g1, tuple(grid[1:-1]), coarse)
     return profiles(1, profiles(2))
 
 

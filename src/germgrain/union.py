@@ -50,10 +50,10 @@ contact and both stay; pieces running the same way stay once, on the grain
 listed first; a grain edge on the window boundary stays and the window piece
 beneath it is dropped.  A point contact on exactly representable
 coordinates (a vertex touching another boundary) can still leave the turning
-sum off an integer, which the engine reports as an error.  Exact contacts can
-also give wrong v1 and v2 with no error: a diamond lying inside a larger one,
-two of its edges on the larger one's edges, keeps those inner edges as union
-boundary.  This stands until ROADMAP item 1 is done.
+sum off an integer, which the engine reports as an error.  One exact contact
+is still wrong with no error: two grains in flush contact across the top or
+right window edge cover it in runs that touch, and the edge correction takes
+them as one (v0 one too high) until ROADMAP item 1 stage c.
 """
 
 from __future__ import annotations
@@ -135,9 +135,12 @@ class _Boundary:
     replicate of a chunk; the rest are grains.  rep gives the replicate of
     each body, region r being replicate r's (one replicate by default).  A
     primitive is either a full counterclockwise circle, parameterized by
-    angle over [0, 2*pi], or a directed edge x + u*d, u in [0, 1], with
-    outward unit normal n and offset n.x.  Polygon edges run
-    counterclockwise, so each body keeps its interior on the left.
+    angle over [0, 2*pi], or a directed edge x + u*d, u in [0, 1], on the
+    line n.q = off with the unnormalized outward normal n = (dy, -dx).  An
+    edge line is read from the edge alone, so coincident edges get equal
+    lines, bit for bit, and on exactly representable coordinates a point on
+    a line gives exactly 0.  Polygon edges run counterclockwise, so each
+    body keeps its interior on the left.
     """
 
     def __init__(self, g: Grains, regions=1, rep=None):
@@ -156,10 +159,7 @@ class _Boundary:
         self.dy = self.y[nxt] - self.y
         self.r = g.radius[body]
         self.len2 = np.where(self.is_arc, 1.0, self.dx * self.dx + self.dy * self.dy)
-        ln = np.sqrt(self.len2)
-        self.nx = np.where(self.is_arc, 0.0, self.dy / ln)
-        self.ny = np.where(self.is_arc, 0.0, -self.dx / ln)
-        self.off = self.nx * self.x + self.ny * self.y
+        self.off = self.dy * self.x - self.dx * self.y  # 0 on a circle, whose d is 0
         self.disk = disk
         self.count = count
         self.first = first
@@ -183,11 +183,13 @@ class _Boundary:
                 np.where(arc, self.y[p] + self.r[p] * np.sin(u), self.y[p] + u * self.dy[p]))
 
     def level(self, b, px, py):
-        """Boundary function of body b at points (arrays): <= 0 in the body."""
+        """Boundary function of body b at points (arrays): <= 0 in the body,
+        and the distance to the body outside it."""
         p = self.table[b, :self.count[b]].reshape((-1,) + (1,) * np.ndim(px))
         if self.disk[b]:
             return np.hypot(px - self.x[p[0]], py - self.y[p[0]]) - self.r[p[0]]
-        return np.max(self.nx[p] * px + self.ny[p] * py - self.off[p], axis=0)
+        return np.max((self.dy[p] * px - self.dx[p] * py - self.off[p]) / np.sqrt(self.len2[p]),
+                      axis=0)
 
     def tangent(self, p, px, py):
         """Counterclockwise tangent (unnormalized) of primitives p at points on them."""
@@ -209,13 +211,15 @@ def _seg_in_poly(bd, p, j):
     They are slot-major, so every reduction over a body's edges runs along
     the rows; numpy reduces a short inner axis many times slower.
 
-    A block gathers j's edge lines once and releases them once f0, den and
-    the same-direction test exist.  Only a block that holds a tie (an edge
-    on one of j's edge lines, or a crossing at a vertex) or a body narrower
-    than the table does the work that resolves it; a block without one
-    would have found every tie and padding mask all false.  Either way each
-    row's values come from that row's own entries, so no row depends on
-    what else its block holds.
+    j's edge lines are evaluated at p's start only (f0); their change along p
+    is den = n.d, one product per entry, so parallel edges give exactly 0.  A
+    block gathers j's edge lines once and releases them once f0, den and the
+    same-direction test exist.  Only a block that holds a tie (an edge on one
+    of j's edge lines, or a crossing at a vertex) or a body narrower than the
+    table does the work that resolves it; a block without one would have found
+    every tie and padding mask all false.  Either way each row's values come
+    from that row's own entries, so no row depends on what else its block
+    holds.
     """
     if len(p) > _ROW_BLOCK:
         blocks = [_seg_in_poly(bd, p[i:i + _ROW_BLOCK], j[i:i + _ROW_BLOCK])
@@ -230,32 +234,26 @@ def _seg_in_poly(bd, p, j):
     if len(short):
         pad = h < 0
         h = np.where(pad, 0, h)
-    nx, ny, off = bd.nx[h], bd.ny[h], bd.off[h]
-
-    def level(qx, qy):
-        # j's edge-line functions at the points (qx, qy), summed in place
-        # for fewer (slots x rows) temporaries: the same arithmetic.
-        f = nx * qx
-        f += ny * qy
-        f -= off
-        return f
-    px, py = bd.x[p], bd.y[p]
-    f0 = level(px, py)
-    den = level(px + bd.dx[p], py + bd.dy[p])
+    dx, dy = bd.dx[h], bd.dy[h]
+    # Each in place, for fewer (slots x rows) temporaries.
+    f0 = dy * bd.x[p]
+    f0 -= dx * bd.y[p]
+    f0 -= bd.off[h]
+    den = dy * bd.dx[p]
+    den -= dx * bd.dy[p]
     if len(short):
         f0[pad] = -1.0
-        den[pad] = -1.0
-    den -= f0
+        den[pad] = 0.0
     flat = den == 0.0
     tie = flat & (f0 == 0.0)
     same = None
     if tie.any():
-        same = tie & (j < bd.body[p]) & (nx * bd.nx[p] + ny * bd.ny[p] > 0.0)
+        same = tie & (j < bd.body[p]) & (dx * bd.dx[p] + dy * bd.dy[p] > 0.0)
         flat &= ~same
-    del nx, ny, off, tie
+    del dx, dy, tie
     blocked = np.any(flat & (f0 >= 0.0), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = f0 / -den  # -den is f0 - f1 exactly; at den == 0 t is not used
+        t = f0 / -den  # at den == 0 t is not used
     t_in = np.where(den < 0.0, t, -np.inf)
     t_out = np.where(den > 0.0, t, np.inf)
     lo, hi = np.max(t_in, axis=0), np.min(t_out, axis=0)
@@ -326,11 +324,12 @@ def _arc_outside_poly(bd, p, j):
     h = bd.table[j]
     valid = h >= 0
     h = np.where(valid, h, 0)
-    nx, ny = bd.nx[h], bd.ny[h]
-    lev = (bd.off[h] - nx * bd.x[p, None] - ny * bd.y[p, None]) / bd.r[p, None]
+    dx, dy = bd.dx[h], bd.dy[h]
+    lev = ((bd.off[h] - dy * bd.x[p, None] + dx * bd.y[p, None])
+           / (bd.r[p, None] * np.sqrt(bd.len2[h])))
     valid &= lev < 1.0
     beta = np.arccos(np.maximum(lev[valid], -1.0))
-    return np.nonzero(valid)[0], np.arctan2(ny[valid], nx[valid]) - beta, 2.0 * beta, h[valid]
+    return np.nonzero(valid)[0], np.arctan2(-dx[valid], dy[valid]) - beta, 2.0 * beta, h[valid]
 
 
 def _joined(parts):
@@ -374,6 +373,7 @@ def _coverage(bd, p, j):
         empty = hi[rm] - lo[rm] <= _EPS
         lin.append((pm[rm], np.zeros(len(empty)), np.where(empty, 1.0, lo[rm]), c_in[rm]))
         lin.append((pm[rm], np.where(empty, 1.0, hi[rm]), np.ones(len(empty)), c_out[rm]))
+        del lo, hi, c_in, c_out
     m = arc & jd
     if m.any():
         start, width = _arc_in_disk(bd, p[m], j[m])
@@ -473,11 +473,11 @@ def _measure(bd, p, j, edge_corrected):
     (or, on the region, of the run that starts there), or at parameter 0 the
     previous primitive of the same body when that primitive's end is kept.
     Each replicate's sums run over its own pieces in piece order, so its row
-    does not depend on the other replicates.  edge_corrected drops the
-    covered runs of region primitives 0 (the top edge, from the far corner)
-    and 3 (the right edge) from v0 and v1, and adds back a covered far
-    corner.  A non-integer Euler characteristic raises ReplicateError naming
-    the first such replicate.
+    does not depend on the other replicates.  edge_corrected drops the covered
+    runs of region primitives 0 (the top edge, from the far corner) and 3 (the
+    right edge) from v0 and v1, and adds back the far corner where it lies in
+    some grain's open interior.  A non-integer Euler characteristic raises
+    ReplicateError naming the first such replicate.
     """
     rp, ra, rb, oa, ob = _merge_runs(*_coverage(bd, p, j))
     span = np.where(bd.is_arc, TWO_PI, 1.0)
@@ -531,7 +531,12 @@ def _measure(bd, p, j, edge_corrected):
 
         def per_run(values):
             return np.bincount(bd.prim_rep[rp[rr]], values, minlength=bd.replicates)
-        v0 = v0 - per_run(cut) + per_run((side == 0) & at0)
+        # Each body's boundary function at the far corner, the top edge's start (0 on a region).
+        cx, cy = bd.x[0], bd.y[0]
+        f = np.where(bd.is_arc, np.hypot(cx - bd.x, cy - bd.y) - bd.r,
+                     bd.dy * cx - bd.dx * cy - bd.off)
+        corner = np.bincount(bd.rep, np.maximum.reduceat(f, bd.first) < 0.0, bd.replicates) > 0
+        v0 = v0 - per_run(cut) + corner
         v1 = v1 - per_run(cut * (rb[rr] - ra[rr]) * np.sqrt(bd.len2[rp[rr]]))
     v0i = np.round(v0) + 0.0  # + 0.0 turns -0.0 into 0.0
     bad = np.flatnonzero(np.abs(v0 - v0i) > 1e-3)

@@ -10,7 +10,7 @@ from scipy.stats import qmc
 from germgrain import covariance
 from germgrain.cells import clip_cell, grain_constraints, window_cell
 from germgrain.covariance import (AnisotropyError, AssemblyError, RhoTable, _blocks,
-                                  _grid_lookup, _plane_integral, _rect_profiles,
+                                  _plane_integral, _rect_profiles,
                                   _shape_profiles, covariogram_functions, p_polynomial,
                                   phi_star, rho_0i, rho_11, rho_12, rho_22, rho_table,
                                   sigma_matrix, sigma_volume)
@@ -969,34 +969,6 @@ class TestTabulatedPolygonLaws:
         t0 = time.perf_counter()
         sigma_matrix(GAMMA, ROTATED_HEXAGON)
         assert time.perf_counter() - t0 <= 1.0
-
-
-class TestGridLookup:
-    """The profile lookup finds the node by division; its values are
-    np.interp's, bit for bit."""
-
-    @pytest.mark.parametrize("n", [513, 2049])
-    def test_equals_np_interp_bit_for_bit(self, n):
-        rng = np.random.default_rng(20231)
-        cutoff = 2.0 * math.hypot(0.6, 0.5)
-        ss = np.linspace(0.0, cutoff, n)
-        # rough decreasing steps, one table ending at 0 like a profile and one
-        # not, so that the cutoff node and the 0.0 past it differ
-        tables = [np.cumsum(rng.random(n)[::-1])[::-1] * scale for scale in (1e-3, 0.7)]
-        tables[0] -= tables[0][-1]
-        s = np.concatenate([
-            rng.uniform(-0.1 * cutoff, 1.2 * cutoff, 5000), ss,
-            np.nextafter(ss, np.inf), np.nextafter(ss, -np.inf),
-            [0.0, -0.0, cutoff, np.nextafter(cutoff, np.inf), 1.5 * cutoff, 1e300,
-             -1.0, -5e-324, -1e300, np.inf, -np.inf, np.nan]])
-        block = s[:len(s) // 4 * 4].reshape(-1, 4)
-        # each table, and its every other node as a profile's coarse table
-        for grid, t in [(ss[::step], t[::step]) for t in tables for step in (1, 2)]:
-            lookup = _grid_lookup(grid, t)
-            for x in (s, block, 0.3 * cutoff, np.array(0.7 * cutoff), -0.0, cutoff):
-                got, want = lookup(x), np.interp(x, grid, t, right=0.0)
-                assert np.shape(got) == np.shape(want)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestBlocks:
